@@ -2,7 +2,7 @@
 
 Forward-simulates Hill-type muscle actuators on synthetic tendon-driven
 plants, recovers per-muscle control signals from joint-force trajectories
-through a box-constrained quadratic program, and batch-converts session
+through a bounded linear least-squares problem, and batch-converts session
 recordings between sample rates.
 """
 

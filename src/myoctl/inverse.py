@@ -8,8 +8,10 @@ act) + tau2``), the force balance becomes linear in
 
     x = dt * gain * (ctrl - act) / (tau1 * (ctrl - act) + tau2)
 
-which is boxed by the control limits and solved as a least-squares QP.
-The control is then recovered by inverting the substitution and clamping.
+which is boxed by the control limits. Each frame is then a bounded linear
+least-squares problem on the moment-arm matrix, ``min ||moment_arms @ x +
+k||`` over the box, solved by bounded-variable least squares. The control is
+recovered by inverting the substitution and clamping.
 
 Along a trajectory the activation state is propagated with the recovered
 controls through the same smoothed activation filter the forward simulator
@@ -163,22 +165,17 @@ def _force_gap(inp: InverseInputs) -> np.ndarray:
 
 
 def build_qp(inp: InverseInputs) -> BoxQp:
-    """Assemble the boxed least-squares problem for one frame.
+    """Assemble the bounded least-squares problem for one frame.
 
-    The objective is ``||moment_arms @ x + k||^2`` written in standard QP
-    form; the box maps the control limits through the substitution. Zero-gain
-    actuators are pinned at ``x = 0``.
+    The problem is ``min 1/2 ||A x - b||^2`` with ``A = moment_arms`` and
+    ``b = -k``, ``k`` the force gap at the current activation; the box maps
+    the control limits through the substitution. Zero-gain actuators are
+    pinned at ``x = 0``.
 
     Raises:
         InfeasibleFrameError: when a linearized time-constant denominator
             vanishes or flips sign (bound ordering would break).
     """
-    am = inp.moment_arms
-    gap = _force_gap(inp)
-    pmat = 2.0 * (am.T @ am)
-    pmat = 0.5 * (pmat + pmat.T)
-    qvec = 2.0 * (am.T @ gap)
-
     tau1 = np.asarray(inp.tau1, dtype=float)
     tau2 = np.asarray(inp.tau2, dtype=float)
     live = np.abs(inp.gain) >= _ZERO_GAIN
@@ -200,11 +197,11 @@ def build_qp(inp: InverseInputs) -> BoxQp:
             "control bounds inverted: time-constant linearization is not valid "
             "over the full control range for these parameters"
         )
-    return BoxQp(P=pmat, q=qvec, lb=lb, ub=ub)
+    return BoxQp(A=inp.moment_arms, b=-_force_gap(inp), lb=lb, ub=ub)
 
 
 def recover_ctrl(x, inp: InverseInputs):
-    """Map a QP solution back to a control vector, clamped to [0, 1].
+    """Map a frame solution back to a control vector, clamped to [0, 1].
 
     ``ctrl = act + x * tau2 / (timestep * gain - x * tau1)`` componentwise;
     zero-gain actuators keep ``ctrl = act``.
@@ -227,16 +224,16 @@ def recover_ctrl(x, inp: InverseInputs):
 
 
 def invert_frame(inp: InverseInputs, opts: InversionOptions | None = None) -> FrameSolution:
-    """Solve one frame: boxed QP, control recovery, achieved-force residual.
+    """Solve one frame: bounded least squares, control recovery, residual.
 
     The residual is ``||moment_arms @ x + k||_inf``; it is zero (within the
-    QP tolerance) exactly when the target force is reachable this step.
+    solver tolerance) exactly when the target force is reachable this step.
     """
     opts = opts or InversionOptions()
     problem = build_qp(inp)
     x, diag = solve_box_qp(problem, tol=opts.qp_tol, max_iter=opts.qp_max_iter)
     ctrl = recover_ctrl(x, inp)
-    residual = float(np.abs(inp.moment_arms @ x + _force_gap(inp)).max())
+    residual = float(np.abs(problem.A @ x - problem.b).max())
     return FrameSolution(ctrl=ctrl, x=x, residual=residual, converged=diag.converged)
 
 

@@ -1,78 +1,64 @@
-"""Deterministic solver for box-constrained convex quadratic programs.
+"""Deterministic solver for bounded-variable linear least squares.
 
-Solves ``min 1/2 x'Px + q'x  subject to  lb <= x <= ub`` for symmetric
-positive-semidefinite ``P``. The iteration combines projected-gradient steps
-with a fixed step ``1 / lambda_max(P)`` (estimated by power iteration) and an
-active-set Newton refinement: after each projected step the binding variables
-are read off the iterate, the free block is solved exactly, and the refined
-point is accepted only if it lowers the objective. The projected step
-guarantees global monotone descent; the refinement gives fast, tolerance-level
-convergence even for badly conditioned problems. Everything is deterministic
+Solves ``min 1/2 ||Ax - b||^2  subject to  lb <= x <= ub`` with Stark and
+Parker's bounded-variable least-squares method (``scipy.optimize.lsq_linear``
+with ``method="bvls"``), working on ``A`` itself rather than on ``A'A`` so
+rank-deficient and wide matrices keep their conditioning. Variables with
+``lb == ub`` are pinned before the call. Convergence is judged by this
+module's own projected-gradient KKT residual. Everything is deterministic
 for fixed inputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import lsq_linear
 
 __all__ = ["BoxQp", "QpDiagnostics", "solve_box_qp", "kkt_residual"]
-
-_REG = 1e-12
-_STEP_FLOOR = 1e-12
-_POWER_ITERS = 100
 
 
 @dataclass(frozen=True, eq=False)
 class BoxQp:
-    """One box-constrained QP: ``min 1/2 x'Px + q'x, lb <= x <= ub``.
+    """One bounded least-squares problem: ``min 1/2 ||Ax - b||^2, lb <= x <= ub``.
 
-    ``P`` must be symmetric (to 1e-12, relative to its largest entry) and all
-    entries finite, with ``lb <= ub`` componentwise.
+    ``A`` is ``(m, n)``, ``b`` has length ``m`` and the bounds length ``n``;
+    all entries are finite, with ``lb <= ub`` componentwise.
     """
 
-    P: np.ndarray
-    q: np.ndarray
+    A: np.ndarray
+    b: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "P", np.asarray(self.P, dtype=float))
-        object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
-        object.__setattr__(self, "lb", np.asarray(self.lb, dtype=float))
-        object.__setattr__(self, "ub", np.asarray(self.ub, dtype=float))
-        n = self.q.shape[0] if self.q.ndim == 1 else -1
-        if self.P.shape != (n, n) or self.lb.shape != (n,) or self.ub.shape != (n,):
+        for attr in ("A", "b", "lb", "ub"):
+            object.__setattr__(self, attr, np.asarray(getattr(self, attr), dtype=float))
+        n = self.lb.shape[0] if self.lb.ndim == 1 else -1
+        m = self.b.shape[0] if self.b.ndim == 1 else -1
+        if self.A.shape != (m, n) or self.ub.shape != (n,):
             raise ValueError("inconsistent problem dimensions")
-        for arr, label in ((self.P, "P"), (self.q, "q"), (self.lb, "lb"), (self.ub, "ub")):
-            if not np.isfinite(arr).all():
+        for label in ("A", "b", "lb", "ub"):
+            if not np.isfinite(getattr(self, label)).all():
                 raise ValueError(f"{label} contains non-finite entries")
-        scale = max(1.0, float(np.abs(self.P).max())) if n else 1.0
-        if n and float(np.abs(self.P - self.P.T).max()) > 1e-12 * scale:
-            raise ValueError("P is not symmetric")
         if np.any(self.lb > self.ub):
             raise ValueError("lb exceeds ub")
-
-    @property
-    def n(self) -> int:
-        return self.q.shape[0]
 
 
 @dataclass(frozen=True)
 class QpDiagnostics:
-    """Solver outcome: step count, convergence flag and final objective."""
+    """Solver outcome: iteration count, convergence flag and final objective."""
 
     iterations: int
     converged: bool
     objective: float
-    objective_history: tuple[float, ...] = field(default=(), repr=False)
 
 
 def kkt_residual(problem: BoxQp, x: np.ndarray) -> float:
     """Projected-gradient optimality residual, zero exactly at the optimum.
 
-    Returns ``||x - clip(x - (Px + q), lb, ub)||_inf`` for a feasible ``x``.
+    Returns ``||x - clip(x - A'(Ax - b), lb, ub)||_inf`` for a feasible ``x``.
 
     Raises:
         ValueError: if ``x`` lies outside the box.
@@ -80,115 +66,43 @@ def kkt_residual(problem: BoxQp, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     if np.any(x < problem.lb - 1e-12) or np.any(x > problem.ub + 1e-12):
         raise ValueError("x lies outside [lb, ub]")
-    grad = problem.P @ x + problem.q
-    return float(np.abs(x - np.clip(x - grad, problem.lb, problem.ub)).max())
-
-
-def _lambda_max(P: np.ndarray) -> float:
-    """Largest eigenvalue of a PSD matrix via fixed-count power iteration.
-
-    The start vector comes from a fixed-seed generator so it cannot align
-    with a structured null space (an all-ones start does, for matrices with
-    paired antagonist columns); the max diagonal entry is a valid PSD lower
-    bound and guards the estimate from below.
-    """
-    n = P.shape[0]
-    v = np.random.default_rng(12345).standard_normal(n)
-    v /= np.linalg.norm(v)
-    estimate = 0.0
-    for _ in range(_POWER_ITERS):
-        w = P @ v
-        norm = float(np.linalg.norm(w))
-        if norm < 1e-300:
-            break
-        v = w / norm
-        estimate = float(v @ (P @ v))
-    return max(estimate, float(P.diagonal().max(initial=0.0)))
+    grad = problem.A.T @ (problem.A @ x - problem.b)
+    return float(np.abs(x - np.clip(x - grad, problem.lb, problem.ub)).max(initial=0.0))
 
 
 def solve_box_qp(
     problem: BoxQp,
     tol: float = 1e-10,
     max_iter: int = 20000,
-    record_history: bool = False,
 ) -> tuple[np.ndarray, QpDiagnostics]:
-    """Solve a box-constrained convex QP to a KKT tolerance.
+    """Solve a bounded least-squares problem to a KKT tolerance.
 
     Args:
         problem: validated problem data.
-        tol: infinity-norm bound on the projected-gradient residual.
-        max_iter: iteration cap; on exhaustion the best iterate is returned
-            with ``converged=False`` and the caller decides failure policy.
-        record_history: also return the per-iteration objective values.
+        tol: infinity-norm bound on the projected-gradient residual; also
+            the BVLS termination tolerance.
+        max_iter: cap on BVLS main-loop iterations; on exhaustion the last
+            iterate is returned with ``converged=False`` and the caller
+            decides failure policy.
 
     Returns:
         ``(x, diagnostics)`` with ``x`` feasible componentwise.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    P, q, lb, ub = problem.P, problem.q, problem.lb, problem.ub
-    n = problem.n
-    if n == 0:
-        return np.zeros(0), QpDiagnostics(0, True, 0.0)
-
-    fixed = lb == ub
-
-    # Tikhonov regularization only when P fails a Cholesky probe (singular
-    # or indefinite to rounding); keeps the free-block solves well posed.
-    P_eff = P
-    try:
-        np.linalg.cholesky(P)
-    except np.linalg.LinAlgError:
-        P_eff = P + _REG * np.eye(n)
-
-    step = 1.0 / max(_lambda_max(P_eff), _STEP_FLOOR)
-
-    def objective(z: np.ndarray) -> float:
-        return float(0.5 * z @ (P @ z) + q @ z)
-
-    def objective_eff(z: np.ndarray) -> float:
-        return float(0.5 * z @ (P_eff @ z) + q @ z)
-
-    x = np.clip(np.zeros(n), lb, ub)
-    history: list[float] = [objective(x)] if record_history else []
-    converged = False
-    steps = 0
-    for _ in range(max_iter):
-        grad = P @ x + q
-        if float(np.abs(x - np.clip(x - grad, lb, ub)).max()) <= tol:
-            converged = True
-            break
-
-        grad_eff = grad if P_eff is P else P_eff @ x + q
-        x_next = np.clip(x - step * grad_eff, lb, ub)
-
-        # Active-set Newton refinement on the binding pattern of the
-        # projected step; accepted only on objective decrease. The free
-        # block is solved as a minimum-norm least-squares problem so that
-        # singular (over-actuated) blocks cannot amplify rounding noise
-        # along their null space.
-        grad_next = P_eff @ x_next + q
-        binding = fixed | ((x_next <= lb) & (grad_next > 0.0)) | (
-            (x_next >= ub) & (grad_next < 0.0)
+    lb, ub = problem.lb, problem.ub
+    x = lb.copy()
+    free = lb < ub
+    iterations = 0
+    if free.any():
+        # lsq_linear needs lb < ub strictly: move pinned columns into b.
+        b_free = problem.b - problem.A[:, ~free] @ x[~free]
+        res = lsq_linear(
+            problem.A[:, free], b_free, bounds=(lb[free], ub[free]),
+            method="bvls", tol=tol, max_iter=max_iter,
         )
-        free = ~binding
-        if free.any():
-            trial = x_next.copy()
-            rhs = -(q[free] + P_eff[np.ix_(free, binding)] @ x_next[binding])
-            trial[free] = np.linalg.lstsq(P_eff[np.ix_(free, free)], rhs, rcond=None)[0]
-            np.clip(trial, lb, ub, out=trial)
-            if objective_eff(trial) < objective_eff(x_next):
-                x_next = trial
-
-        x = x_next
-        steps += 1
-        if record_history:
-            history.append(objective(x))
-
-    diag = QpDiagnostics(
-        iterations=steps,
-        converged=converged,
-        objective=objective(x),
-        objective_history=tuple(history),
-    )
-    return x, diag
+        x[free] = np.clip(res.x, lb[free], ub[free])
+        iterations = int(res.nit)
+    converged = kkt_residual(problem, x) <= tol
+    residual = problem.A @ x - problem.b
+    return x, QpDiagnostics(iterations, converged, float(0.5 * residual @ residual))

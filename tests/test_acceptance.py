@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.linalg import cholesky, solve_triangular
 
 from myoctl.activation import TauMode, smoothstep, step_activation, time_constant
 from myoctl.cli import parse_args, run
@@ -69,10 +70,13 @@ def test_criterion_3_qp_oracle_equivalence():
     converged_count = 0
     for _ in range(1000):
         pmat, qvec, lb, ub = random_box_qp(rng, max_dim=6)
-        problem = BoxQp(pmat, qvec, lb, ub)
+        # 1/2 x'Px + q'x = 1/2 ||L'x - b||^2 - 1/2 b'b with P = LL', b = -L^-1 q.
+        lower = cholesky(pmat, lower=True)
+        bvec = -solve_triangular(lower, qvec, lower=True)
+        problem = BoxQp(lower.T, bvec, lb, ub)
         x, diag = solve_box_qp(problem)
         reference = enumerate_box_qp_optimum(pmat, qvec, lb, ub)
-        gap = diag.objective - reference
+        gap = diag.objective - 0.5 * bvec @ bvec - reference
         worst_gap = max(worst_gap, gap)
         assert gap <= 1e-8, f"objective gap {gap}"
         if diag.converged:

@@ -1,6 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
+import myoctl.qp
 from myoctl.inverse import (
     InfeasibleFrameError,
     InverseInputs,
@@ -12,7 +15,7 @@ from myoctl.inverse import (
     tau_linearization,
 )
 from myoctl.plant import make_fixture, rest_state, rollout, smooth_random_controls
-from myoctl.qp import solve_box_qp
+from myoctl.qp import kkt_residual, solve_box_qp
 
 
 def scalar_inputs(**overrides):
@@ -56,11 +59,11 @@ class TestTauLinearization:
 
 class TestBuildQp:
     def test_scalar_reference_frame(self):
-        # k = 1*(-2*0.5) + 0 - (-1.5) = 0.5; P = 2, q = 1;
+        # k = 1*(-2*0.5) + 0 - (-1.5) = 0.5; A = 1, b = -k = -0.5;
         # lb = 0.002*(-2)*0.5/0.02 = -0.1; ub = 0.002*(-2)*(-0.5)/0.02 = 0.1.
         problem = build_qp(scalar_inputs())
-        assert problem.P == pytest.approx(np.array([[2.0]]))
-        assert problem.q == pytest.approx(np.array([1.0]))
+        assert problem.A == pytest.approx(np.array([[1.0]]))
+        assert problem.b == pytest.approx(np.array([-0.5]))
         assert problem.lb == pytest.approx(np.array([-0.1]))
         assert problem.ub == pytest.approx(np.array([0.1]))
 
@@ -73,7 +76,7 @@ class TestBuildQp:
     def test_target_already_met(self):
         inp = scalar_inputs(q_frc=np.array([-2.0 * 0.5 + 0.0]))
         problem = build_qp(inp)
-        assert problem.q == pytest.approx(np.zeros(1))
+        assert problem.b == pytest.approx(np.zeros(1))
 
     def test_bounds_bracket_zero_for_pulling_muscles(self):
         rng = np.random.default_rng(2)
@@ -177,7 +180,7 @@ class TestRecoverCtrl:
 
 class TestInvertFrame:
     def test_scalar_reference_frame(self):
-        # One-variable QP solved by clipping: x = -0.1, ctrl = 1,
+        # One-variable problem solved by clipping: x = -0.1, ctrl = 1,
         # residual = |1*(-0.1) + 0.5| = 0.4.
         sol = invert_frame(scalar_inputs())
         assert sol.ctrl == pytest.approx(np.array([1.0]))
@@ -212,6 +215,40 @@ class TestInvertFrame:
         act_achieved = act + dt * (sol.ctrl - act) / tau2
         q_frc_achieved = moment_arms @ (gain * act_achieved + bias)
         assert q_frc_achieved == pytest.approx(q_frc, abs=1e-9)
+
+    def test_zero_gain_actuator_stays_pinned(self):
+        rng = np.random.default_rng(8)
+        gain = -rng.uniform(0.5, 2.0, 4)
+        gain[1] = 0.0
+        act = rng.uniform(0.2, 0.8, 4)
+        inp = InverseInputs(
+            rng.uniform(-0.01, 0.01, (2, 4)), gain, np.zeros(4), act,
+            q_frc=rng.uniform(-0.01, 0.01, 2), timestep=0.002, tau1=0.0, tau2=0.02,
+        )
+        problem = build_qp(inp)
+        assert problem.lb[1] == problem.ub[1] == 0.0
+        sol = invert_frame(inp)
+        assert sol.x[1] == 0.0
+        assert sol.ctrl[1] == act[1]
+        assert sol.converged
+        assert kkt_residual(problem, sol.x) <= 1e-10
+
+    def test_all_pinned_frame_skips_the_solver(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("lsq_linear called with every variable pinned")
+
+        monkeypatch.setattr(myoctl.qp, "lsq_linear", fail)
+        act = np.array([0.3, 0.6])
+        inp = InverseInputs(
+            np.array([[0.01, -0.01]]), np.zeros(2), np.zeros(2), act,
+            q_frc=np.array([0.5]), timestep=0.002, tau1=0.0, tau2=0.02,
+        )
+        x, diag = solve_box_qp(build_qp(inp))
+        assert np.array_equal(x, np.zeros(2))
+        assert diag.iterations == 0 and diag.converged
+        sol = invert_frame(inp)
+        assert np.array_equal(sol.ctrl, act)
+        assert sol.residual == pytest.approx(0.5)
 
     def test_residual_optimality_against_random_sampling(self):
         rng = np.random.default_rng(5)
@@ -265,6 +302,16 @@ class TestInvertTrajectory:
         inv = invert_trajectory(plant, reference.q, 500.0)
         replay = rollout(plant, rest_state(plant), inv.ctrl, dt)
         assert np.allclose(replay.act, inv.act, atol=1e-12)
+
+    def test_hand_like_roundtrip_has_no_solver_stalls(self):
+        # Regression: frames of this trajectory once ran to the iteration cap
+        # and were counted infeasible; the one left cannot reach its force.
+        start = time.perf_counter()
+        report = roundtrip(make_fixture("hand_like"), seed=1)
+        elapsed = time.perf_counter() - start
+        assert report.status == "ok"
+        assert report.infeasible_frames <= 1
+        assert elapsed < 10.0, f"took {elapsed:.1f} s"
 
     def test_short_roundtrip(self):
         plant = make_fixture("toy_finger")
