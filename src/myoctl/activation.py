@@ -1,49 +1,17 @@
-"""First-order activation dynamics with switched or smoothed time constants.
+"""First-order activation dynamics with smoothly blended time constants.
 
 Activation tracks the control signal through ``d(act)/dt = (ctrl - act) / tau``
-where ``tau`` either hard-switches between rise and fall constants or blends
-them through a quintic smoothstep of the control error.
+where ``tau`` blends the rise and fall constants through a quintic
+smoothstep of the control error, of width ``tau_smooth``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["TauMode", "smoothstep", "time_constant", "step_activation"]
+from .muscle import _collapse
 
-
-@dataclass(frozen=True, eq=False)
-class TauMode:
-    """Selects how the activation time constant responds to the control error.
-
-    ``hard`` switches between the rise and fall constants at zero error and
-    applies the classic ``0.5 + 1.5 * act`` state scaling. ``smooth`` blends
-    the two constants with a smoothstep of width ``tau_smooth``.
-    """
-
-    variant: str
-    tau_smooth: float | np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.variant not in ("hard", "smooth"):
-            raise ValueError(f"unknown time-constant mode {self.variant!r}")
-        if self.variant == "smooth":
-            if self.tau_smooth is None or not np.all(np.asarray(self.tau_smooth) > 0.0):
-                raise ValueError("smooth mode requires tau_smooth > 0")
-
-    @classmethod
-    def hard(cls) -> "TauMode":
-        return cls("hard")
-
-    @classmethod
-    def smooth(cls, tau_smooth) -> "TauMode":
-        return cls("smooth", tau_smooth)
-
-
-def _collapse(x: np.ndarray):
-    return float(x) if np.ndim(x) == 0 else x
+__all__ = ["smoothstep", "time_constant", "step_activation"]
 
 
 def smoothstep(x):
@@ -55,34 +23,36 @@ def smoothstep(x):
     return _collapse(xc * xc * xc * (xc * (6.0 * xc - 15.0) + 10.0))
 
 
-def time_constant(ctrl, act, tau_act, tau_deact, mode: TauMode):
+def time_constant(ctrl, act, tau_act, tau_deact, tau_smooth):
     """Effective activation time constant for a control/activation pair.
 
-    Hard mode returns ``tau_act`` or ``tau_deact`` (by the sign of
-    ``ctrl - act``) scaled by ``0.5 + 1.5 * act``. Smooth mode returns the
-    smoothstep blend of the two raw constants; always positive.
+    Returns the smoothstep blend of the two constants, weighted by
+    ``s = smoothstep((ctrl - act) / tau_smooth + 1/2)``; always positive.
+
+    Raises:
+        ValueError: if ``tau_smooth`` is not positive.
     """
+    tau_smooth = np.asarray(tau_smooth, dtype=float)
+    if not (tau_smooth > 0.0).all():
+        raise ValueError("tau_smooth must be positive")
     ctrl = np.asarray(ctrl, dtype=float)
     act = np.asarray(act, dtype=float)
     tau_act = np.asarray(tau_act, dtype=float)
     tau_deact = np.asarray(tau_deact, dtype=float)
-    if mode.variant == "hard":
-        base = np.where(ctrl - act > 0.0, tau_act, tau_deact)
-        return _collapse(base * (0.5 + 1.5 * act))
-    s = smoothstep((ctrl - act) / np.asarray(mode.tau_smooth, dtype=float) + 0.5)
+    s = smoothstep((ctrl - act) / tau_smooth + 0.5)
     # Convex-combination form: bit-exact (tau_act + tau_deact) / 2 at s = 1/2.
     return _collapse(tau_deact * (1.0 - s) + tau_act * s)
 
 
-def step_activation(act, ctrl, dt: float, tau_act, tau_deact, mode: TauMode):
+def step_activation(act, ctrl, dt: float, tau_act, tau_deact, tau_smooth):
     """One explicit Euler step of the activation filter, clamped to [0, 1].
 
     Raises:
-        ValueError: if ``dt`` is not positive.
+        ValueError: if ``dt`` or ``tau_smooth`` is not positive.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     act = np.asarray(act, dtype=float)
     ctrl = np.asarray(ctrl, dtype=float)
-    tau = np.asarray(time_constant(ctrl, act, tau_act, tau_deact, mode))
+    tau = np.asarray(time_constant(ctrl, act, tau_act, tau_deact, tau_smooth))
     return _collapse(np.clip(act + dt * (ctrl - act) / tau, 0.0, 1.0))

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import pipeline
-from .inverse import InversionOptions, invert_trajectory, roundtrip
+from .inverse import roundtrip
 from .pipeline import PipelineOptions, Session, read_session, write_session
 from .plant import (
     PlantError,
@@ -30,6 +30,7 @@ from .plant import (
     save_plant,
     smooth_random_controls,
 )
+from .timeseries import resample
 
 __all__ = ["build_parser", "parse_args", "run", "main"]
 
@@ -141,43 +142,19 @@ def _cmd_invert(args) -> int:
     plant = load_plant(args.plant)
     session = read_session(args.input)
     opts = PipelineOptions(
-        inversion=InversionOptions(fail_threshold=args.fail_threshold),
+        fail_threshold=args.fail_threshold,
         joint_map=_load_joint_map(args.joint_map),
     )
-    if session.rate_hz == pipeline.POSE_RATE_HZ:
-        out, record = pipeline.process_session(session, plant, opts)
-        if record.status != "ok" or out is None:
-            print(f"inversion failed: {record.failure_reason}", file=sys.stderr)
-            return 1
-        write_session(out, args.out)
-        print(
-            f"{record.id}: ok, {record.frames} frames, "
-            f"max residual {record.max_residual:.3e}"
-        )
-        return 0
-    if session.rate_hz == pipeline.SOLVE_RATE_HZ:
-        poses = pipeline._map_joints(session, plant, opts.joint_map)
-        result = invert_trajectory(plant, poses, session.rate_hz, opts.inversion)
-        if result.status != "ok":
-            print(f"inversion failed: {result.failure_reason}", file=sys.stderr)
-            return 1
-        out = Session(
-            id=session.id,
-            rate_hz=session.rate_hz,
-            channel_names=plant.actuator_names,
-            data=result.ctrl.T,
-            units=("1",) * plant.nactuators,
-            metadata={"plant": plant.name, "kind": "tendon_ctrl"},
-        )
-        write_session(out, args.out)
-        print(f"{session.id}: ok, max residual {float(np.max(result.residuals)):.3e}")
-        return 0
+    out, record = pipeline.process_session(session, plant, opts)
+    if out is None:
+        print(f"inversion failed: {record.failure_reason}", file=sys.stderr)
+        return 1
+    write_session(out, args.out)
     print(
-        f"unsupported session rate {session.rate_hz} Hz "
-        f"(expected {pipeline.POSE_RATE_HZ} or {pipeline.SOLVE_RATE_HZ})",
-        file=sys.stderr,
+        f"{record.id}: ok, {record.frames} frames, "
+        f"max residual {record.max_residual:.3e}"
     )
-    return 1
+    return 0
 
 
 def _cmd_roundtrip(args) -> int:
@@ -216,7 +193,7 @@ def _cmd_gen_fixture(args) -> int:
 
 def _cmd_resample(args) -> int:
     session = read_session(args.input)
-    data = pipeline.resample(
+    data = resample(
         np.asarray(session.data, dtype=float), session.rate_hz, args.to_hz, axis=1
     )
     out = Session(

@@ -16,7 +16,8 @@ recovered by inverting the substitution and clamping.
 Along a trajectory the activation state is propagated with the recovered
 controls through the same smoothed activation filter the forward simulator
 uses, starting from zero activation, so that re-simulation reproduces the
-inversion's internal state exactly.
+inversion's internal state exactly. A trajectory fails once more than 1 %
+of its frames are infeasible.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activation import TauMode, step_activation
+from .activation import step_activation
 from .plant import Plant, inverse_dynamics, tendon_kinematics, _gain_bias, _normalized
 from .qp import BoxQp, solve_box_qp
 from .timeseries import differentiate
@@ -34,7 +35,6 @@ __all__ = [
     "InfeasibleFrameError",
     "InverseInputs",
     "FrameSolution",
-    "InversionOptions",
     "TrajectoryInversion",
     "RoundTripReport",
     "tau_linearization",
@@ -48,6 +48,7 @@ __all__ = [
 _ZERO_GAIN = 1e-12
 _DENOM_TOL = 1e-12
 _RECOVER_TOL = 1e-14
+_MAX_INFEASIBLE_FRACTION = 0.01
 
 
 class InfeasibleFrameError(RuntimeError):
@@ -105,22 +106,6 @@ class FrameSolution:
     converged: bool
 
 
-@dataclass(frozen=True)
-class InversionOptions:
-    """Tolerances for per-frame solves and session-level failure accounting.
-
-    A frame counts as infeasible when its force residual exceeds
-    ``fail_threshold * max(1, ||q_frc||_inf)`` or its subproblem is
-    degenerate; a trajectory fails once more than
-    ``max_infeasible_fraction`` of its frames are infeasible.
-    """
-
-    qp_tol: float = 1e-10
-    qp_max_iter: int = 20000
-    fail_threshold: float = 1e-3
-    max_infeasible_fraction: float = 0.01
-
-
 @dataclass(frozen=True, eq=False)
 class TrajectoryInversion:
     """Outcome of inverting a joint trajectory."""
@@ -141,16 +126,13 @@ def tau_linearization(tau_act, tau_deact, tau_smooth):
     (the blend slope, 15/8 being the smoothstep derivative at its center).
 
     Raises:
-        ValueError: if ``tau_smooth`` is not positive; use the hard-switch
-            mode when no smoothing is configured.
+        ValueError: if ``tau_smooth`` is not positive.
     """
     tau_act = np.asarray(tau_act, dtype=float)
     tau_deact = np.asarray(tau_deact, dtype=float)
     tau_smooth = np.asarray(tau_smooth, dtype=float)
     if not np.all(tau_smooth > 0.0):
-        raise ValueError(
-            "tau_smooth must be positive to linearize; use TauMode.hard() instead"
-        )
+        raise ValueError("tau_smooth must be positive to linearize")
     tau2 = 0.5 * (tau_act + tau_deact)
     tau1 = 1.875 * (tau_act - tau_deact) / tau_smooth
     if np.ndim(tau1) == 0:
@@ -223,15 +205,14 @@ def recover_ctrl(x, inp: InverseInputs):
     return np.clip(ctrl, 0.0, 1.0)
 
 
-def invert_frame(inp: InverseInputs, opts: InversionOptions | None = None) -> FrameSolution:
+def invert_frame(inp: InverseInputs) -> FrameSolution:
     """Solve one frame: bounded least squares, control recovery, residual.
 
     The residual is ``||moment_arms @ x + k||_inf``; it is zero (within the
     solver tolerance) exactly when the target force is reachable this step.
     """
-    opts = opts or InversionOptions()
     problem = build_qp(inp)
-    x, diag = solve_box_qp(problem, tol=opts.qp_tol, max_iter=opts.qp_max_iter)
+    x, diag = solve_box_qp(problem)
     ctrl = recover_ctrl(x, inp)
     residual = float(np.abs(problem.A @ x - problem.b).max())
     return FrameSolution(ctrl=ctrl, x=x, residual=residual, converged=diag.converged)
@@ -241,7 +222,7 @@ def invert_trajectory(
     plant: Plant,
     q_traj,
     rate_hz: float,
-    opts: InversionOptions | None = None,
+    fail_threshold: float = 1e-3,
 ) -> TrajectoryInversion:
     """Recover per-muscle controls along a joint-angle trajectory.
 
@@ -249,13 +230,14 @@ def invert_trajectory(
     force through the plant's inverse dynamics, inverts the actuator equation
     with the running activation state, then advances that state with the
     recovered controls (smoothed time constants, starting from zero
-    activation). Non-finite input fails the whole trajectory with the
-    offending frame reported.
+    activation). A frame counts as infeasible when its force residual
+    exceeds ``fail_threshold * max(1, ||q_frc||_inf)``, its solve does not
+    converge, or its subproblem is degenerate. Non-finite input fails the
+    whole trajectory with the offending frame reported.
 
     Raises:
         ValueError: for fewer than 3 frames.
     """
-    opts = opts or InversionOptions()
     q = np.atleast_2d(np.asarray(q_traj, dtype=float))
     if q.shape[0] < 3:
         raise ValueError("need at least 3 frames to invert a trajectory")
@@ -279,7 +261,6 @@ def invert_trajectory(
     qdot, qddot = differentiate(q, dt)
     muscles = plant._muscle
     tau1, tau2 = tau_linearization(muscles.tau_act, muscles.tau_deact, muscles.tau_smooth)
-    tau_mode = TauMode.smooth(muscles.tau_smooth)
 
     act = np.zeros(na)
     ctrl_traj = np.empty((nframes, na))
@@ -301,9 +282,9 @@ def invert_trajectory(
             tau1=tau1,
             tau2=tau2,
         )
-        threshold = opts.fail_threshold * max(1.0, float(np.abs(q_frc).max()))
+        threshold = fail_threshold * max(1.0, float(np.abs(q_frc).max()))
         try:
-            frame = invert_frame(inp, opts)
+            frame = invert_frame(inp)
             ctrl_t = frame.ctrl
             residual = frame.residual
             feasible = frame.converged and residual <= threshold
@@ -316,9 +297,11 @@ def invert_trajectory(
         ctrl_traj[t] = ctrl_t
         act_traj[t] = act
         residuals[t] = residual
-        act = step_activation(act, ctrl_t, dt, muscles.tau_act, muscles.tau_deact, tau_mode)
+        act = step_activation(
+            act, ctrl_t, dt, muscles.tau_act, muscles.tau_deact, muscles.tau_smooth
+        )
 
-    failed = infeasible > opts.max_infeasible_fraction * nframes
+    failed = infeasible > _MAX_INFEASIBLE_FRACTION * nframes
     return TrajectoryInversion(
         ctrl=ctrl_traj,
         residuals=residuals,
@@ -350,7 +333,6 @@ def roundtrip(
     seed: int = 1,
     duration: float = 2.0,
     rate_hz: float = 500.0,
-    opts: InversionOptions | None = None,
 ) -> RoundTripReport:
     """Forward-simulate seeded controls, invert the motion, replay, compare.
 
@@ -365,7 +347,7 @@ def roundtrip(
     nframes = int(round(duration * rate_hz))
     ctrl_ref = smooth_random_controls(plant.nactuators, nframes, dt, seed)
     reference = rollout(plant, rest_state(plant), ctrl_ref, dt)
-    inversion = invert_trajectory(plant, reference.q, rate_hz, opts)
+    inversion = invert_trajectory(plant, reference.q, rate_hz)
     replayed = rollout(plant, rest_state(plant), inversion.ctrl, dt)
     rmse = float(np.sqrt(np.mean((replayed.q - reference.q) ** 2)))
     return RoundTripReport(

@@ -16,7 +16,8 @@ Forces are negative by convention: muscles only pull.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,6 +42,13 @@ class CalibrationError(ValueError):
     """Raised when an actuator's operating range cannot be calibrated."""
 
 
+def _require_finite(record) -> None:
+    """Reject a NaN or infinite field of a parameter record, naming it."""
+    for f in fields(record):
+        if not math.isfinite(getattr(record, f.name)):
+            raise ValueError(f"{f.name} must be finite")
+
+
 @dataclass(frozen=True)
 class MuscleParams:
     """Dimensionless curve parameters and time constants for one actuator.
@@ -59,7 +67,7 @@ class MuscleParams:
             auto-scaling from the transmission.
         tau_act, tau_deact: activation/deactivation time constants (s).
         tau_smooth: width of the smoothed switch between the two time
-            constants (s); 0 disables smoothing.
+            constants (s); must be positive.
     """
 
     range_lo: float = 0.75
@@ -76,6 +84,7 @@ class MuscleParams:
     tau_smooth: float = 0.005
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not 0.0 < self.range_lo < self.range_hi:
             raise ValueError("require 0 < range_lo < range_hi")
         if not self.lmin < 1.0 < self.lmax:
@@ -90,8 +99,8 @@ class MuscleParams:
             raise ValueError("scale must be positive")
         if self.tau_act <= 0.0 or self.tau_deact <= 0.0:
             raise ValueError("activation time constants must be positive")
-        if self.tau_smooth < 0.0:
-            raise ValueError("tau_smooth must be non-negative")
+        if self.tau_smooth <= 0.0:
+            raise ValueError("tau_smooth must be positive")
 
 
 @dataclass(frozen=True)
@@ -109,6 +118,7 @@ class MuscleGeometry:
     f0: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.l0 <= 0.0:
             raise ValueError("l0 must be positive")
         if self.lt < 0.0:
@@ -262,16 +272,12 @@ def flv_curves(norm_len, norm_vel, params: MuscleParams):
     )
 
 
-def gain_bias(norm_len, norm_vel, geom: MuscleGeometry, params: MuscleParams,
-              act_independent: bool = True):
+def gain_bias(norm_len, norm_vel, geom: MuscleGeometry, params: MuscleParams):
     """Affine force decomposition at a normalized state.
 
     Returns ``(gain, bias)`` in newtons with ``gain = -f0 * FL * FV`` and
-    ``bias = -f0 * FP``; both are non-positive. ``act_independent`` is
-    accepted for interface stability and has no effect: the decomposition
-    never depends on the activation level.
+    ``bias = -f0 * FP``; both are non-positive.
     """
-    del act_independent
     fl, fv, fp = flv_curves(norm_len, norm_vel, params)
     gain = -geom.f0 * np.asarray(fl) * np.asarray(fv)
     bias = -geom.f0 * np.asarray(fp)

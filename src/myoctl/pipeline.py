@@ -4,8 +4,9 @@ A session is one contiguous recording of named, equal-length traces at a
 fixed sample rate. On disk it is a directory holding ``session.json`` (id,
 rate, channel names/units, frame count, format tag ``myoctl-session/1``) and
 ``data.bin`` (little-endian float32, channel-major). Conversion takes a pose
-session at 2 kHz, downsamples to 500 Hz, recovers tendon controls, and
-upsamples the controls back to 2 kHz so all streams stay synchronized.
+session at 2 kHz or 500 Hz, resamples it to the 500 Hz solve rate (a 500 Hz
+session is solved as-is), recovers tendon controls, and resamples the
+controls back to the session's rate so all streams stay synchronized.
 
 Batches run a worker pool over session directories: every session is
 processed exactly once, outputs and the manifest are written atomically
@@ -26,9 +27,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .inverse import InversionOptions, invert_trajectory
+from .inverse import invert_trajectory
 from .plant import Plant
-from .timeseries import differentiate, resample
+from .timeseries import resample
 
 __all__ = [
     "SESSION_FORMAT",
@@ -44,8 +45,6 @@ __all__ = [
     "PipelineOptions",
     "process_session",
     "run_batch",
-    "resample",
-    "differentiate",
 ]
 
 SESSION_FORMAT = "myoctl-session/1"
@@ -235,14 +234,15 @@ class Manifest:
 
 @dataclass(frozen=True)
 class PipelineOptions:
-    """Conversion options: inversion tolerances plus the joint-name map.
+    """Conversion options: the inversion's failure threshold and the joint map.
 
+    ``fail_threshold`` is passed to :func:`~myoctl.inverse.invert_trajectory`.
     ``joint_map`` maps plant joint names to session channel names; plant
     joints absent from both the map and the session default to zero
     trajectories, mirroring excluded joints in the source recordings.
     """
 
-    inversion: InversionOptions = field(default_factory=InversionOptions)
+    fail_threshold: float = 1e-3
     joint_map: Mapping[str, str] | None = None
 
 
@@ -293,9 +293,10 @@ def process_session(
 ) -> tuple[Session | None, SessionRecord]:
     """Convert one pose session into a tendon-control session.
 
-    Downsample to the solve rate, differentiate, invert, upsample the
-    recovered controls back to the pose rate. On failure the record carries
-    the reason and no output session is produced.
+    Resample from the session's rate (``POSE_RATE_HZ`` or ``SOLVE_RATE_HZ``)
+    to the solve rate, differentiate, invert, and resample the recovered
+    controls back to the session's rate. On failure the record carries the
+    reason and no output session is produced.
 
     Raises:
         ValueError: for an empty session (a precondition, not a failure).
@@ -305,9 +306,10 @@ def process_session(
     start = time.perf_counter()
     if session.n_frames == 0 or not session.channel_names:
         raise ValueError(f"session {session.id!r} is empty")
-    if session.rate_hz != POSE_RATE_HZ:
+    if session.rate_hz not in (POSE_RATE_HZ, SOLVE_RATE_HZ):
         raise ConfigurationError(
-            f"session {session.id!r} is at {session.rate_hz} Hz, expected {POSE_RATE_HZ}"
+            f"session {session.id!r} is at {session.rate_hz} Hz, "
+            f"expected {POSE_RATE_HZ} or {SOLVE_RATE_HZ}"
         )
     poses = _map_joints(session, plant, opts.joint_map)
 
@@ -327,8 +329,8 @@ def process_session(
         frame = int(np.argwhere(~np.isfinite(poses).all(axis=1))[0, 0])
         return failed(f"non-finite input at frame {frame}")
 
-    q_solve = resample(poses, POSE_RATE_HZ, SOLVE_RATE_HZ, axis=0)
-    result = invert_trajectory(plant, q_solve, SOLVE_RATE_HZ, opts.inversion)
+    q_solve = resample(poses, session.rate_hz, SOLVE_RATE_HZ, axis=0)
+    result = invert_trajectory(plant, q_solve, SOLVE_RATE_HZ, opts.fail_threshold)
     max_residual = (
         float(np.nanmax(result.residuals)) if result.residuals.size else None
     )
@@ -336,11 +338,11 @@ def process_session(
         return failed(result.failure_reason or "inversion failed",
                       result.infeasible_frames, max_residual)
 
-    controls = resample(result.ctrl, SOLVE_RATE_HZ, POSE_RATE_HZ, axis=0)
+    controls = resample(result.ctrl, SOLVE_RATE_HZ, session.rate_hz, axis=0)
     controls = np.clip(_fit_length(controls, session.n_frames), 0.0, 1.0)
     out = Session(
         id=session.id,
-        rate_hz=POSE_RATE_HZ,
+        rate_hz=session.rate_hz,
         channel_names=plant.actuator_names,
         data=controls.T,
         units=("1",) * plant.nactuators,

@@ -15,6 +15,7 @@ human-readable JSON document versioned ``myoctl-plant/1``.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .activation import TauMode, step_activation
+from .activation import step_activation
 from .muscle import (
     MuscleGeometry,
     MuscleParams,
@@ -113,7 +114,10 @@ class Plant:
     def __post_init__(self) -> None:
         for attr in ("moment_arms", "length_offsets", "inertia", "damping",
                      "gravity", "joint_range"):
-            object.__setattr__(self, attr, np.asarray(getattr(self, attr), dtype=float))
+            value = np.asarray(getattr(self, attr), dtype=float)
+            if not np.isfinite(value).all():
+                raise PlantError(f"{attr} has non-finite entries")
+            object.__setattr__(self, attr, value)
         nj, na = len(self.joint_names), len(self.actuator_names)
         if self.moment_arms.shape != (nj, na):
             raise PlantError("moment_arms shape does not match joint/actuator counts")
@@ -162,10 +166,6 @@ class Plant:
             tau_deact=np.array([p.tau_deact for p in self.params]),
             tau_smooth=np.array([p.tau_smooth for p in self.params]),
         )
-
-    @cached_property
-    def _tau_mode(self) -> TauMode:
-        return TauMode.smooth(self._muscle.tau_smooth)
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,12 +226,6 @@ def _gain_bias(plant: Plant, norm_len, norm_vel):
     return gain, bias
 
 
-def muscle_gain_bias(plant: Plant, q, qdot):
-    """Per-actuator affine force decomposition at a joint state."""
-    lengths, velocities = tendon_kinematics(plant, q, qdot)
-    return _gain_bias(plant, *_normalized(plant, lengths, velocities))
-
-
 def inverse_dynamics(plant: Plant, q, qdot, qddot):
     """Generalized force required to realize an acceleration.
 
@@ -270,7 +264,7 @@ def forward_step(plant: Plant, state: PlantState, ctrl, dt: float) -> PlantState
     m = plant._muscle
     lengths, velocities = tendon_kinematics(plant, state.q, state.qdot)
     norm_len, norm_vel = _normalized(plant, lengths, velocities)
-    act_next = step_activation(state.act, ctrl, dt, m.tau_act, m.tau_deact, plant._tau_mode)
+    act_next = step_activation(state.act, ctrl, dt, m.tau_act, m.tau_deact, m.tau_smooth)
     gain, bias = _gain_bias(plant, norm_len, norm_vel)
     force = gain * act_next + bias
     torque = plant.moment_arms @ force
@@ -568,11 +562,20 @@ def save_plant(plant: Plant, path) -> None:
     os.replace(tmp, path)
 
 
+def _count(doc: dict, key: str) -> int:
+    value = doc[key]
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{key} must be finite")
+    return int(value)
+
+
 def load_plant(path) -> Plant:
     """Read a plant definition written by :func:`save_plant`.
 
     Raises:
         PlantFormatError: for a wrong format header or malformed document.
+        PlantError: for a well-formed document describing an invalid plant.
+        Either error names the field that holds a NaN or infinite number.
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -583,7 +586,7 @@ def load_plant(path) -> Plant:
             f"plant file {path} is not in the expected {PLANT_FORMAT} format"
         )
     try:
-        nj, na = int(doc["njoints"]), int(doc["nactuators"])
+        nj, na = _count(doc, "njoints"), _count(doc, "nactuators")
         params = []
         geometry = []
         for entry in doc["muscles"]:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cholesky, solve_triangular
 
-from myoctl.activation import TauMode, smoothstep, step_activation, time_constant
+from myoctl.activation import smoothstep, step_activation, time_constant
 from myoctl.cli import parse_args, run
 from myoctl.inverse import roundtrip
 from myoctl.muscle import MuscleParams, flv_curves
@@ -141,7 +141,7 @@ def test_criterion_5_activation_dynamics():
             act = act0
             direction = np.sign(ctrl - act0)
             for _ in range(2000):
-                nxt = step_activation(act, ctrl, dt, 0.01, 0.04, TauMode.smooth(0.005))
+                nxt = step_activation(act, ctrl, dt, 0.01, 0.04, 0.005)
                 assert 0.0 <= nxt <= 1.0
                 if direction > 0:
                     assert act - 1e-15 <= nxt <= ctrl + 1e-12
@@ -150,7 +150,7 @@ def test_criterion_5_activation_dynamics():
                 act = nxt
             assert act == pytest.approx(ctrl, abs=1e-9)
 
-    tau_mid = time_constant(0.4, 0.4, 0.01, 0.04, TauMode.smooth(0.005))
+    tau_mid = time_constant(0.4, 0.4, 0.01, 0.04, 0.005)
     assert tau_mid == (0.01 + 0.04) / 2  # exact equality required
 
     assert smoothstep(0.5) == 0.5

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from myoctl.activation import TauMode, smoothstep, step_activation, time_constant
+from myoctl.activation import smoothstep, step_activation, time_constant
 
 
 class TestSmoothstep:
@@ -34,78 +34,67 @@ class TestSmoothstep:
 
 
 class TestTimeConstant:
-    def test_hard_rise_from_zero(self):
-        assert time_constant(1.0, 0.0, 0.01, 0.04, TauMode.hard()) == pytest.approx(0.005)
-
-    def test_hard_fall_from_one(self):
-        assert time_constant(0.0, 1.0, 0.01, 0.04, TauMode.hard()) == pytest.approx(0.08)
-
     def test_smooth_midpoint_is_exact_average(self):
-        tau = time_constant(0.3, 0.3, 0.01, 0.04, TauMode.smooth(0.005))
+        tau = time_constant(0.3, 0.3, 0.01, 0.04, 0.005)
         assert tau == (0.01 + 0.04) / 2
 
     def test_smooth_is_always_positive(self):
         rng = np.random.default_rng(1)
         ctrl = rng.uniform(0, 1, 500)
         act = rng.uniform(0, 1, 500)
-        tau = time_constant(ctrl, act, 0.01, 0.04, TauMode.smooth(0.005))
+        tau = time_constant(ctrl, act, 0.01, 0.04, 0.005)
         assert np.all(np.asarray(tau) > 0.0)
 
     def test_smoothing_width_to_zero_selects_the_switch(self):
         # Pointwise limit for ctrl != act: rising picks tau_act, falling tau_deact.
         for width in (1e-3, 1e-5, 1e-8):
-            up = time_constant(0.6, 0.4, 0.01, 0.04, TauMode.smooth(width))
-            dn = time_constant(0.4, 0.6, 0.01, 0.04, TauMode.smooth(width))
+            up = time_constant(0.6, 0.4, 0.01, 0.04, width)
+            dn = time_constant(0.4, 0.6, 0.01, 0.04, width)
             assert up == pytest.approx(0.01)
             assert dn == pytest.approx(0.04)
 
     def test_mode_validation(self):
-        with pytest.raises(ValueError):
-            TauMode("fuzzy")
-        with pytest.raises(ValueError):
-            TauMode.smooth(0.0)
-        with pytest.raises(ValueError):
-            TauMode("smooth")
+        for width in (0.0, -0.005, np.nan, np.array([0.005, 0.0])):
+            with pytest.raises(ValueError, match="tau_smooth"):
+                time_constant(0.6, 0.4, 0.01, 0.04, width)
+            with pytest.raises(ValueError, match="tau_smooth"):
+                step_activation(0.4, 0.6, 0.002, 0.01, 0.04, width)
 
 
 class TestStepActivation:
     def test_fixed_point(self):
-        for mode in (TauMode.hard(), TauMode.smooth(0.005)):
-            assert step_activation(0.37, 0.37, 0.002, 0.01, 0.04, mode) == pytest.approx(0.37)
+        assert step_activation(0.37, 0.37, 0.002, 0.01, 0.04, 0.005) == pytest.approx(0.37)
 
     def test_euler_substitution(self):
-        # tau = 0.01 * (0.5 + 0) = 0.005; act' = 0 + 0.002 * (1 - 0) / 0.005 = 0.4.
-        out = step_activation(0.0, 1.0, 0.002, 0.01, 0.04, TauMode.hard())
-        assert out == pytest.approx(0.4)
+        # An error of 1 saturates the smoothstep, so tau = tau_act = 0.01;
+        # act' = 0 + 0.002 * (1 - 0) / 0.01 = 0.2.
+        out = step_activation(0.0, 1.0, 0.002, 0.01, 0.04, 0.005)
+        assert out == pytest.approx(0.2)
 
     def test_clamped_for_huge_step(self):
-        assert step_activation(0.0, 1.0, 10.0, 0.01, 0.04, TauMode.hard()) == 1.0
+        assert step_activation(0.0, 1.0, 10.0, 0.01, 0.04, 0.005) == 1.0
 
     def test_dt_must_be_positive(self):
-        with pytest.raises(ValueError):
-            step_activation(0.0, 1.0, 0.0, 0.01, 0.04, TauMode.hard())
-        with pytest.raises(ValueError):
-            step_activation(0.0, 1.0, -0.002, 0.01, 0.04, TauMode.hard())
+        with pytest.raises(ValueError, match="dt"):
+            step_activation(0.0, 1.0, 0.0, 0.01, 0.04, 0.005)
+        with pytest.raises(ValueError, match="dt"):
+            step_activation(0.0, 1.0, -0.002, 0.01, 0.04, 0.005)
 
     @given(
         ctrl=st.floats(0.0, 1.0),
         act0=st.floats(0.0, 1.0),
         tau_act=st.floats(0.005, 0.05),
         tau_deact=st.floats(0.005, 0.05),
-        smooth=st.booleans(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_monotone_convergence_to_constant_control(
-        self, ctrl, act0, tau_act, tau_deact, smooth
-    ):
-        mode = TauMode.smooth(0.005) if smooth else TauMode.hard()
+    def test_monotone_convergence_to_constant_control(self, ctrl, act0, tau_act, tau_deact):
         dt = 0.4 * min(tau_act, tau_deact)
         act = act0
         direction = np.sign(ctrl - act0)
-        # Slowest contraction is dt / (2 * tau_deact) per step in hard mode;
+        # Slowest contraction is dt / max(tau_act, tau_deact) >= 0.04 per step;
         # 2000 steps close any unit gap well below the final tolerance.
         for _ in range(2000):
-            nxt = step_activation(act, ctrl, dt, tau_act, tau_deact, mode)
+            nxt = step_activation(act, ctrl, dt, tau_act, tau_deact, 0.005)
             assert 0.0 <= nxt <= 1.0
             if direction > 0:
                 assert nxt >= act - 1e-15

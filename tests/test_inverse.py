@@ -52,8 +52,8 @@ class TestTauLinearization:
         assert tau1b == pytest.approx(tau1a / 2)
         assert tau2b == tau2a
 
-    def test_zero_width_points_to_hard_mode(self):
-        with pytest.raises(ValueError, match="hard"):
+    def test_zero_width_is_rejected(self):
+        with pytest.raises(ValueError, match="tau_smooth must be positive"):
             tau_linearization(0.01, 0.04, 0.0)
 
 

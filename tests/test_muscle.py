@@ -217,6 +217,7 @@ class TestParamValidation:
             {"tau_act": 0.0},
             {"tau_deact": -1.0},
             {"tau_smooth": -0.001},
+            {"tau_smooth": 0.0},
         ],
     )
     def test_invalid_params_rejected(self, kwargs):

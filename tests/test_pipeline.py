@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from myoctl.inverse import invert_trajectory
 from myoctl.pipeline import (
     ConfigurationError,
     Manifest,
@@ -118,11 +119,24 @@ class TestProcessSession:
 
     def test_wrong_rate_is_a_configuration_error(self, toy_plant):
         session = Session(
-            id="r", rate_hz=500, channel_names=toy_plant.joint_names,
+            id="r", rate_hz=1000, channel_names=toy_plant.joint_names,
             data=np.zeros((toy_plant.njoints, 100)),
         )
-        with pytest.raises(ConfigurationError, match="2000"):
+        with pytest.raises(ConfigurationError, match="expected 2000 or 500"):
             process_session(session, toy_plant)
+
+    def test_solve_rate_session_is_inverted_as_is(self, toy_plant):
+        dt = 1.0 / 500.0
+        ctrl = smooth_random_controls(toy_plant.nactuators, 250, dt, 3, settle=0.25)
+        poses = rollout(toy_plant, rest_state(toy_plant), ctrl, dt).q
+        session = Session(
+            id="s500", rate_hz=500, channel_names=toy_plant.joint_names, data=poses.T,
+        )
+        out, record = process_session(session, toy_plant)
+        assert record.status == "ok"
+        assert out.rate_hz == 500
+        expected = invert_trajectory(toy_plant, session.data.T, 500).ctrl
+        assert np.array_equal(out.data, expected.astype(np.float32).T)
 
     def test_joint_map_renames_channels(self, toy_plant):
         session = pose_session(toy_plant, seed=4, nframes=1200)

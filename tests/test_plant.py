@@ -1,5 +1,10 @@
+import json
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from myoctl.muscle import CalibrationError, MuscleGeometry, MuscleParams, calibrate_geometry
 from myoctl.plant import (
@@ -18,6 +23,24 @@ from myoctl.plant import (
     smooth_random_controls,
     tendon_kinematics,
 )
+
+
+def numeric_paths(node, path=()):
+    """Key paths of every number in a JSON document."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from numeric_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from numeric_paths(value, path + (index,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+def toy_finger_document(tmp_path):
+    path = tmp_path / "plant.json"
+    save_plant(make_fixture("toy_finger"), path)
+    return path, json.loads(path.read_text())
 
 
 def simple_plant(njoints=1, inertia=None, arm=0.01, offset=0.3):
@@ -304,6 +327,31 @@ class TestPlantFiles:
         path.write_text("moment arms go brr")
         with pytest.raises(PlantFormatError):
             load_plant(path)
+
+    def test_zero_smoothing_width_is_rejected(self, tmp_path):
+        path, doc = toy_finger_document(tmp_path)
+        for muscle in doc["muscles"]:
+            muscle["tau_smooth"] = 0.0
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PlantFormatError, match="tau_smooth"):
+            load_plant(path)
+
+    @given(data=st.data(), bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_non_finite_number_is_named(self, tmp_path, data, bad):
+        path, doc = toy_finger_document(tmp_path)
+        key_path = data.draw(st.sampled_from(list(numeric_paths(doc))))
+        node = doc
+        for key in key_path[:-1]:
+            node = node[key]
+        node[key_path[-1]] = bad
+        path.write_text(json.dumps(doc))
+        field = next(key for key in reversed(key_path) if isinstance(key, str))
+        with pytest.raises((PlantError, PlantFormatError)) as excinfo:
+            load_plant(path)
+        message = str(excinfo.value).replace(str(path), "")
+        assert re.search(rf"\b{field}\b", message), message
 
 
 class TestRandomControls:
