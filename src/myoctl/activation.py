@@ -14,13 +14,28 @@ from .muscle import _collapse
 __all__ = ["smoothstep", "time_constant", "step_activation"]
 
 
+def _smoothstep(x: np.ndarray) -> np.ndarray:
+    xc = np.clip(x, 0.0, 1.0)
+    return xc * xc * xc * (xc * (6.0 * xc - 15.0) + 10.0)
+
+
 def smoothstep(x):
     """Quintic smoothstep: 0 for x <= 0, 1 for x >= 1, C1 at both ends.
 
     Between the clamps it evaluates ``6x^5 - 15x^4 + 10x^3``.
     """
-    xc = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-    return _collapse(xc * xc * xc * (xc * (6.0 * xc - 15.0) + 10.0))
+    return _collapse(_smoothstep(np.asarray(x, dtype=float)))
+
+
+def _check_tau_smooth(tau_smooth) -> None:
+    if not (np.asarray(tau_smooth, dtype=float) > 0.0).all():
+        raise ValueError("tau_smooth must be positive")
+
+
+def _time_constant(ctrl, act, tau_act, tau_deact, tau_smooth) -> np.ndarray:
+    s = _smoothstep((ctrl - act) / tau_smooth + 0.5)
+    # Convex-combination form: bit-exact (tau_act + tau_deact) / 2 at s = 1/2.
+    return tau_deact * (1.0 - s) + tau_act * s
 
 
 def time_constant(ctrl, act, tau_act, tau_deact, tau_smooth):
@@ -32,27 +47,31 @@ def time_constant(ctrl, act, tau_act, tau_deact, tau_smooth):
     Raises:
         ValueError: if ``tau_smooth`` is not positive.
     """
-    tau_smooth = np.asarray(tau_smooth, dtype=float)
-    if not (tau_smooth > 0.0).all():
-        raise ValueError("tau_smooth must be positive")
-    ctrl = np.asarray(ctrl, dtype=float)
-    act = np.asarray(act, dtype=float)
-    tau_act = np.asarray(tau_act, dtype=float)
-    tau_deact = np.asarray(tau_deact, dtype=float)
-    s = smoothstep((ctrl - act) / tau_smooth + 0.5)
-    # Convex-combination form: bit-exact (tau_act + tau_deact) / 2 at s = 1/2.
-    return _collapse(tau_deact * (1.0 - s) + tau_act * s)
+    _check_tau_smooth(tau_smooth)
+    args = (np.asarray(a, dtype=float) for a in (ctrl, act, tau_act, tau_deact, tau_smooth))
+    return _collapse(_time_constant(*args))
 
 
-def step_activation(act, ctrl, dt: float, tau_act, tau_deact, tau_smooth):
+def _step_activation(act, ctrl, dt, tau_act, tau_deact, tau_smooth) -> np.ndarray:
+    """:func:`step_activation` on float arrays, without argument checks.
+
+    Callers guarantee ``dt > 0`` and ``tau_smooth > 0``; a plant's
+    ``tau_smooth`` is checked when its muscle parameters are built.
+    """
+    tau = _time_constant(ctrl, act, tau_act, tau_deact, tau_smooth)
+    return np.clip(act + dt * (ctrl - act) / tau, 0.0, 1.0)
+
+
+def step_activation(act, ctrl, dt, tau_act, tau_deact, tau_smooth):
     """One explicit Euler step of the activation filter, clamped to [0, 1].
+
+    Every argument may be a scalar or an array; they broadcast together.
 
     Raises:
         ValueError: if ``dt`` or ``tau_smooth`` is not positive.
     """
-    if dt <= 0.0:
+    if not (np.asarray(dt, dtype=float) > 0.0).all():
         raise ValueError("dt must be positive")
-    act = np.asarray(act, dtype=float)
-    ctrl = np.asarray(ctrl, dtype=float)
-    tau = np.asarray(time_constant(ctrl, act, tau_act, tau_deact, tau_smooth))
-    return _collapse(np.clip(act + dt * (ctrl - act) / tau, 0.0, 1.0))
+    _check_tau_smooth(tau_smooth)
+    args = (np.asarray(a, dtype=float) for a in (act, ctrl, dt, tau_act, tau_deact, tau_smooth))
+    return _collapse(_step_activation(*args))

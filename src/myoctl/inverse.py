@@ -13,7 +13,12 @@ least-squares problem on the moment-arm matrix, ``min ||moment_arms @ x +
 k||`` over the box, solved by bounded-variable least squares. The control is
 recovered by inverting the substitution and clamping.
 
-Along a trajectory the activation state is propagated with the recovered
+A trajectory is inverted in two passes. Everything that depends only on
+the joint motion (derivatives, tendon kinematics, muscle gain and bias, the
+required generalized force and each frame's failure threshold) is computed
+once on the whole ``(nframes, ...)`` arrays. The sequential loop then keeps
+only what depends on the running activation: build and check one frame's
+inputs, solve the frame, and advance the activation with the recovered
 controls through the same smoothed activation filter the forward simulator
 uses, starting from zero activation, so that re-simulation reproduces the
 inversion's internal state exactly. A trajectory fails once more than 1 %
@@ -26,7 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activation import step_activation
+# The loop calls the unchecked kernel. bench/spans.py patches step_activation
+# in this module, so the name must stay importable here.
+from .activation import _step_activation, step_activation  # noqa: F401
 from .plant import Plant, inverse_dynamics, tendon_kinematics, _gain_bias, _normalized
 from .qp import BoxQp, solve_box_qp
 from .timeseries import differentiate
@@ -43,12 +50,15 @@ __all__ = [
     "invert_frame",
     "invert_trajectory",
     "roundtrip",
+    "MIN_FRAMES",
 ]
 
 _ZERO_GAIN = 1e-12
 _DENOM_TOL = 1e-12
 _RECOVER_TOL = 1e-14
 _MAX_INFEASIBLE_FRACTION = 0.01
+# Fewest frames a trajectory needs: the differentiation stencils span three.
+MIN_FRAMES = 3
 
 
 class InfeasibleFrameError(RuntimeError):
@@ -226,21 +236,27 @@ def invert_trajectory(
 ) -> TrajectoryInversion:
     """Recover per-muscle controls along a joint-angle trajectory.
 
-    Each frame differentiates the trajectory, forms the required generalized
-    force through the plant's inverse dynamics, inverts the actuator equation
-    with the running activation state, then advances that state with the
-    recovered controls (smoothed time constants, starting from zero
-    activation). A frame counts as infeasible when its force residual
-    exceeds ``fail_threshold * max(1, ||q_frc||_inf)``, its solve does not
-    converge, or its subproblem is degenerate. Non-finite input fails the
-    whole trajectory with the offending frame reported.
+    One array pass over all frames differentiates the trajectory, evaluates
+    tendon kinematics and muscle gain/bias, and forms the required
+    generalized force through the plant's inverse dynamics. A sequential
+    loop then inverts each frame's actuator equation with the running
+    activation state (its inputs checked as :class:`InverseInputs`) and
+    advances that state with the recovered controls (smoothed time
+    constants, starting from zero activation). A frame counts as infeasible
+    when its force residual exceeds ``fail_threshold * max(1,
+    ||q_frc||_inf)``, its solve does not converge, or its subproblem is
+    degenerate. Non-finite input fails the whole trajectory with the
+    offending frame reported.
 
     Raises:
-        ValueError: for fewer than 3 frames.
+        ValueError: for fewer than :data:`MIN_FRAMES` frames or a
+            non-positive rate.
+        PlantError: if a frame puts a tendon at non-positive length; the
+            message names the tendon and the frame.
     """
     q = np.atleast_2d(np.asarray(q_traj, dtype=float))
-    if q.shape[0] < 3:
-        raise ValueError("need at least 3 frames to invert a trajectory")
+    if q.shape[0] < MIN_FRAMES:
+        raise ValueError(f"need at least {MIN_FRAMES} frames to invert a trajectory")
     if rate_hz <= 0.0:
         raise ValueError("rate_hz must be positive")
     nframes = q.shape[0]
@@ -261,6 +277,10 @@ def invert_trajectory(
     qdot, qddot = differentiate(q, dt)
     muscles = plant._muscle
     tau1, tau2 = tau_linearization(muscles.tau_act, muscles.tau_deact, muscles.tau_smooth)
+    lengths, velocities = tendon_kinematics(plant, q, qdot)
+    gain, bias = _gain_bias(plant, *_normalized(plant, lengths, velocities))
+    q_frc = inverse_dynamics(plant, q, qdot, qddot)
+    thresholds = fail_threshold * np.maximum(1.0, np.abs(q_frc).max(axis=1))
 
     act = np.zeros(na)
     ctrl_traj = np.empty((nframes, na))
@@ -268,26 +288,21 @@ def invert_trajectory(
     residuals = np.empty(nframes)
     infeasible = 0
     for t in range(nframes):
-        lengths, velocities = tendon_kinematics(plant, q[t], qdot[t])
-        norm_len, norm_vel = _normalized(plant, lengths, velocities)
-        gain, bias = _gain_bias(plant, norm_len, norm_vel)
-        q_frc = inverse_dynamics(plant, q[t], qdot[t], qddot[t])
         inp = InverseInputs(
             moment_arms=plant.moment_arms,
-            gain=gain,
-            bias=bias,
+            gain=gain[t],
+            bias=bias[t],
             act=act,
-            q_frc=q_frc,
+            q_frc=q_frc[t],
             timestep=dt,
             tau1=tau1,
             tau2=tau2,
         )
-        threshold = fail_threshold * max(1.0, float(np.abs(q_frc).max()))
         try:
             frame = invert_frame(inp)
             ctrl_t = frame.ctrl
             residual = frame.residual
-            feasible = frame.converged and residual <= threshold
+            feasible = frame.converged and residual <= thresholds[t]
         except InfeasibleFrameError:
             ctrl_t = act.copy()
             residual = float(np.abs(_force_gap(inp)).max())
@@ -297,7 +312,7 @@ def invert_trajectory(
         ctrl_traj[t] = ctrl_t
         act_traj[t] = act
         residuals[t] = residual
-        act = step_activation(
+        act = _step_activation(
             act, ctrl_t, dt, muscles.tau_act, muscles.tau_deact, muscles.tau_smooth
         )
 

@@ -205,15 +205,18 @@ def fl_curve(norm_len, lmin, lmax):
     t_up = (mid - length) / (mid - left)
     t_dn = (length - mid) / (right - mid)
     t_hi = (lmax - length) / (lmax - right)
-    out = np.select(
-        [
-            (length <= lmin) | (length >= lmax),
+    out = np.where(
+        (length <= lmin) | (length >= lmax),
+        0.0,
+        np.where(
             length < left,
-            length < mid,
-            length < right,
-        ],
-        [0.0, 0.5 * t_lo * t_lo, 1.0 - 0.5 * t_up * t_up, 1.0 - 0.5 * t_dn * t_dn],
-        default=0.5 * t_hi * t_hi,
+            0.5 * t_lo * t_lo,
+            np.where(
+                length < mid,
+                1.0 - 0.5 * t_up * t_up,
+                np.where(length < right, 1.0 - 0.5 * t_dn * t_dn, 0.5 * t_hi * t_hi),
+            ),
+        ),
     )
     return _collapse(out)
 
@@ -229,10 +232,14 @@ def fv_curve(norm_vel, vmax, fvmax):
     fvmax = np.asarray(fvmax, dtype=float)
     y = fvmax - 1.0
     y_safe = np.maximum(y, _TINY)
-    out = np.select(
-        [v <= -1.0, v <= 0.0, v <= y],
-        [0.0, (v + 1.0) * (v + 1.0), fvmax - (y - v) * (y - v) / y_safe],
-        default=fvmax,
+    out = np.where(
+        v <= -1.0,
+        0.0,
+        np.where(
+            v <= 0.0,
+            (v + 1.0) * (v + 1.0),
+            np.where(v <= y, fvmax - (y - v) * (y - v) / y_safe, fvmax),
+        ),
     )
     return _collapse(out)
 
@@ -251,10 +258,10 @@ def fp_curve(norm_len, lmax, fpmax):
     denom = np.maximum(b - 1.0, _TINY)
     t = (length - 1.0) / denom
     t2 = (length - b) / denom
-    out = np.select(
-        [length <= 1.0, length <= b],
-        [0.0, 0.25 * fpmax * t * t * t],
-        default=0.25 * fpmax * (1.0 + 3.0 * t2),
+    out = np.where(
+        length <= 1.0,
+        0.0,
+        np.where(length <= b, 0.25 * fpmax * t * t * t, 0.25 * fpmax * (1.0 + 3.0 * t2)),
     )
     return _collapse(out)
 

@@ -27,7 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .inverse import invert_trajectory
+from .inverse import MIN_FRAMES, invert_trajectory
 from .plant import Plant
 from .timeseries import resample
 
@@ -286,6 +286,18 @@ def _fit_length(trace: np.ndarray, nframes: int) -> np.ndarray:
     return trace
 
 
+def _min_frames(rate_hz: int) -> int:
+    """Fewest frames at ``rate_hz`` that resample to ``MIN_FRAMES`` solve-rate frames.
+
+    Uses the output length of :func:`resample`, ``round(n * to / from)``;
+    ``round`` rounds half to even, so 2 kHz needs 11 frames, not 10.
+    """
+    n = MIN_FRAMES
+    while round(n * SOLVE_RATE_HZ / rate_hz) < MIN_FRAMES:
+        n += 1
+    return n
+
+
 def process_session(
     session: Session,
     plant: Plant,
@@ -299,7 +311,9 @@ def process_session(
     reason and no output session is produced.
 
     Raises:
-        ValueError: for an empty session (a precondition, not a failure).
+        ValueError: for an empty session, or one with fewer frames than its
+            rate needs to give ``MIN_FRAMES`` solve-rate frames (a
+            precondition, not a failure).
         ConfigurationError: for rate or joint-map mismatches.
     """
     opts = opts or PipelineOptions()
@@ -310,6 +324,12 @@ def process_session(
         raise ConfigurationError(
             f"session {session.id!r} is at {session.rate_hz} Hz, "
             f"expected {POSE_RATE_HZ} or {SOLVE_RATE_HZ}"
+        )
+    min_frames = _min_frames(session.rate_hz)
+    if session.n_frames < min_frames:
+        raise ValueError(
+            f"session {session.id!r} has {session.n_frames} frames; "
+            f"at least {min_frames} are needed at {session.rate_hz} Hz"
         )
     poses = _map_joints(session, plant, opts.joint_map)
 

@@ -24,7 +24,9 @@ from pathlib import Path
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .activation import step_activation
+# The step calls the unchecked kernel. bench/spans.py patches step_activation
+# in this module, so the name must stay importable here.
+from .activation import _step_activation, step_activation  # noqa: F401
 from .muscle import (
     MuscleGeometry,
     MuscleParams,
@@ -194,24 +196,28 @@ def rest_state(plant: Plant) -> PlantState:
     )
 
 
-def tendon_kinematics(plant: Plant, q, qdot):
-    """Tendon lengths and velocities at a joint state.
+def _tendon_kinematics(plant: Plant, q: np.ndarray, qdot: np.ndarray):
+    lengths = plant.length_offsets - q @ plant.moment_arms
+    if np.any(lengths <= 0.0):
+        where = np.unravel_index(int(np.argmin(lengths)), lengths.shape)
+        name = plant.actuator_names[where[-1]]
+        at = f"frame {where[0]}" if lengths.ndim == 2 else "this pose"
+        raise PlantError(f"tendon {name!r} has non-positive length at {at}")
+    return lengths, -(qdot @ plant.moment_arms)
 
-    ``lengths = offsets - moment_arms' q`` and
-    ``velocities = -moment_arms' qdot``.
+
+def tendon_kinematics(plant: Plant, q, qdot):
+    """Tendon lengths and velocities at a joint state or along a trajectory.
+
+    ``q`` and ``qdot`` have shape ``(..., njoints)``; the results have shape
+    ``(..., nactuators)``: ``lengths = offsets - q @ moment_arms`` and
+    ``velocities = -qdot @ moment_arms``.
 
     Raises:
-        PlantError: if any tendon length is non-positive.
+        PlantError: if any tendon length is non-positive; for a trajectory
+            ``(nframes, njoints)`` the message names the tendon and frame.
     """
-    q = np.asarray(q, dtype=float)
-    qdot = np.asarray(qdot, dtype=float)
-    lengths = plant.length_offsets - plant.moment_arms.T @ q
-    if np.any(lengths <= 0.0):
-        idx = int(np.argmin(lengths))
-        raise PlantError(
-            f"tendon {plant.actuator_names[idx]!r} has non-positive length at this pose"
-        )
-    return lengths, -plant.moment_arms.T @ qdot
+    return _tendon_kinematics(plant, np.asarray(q, dtype=float), np.asarray(qdot, dtype=float))
 
 
 def _normalized(plant: Plant, lengths, velocities):
@@ -245,6 +251,38 @@ def acc0(plant: Plant, actuator: int) -> float:
     return float(np.linalg.norm(column / plant.inertia))
 
 
+def _check_step_args(ctrl, dt: float) -> np.ndarray:
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    ctrl = np.asarray(ctrl, dtype=float)
+    if np.any(ctrl < 0.0) or np.any(ctrl > 1.0):
+        raise ValueError("controls must lie in [0, 1]")
+    return ctrl
+
+
+def _step(plant: Plant, q, qdot, act, ctrl, dt: float):
+    """One semi-implicit Euler step on float arrays; arguments are not checked.
+
+    Returns ``(q, qdot, act)`` after the step.
+
+    Raises:
+        PlantError: if a tendon length is non-positive or the state goes
+            non-finite.
+    """
+    m = plant._muscle
+    norm_len, norm_vel = _normalized(plant, *_tendon_kinematics(plant, q, qdot))
+    act_next = _step_activation(act, ctrl, dt, m.tau_act, m.tau_deact, m.tau_smooth)
+    gain, bias = _gain_bias(plant, norm_len, norm_vel)
+    force = gain * act_next + bias
+    torque = plant.moment_arms @ force
+    qddot = (torque - plant.damping * qdot - plant.gravity * np.sin(q)) / plant.inertia
+    qdot_next = qdot + dt * qddot
+    q_next = q + dt * qdot_next
+    if not (np.isfinite(q_next).all() and np.isfinite(qdot_next).all()):
+        raise PlantError("simulation diverged to a non-finite state")
+    return q_next, qdot_next, act_next
+
+
 def forward_step(plant: Plant, state: PlantState, ctrl, dt: float) -> PlantState:
     """Advance the plant one semi-implicit Euler step under a control vector.
 
@@ -254,26 +292,12 @@ def forward_step(plant: Plant, state: PlantState, ctrl, dt: float) -> PlantState
 
     Raises:
         ValueError: for controls outside [0, 1] or non-positive ``dt``.
-        PlantError: if the state goes non-finite.
+        PlantError: if a tendon length is non-positive or the state goes
+            non-finite.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    ctrl = np.asarray(ctrl, dtype=float)
-    if np.any(ctrl < 0.0) or np.any(ctrl > 1.0):
-        raise ValueError("controls must lie in [0, 1]")
-    m = plant._muscle
-    lengths, velocities = tendon_kinematics(plant, state.q, state.qdot)
-    norm_len, norm_vel = _normalized(plant, lengths, velocities)
-    act_next = step_activation(state.act, ctrl, dt, m.tau_act, m.tau_deact, m.tau_smooth)
-    gain, bias = _gain_bias(plant, norm_len, norm_vel)
-    force = gain * act_next + bias
-    torque = plant.moment_arms @ force
-    qddot = (torque - plant.damping * state.qdot - plant.gravity * np.sin(state.q)) / plant.inertia
-    qdot_next = state.qdot + dt * qddot
-    q_next = state.q + dt * qdot_next
-    if not (np.isfinite(q_next).all() and np.isfinite(qdot_next).all()):
-        raise PlantError("simulation diverged to a non-finite state")
-    return PlantState(q=q_next, qdot=qdot_next, act=act_next)
+    ctrl = _check_step_args(ctrl, dt)
+    q, qdot, act = _step(plant, state.q, state.qdot, state.act, ctrl, dt)
+    return PlantState(q=q, qdot=qdot, act=act)
 
 
 @dataclass(frozen=True)
@@ -286,15 +310,27 @@ class RolloutResult:
 
 
 def rollout(plant: Plant, state: PlantState, ctrl_traj, dt: float) -> RolloutResult:
-    """Apply a control trajectory row by row, logging the pre-step states."""
-    ctrl_traj = np.asarray(ctrl_traj, dtype=float)
+    """Apply a control trajectory row by row, logging the pre-step states.
+
+    ``dt`` and the whole control trajectory are checked once, then each row
+    is applied by the same step as :func:`forward_step`, on plain arrays,
+    so the states match a loop over :func:`forward_step` bit for bit.
+
+    Raises:
+        ValueError: for any control outside [0, 1] or non-positive ``dt``,
+            before the first step.
+        PlantError: at the step where a tendon length turns non-positive or
+            the state goes non-finite.
+    """
+    ctrl_traj = _check_step_args(ctrl_traj, dt)
     n = ctrl_traj.shape[0]
     q = np.empty((n, plant.njoints))
     qdot = np.empty((n, plant.njoints))
     act = np.empty((n, plant.nactuators))
+    q_t, qdot_t, act_t = state.q, state.qdot, state.act
     for t in range(n):
-        q[t], qdot[t], act[t] = state.q, state.qdot, state.act
-        state = forward_step(plant, state, ctrl_traj[t], dt)
+        q[t], qdot[t], act[t] = q_t, qdot_t, act_t
+        q_t, qdot_t, act_t = _step(plant, q_t, qdot_t, act_t, ctrl_traj[t], dt)
     return RolloutResult(q=q, qdot=qdot, act=act)
 
 

@@ -14,8 +14,53 @@ from myoctl.inverse import (
     roundtrip,
     tau_linearization,
 )
-from myoctl.plant import make_fixture, rest_state, rollout, smooth_random_controls
+from myoctl.activation import step_activation
+from myoctl.plant import (
+    PlantError,
+    _gain_bias,
+    _normalized,
+    inverse_dynamics,
+    make_fixture,
+    rest_state,
+    rollout,
+    smooth_random_controls,
+    tendon_kinematics,
+)
 from myoctl.qp import kkt_residual, solve_box_qp
+from myoctl.timeseries import differentiate
+
+
+def invert_frame_by_frame(plant, q, rate_hz, fail_threshold=1e-3):
+    """Reference inversion: every activation-independent term per frame.
+
+    Returns ``(ctrl, act, residuals, infeasible_frames)``.
+    """
+    dt = 1.0 / rate_hz
+    qdot, qddot = differentiate(q, dt)
+    m = plant._muscle
+    tau1, tau2 = tau_linearization(m.tau_act, m.tau_deact, m.tau_smooth)
+    act = np.zeros(plant.nactuators)
+    ctrl, acts, residuals, infeasible = [], [], [], 0
+    for t in range(q.shape[0]):
+        lengths, velocities = tendon_kinematics(plant, q[t], qdot[t])
+        gain, bias = _gain_bias(plant, *_normalized(plant, lengths, velocities))
+        q_frc = inverse_dynamics(plant, q[t], qdot[t], qddot[t])
+        inp = InverseInputs(plant.moment_arms, gain, bias, act, q_frc, dt, tau1, tau2)
+        threshold = fail_threshold * max(1.0, float(np.abs(q_frc).max()))
+        try:
+            frame = invert_frame(inp)
+            ctrl_t, residual = frame.ctrl, frame.residual
+            feasible = frame.converged and residual <= threshold
+        except InfeasibleFrameError:
+            ctrl_t = act.copy()
+            residual = float(np.abs(plant.moment_arms @ (gain * act + bias) - q_frc).max())
+            feasible = False
+        infeasible += not feasible
+        ctrl.append(ctrl_t)
+        acts.append(act)
+        residuals.append(residual)
+        act = step_activation(act, ctrl_t, dt, m.tau_act, m.tau_deact, m.tau_smooth)
+    return np.array(ctrl), np.array(acts), np.array(residuals), infeasible
 
 
 def scalar_inputs(**overrides):
@@ -286,6 +331,31 @@ class TestInvertTrajectory:
         result = invert_trajectory(plant, q, 500.0)
         assert result.status == "failed"
         assert "frame 17" in result.failure_reason
+
+    @pytest.mark.parametrize("kind", ["toy_finger", "hand_like"])
+    def test_matches_a_frame_by_frame_reference(self, kind):
+        plant = make_fixture(kind)
+        dt = 0.002
+        ctrl = smooth_random_controls(plant.nactuators, 500, dt, 1)
+        q = rollout(plant, rest_state(plant), ctrl, dt).q
+        result = invert_trajectory(plant, q, 500.0)
+        ref_ctrl, ref_act, ref_residuals, ref_infeasible = invert_frame_by_frame(plant, q, 500.0)
+        # The one array pass sums matrix products in another order than the
+        # per-frame vector products, so outputs agree to round-off.
+        assert np.allclose(result.ctrl, ref_ctrl, rtol=0.0, atol=1e-12)
+        assert np.allclose(result.act, ref_act, rtol=0.0, atol=1e-12)
+        assert np.allclose(result.residuals, ref_residuals, rtol=0.0, atol=1e-12)
+        assert result.infeasible_frames == ref_infeasible
+
+    @pytest.mark.parametrize("kind", ["toy_finger", "hand_like"])
+    def test_non_positive_tendon_length_names_the_frame(self, kind):
+        plant = make_fixture(kind)
+        q = np.zeros((40, plant.njoints))
+        q[29] = 20.0 * plant.joint_range
+        lengths = plant.length_offsets - q[29] @ plant.moment_arms
+        shortest = plant.actuator_names[int(np.argmin(lengths))]
+        with pytest.raises(PlantError, match=f"tendon {shortest!r} .* at frame 29"):
+            invert_trajectory(plant, q, 500.0)
 
     def test_too_few_frames_is_a_precondition(self):
         plant = make_fixture("toy_finger")

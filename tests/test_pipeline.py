@@ -117,6 +117,31 @@ class TestProcessSession:
         with pytest.raises(ValueError, match="empty"):
             process_session(empty, toy_plant)
 
+    @pytest.mark.parametrize(
+        "rate_hz, nframes, minimum",
+        [(500, 1, 3), (500, 2, 3), (2000, 1, 11), (2000, 2, 11), (2000, 10, 11)],
+    )
+    def test_too_short_session_is_a_precondition_error(self, toy_plant, rate_hz, nframes, minimum):
+        short = Session(
+            id="short", rate_hz=rate_hz, channel_names=toy_plant.joint_names,
+            data=np.zeros((toy_plant.njoints, nframes)),
+        )
+        message = f"session 'short' has {nframes} frames; at least {minimum} are needed at {rate_hz} Hz"
+        with pytest.raises(ValueError, match=message):
+            process_session(short, toy_plant)
+
+    @pytest.mark.parametrize("rate_hz, nframes", [(500, 3), (500, 10), (2000, 11)])
+    def test_shortest_sessions_convert(self, toy_plant, rate_hz, nframes):
+        # 11 frames at 2 kHz resample to round(2.75) = 3 solve-rate frames;
+        # 10 would give round(2.5) = 2, since round() rounds half to even.
+        session = Session(
+            id="short", rate_hz=rate_hz, channel_names=toy_plant.joint_names,
+            data=np.zeros((toy_plant.njoints, nframes)),
+        )
+        out, record = process_session(session, toy_plant)
+        assert record.status == "ok"
+        assert out.n_frames == nframes
+
     def test_wrong_rate_is_a_configuration_error(self, toy_plant):
         session = Session(
             id="r", rate_hz=1000, channel_names=toy_plant.joint_names,

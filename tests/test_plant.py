@@ -92,6 +92,27 @@ class TestTendonKinematics:
         with pytest.raises(PlantError, match="length"):
             tendon_kinematics(plant, np.array([31.0]), np.zeros(1))
 
+    @pytest.mark.parametrize("kind", ["toy_finger", "hand_like"])
+    def test_trajectory_matches_per_frame_rows(self, kind):
+        plant = make_fixture(kind)
+        rng = np.random.default_rng(5)
+        q = rng.uniform(-1.0, 1.0, (50, plant.njoints)) * plant.joint_range
+        qdot = rng.normal(0.0, 3.0, (50, plant.njoints))
+        lengths, velocities = tendon_kinematics(plant, q, qdot)
+        rows = [tendon_kinematics(plant, q[t], qdot[t]) for t in range(50)]
+        # A matrix product may sum in another order than 50 vector products.
+        assert np.allclose(lengths, [r[0] for r in rows], rtol=0.0, atol=1e-15)
+        assert np.allclose(velocities, [r[1] for r in rows], rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("kind", ["toy_finger", "hand_like"])
+    def test_trajectory_error_names_tendon_and_frame(self, kind):
+        plant = make_fixture(kind)
+        q = np.zeros((20, plant.njoints))
+        q[13] = 20.0 * plant.joint_range
+        shortest = plant.actuator_names[int(np.argmin(plant.length_offsets - q[13] @ plant.moment_arms))]
+        with pytest.raises(PlantError, match=f"tendon {shortest!r} has non-positive length at frame 13"):
+            tendon_kinematics(plant, q, np.zeros_like(q))
+
 
 class TestInverseDynamics:
     def test_static_without_gravity(self):
@@ -177,6 +198,40 @@ class TestForwardStep:
         result = rollout(plant, rest_state(plant), ctrl, 0.002)
         assert np.abs(result.q).max() < 10.0
         assert np.isfinite(result.q).all()
+
+
+class TestRollout:
+    @pytest.mark.parametrize("kind", ["toy_finger", "hand_like"])
+    def test_matches_a_forward_step_loop_bit_for_bit(self, kind):
+        plant = make_fixture(kind)
+        ctrl = smooth_random_controls(plant.nactuators, 300, 0.002, 21)
+        result = rollout(plant, rest_state(plant), ctrl, 0.002)
+        state = rest_state(plant)
+        for t in range(300):
+            assert np.array_equal(result.q[t], state.q)
+            assert np.array_equal(result.qdot[t], state.qdot)
+            assert np.array_equal(result.act[t], state.act)
+            state = forward_step(plant, state, ctrl[t], 0.002)
+
+    def test_arguments_checked_before_the_first_step(self):
+        plant = make_fixture("toy_finger")
+        ctrl = np.zeros((100, plant.nactuators))
+        ctrl[-1, 2] = 1.5
+        with pytest.raises(ValueError, match="controls"):
+            rollout(plant, rest_state(plant), ctrl, 0.002)
+        with pytest.raises(ValueError, match="dt"):
+            rollout(plant, rest_state(plant), np.zeros((100, plant.nactuators)), 0.0)
+
+    def test_divergence_is_detected_at_the_step(self):
+        plant = make_fixture("toy_finger")
+        state = PlantState(
+            q=np.zeros(plant.njoints),
+            qdot=np.array([1e308, 0.0]),
+            act=np.zeros(plant.nactuators),
+        )
+        # The overflow is the point; keep numpy from turning it into an error first.
+        with np.errstate(all="ignore"), pytest.raises(PlantError, match="diverged"):
+            rollout(plant, state, np.zeros((5, plant.nactuators)), 0.002)
 
 
 class TestStepInvariants:
