@@ -15,14 +15,21 @@ recovered by inverting the substitution and clamping.
 
 A trajectory is inverted in two passes. Everything that depends only on
 the joint motion (derivatives, tendon kinematics, muscle gain and bias, the
-required generalized force and each frame's failure threshold) is computed
-once on the whole ``(nframes, ...)`` arrays. The sequential loop then keeps
-only what depends on the running activation: build and check one frame's
-inputs, solve the frame, and advance the activation with the recovered
-controls through the same smoothed activation filter the forward simulator
-uses, starting from zero activation, so that re-simulation reproduces the
-inversion's internal state exactly. A trajectory fails once more than 1 %
-of its frames are infeasible.
+required generalized force, the activation-free part of each frame's force
+gap and each frame's failure threshold) is computed and checked once on the
+whole ``(nframes, ...)`` arrays. The sequential loop then keeps only what
+depends on the running activation: the frame's box and its guards, one
+:func:`~myoctl.qp.solve_box_qp` on a problem made by a
+:class:`~myoctl.qp.BvlsSolver` bound to the moment arms for the whole
+trajectory (so each distinct free set's pseudo-inverse is computed once),
+control recovery, and the activation step through the same smoothed
+filter the forward simulator uses, starting from zero activation, so that
+re-simulation reproduces the inversion's internal state exactly. A
+trajectory fails once more than 1 % of its frames are infeasible.
+
+:func:`build_qp`, :func:`recover_ctrl` and :func:`invert_frame` check one
+frame's inputs (:class:`InverseInputs`) and then run the same private
+kernels as the loop.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ import numpy as np
 # in this module, so the name must stay importable here.
 from .activation import _step_activation, step_activation  # noqa: F401
 from .plant import Plant, inverse_dynamics, tendon_kinematics, _gain_bias, _normalized
-from .qp import BoxQp, solve_box_qp
+from .qp import BoxQp, BvlsSolver, solve_box_qp
 from .timeseries import differentiate
 
 __all__ = [
@@ -77,6 +84,9 @@ class InverseInputs:
         timestep: integration step (s).
         tau1, tau2: linearized time-constant coefficients (slope per unit
             control error, and value at zero error); scalars or per-muscle.
+
+    Every entry must be finite; a ``ValueError`` names the first field that
+    breaks a condition.
     """
 
     moment_arms: np.ndarray
@@ -89,16 +99,19 @@ class InverseInputs:
     tau2: float | np.ndarray
 
     def __post_init__(self) -> None:
-        for attr in ("moment_arms", "gain", "bias", "act", "q_frc"):
+        for attr in ("moment_arms", "gain", "bias", "act", "q_frc", "tau1", "tau2"):
             object.__setattr__(self, attr, np.asarray(getattr(self, attr), dtype=float))
         nj, na = self.moment_arms.shape
         if self.gain.shape != (na,) or self.bias.shape != (na,) or self.act.shape != (na,):
             raise ValueError("per-actuator vectors do not match the transmission width")
         if self.q_frc.shape != (nj,):
             raise ValueError("q_frc does not match the joint count")
+        for attr in ("moment_arms", "gain", "bias", "act", "q_frc", "timestep", "tau1", "tau2"):
+            if not np.isfinite(getattr(self, attr)).all():
+                raise ValueError(f"{attr} contains non-finite entries")
         if self.timestep <= 0.0:
             raise ValueError("timestep must be positive")
-        if not np.all(np.asarray(self.tau2) > 0.0):
+        if not np.all(self.tau2 > 0.0):
             raise ValueError("tau2 must be positive")
         if np.any(self.act < 0.0) or np.any(self.act > 1.0):
             raise ValueError("act must lie in [0, 1]")
@@ -126,6 +139,7 @@ class TrajectoryInversion:
     status: str
     failure_reason: str | None
     infeasible_frames: int
+    iterations: np.ndarray
 
 
 def tau_linearization(tau_act, tau_deact, tau_smooth):
@@ -153,7 +167,73 @@ def tau_linearization(tau_act, tau_deact, tau_smooth):
 def _force_gap(inp: InverseInputs) -> np.ndarray:
     """Force balance constant: torque at the current activation minus target."""
     am = inp.moment_arms
-    return am @ (inp.gain * inp.act) + am @ inp.bias - inp.q_frc
+    return am @ (inp.gain * inp.act) + (am @ inp.bias - inp.q_frc)
+
+
+def _live(gain: np.ndarray) -> np.ndarray:
+    return np.abs(gain) >= _ZERO_GAIN
+
+
+def _box(dt_gain, live, act, tau1, tau2):
+    """Bounds of ``x`` for controls in [0, 1]; ``dt_gain = timestep * gain``.
+
+    Only live actuators are divided; a dead one's bounds are 0.
+
+    Raises:
+        InfeasibleFrameError: when a linearized time-constant denominator
+            vanishes or flips sign (bound ordering would break).
+    """
+    den_lo = (1.0 - act) * tau1 + tau2
+    den_hi = -act * tau1 + tau2
+    if (live & ((np.abs(den_lo) < _DENOM_TOL) | (np.abs(den_hi) < _DENOM_TOL))).any():
+        raise InfeasibleFrameError(
+            "linearized time constant vanishes inside the control range"
+        )
+    lb = np.divide(dt_gain * (1.0 - act), den_lo, out=np.zeros(live.shape), where=live)
+    ub = np.divide(dt_gain * (-act), den_hi, out=np.zeros(live.shape), where=live)
+    if (lb > ub).any():
+        raise InfeasibleFrameError(
+            "control bounds inverted: time-constant linearization is not valid "
+            "over the full control range for these parameters"
+        )
+    return lb, ub
+
+
+def _recover(x, dt_gain, live, act, tau1, tau2):
+    """Controls from a frame solution, clamped to [0, 1].
+
+    Only live actuators are divided; a dead one keeps its activation.
+
+    Raises:
+        InfeasibleFrameError: when the inversion denominator vanishes for a
+            live actuator.
+    """
+    den = dt_gain - x * tau1
+    if (live & (np.abs(den) < _RECOVER_TOL)).any():
+        raise InfeasibleFrameError("control recovery denominator vanished")
+    delta = np.divide(x * tau2, den, out=np.zeros(live.shape), where=live)
+    return (act + delta).clip(0.0, 1.0)
+
+
+def _kernel_args(inp: InverseInputs):
+    """``(timestep * gain, live, act, tau1, tau2)``, the frame kernels' arguments."""
+    return inp.timestep * inp.gain, _live(inp.gain), inp.act, inp.tau1, inp.tau2
+
+
+def _solve_frame(solver: BvlsSolver, gap, dt_gain, live, act, tau1, tau2):
+    """Box, solve, recover: ``(ctrl, x, residual, diagnostics)``.
+
+    ``gap`` is the force gap at ``act``. The solve goes through this
+    module's ``solve_box_qp`` name, which the benchmark's tracer patches.
+
+    Raises:
+        InfeasibleFrameError: from :func:`_box` or :func:`_recover`.
+    """
+    lb, ub = _box(dt_gain, live, act, tau1, tau2)
+    x, diag = solve_box_qp(solver.problem(-gap, lb, ub))
+    ctrl = _recover(x, dt_gain, live, act, tau1, tau2)
+    residual = float(np.abs(solver.A @ x + gap).max())
+    return ctrl, x, residual, diag
 
 
 def build_qp(inp: InverseInputs) -> BoxQp:
@@ -168,27 +248,7 @@ def build_qp(inp: InverseInputs) -> BoxQp:
         InfeasibleFrameError: when a linearized time-constant denominator
             vanishes or flips sign (bound ordering would break).
     """
-    tau1 = np.asarray(inp.tau1, dtype=float)
-    tau2 = np.asarray(inp.tau2, dtype=float)
-    live = np.abs(inp.gain) >= _ZERO_GAIN
-    den_lo = (1.0 - inp.act) * tau1 + tau2
-    den_hi = -inp.act * tau1 + tau2
-    if np.any(live & (np.abs(den_lo) < _DENOM_TOL)) or np.any(
-        live & (np.abs(den_hi) < _DENOM_TOL)
-    ):
-        raise InfeasibleFrameError(
-            "linearized time constant vanishes inside the control range"
-        )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lb = inp.timestep * inp.gain * (1.0 - inp.act) / den_lo
-        ub = inp.timestep * inp.gain * (-inp.act) / den_hi
-    lb = np.where(live, lb, 0.0)
-    ub = np.where(live, ub, 0.0)
-    if np.any(lb > ub):
-        raise InfeasibleFrameError(
-            "control bounds inverted: time-constant linearization is not valid "
-            "over the full control range for these parameters"
-        )
+    lb, ub = _box(*_kernel_args(inp))
     return BoxQp(A=inp.moment_arms, b=-_force_gap(inp), lb=lb, ub=ub)
 
 
@@ -202,17 +262,7 @@ def recover_ctrl(x, inp: InverseInputs):
         InfeasibleFrameError: when the inversion denominator vanishes for a
             live actuator.
     """
-    x = np.asarray(x, dtype=float)
-    tau1 = np.asarray(inp.tau1, dtype=float)
-    tau2 = np.asarray(inp.tau2, dtype=float)
-    live = np.abs(inp.gain) >= _ZERO_GAIN
-    den = inp.timestep * inp.gain - x * tau1
-    if np.any(live & (np.abs(den) < _RECOVER_TOL)):
-        raise InfeasibleFrameError("control recovery denominator vanished")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        delta = x * tau2 / den
-    ctrl = np.where(live, inp.act + delta, inp.act)
-    return np.clip(ctrl, 0.0, 1.0)
+    return _recover(np.asarray(x, dtype=float), *_kernel_args(inp))
 
 
 def invert_frame(inp: InverseInputs) -> FrameSolution:
@@ -221,10 +271,9 @@ def invert_frame(inp: InverseInputs) -> FrameSolution:
     The residual is ``||moment_arms @ x + k||_inf``; it is zero (within the
     solver tolerance) exactly when the target force is reachable this step.
     """
-    problem = build_qp(inp)
-    x, diag = solve_box_qp(problem)
-    ctrl = recover_ctrl(x, inp)
-    residual = float(np.abs(problem.A @ x - problem.b).max())
+    ctrl, x, residual, diag = _solve_frame(
+        BvlsSolver(inp.moment_arms), _force_gap(inp), *_kernel_args(inp)
+    )
     return FrameSolution(ctrl=ctrl, x=x, residual=residual, converged=diag.converged)
 
 
@@ -237,28 +286,32 @@ def invert_trajectory(
     """Recover per-muscle controls along a joint-angle trajectory.
 
     One array pass over all frames differentiates the trajectory, evaluates
-    tendon kinematics and muscle gain/bias, and forms the required
-    generalized force through the plant's inverse dynamics. A sequential
-    loop then inverts each frame's actuator equation with the running
-    activation state (its inputs checked as :class:`InverseInputs`) and
-    advances that state with the recovered controls (smoothed time
-    constants, starting from zero activation). A frame counts as infeasible
-    when its force residual exceeds ``fail_threshold * max(1,
+    tendon kinematics and muscle gain/bias, forms the required generalized
+    force through the plant's inverse dynamics and the activation-free part
+    of each frame's force gap, and checks once what does not depend on the
+    activation (finite values, ``gain <= 0``, positive time constants). A
+    sequential loop then solves each frame's bounded least-squares problem
+    with one :class:`~myoctl.qp.BvlsSolver` bound to the moment arms (each
+    frame through :func:`~myoctl.qp.solve_box_qp`), so each distinct free
+    set's pseudo-inverse is computed once per trajectory, and advances the activation with the recovered controls
+    (smoothed time constants, starting from zero activation). A frame counts
+    as infeasible when its force residual exceeds ``fail_threshold * max(1,
     ||q_frc||_inf)``, its solve does not converge, or its subproblem is
     degenerate. Non-finite input fails the whole trajectory with the
     offending frame reported.
 
     Raises:
-        ValueError: for fewer than :data:`MIN_FRAMES` frames or a
-            non-positive rate.
+        ValueError: for fewer than :data:`MIN_FRAMES` frames, a rate that is
+            not positive and finite, or muscle forces that are non-finite or
+            push (the message names the frame).
         PlantError: if a frame puts a tendon at non-positive length; the
             message names the tendon and the frame.
     """
     q = np.atleast_2d(np.asarray(q_traj, dtype=float))
     if q.shape[0] < MIN_FRAMES:
         raise ValueError(f"need at least {MIN_FRAMES} frames to invert a trajectory")
-    if rate_hz <= 0.0:
-        raise ValueError("rate_hz must be positive")
+    if not (np.isfinite(rate_hz) and rate_hz > 0.0):
+        raise ValueError("rate_hz must be positive and finite")
     nframes = q.shape[0]
     na = plant.nactuators
 
@@ -271,41 +324,53 @@ def invert_trajectory(
             status="failed",
             failure_reason=f"non-finite input at frame {frame}",
             infeasible_frames=0,
+            iterations=np.zeros(nframes, dtype=int),
         )
 
     dt = 1.0 / rate_hz
     qdot, qddot = differentiate(q, dt)
     muscles = plant._muscle
     tau1, tau2 = tau_linearization(muscles.tau_act, muscles.tau_deact, muscles.tau_smooth)
+    if not np.all(np.asarray(tau2) > 0.0):
+        raise ValueError("tau2 must be positive")
     lengths, velocities = tendon_kinematics(plant, q, qdot)
     gain, bias = _gain_bias(plant, *_normalized(plant, lengths, velocities))
     q_frc = inverse_dynamics(plant, q, qdot, qddot)
+    for label, values in (("muscle gain", gain), ("muscle bias", bias),
+                          ("generalized force", q_frc)):
+        bad = ~np.isfinite(values).all(axis=1)
+        if bad.any():
+            raise ValueError(f"non-finite {label} at frame {int(np.argmax(bad))}")
+    pushing = (gain > 0.0).any(axis=1)
+    if pushing.any():
+        raise ValueError(
+            f"gain must be non-positive (muscles only pull); frame {int(np.argmax(pushing))}"
+        )
+    moment_arms = plant.moment_arms
+    # The activation-free part of each frame's force gap, A @ bias - q_frc.
+    gap_base = bias @ moment_arms.T - q_frc
+    dt_gain = dt * gain
+    live = _live(gain)
     thresholds = fail_threshold * np.maximum(1.0, np.abs(q_frc).max(axis=1))
+    solver = BvlsSolver(moment_arms)
 
     act = np.zeros(na)
     ctrl_traj = np.empty((nframes, na))
     act_traj = np.empty((nframes, na))
     residuals = np.empty(nframes)
+    iterations = np.zeros(nframes, dtype=int)
     infeasible = 0
     for t in range(nframes):
-        inp = InverseInputs(
-            moment_arms=plant.moment_arms,
-            gain=gain[t],
-            bias=bias[t],
-            act=act,
-            q_frc=q_frc[t],
-            timestep=dt,
-            tau1=tau1,
-            tau2=tau2,
-        )
+        gap = moment_arms @ (gain[t] * act) + gap_base[t]
         try:
-            frame = invert_frame(inp)
-            ctrl_t = frame.ctrl
-            residual = frame.residual
-            feasible = frame.converged and residual <= thresholds[t]
+            ctrl_t, _, residual, diag = _solve_frame(
+                solver, gap, dt_gain[t], live[t], act, tau1, tau2
+            )
+            iterations[t] = diag.iterations
+            feasible = diag.converged and residual <= thresholds[t]
         except InfeasibleFrameError:
             ctrl_t = act.copy()
-            residual = float(np.abs(_force_gap(inp)).max())
+            residual = float(np.abs(gap).max())
             feasible = False
         if not feasible:
             infeasible += 1
@@ -326,6 +391,7 @@ def invert_trajectory(
             f"{infeasible} of {nframes} frames infeasible" if failed else None
         ),
         infeasible_frames=infeasible,
+        iterations=iterations,
     )
 
 

@@ -17,6 +17,7 @@ count apart from wall-time fields.
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import time
@@ -142,13 +143,35 @@ def write_session(session: Session, path) -> None:
     _write_atomic(directory / "data.bin", session.data.astype("<f4").tobytes())
 
 
+def _header_count(header: dict, key: str, minimum: int) -> int:
+    """A whole-number header field of at least ``minimum``.
+
+    Raises:
+        KeyError: if the field is missing.
+        ValueError: naming the field, for anything but a finite whole
+            number (``2000`` or ``2000.0``) of at least ``minimum``.
+    """
+    value = header[key]
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+        or value != int(value)
+        or value < minimum
+    ):
+        raise ValueError(f"{key!r} must be a whole number >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def read_session(path) -> Session:
     """Read a session directory written by :func:`write_session`.
 
     Raises:
         SessionVersionError: unknown or missing format tag.
         SessionTruncatedError: payload shorter than the header promises.
-        SessionFormatError: any other inconsistency.
+        SessionFormatError: any other inconsistency, such as a frame count
+            or rate that is not a whole number (at least 0 frames, at least
+            1 Hz) or repeated channel names; the message names the field.
     """
     directory = Path(path)
     try:
@@ -160,11 +183,14 @@ def read_session(path) -> Session:
             f"session in {path} is not in the expected {SESSION_FORMAT} format"
         )
     try:
-        frames = int(header["frames"])
+        frames = _header_count(header, "frames", minimum=0)
         channels = header["channels"]
         names = tuple(entry["name"] for entry in channels)
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise ValueError(f"'channels' repeats the names {repeated}")
         units = tuple(entry.get("units", "1") for entry in channels)
-        rate = int(header["rate_hz"])
+        rate = _header_count(header, "rate_hz", minimum=1)
         session_id = str(header["id"])
         metadata = dict(header.get("metadata", {}))
     except (KeyError, TypeError, ValueError) as exc:

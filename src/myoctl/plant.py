@@ -265,6 +265,9 @@ def _step(plant: Plant, q, qdot, act, ctrl, dt: float):
 
     Returns ``(q, qdot, act)`` after the step.
 
+    Callers suppress numpy's overflow and invalid-value warnings, so that
+    a diverging state surfaces as the named :class:`PlantError`.
+
     Raises:
         PlantError: if a tendon length is non-positive or the state goes
             non-finite.
@@ -296,7 +299,8 @@ def forward_step(plant: Plant, state: PlantState, ctrl, dt: float) -> PlantState
             non-finite.
     """
     ctrl = _check_step_args(ctrl, dt)
-    q, qdot, act = _step(plant, state.q, state.qdot, state.act, ctrl, dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q, qdot, act = _step(plant, state.q, state.qdot, state.act, ctrl, dt)
     return PlantState(q=q, qdot=qdot, act=act)
 
 
@@ -328,9 +332,10 @@ def rollout(plant: Plant, state: PlantState, ctrl_traj, dt: float) -> RolloutRes
     qdot = np.empty((n, plant.njoints))
     act = np.empty((n, plant.nactuators))
     q_t, qdot_t, act_t = state.q, state.qdot, state.act
-    for t in range(n):
-        q[t], qdot[t], act[t] = q_t, qdot_t, act_t
-        q_t, qdot_t, act_t = _step(plant, q_t, qdot_t, act_t, ctrl_traj[t], dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(n):
+            q[t], qdot[t], act[t] = q_t, qdot_t, act_t
+            q_t, qdot_t, act_t = _step(plant, q_t, qdot_t, act_t, ctrl_traj[t], dt)
     return RolloutResult(q=q, qdot=qdot, act=act)
 
 

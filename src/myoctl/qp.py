@@ -1,22 +1,32 @@
 """Deterministic solver for bounded-variable linear least squares.
 
 Solves ``min 1/2 ||Ax - b||^2  subject to  lb <= x <= ub`` with Stark and
-Parker's bounded-variable least-squares method (``scipy.optimize.lsq_linear``
-with ``method="bvls"``), working on ``A`` itself rather than on ``A'A`` so
-rank-deficient and wide matrices keep their conditioning. Variables with
-``lb == ub`` are pinned before the call. Convergence is judged by this
-module's own projected-gradient KKT residual. Everything is deterministic
-for fixed inputs.
+Parker's bounded-variable least-squares method (the algorithm behind
+``scipy.optimize.lsq_linear(method="bvls")``), working on ``A`` itself
+rather than on ``A'A`` so rank-deficient and wide matrices keep their
+conditioning. A :class:`BvlsSolver` is bound to one matrix and solves each
+free-set subproblem as ``pinv(A[:, free]) @ rhs``; every pseudo-inverse is
+computed the first time its free set appears and kept for the life of the
+solver, so a trajectory whose frames share ``A`` pays for each distinct
+free set once. Problems made by :meth:`BvlsSolver.problem` are solved by
+:func:`solve_box_qp` with that solver and its cache. Variables with
+``lb == ub`` are pinned and never enter a free set. Convergence is judged
+by this module's own projected-gradient KKT residual. Everything is
+deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import lsq_linear
 
-__all__ = ["BoxQp", "QpDiagnostics", "solve_box_qp", "kkt_residual"]
+__all__ = ["BoxQp", "QpDiagnostics", "BvlsSolver", "solve_box_qp", "kkt_residual"]
+
+# Defaults of every solve: the KKT tolerance and the cap on BVLS main-loop
+# iterations.
+_TOL = 1e-10
+_MAX_ITER = 20000
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,6 +41,8 @@ class BoxQp:
     b: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
+    # Set by BvlsSolver.problem: the solver (and cache) that solves this problem.
+    _solver: "BvlsSolver | None" = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         for attr in ("A", "b", "lb", "ub"):
@@ -55,6 +67,11 @@ class QpDiagnostics:
     objective: float
 
 
+def _kkt_residual(A, b, lb, ub, x) -> float:
+    grad = A.T @ (A @ x - b)
+    return float(np.abs(x - (x - grad).clip(lb, ub)).max(initial=0.0))
+
+
 def kkt_residual(problem: BoxQp, x: np.ndarray) -> float:
     """Projected-gradient optimality residual, zero exactly at the optimum.
 
@@ -66,16 +83,171 @@ def kkt_residual(problem: BoxQp, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     if np.any(x < problem.lb - 1e-12) or np.any(x > problem.ub + 1e-12):
         raise ValueError("x lies outside [lb, ub]")
-    grad = problem.A.T @ (problem.A @ x - problem.b)
-    return float(np.abs(x - np.clip(x - grad, problem.lb, problem.ub)).max(initial=0.0))
+    return _kkt_residual(problem.A, problem.b, problem.lb, problem.ub, x)
+
+
+def _kkt_violation(g, on_bound) -> float:
+    """Largest KKT violation: ``|g|`` on free variables, ``g * side`` on bound ones."""
+    return float(np.where(on_bound == 0, np.abs(g), g * on_bound).max())
+
+
+class BvlsSolver:
+    """Stark-Parker BVLS bound to one matrix ``A``, caching pseudo-inverses.
+
+    Every pseudo-inverse, the unbounded first step's included, cuts
+    singular values below ``eps * max(shape)`` times the largest, the
+    default of ``np.linalg.lstsq``, and is kept per free-column mask for
+    the life of the solver. ``lsq_linear`` cuts its first step at ``eps``
+    instead; on a full-rank matrix the two agree, while on a rank-deficient
+    one (exactly dependent columns) the steps and iteration counts may
+    differ and the objective still agrees. ``A`` must be finite; it is not
+    copied, so it must not change while the solver is in use.
+    """
+
+    def __init__(self, A) -> None:
+        self.A = np.asarray(A, dtype=float)
+        if self.A.ndim != 2:
+            raise ValueError("A must be a matrix")
+        self._pinv: dict[bytes, np.ndarray] = {}
+
+    def problem(self, b, lb, ub) -> BoxQp:
+        """The checked problem on this matrix; :func:`solve_box_qp` solves it here."""
+        problem = BoxQp(self.A, b, lb, ub)
+        object.__setattr__(problem, "_solver", self)
+        return problem
+
+    def _subproblem(self, free: np.ndarray, cols, rhs: np.ndarray) -> np.ndarray:
+        """Minimum-norm least-squares solution on the free columns.
+
+        ``free`` masks the columns ``cols`` of ``A`` (all of them when
+        ``cols`` is None); the cache is keyed by the full-width mask.
+        """
+        if cols is not None:
+            mask = np.zeros(self.A.shape[1], dtype=bool)
+            mask[cols[free]] = True
+            free = mask
+        key = free.tobytes()
+        pinv = self._pinv.get(key)
+        if pinv is None:
+            sub = self.A[:, free]
+            cutoff = max(sub.shape) * np.finfo(float).eps
+            pinv = self._pinv[key] = np.linalg.pinv(sub, rcond=cutoff)
+        return pinv @ rhs
+
+    def solve(self, b, lb, ub, tol: float = _TOL, max_iter: int = _MAX_ITER):
+        """Solve ``min 1/2 ||Ax - b||^2`` over ``lb <= x <= ub``.
+
+        Inputs are float vectors of matching lengths with ``lb <= ub``; they
+        are not checked beyond ``tol`` and ``max_iter``.
+
+        Returns:
+            ``(x, iterations, converged)``: ``x`` lies in the box,
+            ``iterations`` counts BVLS steps as ``lsq_linear``'s ``nit``
+            does (0 when the unconstrained minimum is feasible), and
+            ``converged`` is ``kkt_residual <= tol``.
+        """
+        if tol <= 0.0:
+            raise ValueError("tol must be positive")
+        if max_iter < 1:
+            raise ValueError("max_iter must be a positive integer")
+        A = self.A
+        live = lb < ub
+        if live.all():
+            x, iterations = self._bvls(A, b, lb, ub, None, tol, max_iter)
+            x = x.clip(lb, ub)
+        else:
+            x, iterations = lb.copy(), 0
+            if live.any():
+                # Pinned columns are moved into b; the rest is solved as is.
+                cols = np.flatnonzero(live)
+                b_live = b - A[:, ~live] @ x[~live]
+                x_live, iterations = self._bvls(
+                    A[:, cols], b_live, lb[cols], ub[cols], cols, tol, max_iter
+                )
+                x[cols] = x_live.clip(lb[cols], ub[cols])
+        return x, iterations, _kkt_residual(A, b, lb, ub, x) <= tol
+
+    def _bvls(self, A, b, lb, ub, cols, tol, max_iter):
+        """BVLS on ``A`` (all columns live); ``cols`` maps them into ``self.A``.
+
+        Follows ``scipy.optimize._lsq.bvls`` step for step (up to the first
+        step's cutoff, see the class docstring): the unbounded solution,
+        the initialization loop that drops violators to their bounds, then
+        the main loop that frees the variable with the largest KKT
+        violation and steps back to the first bound crossed.
+        """
+        n = A.shape[1]
+        x = self._subproblem(np.ones(n, dtype=bool), cols, b)
+        if ((x >= lb) & (x <= ub)).all():
+            return x, 0
+        on_bound = np.where(x >= ub, 1.0, np.where(x <= lb, -1.0, 0.0))
+        x = x.clip(lb, ub)
+
+        # Initialization: least squares on the free variables, sending
+        # violators to their bounds, until the free solution is feasible.
+        free = on_bound == 0
+        iteration = 0
+        while free.any():
+            iteration += 1
+            idx = np.flatnonzero(free)
+            z = self._subproblem(free, cols, b - A @ (x * ~free))
+            side = np.where(z < lb[idx], -1.0, np.where(z > ub[idx], 1.0, 0.0))
+            x[idx] = z.clip(lb[idx], ub[idx])
+            on_bound[idx] = side
+            if not side.any():
+                break
+            free[idx[side != 0]] = False
+
+        r = A @ x - b
+        cost = 0.5 * (r @ r)
+        g = A.T @ r
+        optimality = _kkt_violation(g, on_bound)
+        stopped = False
+        for iteration in range(iteration, max_iter + iteration):
+            if stopped or optimality < tol:
+                break
+            on_bound[np.argmax(g * on_bound)] = 0.0
+            while True:
+                free = on_bound == 0
+                idx = np.flatnonzero(free)
+                x_free = x[idx]
+                lb_free = lb[idx]
+                ub_free = ub[idx]
+                z = self._subproblem(free, cols, b - A @ (x * ~free))
+                lbv = np.flatnonzero(z < lb_free)
+                ubv = np.flatnonzero(z > ub_free)
+                if lbv.size == 0 and ubv.size == 0:
+                    x[idx] = z
+                    break
+                # Step from x towards z up to the first bound crossed.
+                v = np.concatenate((lbv, ubv))
+                alphas = np.concatenate(
+                    (lb_free[lbv] - x_free[lbv], ub_free[ubv] - x_free[ubv])
+                ) / (z[v] - x_free[v])
+                i = int(np.argmin(alphas))
+                alpha = alphas[i]
+                x_free *= 1 - alpha
+                x_free += alpha * z
+                x[idx] = x_free
+                on_bound[idx[v[i]]] = -1.0 if i < lbv.size else 1.0
+            r = A @ x - b
+            cost_new = 0.5 * (r @ r)
+            stopped = cost - cost_new < tol * cost
+            cost = cost_new
+            g = A.T @ r
+            optimality = _kkt_violation(g, on_bound)
+        return x, iteration + 1
 
 
 def solve_box_qp(
     problem: BoxQp,
-    tol: float = 1e-10,
-    max_iter: int = 20000,
+    tol: float = _TOL,
+    max_iter: int = _MAX_ITER,
 ) -> tuple[np.ndarray, QpDiagnostics]:
     """Solve a bounded least-squares problem to a KKT tolerance.
+
+    One call of the :class:`BvlsSolver` that made ``problem`` (see
+    :meth:`BvlsSolver.problem`), or of a fresh one bound to ``problem.A``.
 
     Args:
         problem: validated problem data.
@@ -88,21 +260,7 @@ def solve_box_qp(
     Returns:
         ``(x, diagnostics)`` with ``x`` feasible componentwise.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    lb, ub = problem.lb, problem.ub
-    x = lb.copy()
-    free = lb < ub
-    iterations = 0
-    if free.any():
-        # lsq_linear needs lb < ub strictly: move pinned columns into b.
-        b_free = problem.b - problem.A[:, ~free] @ x[~free]
-        res = lsq_linear(
-            problem.A[:, free], b_free, bounds=(lb[free], ub[free]),
-            method="bvls", tol=tol, max_iter=max_iter,
-        )
-        x[free] = np.clip(res.x, lb[free], ub[free])
-        iterations = int(res.nit)
-    converged = kkt_residual(problem, x) <= tol
+    solver = problem._solver if problem._solver is not None else BvlsSolver(problem.A)
+    x, iterations, converged = solver.solve(problem.b, problem.lb, problem.ub, tol, max_iter)
     residual = problem.A @ x - problem.b
     return x, QpDiagnostics(iterations, converged, float(0.5 * residual @ residual))

@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+import myoctl.inverse
 import myoctl.qp
 from myoctl.inverse import (
     InfeasibleFrameError,
@@ -163,6 +164,13 @@ class TestBuildQp:
         with pytest.raises(ValueError):
             scalar_inputs(q_frc=np.zeros(2))
 
+    @pytest.mark.parametrize("field", ["moment_arms", "gain", "bias", "act", "q_frc",
+                                       "timestep", "tau1", "tau2"])
+    def test_non_finite_input_is_named(self, field):
+        bad = {field: np.full_like(np.asarray(getattr(scalar_inputs(), field)), np.nan)}
+        with pytest.raises(ValueError, match=rf"{field}\b"):
+            scalar_inputs(**bad)
+
 
 class TestRecoverCtrl:
     def test_zero_step_returns_activation(self):
@@ -280,9 +288,9 @@ class TestInvertFrame:
 
     def test_all_pinned_frame_skips_the_solver(self, monkeypatch):
         def fail(*args, **kwargs):
-            raise AssertionError("lsq_linear called with every variable pinned")
+            raise AssertionError("subproblem solved with every variable pinned")
 
-        monkeypatch.setattr(myoctl.qp, "lsq_linear", fail)
+        monkeypatch.setattr(myoctl.qp.BvlsSolver, "_subproblem", fail)
         act = np.array([0.3, 0.6])
         inp = InverseInputs(
             np.array([[0.01, -0.01]]), np.zeros(2), np.zeros(2), act,
@@ -346,6 +354,75 @@ class TestInvertTrajectory:
         assert np.allclose(result.act, ref_act, rtol=0.0, atol=1e-12)
         assert np.allclose(result.residuals, ref_residuals, rtol=0.0, atol=1e-12)
         assert result.infeasible_frames == ref_infeasible
+
+    def test_iterations_are_each_frame_solver_count(self):
+        plant = make_fixture("hand_like")
+        dt = 0.002
+        ctrl = smooth_random_controls(plant.nactuators, 120, dt, 2)
+        q = rollout(plant, rest_state(plant), ctrl, dt).q
+        result = invert_trajectory(plant, q, 500.0)
+        qdot, qddot = differentiate(q, dt)
+        m = plant._muscle
+        tau1, tau2 = tau_linearization(m.tau_act, m.tau_deact, m.tau_smooth)
+        gain, bias = _gain_bias(plant, *_normalized(plant, *tendon_kinematics(plant, q, qdot)))
+        q_frc = inverse_dynamics(plant, q, qdot, qddot)
+        expected = [
+            solve_box_qp(build_qp(InverseInputs(
+                plant.moment_arms, gain[t], bias[t], result.act[t], q_frc[t], dt, tau1, tau2,
+            )))[1].iterations
+            for t in range(q.shape[0])
+        ]
+        assert result.iterations.dtype.kind == "i"
+        assert result.iterations.tolist() == expected
+        assert max(expected) >= 2
+
+    def test_each_frame_is_solved_through_the_module_solve_box_qp(self, monkeypatch):
+        # The benchmark's tracer times the solver by patching this name.
+        solved = []
+
+        def recording(problem, *args, **kwargs):
+            x, diag = solve_box_qp(problem, *args, **kwargs)
+            solved.append(diag.iterations)
+            return x, diag
+
+        monkeypatch.setattr(myoctl.inverse, "solve_box_qp", recording)
+        plant = make_fixture("toy_finger")
+        dt = 0.002
+        q = rollout(plant, rest_state(plant), smooth_random_controls(4, 80, dt, 3), dt).q
+        result = invert_trajectory(plant, q, 500.0)
+        assert solved == result.iterations.tolist()
+
+    def test_non_finite_input_reports_no_iterations(self):
+        plant = make_fixture("toy_finger")
+        q = np.zeros((10, plant.njoints))
+        q[4, 1] = np.inf
+        result = invert_trajectory(plant, q, 500.0)
+        assert result.status == "failed"
+        assert np.array_equal(result.iterations, np.zeros(10, dtype=int))
+
+    @pytest.mark.parametrize("term, value, message", [
+        (0, 0.5, "gain must be non-positive .*frame 6"),
+        (0, np.nan, "non-finite muscle gain at frame 6"),
+        (1, -np.inf, "non-finite muscle bias at frame 6"),
+    ])
+    def test_bad_muscle_force_is_rejected_with_its_frame(self, monkeypatch, term, value, message):
+        plant = make_fixture("toy_finger")
+        real = myoctl.inverse._gain_bias
+
+        def corrupted(*args):
+            gain_bias = [np.array(a) for a in real(*args)]
+            gain_bias[term][6, 1] = value
+            return tuple(gain_bias)
+
+        monkeypatch.setattr(myoctl.inverse, "_gain_bias", corrupted)
+        with pytest.raises(ValueError, match=message):
+            invert_trajectory(plant, np.zeros((10, plant.njoints)), 500.0)
+
+    @pytest.mark.parametrize("rate_hz", [0.0, -500.0, np.inf, np.nan])
+    def test_rate_must_be_positive_and_finite(self, rate_hz):
+        plant = make_fixture("toy_finger")
+        with pytest.raises(ValueError, match="rate_hz must be positive"):
+            invert_trajectory(plant, np.zeros((10, plant.njoints)), rate_hz)
 
     @pytest.mark.parametrize("kind", ["toy_finger", "hand_like"])
     def test_non_positive_tendon_length_names_the_frame(self, kind):

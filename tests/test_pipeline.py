@@ -1,7 +1,11 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from myoctl.inverse import invert_trajectory
 from myoctl.pipeline import (
@@ -38,6 +42,39 @@ def pose_session(plant, seed=0, nframes=2000, session_id="sess"):
         data=result.q.T,
         units=("rad",) * plant.njoints,
         metadata={"seed": seed},
+    )
+
+
+def edited_session(tmp_path, field, edit):
+    """A written 3-channel session whose header has one field edited.
+
+    For ``"channels"``, ``edit = (i, j)`` gives channel ``j`` the name of
+    channel ``i``; otherwise ``edit`` is the raw JSON text of the field.
+    """
+    path = tmp_path / "edited"
+    session = Session(id="e", rate_hz=2000, channel_names=("a", "b", "c"),
+                      data=np.zeros((3, 20)))
+    write_session(session, path)
+    header = json.loads((path / "session.json").read_text())
+    if field == "channels":
+        i, j = edit
+        header["channels"][j]["name"] = header["channels"][i]["name"]
+        text = json.dumps(header)
+    else:
+        header[field] = "@EDIT@"
+        text = json.dumps(header).replace('"@EDIT@"', edit)
+    (path / "session.json").write_text(text)
+    return path
+
+
+def bad_count_token(minimum):
+    """Raw JSON text that is no whole number of at least ``minimum``."""
+    return st.one_of(
+        st.integers(max_value=minimum - 1).map(str),
+        st.floats(allow_nan=False, allow_infinity=False)
+        .filter(lambda v: not v.is_integer()).map(repr),
+        st.sampled_from(["1e400", "-1e400", "NaN", "Infinity", "-Infinity", "true", "false",
+                         "null", '"2000"', "[2000]", "{}"]),
     )
 
 
@@ -79,6 +116,31 @@ class TestSessionContainer:
         (tmp_path / "s").mkdir()
         with pytest.raises(SessionFormatError):
             read_session(tmp_path / "s")
+
+    @pytest.mark.parametrize("field, token", [
+        ("frames", "1e400"), ("frames", "-1"), ("rate_hz", "2000.7"), ("rate_hz", "0"),
+    ])
+    def test_bad_header_number_is_named(self, tmp_path, field, token):
+        with pytest.raises(SessionFormatError, match=rf"'{field}' must be a whole number"):
+            read_session(edited_session(tmp_path, field, token))
+
+    def test_repeated_channel_names_are_named(self, tmp_path):
+        with pytest.raises(SessionFormatError, match=r"'channels' repeats the names \['a'\]"):
+            read_session(edited_session(tmp_path, "channels", (0, 2)))
+
+    @given(data=st.data(), field=st.sampled_from(["frames", "rate_hz", "channels"]))
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bad_header_field_is_named(self, tmp_path, data, field):
+        if field == "channels":
+            edit = data.draw(st.lists(st.integers(0, 2), min_size=2, max_size=2, unique=True))
+        else:
+            edit = data.draw(bad_count_token(minimum=0 if field == "frames" else 1))
+        path = edited_session(tmp_path, field, edit)
+        with pytest.raises(SessionFormatError) as excinfo:
+            read_session(path)
+        message = str(excinfo.value).replace(str(path), "")
+        assert re.search(rf"\b{field}\b", message), message
 
     def test_channel_count_must_match_rows(self):
         with pytest.raises(ValueError):

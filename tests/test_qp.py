@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 from scipy.linalg import cholesky, solve_triangular
+from scipy.optimize import lsq_linear
 
-from myoctl.qp import BoxQp, kkt_residual, solve_box_qp
+from myoctl.qp import BoxQp, BvlsSolver, kkt_residual, solve_box_qp
 
 from qp_oracle import enumerate_box_qp_optimum, random_box_qp
 
@@ -70,6 +71,121 @@ class TestAgainstEnumerationOracle:
             assert diag.objective - 0.5 * problem.b @ problem.b - reference <= 1e-8
             assert diag.converged
             assert kkt_residual(problem, x) <= 1e-10
+
+
+SHAPES = ("small", "2x4", "23x39", "2x4 negated pairs", "23x39 negated pairs",
+          "tall negated pairs")
+
+
+def random_matrix(rng, shape):
+    """A random matrix of one of :data:`SHAPES`.
+
+    The wide negated-pair shapes copy the fixtures' antagonists:
+    ``toy_finger`` is two such pairs on 2 joints, ``hand_like`` has nine on
+    23 joints. The tall one is rank-deficient with more rows than columns.
+    """
+    if shape == "small":
+        A = rng.standard_normal(rng.integers(1, 9, size=2))
+    elif shape.startswith("2x4"):
+        A = rng.standard_normal((2, 4))
+    elif shape.startswith("23x39"):
+        A = 0.01 * rng.standard_normal((23, 39))
+    else:
+        rows = int(rng.integers(3, 9))
+        A = rng.standard_normal((rows, int(rng.integers(2, rows))))
+    if shape.endswith("pairs"):
+        last = 2 * max(A.shape[1] // 4, 1)
+        A[:, 1:last:2] = -A[:, 0:last:2]
+    return A
+
+
+def random_bvls_problem(rng, A):
+    """A random box and target for ``A``.
+
+    A fifth of the problems pin one variable; half the boxes straddle zero
+    as an inversion frame's do, and half the targets are reachable.
+    """
+    n = A.shape[1]
+    if rng.random() < 0.5:
+        lb, ub = -rng.uniform(0.01, 1.0, n), rng.uniform(0.0, 1.0, n)
+    else:
+        ends = rng.standard_normal((2, n))
+        lb, ub = ends.min(axis=0), ends.max(axis=0)
+    if rng.random() < 0.2:
+        pinned = rng.integers(n)
+        ub[pinned] = lb[pinned]
+    inside = rng.uniform(lb, ub)
+    b = A @ inside
+    if rng.random() < 0.5:
+        b = A @ (inside + 3.0 * rng.standard_normal(n)) + 0.1 * np.abs(A).max() * rng.standard_normal(A.shape[0])
+    return BoxQp(A, b, lb, ub)
+
+
+def lsq_linear_reference(problem, tol=1e-10, max_iter=20000):
+    """``scipy.optimize.lsq_linear(method="bvls")`` with pinned columns moved into b."""
+    A, b, lb, ub = problem.A, problem.b, problem.lb, problem.ub
+    x = lb.copy()
+    live = lb < ub
+    if not live.any():
+        return x, 0
+    res = lsq_linear(A[:, live], b - A[:, ~live] @ x[~live], bounds=(lb[live], ub[live]),
+                     method="bvls", tol=tol, max_iter=max_iter)
+    x[live] = np.clip(res.x, lb[live], ub[live])
+    return x, int(res.nit)
+
+
+def has_paired_columns(A):
+    """True when some column equals another one or its negation exactly."""
+    return any(
+        np.array_equal(A[:, i], sign * A[:, j])
+        for i in range(A.shape[1]) for j in range(i) for sign in (1.0, -1.0)
+    )
+
+
+class TestAgainstLsqLinear:
+    def test_random_problems_match_scipy_bvls(self):
+        rng = np.random.default_rng(2026)
+        compared = 0
+        for k in range(1500):
+            problem = random_bvls_problem(rng, random_matrix(rng, SHAPES[k % len(SHAPES)]))
+            x, diag = solve_box_qp(problem)
+            x_ref, nit_ref = lsq_linear_reference(problem)
+            r_ref = problem.A @ x_ref - problem.b
+            assert abs(diag.objective - 0.5 * r_ref @ r_ref) <= 1e-12, k
+            assert kkt_residual(problem, x) <= 1e-10, k
+            assert diag.converged
+            if not has_paired_columns(problem.A):
+                compared += 1
+                assert np.abs(x - x_ref).max() <= 1e-9, k
+                assert diag.iterations == nit_ref, k
+        assert compared >= 500
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_reused_solver_matches_a_fresh_one_bit_for_bit(self, shape):
+        rng = np.random.default_rng(7)
+        A = random_matrix(rng, shape)
+        reused = BvlsSolver(A)
+        for _ in range(60):
+            p = random_bvls_problem(rng, A)
+            x_fresh, it_fresh, ok_fresh = BvlsSolver(A).solve(p.b, p.lb, p.ub)
+            x_reused, it_reused, ok_reused = reused.solve(p.b, p.lb, p.ub)
+            assert np.array_equal(x_reused, x_fresh)
+            assert (it_reused, ok_reused) == (it_fresh, ok_fresh)
+
+    def test_problem_from_a_solver_is_solved_with_its_cache(self):
+        rng = np.random.default_rng(8)
+        A = random_matrix(rng, "2x4 negated pairs")
+        solver = BvlsSolver(A)
+        for _ in range(30):
+            p = random_bvls_problem(rng, A)
+            x_fresh, diag_fresh = solve_box_qp(p)
+            assert not solver._pinv
+            x_made, diag_made = solve_box_qp(solver.problem(p.b, p.lb, p.ub))
+            assert np.array_equal(x_made, x_fresh) and diag_made == diag_fresh
+            assert solver._pinv
+            solver._pinv.clear()
+        with pytest.raises(ValueError, match="lb exceeds ub"):
+            solver.problem(np.zeros(2), np.ones(4), np.zeros(4))
 
 
 class TestProperties:
