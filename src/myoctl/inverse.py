@@ -40,7 +40,7 @@ import numpy as np
 
 # The loop calls the unchecked kernel. bench/spans.py patches step_activation
 # in this module, so the name must stay importable here.
-from .activation import _step_activation, step_activation  # noqa: F401
+from .activation import _step_activation, _unit_clamp, step_activation  # noqa: F401
 from .plant import Plant, inverse_dynamics, tendon_kinematics, _gain_bias, _normalized
 from .qp import BoxQp, BvlsSolver, solve_box_qp
 from .timeseries import differentiate
@@ -212,7 +212,7 @@ def _recover(x, dt_gain, live, act, tau1, tau2):
     if (live & (np.abs(den) < _RECOVER_TOL)).any():
         raise InfeasibleFrameError("control recovery denominator vanished")
     delta = np.divide(x * tau2, den, out=np.zeros(live.shape), where=live)
-    return (act + delta).clip(0.0, 1.0)
+    return _unit_clamp(act + delta)
 
 
 def _kernel_args(inp: InverseInputs):

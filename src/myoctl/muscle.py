@@ -11,7 +11,9 @@ Total tension is affine in the activation level::
     gain  = -f0 * FL(L) * FV(V)
     bias  = -f0 * FP(L)
 
-Forces are negative by convention: muscles only pull.
+Forces are negative by convention: muscles only pull. A plant evaluates
+``gain`` and ``bias`` for all of its actuators at once, on the same curve
+kernels (``myoctl.plant._gain_bias``).
 """
 
 from __future__ import annotations
@@ -26,13 +28,9 @@ __all__ = [
     "MuscleParams",
     "MuscleGeometry",
     "calibrate_geometry",
-    "normalized_state",
     "fl_curve",
     "fv_curve",
     "fp_curve",
-    "flv_curves",
-    "gain_bias",
-    "actuator_force",
 ]
 
 _TINY = 1e-12
@@ -174,18 +172,42 @@ def _collapse(x: np.ndarray):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def normalized_state(actuator_length, actuator_velocity, geom: MuscleGeometry):
-    """Normalize actuator length and velocity by the muscle geometry.
+def _floats(*values):
+    """Each argument as a float array."""
+    return tuple(np.asarray(v, dtype=float) for v in values)
 
-    Returns ``((length - lt) / l0, velocity / l0)``. Any real input is
-    accepted; the force curves clamp out-of-range values downstream.
+
+# Each curve is a derivation of constants from its parameters plus a kernel
+# that takes a normalized state and those constants. The public curves run
+# both on float arrays; a plant derives its constants once and calls the
+# kernels directly (``myoctl.plant._gain_bias``). The kernels use no
+# ``np.where``: each piece is a polynomial in a scaled distance that
+# ``np.minimum``/``np.maximum`` clamp to the piece's own interval, so a point
+# past a breakpoint sees the neighbouring piece's end value. They divide by
+# widths rather than multiply by reciprocals: it costs the same and keeps
+# ratios such as ``vmax / vmax`` exactly 1.
+
+
+def _fl_constants(lmin, lmax):
+    """Half-widths of the force-length bump below and above ``L = 1``."""
+    return 0.5 * (1.0 - lmin), 0.5 * (lmax - 1.0)
+
+
+def _fl(length, lmin, lmax, half_lo, half_hi):
+    """Force-length kernel: :func:`fl_curve` from :func:`_fl_constants`.
+
+    With ``near`` the distance from the peak at 1 and ``far`` the distance
+    from the nearer support edge, both in half-widths and clamped to
+    ``[0, 1]``, the curve is ``(far^2 + 1 - near^2) / 2``: ``1 - near^2/2``
+    between the breakpoints (``far = 1``), ``far^2/2`` outside them
+    (``near = 1``). ``far`` is measured from the edge itself, so it is exactly
+    0 at and beyond ``lmin`` and ``lmax``, where the curve is exactly 0; at
+    ``L = 1``, ``near`` is exactly 0 and the curve exactly 1.
     """
-    length = np.asarray(actuator_length, dtype=float)
-    velocity = np.asarray(actuator_velocity, dtype=float)
-    return (
-        _collapse((length - geom.lt) / geom.l0),
-        _collapse(velocity / geom.l0),
-    )
+    near = np.minimum(np.maximum((1.0 - length) / half_lo, (length - 1.0) / half_hi), 1.0)
+    far = np.minimum((length - lmin) / half_lo, (lmax - length) / half_hi)
+    far = np.maximum(np.minimum(far, 1.0), 0.0)
+    return 0.5 * (far * far + (1.0 - near * near))
 
 
 def fl_curve(norm_len, lmin, lmax):
@@ -195,30 +217,28 @@ def fl_curve(norm_len, lmin, lmax):
     endpoints, rising through half-interval breakpoints to 1 at ``L = 1``,
     with a symmetric quadratic descent.
     """
-    length = np.asarray(norm_len, dtype=float)
-    lmin = np.asarray(lmin, dtype=float)
-    lmax = np.asarray(lmax, dtype=float)
-    mid = 1.0
-    left = 0.5 * (lmin + mid)
-    right = 0.5 * (mid + lmax)
-    t_lo = (length - lmin) / (left - lmin)
-    t_up = (mid - length) / (mid - left)
-    t_dn = (length - mid) / (right - mid)
-    t_hi = (lmax - length) / (lmax - right)
-    out = np.where(
-        (length <= lmin) | (length >= lmax),
-        0.0,
-        np.where(
-            length < left,
-            0.5 * t_lo * t_lo,
-            np.where(
-                length < mid,
-                1.0 - 0.5 * t_up * t_up,
-                np.where(length < right, 1.0 - 0.5 * t_dn * t_dn, 0.5 * t_hi * t_hi),
-            ),
-        ),
-    )
-    return _collapse(out)
+    length, lmin, lmax = _floats(norm_len, lmin, lmax)
+    return _collapse(_fl(length, lmin, lmax, *_fl_constants(lmin, lmax)))
+
+
+def _fv_constants(fvmax):
+    """The eccentric rise ``fvmax - 1`` and the same floored at a tiny width."""
+    rise = fvmax - 1.0
+    return rise, np.maximum(rise, _TINY)
+
+
+def _fv(vel, vmax, rise, rise_width):
+    """Force-velocity kernel: :func:`fv_curve` from :func:`_fv_constants`.
+
+    With ``v = vel / vmax``, the concentric factor ``a = v + 1`` and the
+    eccentric fraction ``w = v / rise``, both clamped to ``[0, 1]``, the
+    curve is ``a^2 + rise * w * (2 - w)``: exactly 0 for ``v <= -1``, exactly
+    1 at ``v = 0`` and ``1 + rise`` from the plateau start ``v = rise`` on.
+    """
+    v = vel / vmax
+    a = np.minimum(np.maximum(v + 1.0, 0.0), 1.0)
+    w = np.minimum(np.maximum(v / rise_width, 0.0), 1.0)
+    return a * a + rise * (w * (2.0 - w))
 
 
 def fv_curve(norm_vel, vmax, fvmax):
@@ -228,20 +248,26 @@ def fv_curve(norm_vel, vmax, fvmax):
     velocity, then a quadratic rise to the eccentric plateau ``fvmax``
     reached at lengthening velocity ``vmax * (fvmax - 1)``.
     """
-    v = np.asarray(norm_vel, dtype=float) / np.asarray(vmax, dtype=float)
-    fvmax = np.asarray(fvmax, dtype=float)
-    y = fvmax - 1.0
-    y_safe = np.maximum(y, _TINY)
-    out = np.where(
-        v <= -1.0,
-        0.0,
-        np.where(
-            v <= 0.0,
-            (v + 1.0) * (v + 1.0),
-            np.where(v <= y, fvmax - (y - v) * (y - v) / y_safe, fvmax),
-        ),
-    )
-    return _collapse(out)
+    vel, vmax, fvmax = _floats(norm_vel, vmax, fvmax)
+    return _collapse(_fv(vel, vmax, *_fv_constants(fvmax)))
+
+
+def _fp_constants(lmax, fpmax):
+    """``(max(b - 1, tiny), fpmax / 4)`` with midpoint ``b = (1 + lmax) / 2``."""
+    b = 0.5 * (1.0 + lmax)
+    return np.maximum(b - 1.0, _TINY), 0.25 * fpmax
+
+
+def _fp(length, width, quarter_fpmax):
+    """Passive-force kernel: :func:`fp_curve` from :func:`_fp_constants`.
+
+    With ``t = max(L - 1, 0) / (b - 1)`` and ``c = min(t, 1)`` the curve is
+    ``fpmax/4 * (c^3 + 3 (t - c))``: the cubic up to ``b``, then its tangent
+    line. It is exactly 0 for ``L <= 1``.
+    """
+    t = np.maximum(length - 1.0, 0.0) / width
+    c = np.minimum(t, 1.0)
+    return quarter_fpmax * (c * c * c + 3.0 * (t - c))
 
 
 def fp_curve(norm_len, lmax, fpmax):
@@ -251,56 +277,5 @@ def fp_curve(norm_len, lmax, fpmax):
     midpoint ``b = (1 + lmax) / 2``, then linear growth reaching ``fpmax``
     at ``lmax`` and continuing beyond.
     """
-    length = np.asarray(norm_len, dtype=float)
-    lmax = np.asarray(lmax, dtype=float)
-    fpmax = np.asarray(fpmax, dtype=float)
-    b = 0.5 * (1.0 + lmax)
-    denom = np.maximum(b - 1.0, _TINY)
-    t = (length - 1.0) / denom
-    t2 = (length - b) / denom
-    out = np.where(
-        length <= 1.0,
-        0.0,
-        np.where(length <= b, 0.25 * fpmax * t * t * t, 0.25 * fpmax * (1.0 + 3.0 * t2)),
-    )
-    return _collapse(out)
-
-
-def flv_curves(norm_len, norm_vel, params: MuscleParams):
-    """Evaluate the three force curves at a normalized state.
-
-    Returns ``(FL, FV, FP)`` with ``FL in [0, 1]``, ``FV in [0, fvmax]``
-    and ``FP >= 0``; all three are continuous in their arguments.
-    """
-    return (
-        fl_curve(norm_len, params.lmin, params.lmax),
-        fv_curve(norm_vel, params.vmax, params.fvmax),
-        fp_curve(norm_len, params.lmax, params.fpmax),
-    )
-
-
-def gain_bias(norm_len, norm_vel, geom: MuscleGeometry, params: MuscleParams):
-    """Affine force decomposition at a normalized state.
-
-    Returns ``(gain, bias)`` in newtons with ``gain = -f0 * FL * FV`` and
-    ``bias = -f0 * FP``; both are non-positive.
-    """
-    fl, fv, fp = flv_curves(norm_len, norm_vel, params)
-    gain = -geom.f0 * np.asarray(fl) * np.asarray(fv)
-    bias = -geom.f0 * np.asarray(fp)
-    return _collapse(gain), _collapse(bias)
-
-
-def actuator_force(norm_len, norm_vel, act, geom: MuscleGeometry, params: MuscleParams):
-    """Tension produced at a normalized state and activation level.
-
-    ``force = gain * act + bias``, always non-positive.
-
-    Raises:
-        ValueError: if ``act`` lies outside ``[0, 1]``.
-    """
-    act = np.asarray(act, dtype=float)
-    if np.any(act < 0.0) or np.any(act > 1.0):
-        raise ValueError("activation must lie in [0, 1]")
-    gain, bias = gain_bias(norm_len, norm_vel, geom, params)
-    return _collapse(np.asarray(gain) * act + np.asarray(bias))
+    length, lmax, fpmax = _floats(norm_len, lmax, fpmax)
+    return _collapse(_fp(length, *_fp_constants(lmax, fpmax)))

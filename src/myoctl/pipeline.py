@@ -71,12 +71,18 @@ class ConfigurationError(ValueError):
     """Raised when a session does not fit the plant it is processed with."""
 
 
+def _repeated(names: tuple[str, ...]) -> list[str]:
+    """The names that occur more than once, sorted."""
+    return sorted({name for name in names if names.count(name) > 1})
+
+
 @dataclass(eq=False)
 class Session:
     """Named traces at a fixed sample rate.
 
     ``data`` is channel-major, ``(nchannels, nframes)``, stored as float32
-    (the wire format) so write/read round trips are exact.
+    (the wire format) so write/read round trips are exact. Channel names
+    must be distinct: a ``ValueError`` names any that repeat.
     """
 
     id: str
@@ -88,6 +94,9 @@ class Session:
 
     def __post_init__(self) -> None:
         self.channel_names = tuple(self.channel_names)
+        repeated = _repeated(self.channel_names)
+        if repeated:
+            raise ValueError(f"channel_names repeats the names {repeated}")
         self.data = np.ascontiguousarray(np.atleast_2d(self.data), dtype=np.float32)
         if self.units is None:
             self.units = ("1",) * len(self.channel_names)
@@ -186,7 +195,7 @@ def read_session(path) -> Session:
         frames = _header_count(header, "frames", minimum=0)
         channels = header["channels"]
         names = tuple(entry["name"] for entry in channels)
-        repeated = sorted({name for name in names if names.count(name) > 1})
+        repeated = _repeated(names)
         if repeated:
             raise ValueError(f"'channels' repeats the names {repeated}")
         units = tuple(entry.get("units", "1") for entry in channels)

@@ -24,12 +24,19 @@ from pathlib import Path
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-# The step calls the unchecked kernel. bench/spans.py patches step_activation
-# in this module, so the name must stay importable here.
+# The step calls the unchecked kernels. bench/spans.py patches
+# step_activation and the public curves in this module, so those names must
+# stay importable here.
 from .activation import _step_activation, step_activation  # noqa: F401
-from .muscle import (
+from .muscle import (  # noqa: F401
     MuscleGeometry,
     MuscleParams,
+    _fl,
+    _fl_constants,
+    _fp,
+    _fp_constants,
+    _fv,
+    _fv_constants,
     calibrate_geometry,
     fl_curve,
     fp_curve,
@@ -68,7 +75,9 @@ class PlantFormatError(ValueError):
 
 @dataclass(frozen=True)
 class _MuscleArrays:
-    """Per-actuator parameters stacked for vectorized evaluation."""
+    """Per-actuator parameters stacked for vectorized evaluation, and the
+    constants the curve kernels derive from them (``fl_*``, ``fv_*``,
+    ``fp_*``), computed once per plant as the public curves compute them."""
 
     l0: np.ndarray
     lt: np.ndarray
@@ -76,11 +85,15 @@ class _MuscleArrays:
     lmin: np.ndarray
     lmax: np.ndarray
     vmax: np.ndarray
-    fpmax: np.ndarray
-    fvmax: np.ndarray
     tau_act: np.ndarray
     tau_deact: np.ndarray
     tau_smooth: np.ndarray
+    fl_half_lo: np.ndarray
+    fl_half_hi: np.ndarray
+    fv_rise: np.ndarray
+    fv_rise_width: np.ndarray
+    fp_width: np.ndarray
+    fp_quarter: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,18 +168,30 @@ class Plant:
 
     @cached_property
     def _muscle(self) -> _MuscleArrays:
+        def stack(records, attr):
+            return np.array([getattr(r, attr) for r in records])
+
+        p, g = self.params, self.geometry
+        lmin, lmax = stack(p, "lmin"), stack(p, "lmax")
+        fl_half_lo, fl_half_hi = _fl_constants(lmin, lmax)
+        fv_rise, fv_rise_width = _fv_constants(stack(p, "fvmax"))
+        fp_width, fp_quarter = _fp_constants(lmax, stack(p, "fpmax"))
         return _MuscleArrays(
-            l0=np.array([g.l0 for g in self.geometry]),
-            lt=np.array([g.lt for g in self.geometry]),
-            f0=np.array([g.f0 for g in self.geometry]),
-            lmin=np.array([p.lmin for p in self.params]),
-            lmax=np.array([p.lmax for p in self.params]),
-            vmax=np.array([p.vmax for p in self.params]),
-            fpmax=np.array([p.fpmax for p in self.params]),
-            fvmax=np.array([p.fvmax for p in self.params]),
-            tau_act=np.array([p.tau_act for p in self.params]),
-            tau_deact=np.array([p.tau_deact for p in self.params]),
-            tau_smooth=np.array([p.tau_smooth for p in self.params]),
+            l0=stack(g, "l0"),
+            lt=stack(g, "lt"),
+            f0=stack(g, "f0"),
+            lmin=lmin,
+            lmax=lmax,
+            vmax=stack(p, "vmax"),
+            tau_act=stack(p, "tau_act"),
+            tau_deact=stack(p, "tau_deact"),
+            tau_smooth=stack(p, "tau_smooth"),
+            fl_half_lo=fl_half_lo,
+            fl_half_hi=fl_half_hi,
+            fv_rise=fv_rise,
+            fv_rise_width=fv_rise_width,
+            fp_width=fp_width,
+            fp_quarter=fp_quarter,
         )
 
 
@@ -198,7 +223,7 @@ def rest_state(plant: Plant) -> PlantState:
 
 def _tendon_kinematics(plant: Plant, q: np.ndarray, qdot: np.ndarray):
     lengths = plant.length_offsets - q @ plant.moment_arms
-    if np.any(lengths <= 0.0):
+    if (lengths <= 0.0).any():
         where = np.unravel_index(int(np.argmin(lengths)), lengths.shape)
         name = plant.actuator_names[where[-1]]
         at = f"frame {where[0]}" if lengths.ndim == 2 else "this pose"
@@ -221,15 +246,25 @@ def tendon_kinematics(plant: Plant, q, qdot):
 
 
 def _normalized(plant: Plant, lengths, velocities):
+    """Muscle length and velocity in optimal lengths: ``((l - lt) / l0, v / l0)``."""
     m = plant._muscle
     return (lengths - m.lt) / m.l0, velocities / m.l0
 
 
 def _gain_bias(plant: Plant, norm_len, norm_vel):
+    """Affine force decomposition ``(gain, bias)`` at a normalized state.
+
+    ``gain = -f0 * FL * FV`` and ``bias = -f0 * FP``, both non-positive,
+    for inputs of shape ``(..., nactuators)``. It runs the kernels of
+    :func:`~myoctl.muscle.fl_curve`, :func:`~myoctl.muscle.fv_curve` and
+    :func:`~myoctl.muscle.fp_curve` on the plant's cached constants; the
+    forward step and the inversion both evaluate forces through it.
+    """
     m = plant._muscle
-    gain = -m.f0 * fl_curve(norm_len, m.lmin, m.lmax) * fv_curve(norm_vel, m.vmax, m.fvmax)
-    bias = -m.f0 * fp_curve(norm_len, m.lmax, m.fpmax)
-    return gain, bias
+    fl = _fl(norm_len, m.lmin, m.lmax, m.fl_half_lo, m.fl_half_hi)
+    fv = _fv(norm_vel, m.vmax, m.fv_rise, m.fv_rise_width)
+    fp = _fp(norm_len, m.fp_width, m.fp_quarter)
+    return -m.f0 * fl * fv, -m.f0 * fp
 
 
 def inverse_dynamics(plant: Plant, q, qdot, qddot):
@@ -263,25 +298,29 @@ def _check_step_args(ctrl, dt: float) -> np.ndarray:
 def _step(plant: Plant, q, qdot, act, ctrl, dt: float):
     """One semi-implicit Euler step on float arrays; arguments are not checked.
 
-    Returns ``(q, qdot, act)`` after the step.
+    Returns ``(q, qdot, act)`` after the step. The activation advances
+    first, the muscle forces are evaluated at the pre-step pose with the new
+    activation (:func:`_gain_bias` on the plant's cached constants), then
+    the velocity update precedes the position update. A non-finite velocity
+    always makes the new position non-finite (``dt > 0``), so checking the
+    position covers both.
 
     Callers suppress numpy's overflow and invalid-value warnings, so that
     a diverging state surfaces as the named :class:`PlantError`.
 
     Raises:
-        PlantError: if a tendon length is non-positive or the state goes
-            non-finite.
+        PlantError: if a tendon length is non-positive (naming the tendon)
+            or the state goes non-finite.
     """
     m = plant._muscle
     norm_len, norm_vel = _normalized(plant, *_tendon_kinematics(plant, q, qdot))
     act_next = _step_activation(act, ctrl, dt, m.tau_act, m.tau_deact, m.tau_smooth)
     gain, bias = _gain_bias(plant, norm_len, norm_vel)
-    force = gain * act_next + bias
-    torque = plant.moment_arms @ force
+    torque = plant.moment_arms @ (gain * act_next + bias)
     qddot = (torque - plant.damping * qdot - plant.gravity * np.sin(q)) / plant.inertia
     qdot_next = qdot + dt * qddot
     q_next = q + dt * qdot_next
-    if not (np.isfinite(q_next).all() and np.isfinite(qdot_next).all()):
+    if not np.isfinite(q_next).all():
         raise PlantError("simulation diverged to a non-finite state")
     return q_next, qdot_next, act_next
 

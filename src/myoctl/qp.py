@@ -67,9 +67,14 @@ class QpDiagnostics:
     objective: float
 
 
+def _clamp(x, lb, ub):
+    # Same values as x.clip(lb, ub), without clip's Python-level dispatch.
+    return np.minimum(np.maximum(x, lb), ub)
+
+
 def _kkt_residual(A, b, lb, ub, x) -> float:
     grad = A.T @ (A @ x - b)
-    return float(np.abs(x - (x - grad).clip(lb, ub)).max(initial=0.0))
+    return float(np.abs(x - _clamp(x - grad, lb, ub)).max(initial=0.0))
 
 
 def kkt_residual(problem: BoxQp, x: np.ndarray) -> float:
@@ -154,7 +159,7 @@ class BvlsSolver:
         live = lb < ub
         if live.all():
             x, iterations = self._bvls(A, b, lb, ub, None, tol, max_iter)
-            x = x.clip(lb, ub)
+            x = _clamp(x, lb, ub)
         else:
             x, iterations = lb.copy(), 0
             if live.any():
@@ -164,7 +169,7 @@ class BvlsSolver:
                 x_live, iterations = self._bvls(
                     A[:, cols], b_live, lb[cols], ub[cols], cols, tol, max_iter
                 )
-                x[cols] = x_live.clip(lb[cols], ub[cols])
+                x[cols] = _clamp(x_live, lb[cols], ub[cols])
         return x, iterations, _kkt_residual(A, b, lb, ub, x) <= tol
 
     def _bvls(self, A, b, lb, ub, cols, tol, max_iter):
@@ -181,7 +186,7 @@ class BvlsSolver:
         if ((x >= lb) & (x <= ub)).all():
             return x, 0
         on_bound = np.where(x >= ub, 1.0, np.where(x <= lb, -1.0, 0.0))
-        x = x.clip(lb, ub)
+        x = _clamp(x, lb, ub)
 
         # Initialization: least squares on the free variables, sending
         # violators to their bounds, until the free solution is feasible.
@@ -192,7 +197,7 @@ class BvlsSolver:
             idx = np.flatnonzero(free)
             z = self._subproblem(free, cols, b - A @ (x * ~free))
             side = np.where(z < lb[idx], -1.0, np.where(z > ub[idx], 1.0, 0.0))
-            x[idx] = z.clip(lb[idx], ub[idx])
+            x[idx] = _clamp(z, lb[idx], ub[idx])
             on_bound[idx] = side
             if not side.any():
                 break

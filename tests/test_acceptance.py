@@ -13,7 +13,7 @@ from scipy.linalg import cholesky, solve_triangular
 from myoctl.activation import smoothstep, step_activation, time_constant
 from myoctl.cli import parse_args, run
 from myoctl.inverse import roundtrip
-from myoctl.muscle import MuscleParams, flv_curves
+from myoctl.muscle import MuscleParams, fl_curve, fp_curve, fv_curve
 from myoctl.plant import (
     make_fixture,
     rest_state,
@@ -162,23 +162,24 @@ def test_criterion_5_activation_dynamics():
 
 def test_criterion_6_flv_contract():
     params = MuscleParams()
-    assert flv_curves(1.0, 0.0, params)[0] == 1.0
-    assert flv_curves(1.0, 0.0, params)[1] == 1.0
+    assert fl_curve(1.0, params.lmin, params.lmax) == 1.0
+    assert fv_curve(0.0, params.vmax, params.fvmax) == 1.0
     grid_low = np.linspace(0.0, 1.0, 501)
-    assert np.all(np.asarray(flv_curves(grid_low, 0.0, params)[2]) == 0.0)
+    assert np.all(np.asarray(fp_curve(grid_low, params.lmax, params.fpmax)) == 0.0)
     outside = np.concatenate(
         [np.linspace(params.lmin - 1.0, params.lmin, 200),
          np.linspace(params.lmax, params.lmax + 1.0, 200)]
     )
-    assert np.all(np.asarray(flv_curves(outside, 0.0, params)[0]) == 0.0)
-    assert flv_curves(params.lmax, 0.0, params)[2] == pytest.approx(params.fpmax)
+    assert np.all(np.asarray(fl_curve(outside, params.lmin, params.lmax)) == 0.0)
+    assert fp_curve(params.lmax, params.lmax, params.fpmax) == pytest.approx(params.fpmax)
 
     h = 1e-4
     bound = 10.0 * h * 20.0
     lgrid = np.arange(params.lmin - 0.5, params.lmax + 0.5, h)
-    fl, _, fp = flv_curves(lgrid, 0.0, params)
+    fl = fl_curve(lgrid, params.lmin, params.lmax)
+    fp = fp_curve(lgrid, params.lmax, params.fpmax)
     vgrid = np.arange(-2 * params.vmax, 2 * params.vmax, h)
-    fv = np.asarray(flv_curves(1.0, vgrid, params)[1])
+    fv = np.asarray(fv_curve(vgrid, params.vmax, params.fvmax))
     assert np.abs(np.diff(fl)).max() < bound
     assert np.abs(np.diff(fp)).max() < bound
     assert np.abs(np.diff(fv)).max() < bound

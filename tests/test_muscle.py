@@ -1,18 +1,71 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from myoctl.activation import step_activation
 from myoctl.muscle import (
     CalibrationError,
     MuscleGeometry,
     MuscleParams,
-    actuator_force,
+    _fl,
+    _fl_constants,
+    _fp,
+    _fp_constants,
+    _fv,
+    _fv_constants,
     calibrate_geometry,
-    flv_curves,
-    gain_bias,
-    normalized_state,
+    fl_curve,
+    fp_curve,
+    fv_curve,
 )
+from myoctl.plant import PlantError, PlantState, _gain_bias, _normalized, make_fixture
+
+
+def plant_with(geom, params=MuscleParams()):
+    """The toy finger with every actuator given ``geom`` and ``params``."""
+    base = make_fixture("toy_finger")
+    n = base.nactuators
+    return dataclasses.replace(base, params=(params,) * n, geometry=(geom,) * n)
+
+
+def flv(norm_len, norm_vel, p):
+    """``(FL, FV, FP)`` from the public curves."""
+    return (
+        fl_curve(norm_len, p.lmin, p.lmax),
+        fv_curve(norm_vel, p.vmax, p.fvmax),
+        fp_curve(norm_len, p.lmax, p.fpmax),
+    )
+
+
+def piecewise_reference(norm_len, norm_vel, p):
+    """``(FL, FV, FP)`` written branch by branch, as the curves are defined."""
+    length, v = np.asarray(norm_len, dtype=float), np.asarray(norm_vel, dtype=float) / p.vmax
+    left, right = 0.5 * (p.lmin + 1.0), 0.5 * (1.0 + p.lmax)
+    fl = np.select(
+        [(length <= p.lmin) | (length >= p.lmax), length < left, length < 1.0, length < right],
+        [0.0,
+         0.5 * ((length - p.lmin) / (left - p.lmin)) ** 2,
+         1.0 - 0.5 * ((1.0 - length) / (1.0 - left)) ** 2,
+         1.0 - 0.5 * ((length - 1.0) / (right - 1.0)) ** 2],
+        0.5 * ((p.lmax - length) / (p.lmax - right)) ** 2,
+    )
+    y = p.fvmax - 1.0
+    fv = np.select(
+        [v <= -1.0, v <= 0.0, v <= y],
+        [0.0, (v + 1.0) ** 2, p.fvmax - (y - v) ** 2 / max(y, 1e-12)],
+        p.fvmax,
+    )
+    b = 0.5 * (1.0 + p.lmax)
+    t = (length - 1.0) / (b - 1.0)
+    fp = np.select(
+        [length <= 1.0, length <= b],
+        [0.0, 0.25 * p.fpmax * t**3],
+        0.25 * p.fpmax * (1.0 + 3.0 * (length - b) / (b - 1.0)),
+    )
+    return fl, fv, fp
 
 
 class TestCalibration:
@@ -70,62 +123,67 @@ class TestCalibration:
 
 
 class TestNormalizedState:
+    geom = MuscleGeometry(l0=0.2, lt=0.15, f0=1.0)
+
+    def normalized(self, length, velocity):
+        n = 4
+        return _normalized(plant_with(self.geom), np.full(n, length), np.full(n, velocity))
+
     def test_optimal_length(self):
-        geom = MuscleGeometry(l0=0.2, lt=0.15, f0=1.0)
-        norm_len, norm_vel = normalized_state(geom.lt + geom.l0, 0.0, geom)
-        assert norm_len == pytest.approx(1.0)
-        assert norm_vel == 0.0
+        norm_len, norm_vel = self.normalized(self.geom.lt + self.geom.l0, 0.0)
+        assert norm_len == pytest.approx(np.ones(4))
+        assert np.all(norm_vel == 0.0)
 
     def test_direct_substitution(self):
-        geom = MuscleGeometry(l0=0.2, lt=0.15, f0=1.0)
-        norm_len, norm_vel = normalized_state(0.33, 0.02, geom)
-        assert norm_len == pytest.approx(0.9)
-        assert norm_vel == pytest.approx(0.1)
+        norm_len, norm_vel = self.normalized(0.33, 0.02)
+        assert norm_len == pytest.approx(np.full(4, 0.9))
+        assert norm_vel == pytest.approx(np.full(4, 0.1))
 
     def test_zero_muscle_length(self):
         geom = MuscleGeometry(l0=0.5, lt=0.2, f0=1.0)
-        norm_len, norm_vel = normalized_state(geom.lt, 0.3, geom)
-        assert norm_len == 0.0
-        assert norm_vel == pytest.approx(0.3 / 0.5)
+        norm_len, norm_vel = _normalized(plant_with(geom), np.full(4, geom.lt), np.full(4, 0.3))
+        assert np.all(norm_len == 0.0)
+        assert norm_vel == pytest.approx(np.full(4, 0.3 / 0.5))
 
 
 class TestCurves:
     params = MuscleParams()
 
     def test_normalization_at_optimum(self):
-        fl, fv, fp = flv_curves(1.0, 0.0, self.params)
+        fl, fv, fp = flv(1.0, 0.0, self.params)
         assert (fl, fv, fp) == (1.0, 1.0, 0.0)
 
     def test_active_curve_vanishes_at_knots(self):
-        assert flv_curves(self.params.lmin, 0.0, self.params)[0] == 0.0
-        assert flv_curves(self.params.lmax, 0.0, self.params)[0] == 0.0
+        p = self.params
+        assert fl_curve(p.lmin, p.lmin, p.lmax) == 0.0
+        assert fl_curve(p.lmax, p.lmin, p.lmax) == 0.0
 
     def test_passive_curve_reaches_fpmax(self):
-        assert flv_curves(self.params.lmax, 0.0, self.params)[2] == pytest.approx(
-            self.params.fpmax
-        )
+        p = self.params
+        assert fp_curve(p.lmax, p.lmax, p.fpmax) == pytest.approx(p.fpmax)
 
     def test_shortening_cutoff(self):
-        for vel in (-self.params.vmax, -1.5 * self.params.vmax, -10.0):
-            assert flv_curves(1.0, vel, self.params)[1] == 0.0
+        p = self.params
+        for vel in (-p.vmax, -1.5 * p.vmax, -10.0):
+            assert fv_curve(vel, p.vmax, p.fvmax) == 0.0
 
     def test_curve_supports(self):
         p = self.params
         grid = np.linspace(p.lmin - 0.5, p.lmax + 0.5, 2001)
-        fl = np.asarray(flv_curves(grid, 0.0, p)[0])
+        fl = np.asarray(fl_curve(grid, p.lmin, p.lmax))
         assert np.all(fl[(grid <= p.lmin) | (grid >= p.lmax)] == 0.0)
         assert np.all((fl >= 0.0) & (fl <= 1.0))
-        fp = np.asarray(flv_curves(grid, 0.0, p)[2])
+        fp = np.asarray(fp_curve(grid, p.lmax, p.fpmax))
         assert np.all(fp[grid <= 1.0] == 0.0)
         assert np.all(fp >= 0.0)
 
     def test_velocity_curve_plateau_and_monotone(self):
         p = self.params
         plateau_start = p.vmax * (p.fvmax - 1.0)
-        assert flv_curves(1.0, plateau_start, p)[1] == pytest.approx(p.fvmax)
-        assert flv_curves(1.0, 10.0 * p.vmax, p)[1] == p.fvmax
+        assert fv_curve(plateau_start, p.vmax, p.fvmax) == pytest.approx(p.fvmax)
+        assert fv_curve(10.0 * p.vmax, p.vmax, p.fvmax) == p.fvmax
         grid = np.linspace(-2 * p.vmax, 2 * p.vmax, 4001)
-        fv = np.asarray(flv_curves(1.0, grid, p)[1])
+        fv = np.asarray(fv_curve(grid, p.vmax, p.fvmax))
         assert np.all(np.diff(fv) >= -1e-15)
         assert np.all((fv >= 0.0) & (fv <= p.fvmax + 1e-15))
 
@@ -136,58 +194,128 @@ class TestCurves:
         h = 1e-4
         bound = 10.0 * h * 20.0
         lgrid = np.arange(p.lmin - 0.5, p.lmax + 0.5, h)
-        fl, _, fp = flv_curves(lgrid, 0.0, p)
+        fl, _, fp = flv(lgrid, 0.0, p)
         assert np.abs(np.diff(fl)).max() < bound
         assert np.abs(np.diff(fp)).max() < bound
         vgrid = np.arange(-2 * p.vmax, 2 * p.vmax, h)
-        fv = np.asarray(flv_curves(1.0, vgrid, p)[1])
+        fv = np.asarray(fv_curve(vgrid, p.vmax, p.fvmax))
         assert np.abs(np.diff(fv)).max() < bound
+
+
+valid_params = st.builds(
+    MuscleParams,
+    lmin=st.floats(0.05, 0.95),
+    lmax=st.floats(1.05, 3.0),
+    vmax=st.floats(0.1, 10.0),
+    fpmax=st.floats(0.0, 5.0),
+    fvmax=st.one_of(st.just(1.0), st.floats(1.0, 2.5)),
+)
+
+
+class TestKernels:
+    """The lean kernels against the public curves and the piecewise definition."""
+
+    @given(p=valid_params)
+    @settings(max_examples=200, deadline=None)
+    def test_kernels_on_derived_constants_match_the_public_curves(self, p):
+        lgrid = np.linspace(p.lmin - 0.5, p.lmax + 0.5, 1001)
+        vgrid = np.linspace(-2.0 * p.vmax, 2.0 * p.vmax, 1001)
+        fl = _fl(lgrid, p.lmin, p.lmax, *_fl_constants(p.lmin, p.lmax))
+        fv = _fv(vgrid, p.vmax, *_fv_constants(p.fvmax))
+        fp = _fp(lgrid, *_fp_constants(p.lmax, p.fpmax))
+        assert np.array_equal(fl, fl_curve(lgrid, p.lmin, p.lmax))
+        assert np.array_equal(fv, fv_curve(vgrid, p.vmax, p.fvmax))
+        assert np.array_equal(fp, fp_curve(lgrid, p.lmax, p.fpmax))
+        ref_fl, _, ref_fp = piecewise_reference(lgrid, 0.0, p)
+        ref_fv = piecewise_reference(1.0, vgrid, p)[1]
+        np.testing.assert_allclose(fl, ref_fl, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(fv, ref_fv, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(fp, ref_fp, rtol=1e-12, atol=1e-12)
+
+    @given(p=valid_params)
+    @settings(max_examples=200, deadline=None)
+    def test_exact_values_hold_for_every_parameter_set(self, p):
+        assert fl_curve(1.0, p.lmin, p.lmax) == 1.0
+        assert fv_curve(0.0, p.vmax, p.fvmax) == 1.0
+        outside = np.concatenate([np.linspace(p.lmin - 1.0, p.lmin, 200),
+                                  np.linspace(p.lmax, p.lmax + 1.0, 200)])
+        assert np.all(np.asarray(fl_curve(outside, p.lmin, p.lmax)) == 0.0)
+        assert np.all(np.asarray(fp_curve(np.linspace(0.0, 1.0, 501), p.lmax, p.fpmax)) == 0.0)
+        assert np.all(np.asarray(fv_curve(np.linspace(-3.0, -1.0, 50) * p.vmax,
+                                          p.vmax, p.fvmax)) == 0.0)
+
+    @given(p=valid_params, data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_plant_gain_bias_is_the_public_curves(self, p, data):
+        geom = MuscleGeometry(l0=0.2, lt=0.15, f0=data.draw(st.floats(0.1, 100.0)))
+        plant = plant_with(geom, p)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        norm_len = rng.uniform(p.lmin - 0.5, p.lmax + 0.5, (50, 4))
+        norm_vel = rng.uniform(-2.0 * p.vmax, 2.0 * p.vmax, (50, 4))
+        gain, bias = _gain_bias(plant, norm_len, norm_vel)
+        fl, fv, fp = flv(norm_len, norm_vel, p)
+        assert np.array_equal(gain, -geom.f0 * fl * fv)
+        assert np.array_equal(bias, -geom.f0 * fp)
 
 
 class TestGainBias:
     params = MuscleParams()
-    geom = MuscleGeometry(l0=1.0, lt=0.0, f0=2.0)
+    plant = plant_with(MuscleGeometry(l0=1.0, lt=0.0, f0=2.0), params)
+
+    def gain_bias(self, norm_len, norm_vel):
+        return _gain_bias(self.plant, np.full(4, norm_len), np.full(4, norm_vel))
 
     def test_optimum(self):
-        gain, bias = gain_bias(1.0, 0.0, self.geom, self.params)
-        assert gain == pytest.approx(-2.0)
-        assert bias == 0.0
+        gain, bias = self.gain_bias(1.0, 0.0)
+        assert gain == pytest.approx(np.full(4, -2.0))
+        assert np.all(bias == 0.0)
 
     def test_zero_gain_outside_active_range(self):
-        gain, _ = gain_bias(self.params.lmin, 0.0, self.geom, self.params)
-        assert gain == 0.0
+        gain, _ = self.gain_bias(self.params.lmin, 0.0)
+        assert np.all(gain == 0.0)
 
     def test_passive_bias_at_lmax(self):
-        _, bias = gain_bias(self.params.lmax, 0.0, self.geom, self.params)
-        assert bias == pytest.approx(-2.0 * self.params.fpmax)  # -2.6 with fpmax 1.3
+        _, bias = self.gain_bias(self.params.lmax, 0.0)
+        assert bias == pytest.approx(np.full(4, -2.0 * self.params.fpmax))  # -2.6 with fpmax 1.3
 
     def test_never_positive(self):
         rng = np.random.default_rng(0)
-        lengths = rng.uniform(0.0, 2.5, 200)
-        vels = rng.uniform(-4.0, 4.0, 200)
-        gain, bias = gain_bias(lengths, vels, self.geom, self.params)
-        assert np.all(np.asarray(gain) <= 0.0)
-        assert np.all(np.asarray(bias) <= 0.0)
+        lengths = rng.uniform(0.0, 2.5, (200, 1))
+        vels = rng.uniform(-4.0, 4.0, (200, 1))
+        gain, bias = _gain_bias(self.plant, lengths, vels)
+        assert gain.shape == bias.shape == (200, 4)
+        assert np.all(gain <= 0.0)
+        assert np.all(bias <= 0.0)
 
 
 class TestActuatorForce:
+    """Tension ``gain * act + bias`` at the plant's gain and bias."""
+
     params = MuscleParams()
-    geom = MuscleGeometry(l0=1.0, lt=0.0, f0=2.0)
+    plant = plant_with(MuscleGeometry(l0=1.0, lt=0.0, f0=2.0), params)
+
+    def force(self, norm_len, norm_vel, act):
+        gain, bias = _gain_bias(self.plant, np.full(4, norm_len), np.full(4, norm_vel))
+        return gain * act + bias
 
     def test_full_activation(self):
-        assert actuator_force(1.0, 0.0, 1.0, self.geom, self.params) == pytest.approx(-2.0)
+        assert self.force(1.0, 0.0, 1.0) == pytest.approx(np.full(4, -2.0))
 
     def test_zero_activation_no_passive(self):
-        assert actuator_force(1.0, 0.0, 0.0, self.geom, self.params) == 0.0
+        assert np.all(self.force(1.0, 0.0, 0.0) == 0.0)
 
     def test_linear_in_activation(self):
-        assert actuator_force(1.0, 0.0, 0.5, self.geom, self.params) == pytest.approx(-1.0)
+        assert self.force(1.0, 0.0, 0.5) == pytest.approx(np.full(4, -1.0))
 
     def test_activation_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            actuator_force(1.0, 0.0, 1.5, self.geom, self.params)
-        with pytest.raises(ValueError):
-            actuator_force(1.0, 0.0, -0.1, self.geom, self.params)
+        # Forces are evaluated at activations from a checked state or from
+        # the activation step, which clamps to [0, 1].
+        q = np.zeros(self.plant.njoints)
+        for act in (1.5, -0.1):
+            with pytest.raises(PlantError, match="activations"):
+                PlantState(q=q, qdot=q, act=np.full(4, act))
+        assert step_activation(0.99, 1.0, 10.0, 0.01, 0.04, 0.005) == 1.0
+        assert step_activation(0.01, 0.0, 10.0, 0.01, 0.04, 0.005) == 0.0
 
     @given(
         norm_len=st.floats(-0.5, 3.0),
@@ -196,10 +324,11 @@ class TestActuatorForce:
     )
     @settings(max_examples=300, deadline=None)
     def test_affine_decomposition_is_exact(self, norm_len, norm_vel, act):
-        gain, bias = gain_bias(norm_len, norm_vel, self.geom, self.params)
-        force = actuator_force(norm_len, norm_vel, act, self.geom, self.params)
-        assert force == gain * act + bias
-        assert force <= 0.0
+        gain, bias = _gain_bias(self.plant, np.full(4, norm_len), np.full(4, norm_vel))
+        fl, fv, fp = flv(norm_len, norm_vel, self.params)
+        force = self.force(norm_len, norm_vel, act)
+        assert np.all(force == -2.0 * fl * fv * act + -2.0 * fp)
+        assert np.all(force <= 0.0)
 
 
 class TestParamValidation:

@@ -171,6 +171,15 @@ class TestProcessSession:
         assert record.status == "failed"
         assert "non-finite" in record.failure_reason
 
+    def test_repeated_channel_names_are_rejected(self, toy_plant):
+        # Mapping by name would take the first 'mcp' and leave 'pip' at zero.
+        with pytest.raises(ValueError, match=r"channel_names repeats the names \['mcp'\]"):
+            process_session(
+                Session(id="dup", rate_hz=500, channel_names=("mcp", "mcp"),
+                        data=np.zeros((2, 50))),
+                toy_plant,
+            )
+
     def test_empty_session_is_a_precondition_error(self, toy_plant):
         empty = Session(
             id="e", rate_hz=2000, channel_names=toy_plant.joint_names,

@@ -6,7 +6,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from myoctl.muscle import CalibrationError, MuscleGeometry, MuscleParams, calibrate_geometry
+from myoctl.activation import step_activation
+from myoctl.muscle import (
+    CalibrationError,
+    MuscleGeometry,
+    MuscleParams,
+    calibrate_geometry,
+    fl_curve,
+    fp_curve,
+    fv_curve,
+)
 from myoctl.plant import (
     Plant,
     PlantError,
@@ -212,6 +221,41 @@ class TestRollout:
             assert np.array_equal(result.qdot[t], state.qdot)
             assert np.array_equal(result.act[t], state.act)
             state = forward_step(plant, state, ctrl[t], 0.002)
+
+    @pytest.mark.parametrize("kind", ["toy_finger", "hand_like"])
+    def test_matches_a_step_built_from_the_public_functions(self, kind):
+        # The same semi-implicit Euler step, written with the checked public
+        # functions and per-call curve parameters instead of the plant's
+        # cached constants and unchecked kernels.
+        plant = make_fixture(kind)
+        dt = 0.002
+        ctrl = smooth_random_controls(plant.nactuators, 1000, dt, 21)
+        result = rollout(plant, rest_state(plant), ctrl, dt)
+
+        def per_actuator(records, attr):
+            return np.array([getattr(r, attr) for r in records])
+
+        p, g = plant.params, plant.geometry
+        l0, lt, f0 = (per_actuator(g, a) for a in ("l0", "lt", "f0"))
+        lmin, lmax, vmax, fvmax, fpmax, tau_act, tau_deact, tau_smooth = (
+            per_actuator(p, a) for a in ("lmin", "lmax", "vmax", "fvmax", "fpmax",
+                                         "tau_act", "tau_deact", "tau_smooth")
+        )
+        q = np.zeros(plant.njoints)
+        qdot = np.zeros(plant.njoints)
+        act = np.zeros(plant.nactuators)
+        for t in range(1000):
+            for logged, expected in ((result.q, q), (result.qdot, qdot), (result.act, act)):
+                np.testing.assert_allclose(logged[t], expected, rtol=0.0, atol=1e-12)
+            lengths, velocities = tendon_kinematics(plant, q, qdot)
+            act = step_activation(act, ctrl[t], dt, tau_act, tau_deact, tau_smooth)
+            norm_len, norm_vel = (lengths - lt) / l0, velocities / l0
+            gain = -f0 * fl_curve(norm_len, lmin, lmax) * fv_curve(norm_vel, vmax, fvmax)
+            bias = -f0 * fp_curve(norm_len, lmax, fpmax)
+            torque = plant.moment_arms @ (gain * act + bias)
+            qddot = (torque - plant.damping * qdot - plant.gravity * np.sin(q)) / plant.inertia
+            qdot = qdot + dt * qddot
+            q = q + dt * qdot
 
     def test_arguments_checked_before_the_first_step(self):
         plant = make_fixture("toy_finger")
