@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -33,6 +34,14 @@ from .plant import (
 from .timeseries import resample
 
 __all__ = ["build_parser", "parse_args", "run", "main"]
+
+
+def _positive_float(text: str) -> float:
+    """An argparse type: a float that is positive and finite."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("--in", dest="input", required=True, help="pose session directory")
     p_inv.add_argument("--out", required=True, help="output session directory")
     p_inv.add_argument("--joint-map", default=None, help="JSON file mapping plant joints to channels")
-    p_inv.add_argument("--fail-threshold", type=float, default=1e-3)
+    p_inv.add_argument("--fail-threshold", type=_positive_float, default=1e-3)
 
     p_rt = sub.add_parser("roundtrip", help="simulate, invert, replay, compare trajectories")
     group = p_rt.add_mutually_exclusive_group()
@@ -67,7 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rt.add_argument("--seed", type=int, default=1)
     p_rt.add_argument("--duration", type=float, default=2.0)
     p_rt.add_argument("--rate", type=int, default=500)
-    p_rt.add_argument("--rmse-tol", type=float, default=1e-2, help="trajectory RMSE bound (rad)")
+    p_rt.add_argument("--rmse-tol", type=_positive_float, default=1e-2,
+                      help="trajectory RMSE bound (rad)")
 
     p_batch = sub.add_parser("batch", help="convert every session in a directory")
     p_batch.add_argument("--in", dest="input", required=True)

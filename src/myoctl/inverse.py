@@ -1,35 +1,35 @@
-"""Per-frame control recovery and trajectory inversion.
+"""Trajectory inversion that reproduces the forward model exactly.
 
-Given a target generalized force, one frame of the muscle actuator equation
-is solved for the control vector by a change of variables: with the
-activation update embedded (``act' = act + dt * (ctrl - act) / tau``) and the
-time constant linearized about zero control error (``tau ~ tau1 * (ctrl -
-act) + tau2``), the force balance becomes linear in
-
-    x = dt * gain * (ctrl - act) / (tau1 * (ctrl - act) + tau2)
-
-which is boxed by the control limits. Each frame is then a bounded linear
+One forward step (:func:`myoctl.plant._step`) advances the activation by
+``act' = f(act, ctrl)``, the simulator's own
+:func:`~myoctl.activation._step_activation`, and then applies the joint
+torque ``moment_arms @ (gain * act' + bias)``. ``f`` is monotone in the
+control, so controls in [0, 1] reach exactly the activations in
+``[f(act, 0), f(act, 1)]``. In the force-space variable ``x = gain * (act' -
+act)`` the force balance is linear, and each frame is a bounded linear
 least-squares problem on the moment-arm matrix, ``min ||moment_arms @ x +
-k||`` over the box, solved by bounded-variable least squares. The control is
-recovered by inverting the substitution and clamping.
+k||`` over the box those bounds give, solved by bounded-variable least
+squares. The next activation is ``act + x / gain``, clamped to its bounds; a
+dead (zero-gain) actuator keeps its activation.
 
-A trajectory is inverted in two passes. Everything that depends only on
-the joint motion (derivatives, tendon kinematics, muscle gain and bias, the
-required generalized force, the activation-free part of each frame's force
-gap and each frame's failure threshold) is computed and checked once on the
-whole ``(nframes, ...)`` arrays. The sequential loop then keeps only what
-depends on the running activation: the frame's box and its guards, one
+A trajectory is inverted in three passes. Everything that depends only on
+the joint motion (the integrator's difference stencils, tendon kinematics,
+muscle gain and bias, the required generalized force, the activation-free
+part of each frame's force gap and each frame's failure threshold) is
+computed and checked once on the whole ``(nframes, ...)`` arrays. The
+sequential loop then keeps only what depends on the running activation,
+which starts from zero: the frame's activation bounds, one
 :func:`~myoctl.qp.solve_box_qp` on a problem made by a
 :class:`~myoctl.qp.BvlsSolver` bound to the moment arms for the whole
 trajectory (so each distinct free set's pseudo-inverse is computed once),
-control recovery, and the activation step through the same smoothed
-filter the forward simulator uses, starting from zero activation, so that
-re-simulation reproduces the inversion's internal state exactly. A
-trajectory fails once more than 1 % of its frames are infeasible.
+and the next activation. A last vectorized bisection on ``f`` recovers every
+frame's control from its pair of activations. Replaying the controls from
+rest therefore reproduces the inversion's activations, and a trajectory the
+forward model produced at the same rate, to round-off. A trajectory fails
+once more than 1 % of its frames are infeasible.
 
-:func:`build_qp`, :func:`recover_ctrl` and :func:`invert_frame` check one
-frame's inputs (:class:`InverseInputs`) and then run the same private
-kernels as the loop.
+:func:`invert_frame` checks one frame's inputs (:class:`InverseInputs`) and
+runs the same private kernels as the loop.
 """
 
 from __future__ import annotations
@@ -38,22 +38,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# The loop calls the unchecked kernel. bench/spans.py patches step_activation
-# in this module, so the name must stay importable here.
-from .activation import _step_activation, _unit_clamp, step_activation  # noqa: F401
+# bench/spans.py patches step_activation in this module, so the name must
+# stay importable here.
+from .activation import _step_activation, step_activation  # noqa: F401
 from .plant import Plant, inverse_dynamics, tendon_kinematics, _gain_bias, _normalized
-from .qp import BoxQp, BvlsSolver, solve_box_qp
+from .qp import BvlsSolver, solve_box_qp
 from .timeseries import differentiate
 
 __all__ = [
-    "InfeasibleFrameError",
     "InverseInputs",
     "FrameSolution",
     "TrajectoryInversion",
     "RoundTripReport",
-    "tau_linearization",
-    "build_qp",
-    "recover_ctrl",
     "invert_frame",
     "invert_trajectory",
     "roundtrip",
@@ -61,15 +57,15 @@ __all__ = [
 ]
 
 _ZERO_GAIN = 1e-12
-_DENOM_TOL = 1e-12
-_RECOVER_TOL = 1e-14
 _MAX_INFEASIBLE_FRACTION = 0.01
-# Fewest frames a trajectory needs: the differentiation stencils span three.
+# Controls 0 and 1 as a column: one activation step from an activation vector
+# gives the (2, nact) bounds of the next activation.
+_CTRL_EDGES = np.array([[0.0], [1.0]])
+# Halvings of [0, 1] in control recovery: the midpoints are multiples of
+# 2**-53, the spacing of doubles just below 1.
+_BISECTIONS = 53
+# Fewest frames a trajectory needs: the acceleration stencil spans three.
 MIN_FRAMES = 3
-
-
-class InfeasibleFrameError(RuntimeError):
-    """Raised when one frame's control-recovery problem is degenerate."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,8 +78,9 @@ class InverseInputs:
         act: current activation state in [0, 1].
         q_frc: target generalized force (N m).
         timestep: integration step (s).
-        tau1, tau2: linearized time-constant coefficients (slope per unit
-            control error, and value at zero error); scalars or per-muscle.
+        tau_act, tau_deact, tau_smooth: the activation filter's rise and
+            fall time constants and switch width (s); scalars or
+            per-muscle.
 
     Every entry must be finite; a ``ValueError`` names the first field that
     breaks a condition.
@@ -95,24 +92,25 @@ class InverseInputs:
     act: np.ndarray
     q_frc: np.ndarray
     timestep: float
-    tau1: float | np.ndarray
-    tau2: float | np.ndarray
+    tau_act: float | np.ndarray
+    tau_deact: float | np.ndarray
+    tau_smooth: float | np.ndarray
 
     def __post_init__(self) -> None:
-        for attr in ("moment_arms", "gain", "bias", "act", "q_frc", "tau1", "tau2"):
+        taus = ("tau_act", "tau_deact", "tau_smooth")
+        for attr in ("moment_arms", "gain", "bias", "act", "q_frc") + taus:
             object.__setattr__(self, attr, np.asarray(getattr(self, attr), dtype=float))
         nj, na = self.moment_arms.shape
         if self.gain.shape != (na,) or self.bias.shape != (na,) or self.act.shape != (na,):
             raise ValueError("per-actuator vectors do not match the transmission width")
         if self.q_frc.shape != (nj,):
             raise ValueError("q_frc does not match the joint count")
-        for attr in ("moment_arms", "gain", "bias", "act", "q_frc", "timestep", "tau1", "tau2"):
+        for attr in ("moment_arms", "gain", "bias", "act", "q_frc", "timestep") + taus:
             if not np.isfinite(getattr(self, attr)).all():
                 raise ValueError(f"{attr} contains non-finite entries")
-        if self.timestep <= 0.0:
-            raise ValueError("timestep must be positive")
-        if not np.all(self.tau2 > 0.0):
-            raise ValueError("tau2 must be positive")
+        for attr in ("timestep",) + taus:
+            if not np.all(getattr(self, attr) > 0.0):
+                raise ValueError(f"{attr} must be positive")
         if np.any(self.act < 0.0) or np.any(self.act > 1.0):
             raise ValueError("act must lie in [0, 1]")
         if np.any(self.gain > 0.0):
@@ -142,28 +140,6 @@ class TrajectoryInversion:
     iterations: np.ndarray
 
 
-def tau_linearization(tau_act, tau_deact, tau_smooth):
-    """Affine coefficients of the smoothed time constant about zero error.
-
-    Returns ``(tau1, tau2)`` with ``tau2 = (tau_act + tau_deact) / 2`` (the
-    blend midpoint) and ``tau1 = (15/8) * (tau_act - tau_deact) / tau_smooth``
-    (the blend slope, 15/8 being the smoothstep derivative at its center).
-
-    Raises:
-        ValueError: if ``tau_smooth`` is not positive.
-    """
-    tau_act = np.asarray(tau_act, dtype=float)
-    tau_deact = np.asarray(tau_deact, dtype=float)
-    tau_smooth = np.asarray(tau_smooth, dtype=float)
-    if not np.all(tau_smooth > 0.0):
-        raise ValueError("tau_smooth must be positive to linearize")
-    tau2 = 0.5 * (tau_act + tau_deact)
-    tau1 = 1.875 * (tau_act - tau_deact) / tau_smooth
-    if np.ndim(tau1) == 0:
-        return float(tau1), float(tau2)
-    return tau1, tau2
-
-
 def _force_gap(inp: InverseInputs) -> np.ndarray:
     """Force balance constant: torque at the current activation minus target."""
     am = inp.moment_arms
@@ -174,106 +150,57 @@ def _live(gain: np.ndarray) -> np.ndarray:
     return np.abs(gain) >= _ZERO_GAIN
 
 
-def _box(dt_gain, live, act, tau1, tau2):
-    """Bounds of ``x`` for controls in [0, 1]; ``dt_gain = timestep * gain``.
+def _solve_frame(solver: BvlsSolver, gap, gain, live, act, filter_args):
+    """Bound, box, solve, step: ``(act_next, x, residual, diagnostics)``.
 
-    Only live actuators are divided; a dead one's bounds are 0.
-
-    Raises:
-        InfeasibleFrameError: when a linearized time-constant denominator
-            vanishes or flips sign (bound ordering would break).
+    ``gap`` is the force gap at ``act`` and ``filter_args`` the activation
+    step's ``(dt, tau_act, tau_deact, tau_smooth)``. The step under controls
+    0 and 1 bounds the next activation; the bounds map through the
+    non-positive gain to the box of ``x = gain * (act' - act)``, and a dead
+    actuator's ``x`` is pinned at 0, so it keeps its activation. The solve
+    goes through this module's ``solve_box_qp`` name, which the benchmark's
+    tracer patches.
     """
-    den_lo = (1.0 - act) * tau1 + tau2
-    den_hi = -act * tau1 + tau2
-    if (live & ((np.abs(den_lo) < _DENOM_TOL) | (np.abs(den_hi) < _DENOM_TOL))).any():
-        raise InfeasibleFrameError(
-            "linearized time constant vanishes inside the control range"
-        )
-    lb = np.divide(dt_gain * (1.0 - act), den_lo, out=np.zeros(live.shape), where=live)
-    ub = np.divide(dt_gain * (-act), den_hi, out=np.zeros(live.shape), where=live)
-    if (lb > ub).any():
-        raise InfeasibleFrameError(
-            "control bounds inverted: time-constant linearization is not valid "
-            "over the full control range for these parameters"
-        )
-    return lb, ub
-
-
-def _recover(x, dt_gain, live, act, tau1, tau2):
-    """Controls from a frame solution, clamped to [0, 1].
-
-    Only live actuators are divided; a dead one keeps its activation.
-
-    Raises:
-        InfeasibleFrameError: when the inversion denominator vanishes for a
-            live actuator.
-    """
-    den = dt_gain - x * tau1
-    if (live & (np.abs(den) < _RECOVER_TOL)).any():
-        raise InfeasibleFrameError("control recovery denominator vanished")
-    delta = np.divide(x * tau2, den, out=np.zeros(live.shape), where=live)
-    return _unit_clamp(act + delta)
-
-
-def _kernel_args(inp: InverseInputs):
-    """``(timestep * gain, live, act, tau1, tau2)``, the frame kernels' arguments."""
-    return inp.timestep * inp.gain, _live(inp.gain), inp.act, inp.tau1, inp.tau2
-
-
-def _solve_frame(solver: BvlsSolver, gap, dt_gain, live, act, tau1, tau2):
-    """Box, solve, recover: ``(ctrl, x, residual, diagnostics)``.
-
-    ``gap`` is the force gap at ``act``. The solve goes through this
-    module's ``solve_box_qp`` name, which the benchmark's tracer patches.
-
-    Raises:
-        InfeasibleFrameError: from :func:`_box` or :func:`_recover`.
-    """
-    lb, ub = _box(dt_gain, live, act, tau1, tau2)
-    x, diag = solve_box_qp(solver.problem(-gap, lb, ub))
-    ctrl = _recover(x, dt_gain, live, act, tau1, tau2)
+    lo, hi = _step_activation(act, _CTRL_EDGES, *filter_args)
+    gain = np.where(live, gain, 0.0)
+    x, diag = solve_box_qp(solver.problem(-gap, gain * (hi - act), gain * (lo - act)))
+    step = np.divide(x, gain, out=np.zeros(x.shape), where=live)
+    act_next = np.minimum(np.maximum(act + step, lo), hi)
     residual = float(np.abs(solver.A @ x + gap).max())
-    return ctrl, x, residual, diag
+    return act_next, x, residual, diag
 
 
-def build_qp(inp: InverseInputs) -> BoxQp:
-    """Assemble the bounded least-squares problem for one frame.
+def _bisect_ctrl(act, act_next, dt, tau_act, tau_deact, tau_smooth):
+    """Controls in [0, 1] whose activation step takes ``act`` to ``act_next``.
 
-    The problem is ``min 1/2 ||A x - b||^2`` with ``A = moment_arms`` and
-    ``b = -k``, ``k`` the force gap at the current activation; the box maps
-    the control limits through the substitution. Zero-gain actuators are
-    pinned at ``x = 0``.
-
-    Raises:
-        InfeasibleFrameError: when a linearized time-constant denominator
-            vanishes or flips sign (bound ordering would break).
+    The step is monotone in the control, so bisection on ``[0, 1]``, all
+    entries at once, brackets the least control that reaches ``act_next``
+    and returns the bracket's upper end, whose step reaches it. The
+    arguments broadcast together, for example ``(nframes, nact)``
+    activations with per-muscle time constants.
     """
-    lb, ub = _box(*_kernel_args(inp))
-    return BoxQp(A=inp.moment_arms, b=-_force_gap(inp), lb=lb, ub=ub)
-
-
-def recover_ctrl(x, inp: InverseInputs):
-    """Map a frame solution back to a control vector, clamped to [0, 1].
-
-    ``ctrl = act + x * tau2 / (timestep * gain - x * tau1)`` componentwise;
-    zero-gain actuators keep ``ctrl = act``.
-
-    Raises:
-        InfeasibleFrameError: when the inversion denominator vanishes for a
-            live actuator.
-    """
-    return _recover(np.asarray(x, dtype=float), *_kernel_args(inp))
+    lo = np.zeros(np.broadcast(act, act_next).shape)
+    hi = np.ones(lo.shape)
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        short = _step_activation(act, mid, dt, tau_act, tau_deact, tau_smooth) < act_next
+        lo = np.where(short, mid, lo)
+        hi = np.where(short, hi, mid)
+    return hi
 
 
 def invert_frame(inp: InverseInputs) -> FrameSolution:
-    """Solve one frame: bounded least squares, control recovery, residual.
+    """Solve one frame: bounded least squares, next activation, control.
 
     The residual is ``||moment_arms @ x + k||_inf``; it is zero (within the
     solver tolerance) exactly when the target force is reachable this step.
     """
-    ctrl, x, residual, diag = _solve_frame(
-        BvlsSolver(inp.moment_arms), _force_gap(inp), *_kernel_args(inp)
+    filter_args = (inp.timestep, inp.tau_act, inp.tau_deact, inp.tau_smooth)
+    act_next, x, residual, diag = _solve_frame(
+        BvlsSolver(inp.moment_arms), _force_gap(inp), inp.gain, _live(inp.gain), inp.act,
+        filter_args,
     )
+    ctrl = _bisect_ctrl(inp.act, act_next, *filter_args)
     return FrameSolution(ctrl=ctrl, x=x, residual=residual, converged=diag.converged)
 
 
@@ -285,25 +212,29 @@ def invert_trajectory(
 ) -> TrajectoryInversion:
     """Recover per-muscle controls along a joint-angle trajectory.
 
-    One array pass over all frames differentiates the trajectory, evaluates
-    tendon kinematics and muscle gain/bias, forms the required generalized
-    force through the plant's inverse dynamics and the activation-free part
-    of each frame's force gap, and checks once what does not depend on the
-    activation (finite values, ``gain <= 0``, positive time constants). A
-    sequential loop then solves each frame's bounded least-squares problem
-    with one :class:`~myoctl.qp.BvlsSolver` bound to the moment arms (each
-    frame through :func:`~myoctl.qp.solve_box_qp`), so each distinct free
-    set's pseudo-inverse is computed once per trajectory, and advances the activation with the recovered controls
-    (smoothed time constants, starting from zero activation). A frame counts
-    as infeasible when its force residual exceeds ``fail_threshold * max(1,
-    ||q_frc||_inf)``, its solve does not converge, or its subproblem is
-    degenerate. Non-finite input fails the whole trajectory with the
-    offending frame reported.
+    One array pass over all frames differentiates the trajectory with the
+    integrator's stencils, evaluates tendon kinematics and muscle
+    gain/bias, forms the required generalized force through the plant's
+    inverse dynamics and the activation-free part of each frame's force
+    gap, and checks once what does not depend on the activation (finite
+    values, ``gain <= 0``). A sequential loop, starting from zero
+    activation, bounds each next activation by the plant's own activation
+    step under controls 0 and 1, solves the frame's bounded least-squares
+    problem with one :class:`~myoctl.qp.BvlsSolver` bound to the moment
+    arms (each frame through :func:`~myoctl.qp.solve_box_qp`, so each
+    distinct free set's pseudo-inverse is computed once per trajectory) and
+    takes the next activation from the solution. One bisection over the
+    whole ``(nframes, nactuators)`` arrays then recovers the controls. A
+    frame counts as infeasible when its force residual exceeds
+    ``fail_threshold * max(1, ||q_frc||_inf)`` or its solve does not
+    converge. Non-finite input fails the whole trajectory with the offending
+    frame reported.
 
     Raises:
-        ValueError: for fewer than :data:`MIN_FRAMES` frames, a rate that is
-            not positive and finite, or muscle forces that are non-finite or
-            push (the message names the frame).
+        ValueError: for fewer than :data:`MIN_FRAMES` frames, a rate or
+            ``fail_threshold`` that is not positive and finite, or muscle
+            forces that are non-finite or push (the message names the
+            frame).
         PlantError: if a frame puts a tendon at non-positive length; the
             message names the tendon and the frame.
     """
@@ -312,6 +243,8 @@ def invert_trajectory(
         raise ValueError(f"need at least {MIN_FRAMES} frames to invert a trajectory")
     if not (np.isfinite(rate_hz) and rate_hz > 0.0):
         raise ValueError("rate_hz must be positive and finite")
+    if not (np.isfinite(fail_threshold) and fail_threshold > 0.0):
+        raise ValueError("fail_threshold must be positive and finite")
     nframes = q.shape[0]
     na = plant.nactuators
 
@@ -329,10 +262,6 @@ def invert_trajectory(
 
     dt = 1.0 / rate_hz
     qdot, qddot = differentiate(q, dt)
-    muscles = plant._muscle
-    tau1, tau2 = tau_linearization(muscles.tau_act, muscles.tau_deact, muscles.tau_smooth)
-    if not np.all(np.asarray(tau2) > 0.0):
-        raise ValueError("tau2 must be positive")
     lengths, velocities = tendon_kinematics(plant, q, qdot)
     gain, bias = _gain_bias(plant, *_normalized(plant, lengths, velocities))
     q_frc = inverse_dynamics(plant, q, qdot, qddot)
@@ -349,43 +278,31 @@ def invert_trajectory(
     moment_arms = plant.moment_arms
     # The activation-free part of each frame's force gap, A @ bias - q_frc.
     gap_base = bias @ moment_arms.T - q_frc
-    dt_gain = dt * gain
     live = _live(gain)
     thresholds = fail_threshold * np.maximum(1.0, np.abs(q_frc).max(axis=1))
     solver = BvlsSolver(moment_arms)
+    m = plant._muscle
+    filter_args = (dt, m.tau_act, m.tau_deact, m.tau_smooth)
 
-    act = np.zeros(na)
-    ctrl_traj = np.empty((nframes, na))
-    act_traj = np.empty((nframes, na))
+    # Row t is the activation before frame t's step; the last row, after it.
+    act = np.zeros((nframes + 1, na))
     residuals = np.empty(nframes)
     iterations = np.zeros(nframes, dtype=int)
     infeasible = 0
     for t in range(nframes):
-        gap = moment_arms @ (gain[t] * act) + gap_base[t]
-        try:
-            ctrl_t, _, residual, diag = _solve_frame(
-                solver, gap, dt_gain[t], live[t], act, tau1, tau2
-            )
-            iterations[t] = diag.iterations
-            feasible = diag.converged and residual <= thresholds[t]
-        except InfeasibleFrameError:
-            ctrl_t = act.copy()
-            residual = float(np.abs(gap).max())
-            feasible = False
-        if not feasible:
-            infeasible += 1
-        ctrl_traj[t] = ctrl_t
-        act_traj[t] = act
-        residuals[t] = residual
-        act = _step_activation(
-            act, ctrl_t, dt, muscles.tau_act, muscles.tau_deact, muscles.tau_smooth
+        gap = moment_arms @ (gain[t] * act[t]) + gap_base[t]
+        act[t + 1], _, residuals[t], diag = _solve_frame(
+            solver, gap, gain[t], live[t], act[t], filter_args
         )
+        iterations[t] = diag.iterations
+        if not (diag.converged and residuals[t] <= thresholds[t]):
+            infeasible += 1
 
     failed = infeasible > _MAX_INFEASIBLE_FRACTION * nframes
     return TrajectoryInversion(
-        ctrl=ctrl_traj,
+        ctrl=_bisect_ctrl(act[:-1], act[1:], *filter_args),
         residuals=residuals,
-        act=act_traj,
+        act=act[:-1],
         status="failed" if failed else "ok",
         failure_reason=(
             f"{infeasible} of {nframes} frames infeasible" if failed else None

@@ -51,7 +51,6 @@ __all__ = [
     "tendon_kinematics",
     "inverse_dynamics",
     "forward_step",
-    "acc0",
     "make_fixture",
     "rollout",
     "RolloutResult",
@@ -280,12 +279,6 @@ def inverse_dynamics(plant: Plant, q, qdot, qddot):
     )
 
 
-def acc0(plant: Plant, actuator: int) -> float:
-    """Joint-acceleration magnitude per unit force on one actuator."""
-    column = plant.moment_arms[:, actuator]
-    return float(np.linalg.norm(column / plant.inertia))
-
-
 def _check_step_args(ctrl, dt: float) -> np.ndarray:
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -459,8 +452,7 @@ def _assemble(
 
 def _toy_finger() -> Plant:
     # Planar two-joint finger: one antagonist pair on the base joint plus a
-    # biarticular pair spanning both joints. Equal rise/fall time constants
-    # keep the control-recovery linearization exact.
+    # biarticular pair spanning both joints.
     joint_names = ["mcp", "pip"]
     actuator_names = ["mcp_flex", "mcp_ext", "bi_flex", "bi_ext"]
     moment_arms = np.array(

@@ -92,12 +92,15 @@ def resample(trace, from_hz: float, to_hz: float, axis: int = -1):
 
 
 def differentiate(q_traj, dt: float):
-    """First and second time derivatives of a sampled trajectory.
+    """Velocities and accelerations with the semi-implicit Euler stencils.
 
-    Time runs along axis 0. Interior samples use central differences (the
-    second derivative uses the three-point stencil, exact for the velocity
-    update of a semi-implicit integrator); endpoints use second-order
-    one-sided stencils.
+    Time runs along axis 0. The velocity is the backward difference
+    ``qdot_t = (q_t - q_{t-1}) / dt``, with ``qdot_0 = 0`` (a start from
+    rest), and the acceleration the forward difference of the velocity,
+    ``qddot_t = (qdot_{t+1} - qdot_t) / dt``, with the last frame copied.
+    On a trajectory logged by :func:`myoctl.plant.rollout` from rest these
+    are, to round-off, the logged pre-step velocities and the accelerations
+    each step applied.
 
     Raises:
         ValueError: for fewer than 3 frames or non-positive ``dt``.
@@ -108,13 +111,9 @@ def differentiate(q_traj, dt: float):
     if dt <= 0.0:
         raise ValueError("dt must be positive")
 
-    qdot = np.empty_like(q)
-    qdot[1:-1] = (q[2:] - q[:-2]) / (2.0 * dt)
-    qdot[0] = (-3.0 * q[0] + 4.0 * q[1] - q[2]) / (2.0 * dt)
-    qdot[-1] = (3.0 * q[-1] - 4.0 * q[-2] + q[-3]) / (2.0 * dt)
-
+    qdot = np.zeros_like(q)
+    qdot[1:] = (q[1:] - q[:-1]) / dt
     qddot = np.empty_like(q)
-    qddot[1:-1] = (q[2:] - 2.0 * q[1:-1] + q[:-2]) / (dt * dt)
-    qddot[0] = qddot[1]
+    qddot[:-1] = (qdot[1:] - qdot[:-1]) / dt
     qddot[-1] = qddot[-2]
     return qdot, qddot

@@ -87,49 +87,37 @@ def test_criterion_3_qp_oracle_equivalence():
 
 
 def test_criterion_4_algebraic_inversion():
+    # The inverse recovers each control from the activation step it
+    # produced, by bisection on the simulator's own step; that step is
+    # strictly increasing in the control wherever it is not clamped.
+    from myoctl.inverse import _bisect_ctrl
+
     rng = np.random.default_rng(99)
     total = 0
     worst = 0.0
     while total < 100_000:
         n = 50_000
-        gain = -rng.uniform(0.1, 5.0, n)
         act = rng.uniform(0.0, 1.0, n)
         ctrl = rng.uniform(0.0, 1.0, n)
-        dt = rng.uniform(1e-4, 1e-2, n)
-        tau1 = rng.uniform(-1.0, 1.0, n)
-        tau2 = rng.uniform(0.005, 0.05, n)
-        diff = ctrl - act
-        den1 = diff * tau1 + tau2
-        x = dt * gain * diff / den1
-        den2 = dt * gain - x * tau1
-        keep = (np.abs(den1) >= 1e-6) & (np.abs(den2) >= 1e-6)
-        recovered = act[keep] + x[keep] * tau2[keep] / den2[keep]
-        worst = max(worst, float(np.abs(recovered - ctrl[keep]).max()))
+        args = (rng.uniform(1e-4, 1e-2, n), rng.uniform(0.005, 0.05, n),
+                rng.uniform(0.005, 0.05, n), rng.uniform(0.001, 0.05, n))
+        act_next = step_activation(act, ctrl, *args)
+        keep = (act_next > 0.0) & (act_next < 1.0)
+        recovered = _bisect_ctrl(act, act_next, *args)
+        worst = max(worst, float(np.abs(recovered[keep] - ctrl[keep]).max()))
         total += int(keep.sum())
     assert worst < 1e-9, f"round-trip error {worst}"
 
-    # Bound saturation: the box edges map to the control limits.
-    from myoctl.inverse import InverseInputs, build_qp, recover_ctrl
-
+    # Bound saturation: the box edges, the activations that controls 0 and 1
+    # reach, map back to those controls.
     sat_worst = 0.0
     for _ in range(500):
-        tau2 = rng.uniform(0.01, 0.05)
-        inp = InverseInputs(
-            moment_arms=np.array([[1.0]]),
-            gain=np.array([-rng.uniform(0.1, 5.0)]),
-            bias=np.zeros(1),
-            act=np.array([rng.uniform(0.02, 0.98)]),
-            q_frc=np.zeros(1),
-            timestep=rng.uniform(5e-4, 5e-3),
-            tau1=rng.uniform(-0.9, 0.9) * tau2,  # keep the box denominators positive
-            tau2=tau2,
-        )
-        problem = build_qp(inp)
-        sat_worst = max(
-            sat_worst,
-            abs(recover_ctrl(problem.lb, inp)[0] - 1.0),
-            abs(recover_ctrl(problem.ub, inp)[0] - 0.0),
-        )
+        act = rng.uniform(0.02, 0.98)
+        args = (rng.uniform(5e-4, 5e-3), rng.uniform(0.01, 0.05),
+                rng.uniform(0.01, 0.05), rng.uniform(0.001, 0.02))
+        for edge in (0.0, 1.0):
+            recovered = _bisect_ctrl(act, step_activation(act, edge, *args), *args)
+            sat_worst = max(sat_worst, abs(float(recovered) - edge))
     assert sat_worst < 1e-9
     report(4, f"{total} tuples, worst recovery error {worst:.2e}, saturation {sat_worst:.2e}")
 

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import myoctl.cli
 from myoctl.cli import parse_args, run
 from myoctl.pipeline import Session, read_session, write_session
 from myoctl.plant import load_plant
@@ -38,6 +40,17 @@ class TestParseArgs:
         with pytest.raises(SystemExit) as excinfo:
             parse_args([])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("command, option", [
+        (["roundtrip"], "--rmse-tol"),
+        (["invert", "--plant", "p", "--in", "i", "--out", "o"], "--fail-threshold"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-3"])
+    def test_tolerances_must_be_positive_and_finite(self, capsys, command, option, value):
+        with pytest.raises(SystemExit) as excinfo:
+            parse_args(command + [f"{option}={value}"])
+        assert excinfo.value.code == 2
+        assert f"{option}: must be positive and finite" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -92,12 +105,21 @@ class TestCommands:
         assert code == 0
         assert "RMSE" in captured.out
 
-    def test_roundtrip_failure_exit(self, capsys):
+    def test_roundtrip_failure_exit(self, capsys, monkeypatch):
+        # The inverse is exact, so a real replay meets any tolerance; one that
+        # misses by 1e-3 rad must fail a 1e-4 rad tolerance.
+        real = myoctl.cli.roundtrip
+
+        def missing(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), rmse=1e-3)
+
+        monkeypatch.setattr(myoctl.cli, "roundtrip", missing)
         code = run(parse_args(
             ["roundtrip", "--kind", "toy_finger", "--seed", "1",
-             "--duration", "0.5", "--rmse-tol", "1e-12"]
+             "--duration", "0.5", "--rmse-tol", "1e-4"]
         ))
         assert code == 1
+        assert "roundtrip failed (tolerance 0.0001 rad)" in capsys.readouterr().err
 
     def test_invert_2khz_session(self, tmp_path):
         plant_path = tmp_path / "plant.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -6,16 +7,14 @@ import pytest
 import myoctl.inverse
 import myoctl.qp
 from myoctl.inverse import (
-    InfeasibleFrameError,
     InverseInputs,
-    build_qp,
+    _bisect_ctrl,
     invert_frame,
     invert_trajectory,
-    recover_ctrl,
     roundtrip,
-    tau_linearization,
 )
 from myoctl.activation import step_activation
+from myoctl.muscle import MuscleParams
 from myoctl.plant import (
     PlantError,
     _gain_bias,
@@ -39,28 +38,21 @@ def invert_frame_by_frame(plant, q, rate_hz, fail_threshold=1e-3):
     dt = 1.0 / rate_hz
     qdot, qddot = differentiate(q, dt)
     m = plant._muscle
-    tau1, tau2 = tau_linearization(m.tau_act, m.tau_deact, m.tau_smooth)
+    taus = (m.tau_act, m.tau_deact, m.tau_smooth)
     act = np.zeros(plant.nactuators)
     ctrl, acts, residuals, infeasible = [], [], [], 0
     for t in range(q.shape[0]):
         lengths, velocities = tendon_kinematics(plant, q[t], qdot[t])
         gain, bias = _gain_bias(plant, *_normalized(plant, lengths, velocities))
         q_frc = inverse_dynamics(plant, q[t], qdot[t], qddot[t])
-        inp = InverseInputs(plant.moment_arms, gain, bias, act, q_frc, dt, tau1, tau2)
+        inp = InverseInputs(plant.moment_arms, gain, bias, act, q_frc, dt, *taus)
         threshold = fail_threshold * max(1.0, float(np.abs(q_frc).max()))
-        try:
-            frame = invert_frame(inp)
-            ctrl_t, residual = frame.ctrl, frame.residual
-            feasible = frame.converged and residual <= threshold
-        except InfeasibleFrameError:
-            ctrl_t = act.copy()
-            residual = float(np.abs(plant.moment_arms @ (gain * act + bias) - q_frc).max())
-            feasible = False
-        infeasible += not feasible
-        ctrl.append(ctrl_t)
+        frame = invert_frame(inp)
+        infeasible += not (frame.converged and frame.residual <= threshold)
+        ctrl.append(frame.ctrl)
         acts.append(act)
-        residuals.append(residual)
-        act = step_activation(act, ctrl_t, dt, m.tau_act, m.tau_deact, m.tau_smooth)
+        residuals.append(frame.residual)
+        act = step_activation(act, frame.ctrl, dt, *taus)
     return np.array(ctrl), np.array(acts), np.array(residuals), infeasible
 
 
@@ -73,84 +65,101 @@ def scalar_inputs(**overrides):
         act=np.array([0.5]),
         q_frc=np.array([-1.5]),
         timestep=0.002,
-        tau1=0.0,
-        tau2=0.02,
+        tau_act=0.02,
+        tau_deact=0.02,
+        tau_smooth=0.005,
     )
     fields.update(overrides)
     return InverseInputs(**fields)
 
 
-class TestTauLinearization:
-    def test_equal_constants_have_no_slope(self):
-        tau1, tau2 = tau_linearization(0.03, 0.03, 0.005)
-        assert tau1 == 0.0
-        assert tau2 == pytest.approx(0.03)
+def random_scalar_inputs(rng):
+    """A scalar frame with random gain, activation, step and time constants."""
+    return scalar_inputs(
+        gain=np.array([-rng.uniform(0.1, 5.0)]),
+        act=np.array([rng.uniform(0.02, 0.98)]),
+        timestep=rng.uniform(5e-4, 5e-3),
+        tau_act=rng.uniform(0.01, 0.05),
+        tau_deact=rng.uniform(0.01, 0.05),
+        tau_smooth=rng.uniform(0.001, 0.02),
+    )
 
-    def test_reference_values(self):
-        # (15/8) * (0.01 - 0.04) / 0.005 = -11.25 and midpoint 0.025.
-        tau1, tau2 = tau_linearization(0.01, 0.04, 0.005)
-        assert tau1 == pytest.approx(-11.25)
-        assert tau2 == pytest.approx(0.025)
 
-    def test_doubling_width_halves_slope(self):
-        tau1a, tau2a = tau_linearization(0.01, 0.04, 0.005)
-        tau1b, tau2b = tau_linearization(0.01, 0.04, 0.010)
-        assert tau1b == pytest.approx(tau1a / 2)
-        assert tau2b == tau2a
+def frame_problem(inp):
+    """The bounded least-squares problem :func:`invert_frame` solves for ``inp``."""
+    problems = []
 
-    def test_zero_width_is_rejected(self):
-        with pytest.raises(ValueError, match="tau_smooth must be positive"):
-            tau_linearization(0.01, 0.04, 0.0)
+    def recording(problem, *args, **kwargs):
+        problems.append(problem)
+        return solve_box_qp(problem, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(myoctl.inverse, "solve_box_qp", recording)
+        invert_frame(inp)
+    (problem,) = problems
+    return problem
+
+
+def taus_of(inp):
+    return inp.timestep, inp.tau_act, inp.tau_deact, inp.tau_smooth
+
+
+def ctrl_for(x, inp):
+    """Control that realizes ``x = gain * (act' - act)``: ``act' = act + x / gain``."""
+    return _bisect_ctrl(inp.act, inp.act + np.asarray(x) / inp.gain, *taus_of(inp))
+
+
+def with_time_constants(plant, tau_act, tau_deact):
+    params = tuple(
+        dataclasses.replace(p, tau_act=tau_act, tau_deact=tau_deact) for p in plant.params
+    )
+    return dataclasses.replace(plant, params=params)
 
 
 class TestBuildQp:
+    """The bounded least-squares problem each frame hands to the solver."""
+
     def test_scalar_reference_frame(self):
-        # k = 1*(-2*0.5) + 0 - (-1.5) = 0.5; A = 1, b = -k = -0.5;
-        # lb = 0.002*(-2)*0.5/0.02 = -0.1; ub = 0.002*(-2)*(-0.5)/0.02 = 0.1.
-        problem = build_qp(scalar_inputs())
+        # k = 1*(-2*0.5) + 0 - (-1.5) = 0.5; A = 1, b = -k = -0.5. Controls 0
+        # and 1 step the activation to 0.45 and 0.55, so
+        # lb = -2*(0.55 - 0.5) = -0.1 and ub = -2*(0.45 - 0.5) = 0.1.
+        problem = frame_problem(scalar_inputs())
         assert problem.A == pytest.approx(np.array([[1.0]]))
         assert problem.b == pytest.approx(np.array([-0.5]))
         assert problem.lb == pytest.approx(np.array([-0.1]))
         assert problem.ub == pytest.approx(np.array([0.1]))
 
     def test_zero_gain_pins_variable(self):
-        inp = scalar_inputs(gain=np.array([0.0]))
-        problem = build_qp(inp)
-        assert problem.lb[0] == 0.0
-        assert problem.ub[0] == 0.0
+        # A gain below 1e-12 N counts as dead, like an exact zero.
+        for gain in (0.0, -1e-13):
+            problem = frame_problem(scalar_inputs(gain=np.array([gain])))
+            assert problem.lb[0] == 0.0
+            assert problem.ub[0] == 0.0
 
     def test_target_already_met(self):
         inp = scalar_inputs(q_frc=np.array([-2.0 * 0.5 + 0.0]))
-        problem = build_qp(inp)
+        problem = frame_problem(inp)
         assert problem.b == pytest.approx(np.zeros(1))
 
     def test_bounds_bracket_zero_for_pulling_muscles(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
-            act = rng.uniform(0.01, 0.99)
-            tau2 = rng.uniform(0.01, 0.05)
-            inp = scalar_inputs(
-                gain=np.array([-rng.uniform(0.1, 5.0)]),
-                act=np.array([act]),
-                tau1=rng.uniform(-0.9, 0.9) * tau2,
-                tau2=tau2,
-            )
-            problem = build_qp(inp)
+            problem = frame_problem(random_scalar_inputs(rng))
             assert problem.lb[0] < 0.0 < problem.ub[0]
 
-    def test_sign_flipped_denominator_is_infeasible(self):
-        # The default asymmetric time constants give tau1 = -11.25, which
-        # makes the lower-bound denominator negative at mid activation; the
-        # linearization is only locally valid there and the frame must be
-        # rejected rather than solved with an inverted box.
-        tau1, tau2 = tau_linearization(0.01, 0.04, 0.005)
-        with pytest.raises(InfeasibleFrameError):
-            build_qp(scalar_inputs(tau1=tau1, tau2=tau2))
-
-    def test_vanishing_denominator_is_infeasible(self):
-        # (1 - act) * tau1 + tau2 == 0 exactly at act = 0.5, tau1 = -2*tau2.
-        with pytest.raises(InfeasibleFrameError):
-            build_qp(scalar_inputs(tau1=-0.04, tau2=0.02))
+    def test_box_is_the_activation_step_under_controls_0_and_1(self):
+        # Unequal rise and fall constants, the MuscleParams defaults among
+        # them, bound the next activation by the simulator's own step.
+        rng = np.random.default_rng(4)
+        defaults = MuscleParams()
+        cases = [scalar_inputs(tau_act=defaults.tau_act, tau_deact=defaults.tau_deact,
+                               tau_smooth=defaults.tau_smooth)]
+        cases += [random_scalar_inputs(rng) for _ in range(100)]
+        for inp in cases:
+            problem = frame_problem(inp)
+            lo, hi = (step_activation(inp.act, u, *taus_of(inp)) for u in (0.0, 1.0))
+            assert problem.lb == pytest.approx(inp.gain * (hi - inp.act), rel=1e-15)
+            assert problem.ub == pytest.approx(inp.gain * (lo - inp.act), rel=1e-15)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -159,13 +168,14 @@ class TestBuildQp:
             scalar_inputs(act=np.array([1.5]))
         with pytest.raises(ValueError):
             scalar_inputs(timestep=0.0)
-        with pytest.raises(ValueError):
-            scalar_inputs(tau2=0.0)
+        for tau in ("tau_act", "tau_deact", "tau_smooth"):
+            with pytest.raises(ValueError, match=f"{tau} must be positive"):
+                scalar_inputs(**{tau: 0.0})
         with pytest.raises(ValueError):
             scalar_inputs(q_frc=np.zeros(2))
 
     @pytest.mark.parametrize("field", ["moment_arms", "gain", "bias", "act", "q_frc",
-                                       "timestep", "tau1", "tau2"])
+                                       "timestep", "tau_act", "tau_deact", "tau_smooth"])
     def test_non_finite_input_is_named(self, field):
         bad = {field: np.full_like(np.asarray(getattr(scalar_inputs(), field)), np.nan)}
         with pytest.raises(ValueError, match=rf"{field}\b"):
@@ -175,59 +185,51 @@ class TestBuildQp:
 class TestRecoverCtrl:
     def test_zero_step_returns_activation(self):
         inp = scalar_inputs()
-        assert recover_ctrl(np.zeros(1), inp) == pytest.approx(np.array([0.5]))
+        assert ctrl_for(np.zeros(1), inp) == pytest.approx(np.array([0.5]), abs=1e-12)
 
     def test_scalar_reference_value(self):
-        # ctrl = 0.5 + (-0.1 * 0.02) / (0.002 * -2) = 1.0.
+        # x = -0.1 steps the activation to 0.5 + (-0.1) / (-2) = 0.55, which
+        # control 1 reaches: 0.5 + 0.002 * (1 - 0.5) / 0.02.
         inp = scalar_inputs()
-        assert recover_ctrl(np.array([-0.1]), inp) == pytest.approx(np.array([1.0]))
+        assert ctrl_for(np.array([-0.1]), inp) == pytest.approx(np.array([1.0]), abs=1e-12)
 
     def test_bound_saturation(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
-            tau2 = rng.uniform(0.01, 0.05)
-            inp = scalar_inputs(
-                gain=np.array([-rng.uniform(0.1, 5.0)]),
-                act=np.array([rng.uniform(0.02, 0.98)]),
-                tau1=rng.uniform(-0.9, 0.9) * tau2,
-                tau2=tau2,
-                timestep=rng.uniform(5e-4, 5e-3),
-            )
-            problem = build_qp(inp)
-            assert recover_ctrl(problem.lb, inp)[0] == pytest.approx(1.0, abs=1e-9)
-            assert recover_ctrl(problem.ub, inp)[0] == pytest.approx(0.0, abs=1e-9)
+            inp = random_scalar_inputs(rng)
+            problem = frame_problem(inp)
+            assert ctrl_for(problem.lb, inp)[0] == pytest.approx(1.0, abs=1e-9)
+            assert ctrl_for(problem.ub, inp)[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_monotone_non_increasing_in_x(self):
-        inp = scalar_inputs(tau1=0.008)
-        problem = build_qp(inp)
+        inp = scalar_inputs(tau_act=0.01, tau_deact=0.04)
+        problem = frame_problem(inp)
         grid = np.linspace(problem.lb[0], problem.ub[0], 501)
-        ctrl = np.array([recover_ctrl(np.array([x]), inp)[0] for x in grid])
+        ctrl = ctrl_for(grid, inp)
         assert np.all(np.diff(ctrl) <= 1e-12)
 
     def test_zero_gain_keeps_activation(self):
         inp = scalar_inputs(gain=np.array([0.0]))
-        assert recover_ctrl(np.zeros(1), inp)[0] == 0.5
+        assert invert_frame(inp).ctrl[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_algebraic_inversion_identity(self):
-        # Substituting the linearized update into the recovery formula must
-        # reproduce the control exactly; 1e5-sample version in acceptance.
+        # Recovering the control from the activation step it produced must
+        # reproduce it wherever the step is not clamped to [0, 1] (there it
+        # is strictly increasing); 1e5-sample version in acceptance.
         rng = np.random.default_rng(11)
         count = 0
         while count < 20000:
             n = 1000
-            gain = -rng.uniform(0.1, 5.0, n)
             act = rng.uniform(0.0, 1.0, n)
             ctrl = rng.uniform(0.0, 1.0, n)
-            dt = rng.uniform(1e-4, 1e-2, n)
-            tau1 = rng.uniform(-1.0, 1.0, n)
-            tau2 = rng.uniform(0.005, 0.05, n)
-            diff = ctrl - act
-            den1 = diff * tau1 + tau2
-            x = dt * gain * diff / den1
-            den2 = dt * gain - x * tau1
-            ok = (np.abs(den1) >= 1e-6) & (np.abs(den2) >= 1e-6)
-            recovered = act[ok] + x[ok] * tau2[ok] / den2[ok]
-            assert np.abs(recovered - ctrl[ok]).max() < 1e-9
+            args = (rng.uniform(1e-4, 1e-2, n), rng.uniform(0.005, 0.05, n),
+                    rng.uniform(0.005, 0.05, n), rng.uniform(0.001, 0.05, n))
+            act_next = step_activation(act, ctrl, *args)
+            ok = (act_next > 0.0) & (act_next < 1.0)
+            recovered = _bisect_ctrl(act, act_next, *args)
+            assert np.abs(recovered[ok] - ctrl[ok]).max() < 1e-9
+            # The returned end of the bracket is the one whose step reaches.
+            assert np.all(step_activation(act, recovered, *args) >= act_next)
             count += int(ok.sum())
 
 
@@ -236,7 +238,7 @@ class TestInvertFrame:
         # One-variable problem solved by clipping: x = -0.1, ctrl = 1,
         # residual = |1*(-0.1) + 0.5| = 0.4.
         sol = invert_frame(scalar_inputs())
-        assert sol.ctrl == pytest.approx(np.array([1.0]))
+        assert sol.ctrl == pytest.approx(np.array([1.0]), abs=1e-12)
         assert sol.x == pytest.approx(np.array([-0.1]))
         assert sol.residual == pytest.approx(0.4)
         assert sol.converged
@@ -250,22 +252,23 @@ class TestInvertFrame:
 
     def test_antagonist_pair_reaches_known_target(self):
         # Build the target force from a known control, then invert; the
-        # over-actuated frame must reach it to solver accuracy.
+        # over-actuated frame must reach it to solver accuracy, with unequal
+        # rise and fall time constants.
         moment_arms = np.array([[0.01, -0.01]])
         gain = np.array([-2.0, -2.2])
         bias = np.array([0.0, 0.0])
         act = np.array([0.3, 0.4])
-        dt, tau1, tau2 = 0.002, 0.0, 0.02
+        taus = (0.002, 0.01, 0.04, 0.005)
         ctrl_true = np.array([0.8, 0.25])
-        act_next = act + dt * (ctrl_true - act) / tau2
+        act_next = step_activation(act, ctrl_true, *taus)
         q_frc = moment_arms @ (gain * act_next + bias)
-        inp = InverseInputs(moment_arms, gain, bias, act, q_frc, dt, tau1, tau2)
+        inp = InverseInputs(moment_arms, gain, bias, act, q_frc, *taus)
         sol = invert_frame(inp)
         assert sol.residual < 1e-9
         assert np.all((sol.ctrl >= 0.0) & (sol.ctrl <= 1.0))
         # Over-actuated: controls are non-unique, so compare the achieved
         # force rather than the control vector itself.
-        act_achieved = act + dt * (sol.ctrl - act) / tau2
+        act_achieved = step_activation(act, sol.ctrl, *taus)
         q_frc_achieved = moment_arms @ (gain * act_achieved + bias)
         assert q_frc_achieved == pytest.approx(q_frc, abs=1e-9)
 
@@ -276,31 +279,35 @@ class TestInvertFrame:
         act = rng.uniform(0.2, 0.8, 4)
         inp = InverseInputs(
             rng.uniform(-0.01, 0.01, (2, 4)), gain, np.zeros(4), act,
-            q_frc=rng.uniform(-0.01, 0.01, 2), timestep=0.002, tau1=0.0, tau2=0.02,
+            q_frc=rng.uniform(-0.01, 0.01, 2), timestep=0.002,
+            tau_act=0.02, tau_deact=0.02, tau_smooth=0.005,
         )
-        problem = build_qp(inp)
+        problem = frame_problem(inp)
         assert problem.lb[1] == problem.ub[1] == 0.0
         sol = invert_frame(inp)
         assert sol.x[1] == 0.0
-        assert sol.ctrl[1] == act[1]
+        assert sol.ctrl[1] == pytest.approx(act[1], abs=1e-12)
         assert sol.converged
         assert kkt_residual(problem, sol.x) <= 1e-10
 
     def test_all_pinned_frame_skips_the_solver(self, monkeypatch):
+        act = np.array([0.3, 0.6])
+        inp = InverseInputs(
+            np.array([[0.01, -0.01]]), np.zeros(2), np.zeros(2), act,
+            q_frc=np.array([0.5]), timestep=0.002,
+            tau_act=0.02, tau_deact=0.02, tau_smooth=0.005,
+        )
+        problem = frame_problem(inp)
+
         def fail(*args, **kwargs):
             raise AssertionError("subproblem solved with every variable pinned")
 
         monkeypatch.setattr(myoctl.qp.BvlsSolver, "_subproblem", fail)
-        act = np.array([0.3, 0.6])
-        inp = InverseInputs(
-            np.array([[0.01, -0.01]]), np.zeros(2), np.zeros(2), act,
-            q_frc=np.array([0.5]), timestep=0.002, tau1=0.0, tau2=0.02,
-        )
-        x, diag = solve_box_qp(build_qp(inp))
+        x, diag = solve_box_qp(problem)
         assert np.array_equal(x, np.zeros(2))
         assert diag.iterations == 0 and diag.converged
         sol = invert_frame(inp)
-        assert np.array_equal(sol.ctrl, act)
+        assert sol.ctrl == pytest.approx(act, abs=1e-12)
         assert sol.residual == pytest.approx(0.5)
 
     def test_residual_optimality_against_random_sampling(self):
@@ -311,15 +318,30 @@ class TestInvertFrame:
         inp = InverseInputs(
             moment_arms, gain, np.zeros(5), act,
             q_frc=rng.uniform(-0.01, 0.01, 2),
-            timestep=0.002, tau1=0.0, tau2=0.02,
+            timestep=0.002, tau_act=0.02, tau_deact=0.02, tau_smooth=0.005,
         )
-        problem = build_qp(inp)
+        problem = frame_problem(inp)
         x, _ = solve_box_qp(problem)
         gap = inp.moment_arms @ (inp.gain * inp.act) - inp.q_frc
         best = np.linalg.norm(moment_arms @ x + gap)
         samples = rng.uniform(problem.lb, problem.ub, (1000, 5))
         sampled = np.linalg.norm(samples @ moment_arms.T + gap, axis=1)
         assert sampled.min() >= best - 1e-10
+
+
+class TestRoundTripExactness:
+    @pytest.mark.parametrize("kind", ["toy_finger", "hand_like"])
+    @pytest.mark.parametrize("time_constants", [None, (0.01, 0.04), (0.015, 0.025)])
+    def test_replay_reproduces_the_reference(self, kind, time_constants):
+        # The fixtures' equal constants, the MuscleParams defaults, and a
+        # milder asymmetric pair.
+        plant = make_fixture(kind)
+        if time_constants is not None:
+            plant = with_time_constants(plant, *time_constants)
+        report = roundtrip(plant, seed=1)
+        assert report.status == "ok"
+        assert report.infeasible_frames == 0
+        assert report.rmse <= 1e-9, f"RMSE {report.rmse:.2e} rad"
 
 
 class TestInvertTrajectory:
@@ -363,12 +385,12 @@ class TestInvertTrajectory:
         result = invert_trajectory(plant, q, 500.0)
         qdot, qddot = differentiate(q, dt)
         m = plant._muscle
-        tau1, tau2 = tau_linearization(m.tau_act, m.tau_deact, m.tau_smooth)
         gain, bias = _gain_bias(plant, *_normalized(plant, *tendon_kinematics(plant, q, qdot)))
         q_frc = inverse_dynamics(plant, q, qdot, qddot)
         expected = [
-            solve_box_qp(build_qp(InverseInputs(
-                plant.moment_arms, gain[t], bias[t], result.act[t], q_frc[t], dt, tau1, tau2,
+            solve_box_qp(frame_problem(InverseInputs(
+                plant.moment_arms, gain[t], bias[t], result.act[t], q_frc[t], dt,
+                m.tau_act, m.tau_deact, m.tau_smooth,
             )))[1].iterations
             for t in range(q.shape[0])
         ]
@@ -424,6 +446,12 @@ class TestInvertTrajectory:
         with pytest.raises(ValueError, match="rate_hz must be positive"):
             invert_trajectory(plant, np.zeros((10, plant.njoints)), rate_hz)
 
+    @pytest.mark.parametrize("threshold", [0.0, -1e-3, np.inf, np.nan])
+    def test_fail_threshold_must_be_positive_and_finite(self, threshold):
+        plant = make_fixture("toy_finger")
+        with pytest.raises(ValueError, match="fail_threshold must be positive and finite"):
+            invert_trajectory(plant, np.zeros((10, plant.njoints)), 500.0, threshold)
+
     @pytest.mark.parametrize("kind", ["toy_finger", "hand_like"])
     def test_non_positive_tendon_length_names_the_frame(self, kind):
         plant = make_fixture(kind)
@@ -440,8 +468,8 @@ class TestInvertTrajectory:
             invert_trajectory(plant, np.zeros((2, plant.njoints)), 500.0)
 
     def test_activation_state_matches_replay(self):
-        # The inversion propagates activation with its own recovered
-        # controls, so replaying them reproduces that state sequence.
+        # Each recovered control steps the activation to the one the
+        # inversion solved for, so replaying them reproduces that sequence.
         plant = make_fixture("toy_finger")
         dt = 0.002
         ctrl = smooth_random_controls(plant.nactuators, 250, dt, 4)
@@ -450,14 +478,28 @@ class TestInvertTrajectory:
         replay = rollout(plant, rest_state(plant), inv.ctrl, dt)
         assert np.allclose(replay.act, inv.act, atol=1e-12)
 
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_activations_stay_within_each_steps_reach(self, seed):
+        # At 100 Hz one step covers half the gap to the control (dt / tau =
+        # 0.5), so many solutions sit on box edges, where act + x / gain
+        # can round past the reachable activation.
+        plant = make_fixture("toy_finger")
+        dt = 0.01
+        ctrl = smooth_random_controls(plant.nactuators, 400, dt, seed)
+        inv = invert_trajectory(plant, rollout(plant, rest_state(plant), ctrl, dt).q, 100.0)
+        m = plant._muscle
+        reach = [step_activation(inv.act[:-1], u, dt, m.tau_act, m.tau_deact, m.tau_smooth)
+                 for u in (0.0, 1.0)]
+        assert np.all((reach[0] <= inv.act[1:]) & (inv.act[1:] <= reach[1]))
+
     def test_hand_like_roundtrip_has_no_solver_stalls(self):
         # Regression: frames of this trajectory once ran to the iteration cap
-        # and were counted infeasible; the one left cannot reach its force.
+        # and were counted infeasible.
         start = time.perf_counter()
         report = roundtrip(make_fixture("hand_like"), seed=1)
         elapsed = time.perf_counter() - start
         assert report.status == "ok"
-        assert report.infeasible_frames <= 1
+        assert report.infeasible_frames == 0
         assert elapsed < 10.0, f"took {elapsed:.1f} s"
 
     def test_short_roundtrip(self):

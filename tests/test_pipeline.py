@@ -171,6 +171,13 @@ class TestProcessSession:
         assert record.status == "failed"
         assert "non-finite" in record.failure_reason
 
+    @pytest.mark.parametrize("threshold", [np.nan, -1e-3, 0.0])
+    def test_bad_fail_threshold_is_named(self, toy_plant, threshold):
+        session = pose_session(toy_plant, seed=2, nframes=200)
+        opts = PipelineOptions(fail_threshold=threshold)
+        with pytest.raises(ValueError, match="fail_threshold must be positive and finite"):
+            process_session(session, toy_plant, opts)
+
     def test_repeated_channel_names_are_rejected(self, toy_plant):
         # Mapping by name would take the first 'mcp' and leave 'pip' at zero.
         with pytest.raises(ValueError, match=r"channel_names repeats the names \['mcp'\]"):

@@ -21,7 +21,7 @@ from myoctl.plant import (
     PlantError,
     PlantFormatError,
     PlantState,
-    acc0,
+    _assemble,
     forward_step,
     inverse_dynamics,
     load_plant,
@@ -153,11 +153,25 @@ class TestInverseDynamics:
         assert nxt.qdot[0] != 0.0
 
 
+def assembled_plant(moment_arms, inertia):
+    """A plant calibrated by the fixtures' assembly (auto-scaled peak forces)."""
+    moment_arms = np.asarray(moment_arms, dtype=float)
+    nj, na = moment_arms.shape
+    return _assemble(
+        "assembled", [f"j{j}" for j in range(nj)], [f"m{i}" for i in range(na)],
+        moment_arms, np.asarray(inertia, dtype=float), np.full(nj, 0.02),
+        np.full(nj, 1.0), [MuscleParams()] * na,
+    )
+
+
 class TestAcc0:
+    """Auto-scaled peak force is ``scale / acc0``; ``acc0`` is the joint
+    acceleration magnitude per unit force on the actuator's column."""
+
     def test_unit_column(self):
-        plant = simple_plant(njoints=2, inertia=[2.0, 2.0], arm=1.0, offset=30.0)
         # Column 0 is e1 scaled by arm 1.0; |M^-1 e1| = 0.5.
-        assert acc0(plant, 0) == pytest.approx(0.5)
+        plant = assembled_plant([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]], [2.0, 2.0])
+        assert plant.geometry[0].f0 == pytest.approx(MuscleParams().scale / 0.5)
 
     def test_zero_column_and_calibration_consequence(self):
         plant = simple_plant(njoints=2)
@@ -173,9 +187,9 @@ class TestAcc0:
             calibrate_geometry(0.75, 1.05, MuscleParams(), 0.0)
 
     def test_inertia_scaling(self):
-        light = simple_plant(inertia=[1e-3])
-        heavy = simple_plant(inertia=[2e-3])
-        assert acc0(heavy, 0) == pytest.approx(acc0(light, 0) / 2.0)
+        light = assembled_plant([[0.01, -0.01]], [1e-3])
+        heavy = assembled_plant([[0.01, -0.01]], [2e-3])
+        assert heavy.geometry[0].f0 == pytest.approx(2.0 * light.geometry[0].f0)
 
 
 class TestForwardStep:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from myoctl.plant import make_fixture, rest_state, rollout, smooth_random_controls
 from myoctl.timeseries import differentiate, resample
 
 
@@ -63,25 +64,48 @@ class TestResample:
 
 class TestDifferentiate:
     def test_linear_ramp(self):
+        # The velocity starts from rest, so the first step carries the jump.
         t = np.arange(100) * 0.002
         qdot, qddot = differentiate(3.0 * t, 0.002)
-        assert np.allclose(qdot, 3.0, atol=1e-12)
-        assert np.allclose(qddot[1:-1], 0.0, atol=1e-9)
+        assert qdot[0] == 0.0
+        assert np.allclose(qdot[1:], 3.0, atol=1e-12)
+        assert qddot[0] == pytest.approx(3.0 / 0.002)
+        assert np.allclose(qddot[1:], 0.0, atol=1e-9)
 
     def test_quadratic(self):
-        t = np.arange(100) * 0.002
-        qdot, qddot = differentiate(0.5 * 4.0 * t**2, 0.002)
-        assert np.allclose(qddot[1:-1], 4.0, atol=1e-8)
-        assert np.allclose(qdot[1:-1], 4.0 * t[1:-1], atol=1e-10)
+        # Backward differences of 2 t^2 are 2 (t_k + t_{k-1}) = 4 t_k - 4 h
+        # (h the step); their forward differences are exactly 4.
+        h = 0.002
+        t = np.arange(100) * h
+        qdot, qddot = differentiate(0.5 * 4.0 * t**2, h)
+        assert np.allclose(qddot[1:], 4.0, atol=1e-8)
+        assert np.allclose(qdot[1:], 4.0 * t[1:] - 2.0 * h, atol=1e-10)
 
     def test_sine_derivative_accuracy(self):
-        # 5 Hz sine sampled at 500 Hz, amplitude 0.02 rad; second-order
-        # stencils keep the worst-case velocity error under 1e-3 rad/s.
-        t = np.arange(500) * 0.002
+        # 5 Hz sine sampled at 500 Hz, amplitude 0.02 rad. The backward
+        # difference is the midpoint stencil of the half step before each
+        # sample, the velocity a semi-implicit Euler step carries; there its
+        # worst-case error stays under 1e-3 rad/s.
+        h = 0.002
+        t = np.arange(500) * h
         omega = 2 * np.pi * 5.0
-        qdot, _ = differentiate(0.02 * np.sin(omega * t), 0.002)
-        exact = 0.02 * omega * np.cos(omega * t)
-        assert np.abs(qdot - exact).max() < 1e-3
+        qdot, _ = differentiate(0.02 * np.sin(omega * t), h)
+        exact = 0.02 * omega * np.cos(omega * (t - h / 2))
+        assert np.abs(qdot[1:] - exact[1:]).max() < 1e-3
+
+    @pytest.mark.parametrize("kind", ["toy_finger", "hand_like"])
+    def test_reproduces_a_rollouts_velocities(self, kind):
+        plant = make_fixture(kind)
+        dt = 0.002
+        ctrl = smooth_random_controls(plant.nactuators, 500, dt, 6)
+        logged = rollout(plant, rest_state(plant), ctrl, dt)
+        qdot, qddot = differentiate(logged.q, dt)
+        # Velocities of order 10 rad/s from poses of order 1 rad: the
+        # difference of two poses loses about eps / dt.
+        assert np.abs(qdot - logged.qdot).max() < 1e-11
+        assert np.array_equal(qdot[0], logged.qdot[0])
+        # Each acceleration is the velocity step the integrator took.
+        assert np.abs(qddot[:-1] - np.diff(logged.qdot, axis=0) / dt).max() < 1e-8
 
     def test_multijoint_shape(self):
         q = np.random.default_rng(2).standard_normal((50, 3))
