@@ -14,19 +14,20 @@ dead (zero-gain) actuator keeps its activation.
 
 A trajectory is inverted in three passes. Everything that depends only on
 the joint motion (the integrator's difference stencils, tendon kinematics,
-muscle gain and bias, the required generalized force, the activation-free
-part of each frame's force gap and each frame's failure threshold) is
-computed and checked once on the whole ``(nframes, ...)`` arrays. The
-sequential loop then keeps only what depends on the running activation,
-which starts from zero: the frame's activation bounds, one
-:func:`~myoctl.qp.solve_box_qp` on a problem made by a
-:class:`~myoctl.qp.BvlsSolver` bound to the moment arms for the whole
-trajectory (so each distinct free set's pseudo-inverse is computed once),
-and the next activation. A last vectorized bisection on ``f`` recovers every
-frame's control from its pair of activations. Replaying the controls from
-rest therefore reproduces the inversion's activations, and a trajectory the
-forward model produced at the same rate, to round-off. A trajectory fails
-once more than 1 % of its frames are infeasible.
+muscle gain and bias with dead actuators' gains zeroed, the required
+generalized force, the activation-free part of each frame's force gap and
+each frame's failure threshold) is computed and checked once on the whole
+``(nframes, ...)`` arrays. The sequential loop then keeps only what depends
+on the running activation, which starts from zero: the frame's activation
+bounds, one :meth:`~myoctl.qp.BvlsSolver.solve` on plain arrays by a solver
+bound to the moment arms for the whole trajectory (so each distinct free
+set's pseudo-inverse is computed once, and no per-frame problem object is
+built or checked), and the next activation. A last vectorized bisection on
+``f`` recovers every frame's control from its pair of activations.
+Replaying the controls from rest therefore reproduces the inversion's
+activations, and a trajectory the forward model produced at the same rate,
+to round-off. A trajectory fails once more than 1 % of its frames are
+infeasible.
 
 :func:`invert_frame` checks one frame's inputs (:class:`InverseInputs`) and
 runs the same private kernels as the loop.
@@ -38,11 +39,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# bench/spans.py patches step_activation in this module, so the name must
-# stay importable here.
+# bench/spans.py patches step_activation and solve_box_qp in this module, so
+# the names must stay importable here.
 from .activation import _step_activation, step_activation  # noqa: F401
 from .plant import Plant, inverse_dynamics, tendon_kinematics, _gain_bias, _normalized
-from .qp import BvlsSolver, solve_box_qp
+from .qp import BvlsSolver, solve_box_qp  # noqa: F401
 from .timeseries import differentiate
 
 __all__ = [
@@ -140,34 +141,50 @@ class TrajectoryInversion:
     iterations: np.ndarray
 
 
-def _force_gap(inp: InverseInputs) -> np.ndarray:
-    """Force balance constant: torque at the current activation minus target."""
-    am = inp.moment_arms
-    return am @ (inp.gain * inp.act) + (am @ inp.bias - inp.q_frc)
+def _live(gain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Actuators with a usable gain, and the gain with every other one zeroed."""
+    live = np.abs(gain) >= _ZERO_GAIN
+    return live, np.where(live, gain, 0.0)
 
 
-def _live(gain: np.ndarray) -> np.ndarray:
-    return np.abs(gain) >= _ZERO_GAIN
+def _gap_base(moment_arms, gain, bias, q_frc) -> tuple[np.ndarray, np.ndarray]:
+    """The force gap's activation-free part and where the gap can overflow.
 
-
-def _solve_frame(solver: BvlsSolver, gap, gain, live, act, filter_args):
-    """Bound, box, solve, step: ``(act_next, x, residual, diagnostics)``.
-
-    ``gap`` is the force gap at ``act`` and ``filter_args`` the activation
-    step's ``(dt, tau_act, tau_deact, tau_smooth)``. The step under controls
-    0 and 1 bounds the next activation; the bounds map through the
-    non-positive gain to the box of ``x = gain * (act' - act)``, and a dead
-    actuator's ``x`` is pinned at 0, so it keeps its activation. The solve
-    goes through this module's ``solve_box_qp`` name, which the benchmark's
-    tracer patches.
+    Returns ``bias @ moment_arms' - q_frc`` and a flag per row (per frame)
+    that is set where ``|gain| @ |moment_arms|' + |gap_base|``, a bound on
+    the force gap ``moment_arms @ (gain * act) + gap_base`` for every
+    activation in [0, 1], is not finite.
     """
+    with np.errstate(over="ignore"):
+        gap_base = bias @ moment_arms.T - q_frc
+        bound = np.abs(gain) @ np.abs(moment_arms.T) + np.abs(gap_base)
+    return gap_base, ~np.isfinite(bound).all(axis=-1)
+
+
+def _solve_frame(solver: BvlsSolver, act, gain, gap_base, live, live_gain, filter_args):
+    """Gap, bound, box, solve, step: ``(act_next, x, residual, iterations, converged)``.
+
+    The force gap is the torque at ``act`` minus the target, and
+    ``filter_args`` the activation step's ``(dt, tau_act, tau_deact,
+    tau_smooth)``. The step under controls 0 and 1 bounds the next
+    activation; the bounds map through the non-positive ``live_gain`` to the
+    box of ``x = gain * (act' - act)``, and a dead actuator's ``x`` is pinned
+    at 0, so it keeps its activation. The solve runs on plain arrays, with
+    no per-frame checks; the callers' checks make its inputs valid (see
+    :func:`invert_trajectory`).
+    """
+    gap = solver.A @ (gain * act) + gap_base
     lo, hi = _step_activation(act, _CTRL_EDGES, *filter_args)
-    gain = np.where(live, gain, 0.0)
-    x, diag = solve_box_qp(solver.problem(-gap, gain * (hi - act), gain * (lo - act)))
-    step = np.divide(x, gain, out=np.zeros(x.shape), where=live)
+    x, iterations, converged = solver.solve(-gap, live_gain * (hi - act), live_gain * (lo - act))
+    step = np.divide(x, live_gain, out=np.zeros(x.shape), where=live)
     act_next = np.minimum(np.maximum(act + step, lo), hi)
     residual = float(np.abs(solver.A @ x + gap).max())
-    return act_next, x, residual, diag
+    return act_next, x, residual, iterations, converged
+
+
+def _check_fail_threshold(fail_threshold: float) -> None:
+    if not (np.isfinite(fail_threshold) and fail_threshold > 0.0):
+        raise ValueError("fail_threshold must be positive and finite")
 
 
 def _bisect_ctrl(act, act_next, dt, tau_act, tau_deact, tau_smooth):
@@ -194,14 +211,21 @@ def invert_frame(inp: InverseInputs) -> FrameSolution:
 
     The residual is ``||moment_arms @ x + k||_inf``; it is zero (within the
     solver tolerance) exactly when the target force is reachable this step.
+
+    Raises:
+        ValueError: if the force gap can overflow for some activation in
+            [0, 1].
     """
+    gap_base, overflows = _gap_base(inp.moment_arms, inp.gain, inp.bias, inp.q_frc)
+    if overflows:
+        raise ValueError("force gap overflows for some activation in [0, 1]")
     filter_args = (inp.timestep, inp.tau_act, inp.tau_deact, inp.tau_smooth)
-    act_next, x, residual, diag = _solve_frame(
-        BvlsSolver(inp.moment_arms), _force_gap(inp), inp.gain, _live(inp.gain), inp.act,
+    act_next, x, residual, _, converged = _solve_frame(
+        BvlsSolver(inp.moment_arms), inp.act, inp.gain, gap_base, *_live(inp.gain),
         filter_args,
     )
     ctrl = _bisect_ctrl(inp.act, act_next, *filter_args)
-    return FrameSolution(ctrl=ctrl, x=x, residual=residual, converged=diag.converged)
+    return FrameSolution(ctrl=ctrl, x=x, residual=residual, converged=converged)
 
 
 def invert_trajectory(
@@ -217,24 +241,36 @@ def invert_trajectory(
     gain/bias, forms the required generalized force through the plant's
     inverse dynamics and the activation-free part of each frame's force
     gap, and checks once what does not depend on the activation (finite
-    values, ``gain <= 0``). A sequential loop, starting from zero
+    values, ``gain <= 0``, a force gap that stays finite for every
+    activation in [0, 1]). A sequential loop, starting from zero
     activation, bounds each next activation by the plant's own activation
     step under controls 0 and 1, solves the frame's bounded least-squares
-    problem with one :class:`~myoctl.qp.BvlsSolver` bound to the moment
-    arms (each frame through :func:`~myoctl.qp.solve_box_qp`, so each
-    distinct free set's pseudo-inverse is computed once per trajectory) and
-    takes the next activation from the solution. One bisection over the
-    whole ``(nframes, nactuators)`` arrays then recovers the controls. A
-    frame counts as infeasible when its force residual exceeds
-    ``fail_threshold * max(1, ||q_frc||_inf)`` or its solve does not
-    converge. Non-finite input fails the whole trajectory with the offending
-    frame reported.
+    problem with :meth:`~myoctl.qp.BvlsSolver.solve` of one solver bound to
+    the moment arms (so each distinct free set's pseudo-inverse is computed
+    once per trajectory) and takes the next activation from the solution.
+    One bisection over the whole ``(nframes, nactuators)`` arrays then
+    recovers the controls. A frame counts as infeasible when its force
+    residual exceeds ``fail_threshold * max(1, ||q_frc||_inf)`` or its
+    solve does not converge. Non-finite input fails the whole trajectory
+    with the offending frame reported.
+
+    The loop hands the solver plain arrays and checks none of them per
+    frame, because the up-front checks make every frame's problem valid:
+    the moment arms are checked finite when the solver is built; the force
+    gap (the solve's ``b``) is finite because gain, bias and the
+    generalized force are checked finite and the gap's bound over
+    activations in [0, 1] is checked finite; the box edges
+    ``gain * (f(act, 1) - act)`` and ``gain * (f(act, 0) - act)`` are
+    finite because the gain is and activations stay in [0, 1] (the step
+    clamps to [0, 1] and the next activation is clamped to the step's
+    bounds); and the lower edge never exceeds the upper one because the
+    step is monotone in the control and ``gain <= 0``.
 
     Raises:
         ValueError: for fewer than :data:`MIN_FRAMES` frames, a rate or
-            ``fail_threshold`` that is not positive and finite, or muscle
-            forces that are non-finite or push (the message names the
-            frame).
+            ``fail_threshold`` that is not positive and finite, muscle
+            forces that are non-finite or push, or a force gap that can
+            overflow (the message names the frame).
         PlantError: if a frame puts a tendon at non-positive length; the
             message names the tendon and the frame.
     """
@@ -243,8 +279,7 @@ def invert_trajectory(
         raise ValueError(f"need at least {MIN_FRAMES} frames to invert a trajectory")
     if not (np.isfinite(rate_hz) and rate_hz > 0.0):
         raise ValueError("rate_hz must be positive and finite")
-    if not (np.isfinite(fail_threshold) and fail_threshold > 0.0):
-        raise ValueError("fail_threshold must be positive and finite")
+    _check_fail_threshold(fail_threshold)
     nframes = q.shape[0]
     na = plant.nactuators
 
@@ -276,9 +311,13 @@ def invert_trajectory(
             f"gain must be non-positive (muscles only pull); frame {int(np.argmax(pushing))}"
         )
     moment_arms = plant.moment_arms
-    # The activation-free part of each frame's force gap, A @ bias - q_frc.
-    gap_base = bias @ moment_arms.T - q_frc
-    live = _live(gain)
+    gap_base, overflows = _gap_base(moment_arms, gain, bias, q_frc)
+    if overflows.any():
+        raise ValueError(
+            "force gap overflows for some activation in [0, 1]; "
+            f"frame {int(np.argmax(overflows))}"
+        )
+    live, live_gain = _live(gain)
     thresholds = fail_threshold * np.maximum(1.0, np.abs(q_frc).max(axis=1))
     solver = BvlsSolver(moment_arms)
     m = plant._muscle
@@ -288,15 +327,12 @@ def invert_trajectory(
     act = np.zeros((nframes + 1, na))
     residuals = np.empty(nframes)
     iterations = np.zeros(nframes, dtype=int)
-    infeasible = 0
+    converged = np.empty(nframes, dtype=bool)
     for t in range(nframes):
-        gap = moment_arms @ (gain[t] * act[t]) + gap_base[t]
-        act[t + 1], _, residuals[t], diag = _solve_frame(
-            solver, gap, gain[t], live[t], act[t], filter_args
+        act[t + 1], _, residuals[t], iterations[t], converged[t] = _solve_frame(
+            solver, act[t], gain[t], gap_base[t], live[t], live_gain[t], filter_args
         )
-        iterations[t] = diag.iterations
-        if not (diag.converged and residuals[t] <= thresholds[t]):
-            infeasible += 1
+    infeasible = int(np.count_nonzero(~(converged & (residuals <= thresholds))))
 
     failed = infeasible > _MAX_INFEASIBLE_FRACTION * nframes
     return TrajectoryInversion(

@@ -28,7 +28,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .inverse import MIN_FRAMES, invert_trajectory
+from .inverse import MIN_FRAMES, _check_fail_threshold, invert_trajectory
 from .plant import Plant
 from .timeseries import resample
 
@@ -281,17 +281,29 @@ class PipelineOptions:
     joint_map: Mapping[str, str] | None = None
 
 
+def _check_options(opts: PipelineOptions, plant: Plant) -> None:
+    """Reject options that no session can satisfy.
+
+    Raises:
+        ValueError: for a ``fail_threshold`` that is not positive and finite.
+        ConfigurationError: for joint-map keys that name no plant joint.
+    """
+    _check_fail_threshold(opts.fail_threshold)
+    unknown = set(opts.joint_map or {}) - set(plant.joint_names)
+    if unknown:
+        raise ConfigurationError(f"joint map references unknown joints: {sorted(unknown)}")
+
+
 def _map_joints(session: Session, plant: Plant, joint_map: Mapping[str, str] | None):
     """Assemble the (nframes, njoints) pose matrix for a plant.
+
+    Joint-map keys are plant joints (see :func:`_check_options`).
 
     Raises:
         ConfigurationError: for explicitly mapped channels that are missing,
             or session channels that no plant joint consumes.
     """
     joint_map = dict(joint_map or {})
-    unknown = set(joint_map) - set(plant.joint_names)
-    if unknown:
-        raise ConfigurationError(f"joint map references unknown joints: {sorted(unknown)}")
     consumed: set[str] = set()
     columns = []
     for joint in plant.joint_names:
@@ -346,12 +358,14 @@ def process_session(
     reason and no output session is produced.
 
     Raises:
-        ValueError: for an empty session, or one with fewer frames than its
+        ValueError: for an empty session, one with fewer frames than its
             rate needs to give ``MIN_FRAMES`` solve-rate frames (a
-            precondition, not a failure).
+            precondition, not a failure), or a ``fail_threshold`` that is not
+            positive and finite.
         ConfigurationError: for rate or joint-map mismatches.
     """
     opts = opts or PipelineOptions()
+    _check_options(opts, plant)
     start = time.perf_counter()
     if session.n_frames == 0 or not session.channel_names:
         raise ValueError(f"session {session.id!r} is empty")
@@ -474,9 +488,16 @@ def run_batch(
     ``workers`` unset, the ``MYOCTL_WORKERS`` environment variable is the
     fallback, then 1.
 
+    ``opts`` are checked once, before any session is read or ``out_dir``
+    is created.
+
     Raises:
-        ValueError: if the input directory holds no sessions.
+        ValueError: if the input directory holds no sessions, or for a
+            ``fail_threshold`` that is not positive and finite.
+        ConfigurationError: for joint-map keys that name no plant joint.
     """
+    opts = opts or PipelineOptions()
+    _check_options(opts, plant)
     input_dir = Path(input_dir)
     out_dir = Path(out_dir)
     session_dirs = sorted(

@@ -4,20 +4,24 @@ Solves ``min 1/2 ||Ax - b||^2  subject to  lb <= x <= ub`` with Stark and
 Parker's bounded-variable least-squares method (the algorithm behind
 ``scipy.optimize.lsq_linear(method="bvls")``), working on ``A`` itself
 rather than on ``A'A`` so rank-deficient and wide matrices keep their
-conditioning. A :class:`BvlsSolver` is bound to one matrix and solves each
-free-set subproblem as ``pinv(A[:, free]) @ rhs``; every pseudo-inverse is
-computed the first time its free set appears and kept for the life of the
-solver, so a trajectory whose frames share ``A`` pays for each distinct
-free set once. Problems made by :meth:`BvlsSolver.problem` are solved by
-:func:`solve_box_qp` with that solver and its cache. Variables with
-``lb == ub`` are pinned and never enter a free set. Convergence is judged
-by this module's own projected-gradient KKT residual. Everything is
-deterministic for fixed inputs.
+conditioning. A :class:`BvlsSolver` is bound to one matrix and does its
+fixed work once, when it is built: it checks that ``A`` is finite and
+computes the full-column pseudo-inverse that every unbounded first step
+uses. Each free-set subproblem is solved as ``pinv(A[:, free]) @ rhs``;
+every pseudo-inverse is computed the first time its free set appears and
+kept for the life of the solver, so a trajectory whose frames share ``A``
+pays for each distinct free set once. :meth:`BvlsSolver.solve` takes plain
+arrays and checks nothing per call; :class:`BoxQp` is the checked problem
+and :func:`solve_box_qp` solves one with a fresh solver and reports its
+:class:`QpDiagnostics`. Variables with ``lb == ub`` are pinned and never
+enter a free set. Convergence is judged by this module's own
+projected-gradient KKT residual. Everything is deterministic for fixed
+inputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,8 +45,6 @@ class BoxQp:
     b: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
-    # Set by BvlsSolver.problem: the solver (and cache) that solves this problem.
-    _solver: "BvlsSolver | None" = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         for attr in ("A", "b", "lb", "ub"):
@@ -91,6 +93,11 @@ def kkt_residual(problem: BoxQp, x: np.ndarray) -> float:
     return _kkt_residual(problem.A, problem.b, problem.lb, problem.ub, x)
 
 
+def _pinv(sub: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse cutting singular values at ``np.linalg.lstsq``'s default."""
+    return np.linalg.pinv(sub, rcond=max(sub.shape) * np.finfo(float).eps)
+
+
 def _kkt_violation(g, on_bound) -> float:
     """Largest KKT violation: ``|g|`` on free variables, ``g * side`` on bound ones."""
     return float(np.where(on_bound == 0, np.abs(g), g * on_bound).max())
@@ -101,25 +108,25 @@ class BvlsSolver:
 
     Every pseudo-inverse, the unbounded first step's included, cuts
     singular values below ``eps * max(shape)`` times the largest, the
-    default of ``np.linalg.lstsq``, and is kept per free-column mask for
-    the life of the solver. ``lsq_linear`` cuts its first step at ``eps``
+    default of ``np.linalg.lstsq``. The full-column one is computed when
+    the solver is built; the others are kept per free-column mask for the
+    life of the solver. ``lsq_linear`` cuts its first step at ``eps``
     instead; on a full-rank matrix the two agree, while on a rank-deficient
     one (exactly dependent columns) the steps and iteration counts may
-    differ and the objective still agrees. ``A`` must be finite; it is not
-    copied, so it must not change while the solver is in use.
+    differ and the objective still agrees. ``A`` must be finite (a
+    ``ValueError`` says so otherwise); it is not copied, so it must not
+    change while the solver is in use.
     """
 
     def __init__(self, A) -> None:
         self.A = np.asarray(A, dtype=float)
         if self.A.ndim != 2:
             raise ValueError("A must be a matrix")
+        if not np.isfinite(self.A).all():
+            raise ValueError("A contains non-finite entries")
+        # The unbounded first step's pseudo-inverse, outside the free-set cache.
+        self._pinv_all = _pinv(self.A)
         self._pinv: dict[bytes, np.ndarray] = {}
-
-    def problem(self, b, lb, ub) -> BoxQp:
-        """The checked problem on this matrix; :func:`solve_box_qp` solves it here."""
-        problem = BoxQp(self.A, b, lb, ub)
-        object.__setattr__(problem, "_solver", self)
-        return problem
 
     def _subproblem(self, free: np.ndarray, cols, rhs: np.ndarray) -> np.ndarray:
         """Minimum-norm least-squares solution on the free columns.
@@ -134,16 +141,14 @@ class BvlsSolver:
         key = free.tobytes()
         pinv = self._pinv.get(key)
         if pinv is None:
-            sub = self.A[:, free]
-            cutoff = max(sub.shape) * np.finfo(float).eps
-            pinv = self._pinv[key] = np.linalg.pinv(sub, rcond=cutoff)
+            pinv = self._pinv[key] = _pinv(self.A[:, free])
         return pinv @ rhs
 
     def solve(self, b, lb, ub, tol: float = _TOL, max_iter: int = _MAX_ITER):
         """Solve ``min 1/2 ||Ax - b||^2`` over ``lb <= x <= ub``.
 
-        Inputs are float vectors of matching lengths with ``lb <= ub``; they
-        are not checked beyond ``tol`` and ``max_iter``.
+        Inputs are finite float vectors of matching lengths with
+        ``lb <= ub``; they are not checked beyond ``tol`` and ``max_iter``.
 
         Returns:
             ``(x, iterations, converged)``: ``x`` lies in the box,
@@ -159,30 +164,33 @@ class BvlsSolver:
         live = lb < ub
         if live.all():
             x, iterations = self._bvls(A, b, lb, ub, None, tol, max_iter)
-            x = _clamp(x, lb, ub)
         else:
             x, iterations = lb.copy(), 0
             if live.any():
                 # Pinned columns are moved into b; the rest is solved as is.
                 cols = np.flatnonzero(live)
                 b_live = b - A[:, ~live] @ x[~live]
-                x_live, iterations = self._bvls(
+                x[cols], iterations = self._bvls(
                     A[:, cols], b_live, lb[cols], ub[cols], cols, tol, max_iter
                 )
-                x[cols] = _clamp(x_live, lb[cols], ub[cols])
         return x, iterations, _kkt_residual(A, b, lb, ub, x) <= tol
 
     def _bvls(self, A, b, lb, ub, cols, tol, max_iter):
         """BVLS on ``A`` (all columns live); ``cols`` maps them into ``self.A``.
 
-        Follows ``scipy.optimize._lsq.bvls`` step for step (up to the first
-        step's cutoff, see the class docstring): the unbounded solution,
-        the initialization loop that drops violators to their bounds, then
+        Returns ``(x, iterations)`` with ``x`` in the box: a first step that
+        lies in it as is, any later iterate clamped to it. Follows
+        ``scipy.optimize._lsq.bvls`` step for step (up to the first step's
+        cutoff, see the class docstring): the unbounded solution, the
+        initialization loop that drops violators to their bounds, then
         the main loop that frees the variable with the largest KKT
         violation and steps back to the first bound crossed.
         """
         n = A.shape[1]
-        x = self._subproblem(np.ones(n, dtype=bool), cols, b)
+        if cols is None:
+            x = self._pinv_all @ b
+        else:
+            x = self._subproblem(np.ones(n, dtype=bool), cols, b)
         if ((x >= lb) & (x <= ub)).all():
             return x, 0
         on_bound = np.where(x >= ub, 1.0, np.where(x <= lb, -1.0, 0.0))
@@ -241,7 +249,7 @@ class BvlsSolver:
             cost = cost_new
             g = A.T @ r
             optimality = _kkt_violation(g, on_bound)
-        return x, iteration + 1
+        return _clamp(x, lb, ub), iteration + 1
 
 
 def solve_box_qp(
@@ -251,8 +259,8 @@ def solve_box_qp(
 ) -> tuple[np.ndarray, QpDiagnostics]:
     """Solve a bounded least-squares problem to a KKT tolerance.
 
-    One call of the :class:`BvlsSolver` that made ``problem`` (see
-    :meth:`BvlsSolver.problem`), or of a fresh one bound to ``problem.A``.
+    One :meth:`BvlsSolver.solve` of a fresh solver bound to ``problem.A``,
+    plus the objective at the solution.
 
     Args:
         problem: validated problem data.
@@ -265,7 +273,8 @@ def solve_box_qp(
     Returns:
         ``(x, diagnostics)`` with ``x`` feasible componentwise.
     """
-    solver = problem._solver if problem._solver is not None else BvlsSolver(problem.A)
-    x, iterations, converged = solver.solve(problem.b, problem.lb, problem.ub, tol, max_iter)
+    x, iterations, converged = BvlsSolver(problem.A).solve(
+        problem.b, problem.lb, problem.ub, tol, max_iter
+    )
     residual = problem.A @ x - problem.b
     return x, QpDiagnostics(iterations, converged, float(0.5 * residual @ residual))

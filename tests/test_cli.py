@@ -176,6 +176,27 @@ class TestCommands:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["totals"] == {"sessions": 3, "ok": 2, "failed": 1}
 
+    def test_batch_with_unknown_joint_map_key_fails_once(self, tmp_path, capsys):
+        plant_path = tmp_path / "plant.json"
+        run(parse_args(["gen-fixture", "--kind", "toy_finger", "--out", str(plant_path)]))
+        src = tmp_path / "sessions"
+        for i in range(3):
+            run(parse_args(
+                ["simulate", "--plant", str(plant_path), "--out", str(src / f"s{i}"),
+                 "--duration", "0.1", "--rate", "2000", "--seed", str(i)]
+            ))
+        joint_map = tmp_path / "map.json"
+        joint_map.write_text(json.dumps({"elbow": "mcp"}))
+        capsys.readouterr()
+        code = run(parse_args(
+            ["batch", "--in", str(src), "--plant", str(plant_path),
+             "--out", str(tmp_path / "out"), "--joint-map", str(joint_map)]
+        ))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: joint map references unknown joints: ['elbow']\n"
+        assert not (tmp_path / "out").exists()
+
     def test_identical_seeds_give_identical_outputs(self, tmp_path):
         plant_path = tmp_path / "plant.json"
         run(parse_args(["gen-fixture", "--kind", "toy_finger", "--out", str(plant_path)]))

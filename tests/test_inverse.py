@@ -26,7 +26,7 @@ from myoctl.plant import (
     smooth_random_controls,
     tendon_kinematics,
 )
-from myoctl.qp import kkt_residual, solve_box_qp
+from myoctl.qp import BoxQp, kkt_residual, solve_box_qp
 from myoctl.timeseries import differentiate
 
 
@@ -85,19 +85,25 @@ def random_scalar_inputs(rng):
     )
 
 
-def frame_problem(inp):
-    """The bounded least-squares problem :func:`invert_frame` solves for ``inp``."""
-    problems = []
+def recorded_solves(run):
+    """``(A, b, lb, ub)`` of every ``BvlsSolver.solve`` call ``run()`` makes, and its result."""
+    calls = []
+    real = myoctl.qp.BvlsSolver.solve
 
-    def recording(problem, *args, **kwargs):
-        problems.append(problem)
-        return solve_box_qp(problem, *args, **kwargs)
+    def recording(solver, b, lb, ub, *args, **kwargs):
+        calls.append((solver.A, b, lb, ub))
+        return real(solver, b, lb, ub, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(myoctl.inverse, "solve_box_qp", recording)
-        invert_frame(inp)
-    (problem,) = problems
-    return problem
+        patch.setattr(myoctl.qp.BvlsSolver, "solve", recording)
+        result = run()
+    return calls, result
+
+
+def frame_problem(inp):
+    """The checked problem on the arrays :func:`invert_frame` hands its solver for ``inp``."""
+    (call,), _ = recorded_solves(lambda: invert_frame(inp))
+    return BoxQp(*call)
 
 
 def taus_of(inp):
@@ -398,21 +404,21 @@ class TestInvertTrajectory:
         assert result.iterations.tolist() == expected
         assert max(expected) >= 2
 
-    def test_each_frame_is_solved_through_the_module_solve_box_qp(self, monkeypatch):
-        # The benchmark's tracer times the solver by patching this name.
-        solved = []
+    def test_frames_are_solved_without_a_problem_object(self, monkeypatch):
+        # The loop hands its solver plain arrays; each frame's iterations
+        # are those of the checked problem on the same arrays.
+        def fail(self):
+            raise AssertionError("a BoxQp was built inside the inversion")
 
-        def recording(problem, *args, **kwargs):
-            x, diag = solve_box_qp(problem, *args, **kwargs)
-            solved.append(diag.iterations)
-            return x, diag
-
-        monkeypatch.setattr(myoctl.inverse, "solve_box_qp", recording)
         plant = make_fixture("toy_finger")
         dt = 0.002
         q = rollout(plant, rest_state(plant), smooth_random_controls(4, 80, dt, 3), dt).q
-        result = invert_trajectory(plant, q, 500.0)
-        assert solved == result.iterations.tolist()
+        with monkeypatch.context() as patch:
+            patch.setattr(BoxQp, "__post_init__", fail)
+            calls, result = recorded_solves(lambda: invert_trajectory(plant, q, 500.0))
+        expected = [solve_box_qp(BoxQp(*call))[1].iterations for call in calls]
+        assert result.iterations.tolist() == expected
+        assert max(expected) >= 1
 
     def test_non_finite_input_reports_no_iterations(self):
         plant = make_fixture("toy_finger")
@@ -439,6 +445,33 @@ class TestInvertTrajectory:
         monkeypatch.setattr(myoctl.inverse, "_gain_bias", corrupted)
         with pytest.raises(ValueError, match=message):
             invert_trajectory(plant, np.zeros((10, plant.njoints)), 500.0)
+
+    def test_overflowing_force_gap_is_rejected_with_its_frame(self, monkeypatch):
+        # Every input is finite, but with the largest double as a target
+        # force and a huge gain the force gap overflows for some activation
+        # in [0, 1], which would leave the solver a non-finite target.
+        plant = make_fixture("toy_finger")
+        real_gain_bias = myoctl.inverse._gain_bias
+        real_dynamics = myoctl.inverse.inverse_dynamics
+
+        def huge_gain(*args):
+            gain, bias = (np.array(a) for a in real_gain_bias(*args))
+            gain[6] = -1e300
+            return gain, bias
+
+        def extreme_force(*args):
+            q_frc = np.array(real_dynamics(*args))
+            q_frc[6, 0] = -np.finfo(float).max
+            return q_frc
+
+        monkeypatch.setattr(myoctl.inverse, "_gain_bias", huge_gain)
+        monkeypatch.setattr(myoctl.inverse, "inverse_dynamics", extreme_force)
+        with pytest.raises(ValueError, match=r"force gap overflows .*; frame 6$"):
+            invert_trajectory(plant, np.zeros((10, plant.njoints)), 500.0)
+        one_frame = scalar_inputs(gain=np.array([-1e300]),
+                                  q_frc=np.array([-np.finfo(float).max]))
+        with pytest.raises(ValueError, match="force gap overflows"):
+            invert_frame(one_frame)
 
     @pytest.mark.parametrize("rate_hz", [0.0, -500.0, np.inf, np.nan])
     def test_rate_must_be_positive_and_finite(self, rate_hz):

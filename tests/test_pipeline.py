@@ -331,6 +331,23 @@ class TestRunBatch:
         assert strip(m1) == strip(m4)
         assert m1.totals == m4.totals
 
+    @pytest.mark.parametrize("opts, error, message", [
+        (PipelineOptions(fail_threshold=math.nan), ValueError,
+         "fail_threshold must be positive and finite"),
+        (PipelineOptions(joint_map={"elbow": "mcp"}), ConfigurationError,
+         r"unknown joints: \['elbow'\]"),
+    ], ids=["nan_threshold", "unknown_joint"])
+    def test_bad_options_are_rejected_before_any_session_is_read(
+        self, tmp_path, toy_plant, monkeypatch, opts, error, message
+    ):
+        src = self._make_batch(tmp_path, toy_plant, count=3)
+        read = []
+        monkeypatch.setattr("myoctl.pipeline.read_session", read.append)
+        with pytest.raises(error, match=message):
+            run_batch(src, toy_plant, tmp_path / "out", workers=1, opts=opts)
+        assert read == []
+        assert not (tmp_path / "out").exists()
+
     def test_empty_directory_is_an_error(self, tmp_path, toy_plant):
         (tmp_path / "nothing").mkdir()
         with pytest.raises(ValueError, match="no sessions"):

@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import cholesky, solve_triangular
 from scipy.optimize import lsq_linear
 
+from myoctl.plant import make_fixture
 from myoctl.qp import BoxQp, BvlsSolver, kkt_residual, solve_box_qp
 
 from qp_oracle import enumerate_box_qp_optimum, random_box_qp
@@ -172,20 +173,35 @@ class TestAgainstLsqLinear:
             assert np.array_equal(x_reused, x_fresh)
             assert (it_reused, ok_reused) == (it_fresh, ok_fresh)
 
-    def test_problem_from_a_solver_is_solved_with_its_cache(self):
-        rng = np.random.default_rng(8)
-        A = random_matrix(rng, "2x4 negated pairs")
+    @pytest.mark.parametrize("shape", ["toy_finger", "hand_like", "2x4 negated pairs",
+                                       "23x39 negated pairs"])
+    def test_plain_array_solve_matches_solve_box_qp(self, shape):
+        # One solver reused on plain arrays, as the inversion loop uses it,
+        # against a checked problem solved by a fresh one, bit for bit. The
+        # fixtures' moment arms are wide with antagonist pairs, so A'A is
+        # singular.
+        rng = np.random.default_rng(12)
+        if shape in ("toy_finger", "hand_like"):
+            A = make_fixture(shape).moment_arms
+        else:
+            A = random_matrix(rng, shape)
         solver = BvlsSolver(A)
-        for _ in range(30):
+        first_steps = pinned = 0
+        for k in range(150):
             p = random_bvls_problem(rng, A)
-            x_fresh, diag_fresh = solve_box_qp(p)
-            assert not solver._pinv
-            x_made, diag_made = solve_box_qp(solver.problem(p.b, p.lb, p.ub))
-            assert np.array_equal(x_made, x_fresh) and diag_made == diag_fresh
-            assert solver._pinv
-            solver._pinv.clear()
-        with pytest.raises(ValueError, match="lb exceeds ub"):
-            solver.problem(np.zeros(2), np.ones(4), np.zeros(4))
+            lb, ub = p.lb, p.ub
+            if k % 3 == 0:
+                # A box wide enough for the unbounded first step.
+                lb, ub = np.where(lb < ub, lb - 1e3, lb), np.where(lb < ub, ub + 1e3, ub)
+            x, iterations, converged = solver.solve(p.b, lb, ub)
+            x_ref, diag = solve_box_qp(BoxQp(A, p.b, lb, ub))
+            assert x.tobytes() == x_ref.tobytes(), k
+            assert (iterations, converged) == (diag.iterations, diag.converged), k
+            assert np.all((lb <= x) & (x <= ub)), k
+            first_steps += iterations == 0
+            pinned += bool((lb == ub).any())
+        assert first_steps >= 40 and pinned >= 15
+        assert first_steps < 150
 
 
 class TestProperties:
@@ -272,6 +288,9 @@ class TestValidation:
             BoxQp(np.array([[np.nan]]), np.zeros(1), -np.ones(1), np.ones(1))
         with pytest.raises(ValueError):
             BoxQp(np.eye(1), np.array([np.inf]), -np.ones(1), np.ones(1))
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="A contains non-finite entries"):
+                BvlsSolver(np.array([[1.0, value], [0.0, 1.0]]))
 
     def test_row_mismatch_rejected(self):
         with pytest.raises(ValueError):
