@@ -44,6 +44,14 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="myoctl",
@@ -54,8 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="forward-simulate seeded controls to a pose session")
     p_sim.add_argument("--plant", required=True, help="plant definition file")
     p_sim.add_argument("--out", required=True, help="output session directory")
-    p_sim.add_argument("--duration", type=float, default=2.0, help="seconds to simulate")
-    p_sim.add_argument("--rate", type=int, default=500, help="simulation rate in Hz")
+    p_sim.add_argument("--duration", type=_positive_float, default=2.0,
+                       help="seconds to simulate")
+    p_sim.add_argument("--rate", type=_positive_int, default=500, help="simulation rate in Hz")
     p_sim.add_argument("--seed", type=int, default=0, help="control-generator seed")
     p_sim.add_argument("--settle", type=float, default=0.25,
                        help="seconds of zero control at both ends (rest-to-rest sessions)")
@@ -74,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--kind", default="toy_finger",
                        choices=["toy_finger", "hand_like"], help="built-in fixture")
     p_rt.add_argument("--seed", type=int, default=1)
-    p_rt.add_argument("--duration", type=float, default=2.0)
-    p_rt.add_argument("--rate", type=int, default=500)
+    p_rt.add_argument("--duration", type=_positive_float, default=2.0)
+    p_rt.add_argument("--rate", type=_positive_int, default=500)
     p_rt.add_argument("--rmse-tol", type=_positive_float, default=1e-2,
                       help="trajectory RMSE bound (rad)")
 
@@ -83,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--in", dest="input", required=True)
     p_batch.add_argument("--plant", required=True)
     p_batch.add_argument("--out", required=True)
-    p_batch.add_argument("--workers", type=int, default=None,
+    p_batch.add_argument("--workers", type=_positive_int, default=None,
                          help=f"worker count (falls back to ${pipeline.WORKERS_ENV}, then 1)")
     p_batch.add_argument("--joint-map", default=None)
 
@@ -97,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rs = sub.add_parser("resample", help="resample a session to a new rate")
     p_rs.add_argument("--in", dest="input", required=True)
     p_rs.add_argument("--out", required=True)
-    p_rs.add_argument("--to-hz", type=int, required=True)
+    p_rs.add_argument("--to-hz", type=_positive_int, required=True)
 
     return parser
 

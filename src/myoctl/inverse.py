@@ -55,6 +55,7 @@ __all__ = [
     "invert_trajectory",
     "roundtrip",
     "MIN_FRAMES",
+    "CAUSES",
 ]
 
 _ZERO_GAIN = 1e-12
@@ -67,6 +68,9 @@ _CTRL_EDGES = np.array([[0.0], [1.0]])
 _BISECTIONS = 53
 # Fewest frames a trajectory needs: the acceleration stencil spans three.
 MIN_FRAMES = 3
+# What each per-frame cause code in TrajectoryInversion.causes means.
+CAUSES = ("ok", "unreachable force", "not converged")
+_UNREACHABLE, _NOT_CONVERGED = 1, 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +134,12 @@ class FrameSolution:
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryInversion:
-    """Outcome of inverting a joint trajectory."""
+    """Outcome of inverting a joint trajectory.
+
+    ``causes`` holds one code per frame, an index into :data:`CAUSES`: 0 ok,
+    1 unreachable force (the residual exceeds the frame's threshold), 2
+    solver not converged. Its nonzero count is ``infeasible_frames``.
+    """
 
     ctrl: np.ndarray
     residuals: np.ndarray
@@ -139,6 +148,7 @@ class TrajectoryInversion:
     failure_reason: str | None
     infeasible_frames: int
     iterations: np.ndarray
+    causes: np.ndarray
 
 
 def _live(gain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -251,7 +261,8 @@ def invert_trajectory(
     One bisection over the whole ``(nframes, nactuators)`` arrays then
     recovers the controls. A frame counts as infeasible when its force
     residual exceeds ``fail_threshold * max(1, ||q_frc||_inf)`` or its
-    solve does not converge. Non-finite input fails the whole trajectory
+    solve does not converge, and its cause code says which (see
+    :class:`TrajectoryInversion`). Non-finite input fails the whole trajectory
     with the offending frame reported.
 
     The loop hands the solver plain arrays and checks none of them per
@@ -293,6 +304,7 @@ def invert_trajectory(
             failure_reason=f"non-finite input at frame {frame}",
             infeasible_frames=0,
             iterations=np.zeros(nframes, dtype=int),
+            causes=np.zeros(nframes, dtype=np.int8),
         )
 
     dt = 1.0 / rate_hz
@@ -332,7 +344,9 @@ def invert_trajectory(
         act[t + 1], _, residuals[t], iterations[t], converged[t] = _solve_frame(
             solver, act[t], gain[t], gap_base[t], live[t], live_gain[t], filter_args
         )
-    infeasible = int(np.count_nonzero(~(converged & (residuals <= thresholds))))
+    causes = np.where(converged, np.where(residuals <= thresholds, 0, _UNREACHABLE),
+                      _NOT_CONVERGED).astype(np.int8)
+    infeasible = int(np.count_nonzero(causes))
 
     failed = infeasible > _MAX_INFEASIBLE_FRACTION * nframes
     return TrajectoryInversion(
@@ -345,6 +359,7 @@ def invert_trajectory(
         ),
         infeasible_frames=infeasible,
         iterations=iterations,
+        causes=causes,
     )
 
 
@@ -374,11 +389,24 @@ def roundtrip(
     root-mean-square joint-angle gap between the reference and replayed
     trajectories, and ``max_residual`` the largest per-frame force residual
     of the inversion.
+
+    Raises:
+        ValueError: for a rate or duration that is not positive and finite,
+            or one that gives fewer than :data:`MIN_FRAMES` frames.
     """
     from .plant import rest_state, rollout, smooth_random_controls
 
+    if not (np.isfinite(rate_hz) and rate_hz > 0.0):
+        raise ValueError("rate_hz must be positive and finite")
+    if not (np.isfinite(duration) and duration > 0.0):
+        raise ValueError("duration must be positive and finite")
     dt = 1.0 / rate_hz
     nframes = int(round(duration * rate_hz))
+    if nframes < MIN_FRAMES:
+        raise ValueError(
+            f"need at least {MIN_FRAMES} frames for a round trip; "
+            f"{duration} s at {rate_hz} Hz gives {nframes}"
+        )
     ctrl_ref = smooth_random_controls(plant.nactuators, nframes, dt, seed)
     reference = rollout(plant, rest_state(plant), ctrl_ref, dt)
     inversion = invert_trajectory(plant, reference.q, rate_hz)

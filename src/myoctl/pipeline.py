@@ -463,15 +463,26 @@ def _convert_one(args) -> SessionRecord:
 
 
 def _resolve_workers(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get(WORKERS_ENV)
-    if env:
+    """The worker count: ``workers``, else ``$MYOCTL_WORKERS``, else 1.
+
+    Raises:
+        ValueError: for a count below 1, or an environment value that is not
+            an integer; the message names the source.
+    """
+    source = "workers"
+    if workers is None:
+        env = os.environ.get(WORKERS_ENV)
+        if not env:
+            return 1
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
             raise ValueError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
-    return 1
+        source = WORKERS_ENV
+    workers = int(workers)
+    if workers < 1:
+        raise ValueError(f"{source} must be at least 1, got {workers}")
+    return workers
 
 
 def run_batch(
@@ -488,16 +499,18 @@ def run_batch(
     ``workers`` unset, the ``MYOCTL_WORKERS`` environment variable is the
     fallback, then 1.
 
-    ``opts`` are checked once, before any session is read or ``out_dir``
-    is created.
+    ``opts`` and the worker count are checked once, before any session is
+    read or ``out_dir`` is created.
 
     Raises:
-        ValueError: if the input directory holds no sessions, or for a
-            ``fail_threshold`` that is not positive and finite.
+        ValueError: if the input directory holds no sessions, for a worker
+            count below 1, or for a ``fail_threshold`` that is not positive
+            and finite.
         ConfigurationError: for joint-map keys that name no plant joint.
     """
     opts = opts or PipelineOptions()
     _check_options(opts, plant)
+    nworkers = _resolve_workers(workers)
     input_dir = Path(input_dir)
     out_dir = Path(out_dir)
     session_dirs = sorted(
@@ -505,7 +518,6 @@ def run_batch(
     ) if input_dir.is_dir() else []
     if not session_dirs:
         raise ValueError(f"no sessions found in {input_dir}")
-    nworkers = _resolve_workers(workers)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     tasks = [(str(d), plant, opts, str(out_dir)) for d in session_dirs]

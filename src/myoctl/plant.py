@@ -22,7 +22,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 # The step calls the unchecked kernels. bench/spans.py patches
 # step_activation and the public curves in this module, so those names must
@@ -385,8 +384,19 @@ def smooth_random_controls(
     the unit interval. With ``settle > 0`` a smoothstep envelope fades the
     controls to exactly zero over that many seconds at both ends, so the
     plant starts and finishes at rest (filter-friendly session edges).
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed. The first call imports
+    ``scipy.interpolate`` for the spline.
+
+    Raises:
+        ValueError: for fewer than 2 frames or a ``dt`` that is not
+            positive and finite.
     """
+    if nframes < 2:
+        raise ValueError(f"need at least 2 frames of controls, got {nframes}")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    from scipy.interpolate import CubicSpline
+
     from .activation import smoothstep
 
     rng = np.random.default_rng(seed)

@@ -1,9 +1,13 @@
-"""Rate conversion and numerical differentiation for uniformly sampled traces."""
+"""Rate conversion and numerical differentiation for uniformly sampled traces.
+
+scipy is imported on first use, by a :func:`resample` between two different
+rates; importing this module, differentiating or a same-rate resample loads
+numpy only.
+"""
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import firwin, resample_poly
 
 __all__ = ["resample", "differentiate"]
 
@@ -24,6 +28,8 @@ def _integer_ratio(from_hz: float, to_hz: float) -> int:
 
 
 def _design_lowpass(ratio: int, high_rate: float, low_rate: float) -> np.ndarray:
+    from scipy.signal import firwin
+
     numtaps = _TAPS_PER_BRANCH * ratio + 1
     cutoff = _CUTOFF_FRACTION * (low_rate / 2.0)
     taps = firwin(numtaps, cutoff, window=("kaiser", _KAISER_BETA), fs=high_rate)
@@ -61,7 +67,9 @@ def resample(trace, from_hz: float, to_hz: float, axis: int = -1):
     Downsampling low-pass filters (zero phase, boundaries extended by local
     linear extrapolation) and decimates; upsampling zero-stuffs and
     interpolates with the mirrored filter scaled by the ratio. Output
-    length is ``round(n * to_hz / from_hz)``.
+    length is ``round(n * to_hz / from_hz)``. The first call between two
+    different rates imports ``scipy.signal``; a same-rate call returns a
+    copy without it.
 
     Raises:
         ValueError: if the two rates are not related by an integer factor.
@@ -74,6 +82,8 @@ def resample(trace, from_hz: float, to_hz: float, axis: int = -1):
     ratio = _integer_ratio(from_hz, to_hz)
     if ratio == 1:
         return data.copy()
+    from scipy.signal import resample_poly
+
     n_out = int(round(data.shape[axis] * to_hz / from_hz))
     work = np.moveaxis(data, axis, 0)
     if to_hz < from_hz:

@@ -44,6 +44,8 @@ class TestParseArgs:
     @pytest.mark.parametrize("command, option", [
         (["roundtrip"], "--rmse-tol"),
         (["invert", "--plant", "p", "--in", "i", "--out", "o"], "--fail-threshold"),
+        (["roundtrip"], "--duration"),
+        (["simulate", "--plant", "p", "--out", "o"], "--duration"),
     ])
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-3"])
     def test_tolerances_must_be_positive_and_finite(self, capsys, command, option, value):
@@ -51,6 +53,19 @@ class TestParseArgs:
             parse_args(command + [f"{option}={value}"])
         assert excinfo.value.code == 2
         assert f"{option}: must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, option", [
+        (["roundtrip"], "--rate"),
+        (["simulate", "--plant", "p", "--out", "o"], "--rate"),
+        (["batch", "--in", "i", "--plant", "p", "--out", "o"], "--workers"),
+        (["resample", "--in", "i", "--out", "o"], "--to-hz"),
+    ])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_counts_must_be_at_least_1(self, capsys, command, option, value):
+        with pytest.raises(SystemExit) as excinfo:
+            parse_args(command + [f"{option}={value}"])
+        assert excinfo.value.code == 2
+        assert f"{option}: must be at least 1" in capsys.readouterr().err
 
 
 class TestCommands:

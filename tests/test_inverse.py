@@ -7,6 +7,7 @@ import pytest
 import myoctl.inverse
 import myoctl.qp
 from myoctl.inverse import (
+    CAUSES,
     InverseInputs,
     _bisect_ctrl,
     invert_frame,
@@ -367,6 +368,8 @@ class TestInvertTrajectory:
         result = invert_trajectory(plant, q, 500.0)
         assert result.status == "failed"
         assert "frame 17" in result.failure_reason
+        assert result.causes.shape == (50,)
+        assert np.count_nonzero(result.causes) == result.infeasible_frames == 0
 
     @pytest.mark.parametrize("kind", ["toy_finger", "hand_like"])
     def test_matches_a_frame_by_frame_reference(self, kind):
@@ -500,6 +503,39 @@ class TestInvertTrajectory:
         with pytest.raises(ValueError):
             invert_trajectory(plant, np.zeros((2, plant.njoints)), 500.0)
 
+    def test_cause_codes_name_the_infeasible_frames(self):
+        # A 0.3 rad jump at frame 150 asks for forces no activation reaches
+        # in the two frames whose stencils span it.
+        plant = make_fixture("toy_finger")
+        dt = 0.002
+        q = rollout(plant, rest_state(plant), smooth_random_controls(4, 300, dt, 5), dt).q
+        q[150:, 0] += 0.3
+        result = invert_trajectory(plant, q, 500.0)
+        assert result.causes.shape == (300,)
+        assert np.count_nonzero(result.causes) == result.infeasible_frames == 2
+        assert np.flatnonzero(result.causes).tolist() == [149, 150]
+        assert {CAUSES[c] for c in result.causes[149:151]} == {"unreachable force"}
+        assert set(result.causes[:149]) == {0}
+        assert CAUSES[0] == "ok"
+
+    def test_non_converged_frame_gets_its_own_cause(self, monkeypatch):
+        plant = make_fixture("toy_finger")
+        dt = 0.002
+        q = rollout(plant, rest_state(plant), smooth_random_controls(4, 80, dt, 3), dt).q
+        real = myoctl.qp.BvlsSolver.solve
+        calls = []
+
+        def stalls_at_frame_7(solver, b, lb, ub):
+            x, iterations, converged = real(solver, b, lb, ub)
+            calls.append(None)
+            return x, iterations, converged and len(calls) != 8
+
+        monkeypatch.setattr(myoctl.qp.BvlsSolver, "solve", stalls_at_frame_7)
+        result = invert_trajectory(plant, q, 500.0)
+        assert np.flatnonzero(result.causes).tolist() == [7]
+        assert CAUSES[result.causes[7]] == "not converged"
+        assert result.infeasible_frames == 1
+
     def test_activation_state_matches_replay(self):
         # Each recovered control steps the activation to the one the
         # inversion solved for, so replaying them reproduces that sequence.
@@ -540,3 +576,16 @@ class TestInvertTrajectory:
         report = roundtrip(plant, seed=3, duration=0.5, rate_hz=500.0)
         assert report.status == "ok"
         assert report.rmse < 1e-2
+
+    @pytest.mark.parametrize("duration, rate_hz, message", [
+        (0.004, 500.0, "need at least 3 frames for a round trip"),
+        (0.002, 500.0, "need at least 3 frames for a round trip"),
+        (-1.0, 500.0, "duration must be positive and finite"),
+        (float("nan"), 500.0, "duration must be positive and finite"),
+        (float("inf"), 500.0, "duration must be positive and finite"),
+        (2.0, 0.0, "rate_hz must be positive and finite"),
+        (2.0, float("nan"), "rate_hz must be positive and finite"),
+    ])
+    def test_bad_roundtrip_length_is_rejected_by_name(self, duration, rate_hz, message):
+        with pytest.raises(ValueError, match=message):
+            roundtrip(make_fixture("toy_finger"), duration=duration, rate_hz=rate_hz)

@@ -361,9 +361,28 @@ class TestRunBatch:
 
     def test_bad_workers_env(self, tmp_path, toy_plant, monkeypatch):
         src = self._make_batch(tmp_path, toy_plant, count=2)
-        monkeypatch.setenv("MYOCTL_WORKERS", "many")
-        with pytest.raises(ValueError, match="MYOCTL_WORKERS"):
-            run_batch(src, toy_plant, tmp_path / "out", workers=None)
+        read = []
+        monkeypatch.setattr("myoctl.pipeline.read_session", read.append)
+        for value, message in (("many", "must be an integer, got 'many'"),
+                               ("0", "must be at least 1, got 0")):
+            monkeypatch.setenv("MYOCTL_WORKERS", value)
+            with pytest.raises(ValueError, match=f"MYOCTL_WORKERS {message}"):
+                run_batch(src, toy_plant, tmp_path / "out", workers=None)
+        assert read == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_worker_count_below_1_is_rejected_before_any_session_is_read(
+        self, tmp_path, toy_plant, monkeypatch, workers
+    ):
+        src = self._make_batch(tmp_path, toy_plant, count=3)
+        read = []
+        monkeypatch.setattr("myoctl.pipeline.read_session", read.append)
+        monkeypatch.setenv("MYOCTL_WORKERS", "2")
+        with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+            run_batch(src, toy_plant, tmp_path / "out", workers=workers)
+        assert read == []
+        assert not (tmp_path / "out").exists()
 
 
 class TestManifest:

@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -486,3 +487,19 @@ class TestRandomControls:
         assert ctrl[:12].max() < 0.01
         assert ctrl[-12:].max() < 0.01
         assert ctrl.max() > 0.2
+
+    @pytest.mark.parametrize("nframes, dt, message", [
+        (1, 0.002, "at least 2 frames"),
+        (0, 0.002, "at least 2 frames"),
+        (100, 0.0, "dt must be positive and finite"),
+        (100, -0.002, "dt must be positive and finite"),
+        (100, float("nan"), "dt must be positive and finite"),
+        (100, float("inf"), "dt must be positive and finite"),
+    ])
+    def test_bad_length_or_step_is_rejected_before_scipy(self, monkeypatch, nframes, dt,
+                                                         message):
+        # A None entry makes the deferred scipy import fail, so the named
+        # error must come first.
+        monkeypatch.setitem(sys.modules, "scipy.interpolate", None)
+        with pytest.raises(ValueError, match=message):
+            smooth_random_controls(4, nframes, dt, 3)
