@@ -11,7 +11,7 @@ import numpy as np
 
 from .muscle import _collapse
 
-__all__ = ["smoothstep", "time_constant", "step_activation"]
+__all__ = ["smoothstep", "step_activation"]
 
 
 def _unit_clamp(x: np.ndarray) -> np.ndarray:
@@ -42,22 +42,6 @@ def _time_constant(err, tau_act, tau_deact, tau_smooth) -> np.ndarray:
     s = _smoothstep(err / tau_smooth + 0.5)
     # Convex-combination form: bit-exact (tau_act + tau_deact) / 2 at s = 1/2.
     return tau_deact * (1.0 - s) + tau_act * s
-
-
-def time_constant(ctrl, act, tau_act, tau_deact, tau_smooth):
-    """Effective activation time constant for a control/activation pair.
-
-    Returns the smoothstep blend of the two constants, weighted by
-    ``s = smoothstep((ctrl - act) / tau_smooth + 1/2)``; always positive.
-
-    Raises:
-        ValueError: if ``tau_smooth`` is not positive.
-    """
-    _check_tau_smooth(tau_smooth)
-    ctrl, act, tau_act, tau_deact, tau_smooth = (
-        np.asarray(a, dtype=float) for a in (ctrl, act, tau_act, tau_deact, tau_smooth)
-    )
-    return _collapse(_time_constant(ctrl - act, tau_act, tau_deact, tau_smooth))
 
 
 def _step_activation(act, ctrl, dt, tau_act, tau_deact, tau_smooth) -> np.ndarray:

@@ -36,20 +36,28 @@ from .timeseries import resample
 __all__ = ["build_parser", "parse_args", "run", "main"]
 
 
-def _positive_float(text: str) -> float:
-    """An argparse type: a float that is positive and finite."""
-    value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
-    return value
+def _checked(kind, name: str, ok, requirement: str):
+    """An argparse type: ``kind(text)`` that satisfies ``ok``, with plain errors."""
+
+    def convert(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be {name}, got {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+
+    return convert
 
 
-def _positive_int(text: str) -> int:
-    """An argparse type: an integer of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
-    return value
+_positive_float = _checked(
+    float, "a number", lambda v: math.isfinite(v) and v > 0.0, "positive and finite"
+)
+_non_negative_float = _checked(
+    float, "a number", lambda v: math.isfinite(v) and v >= 0.0, "non-negative and finite"
+)
+_positive_int = _checked(int, "an integer", lambda v: v >= 1, "at least 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seconds to simulate")
     p_sim.add_argument("--rate", type=_positive_int, default=500, help="simulation rate in Hz")
     p_sim.add_argument("--seed", type=int, default=0, help="control-generator seed")
-    p_sim.add_argument("--settle", type=float, default=0.25,
+    p_sim.add_argument("--settle", type=_non_negative_float, default=0.25,
                        help="seconds of zero control at both ends (rest-to-rest sessions)")
     p_sim.add_argument("--save-ctrl", default=None, help="also write the applied controls here")
 

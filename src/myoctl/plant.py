@@ -375,33 +375,34 @@ def smooth_random_controls(
     nframes: int,
     dt: float,
     seed: int,
-    knot_hz: float = 2.0,
     settle: float = 0.0,
 ) -> np.ndarray:
     """Seeded band-limited random control trajectory in [0, 1].
 
-    Uniform random knots at ``knot_hz`` joined by a cubic spline, clipped to
-    the unit interval. With ``settle > 0`` a smoothstep envelope fades the
+    Uniform random knots, about two a second, joined by a cubic spline and
+    clipped to the unit interval. With ``settle > 0`` a smoothstep envelope fades the
     controls to exactly zero over that many seconds at both ends, so the
-    plant starts and finishes at rest (filter-friendly session edges).
-    Deterministic for a fixed seed. The first call imports
-    ``scipy.interpolate`` for the spline.
+    plant starts and finishes at rest (filter-friendly session edges);
+    ``settle = 0`` applies no envelope. Deterministic for a fixed seed. The
+    first call imports ``scipy.interpolate`` for the spline.
 
     Raises:
-        ValueError: for fewer than 2 frames or a ``dt`` that is not
-            positive and finite.
+        ValueError: for fewer than 2 frames, a ``dt`` that is not positive
+            and finite, or a ``settle`` that is not non-negative and finite.
     """
     if nframes < 2:
         raise ValueError(f"need at least 2 frames of controls, got {nframes}")
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if not (math.isfinite(settle) and settle >= 0.0):
+        raise ValueError(f"settle must be non-negative and finite, got {settle!r}")
     from scipy.interpolate import CubicSpline
 
     from .activation import smoothstep
 
     rng = np.random.default_rng(seed)
     duration = (nframes - 1) * dt
-    nknots = max(4, int(round(duration * knot_hz)) + 2)
+    nknots = max(4, int(round(duration * 2.0)) + 2)
     knot_times = np.linspace(0.0, duration, nknots)
     knots = rng.uniform(0.0, 1.0, size=(nknots, nactuators))
     spline = CubicSpline(knot_times, knots, axis=0, bc_type="natural")

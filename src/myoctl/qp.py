@@ -11,11 +11,13 @@ uses. Each free-set subproblem is solved as ``pinv(A[:, free]) @ rhs``;
 every pseudo-inverse is computed the first time its free set appears and
 kept for the life of the solver, so a trajectory whose frames share ``A``
 pays for each distinct free set once. :meth:`BvlsSolver.solve` takes plain
-arrays and checks nothing per call; :class:`BoxQp` is the checked problem
+arrays and checks only ``max_iter``. :class:`BoxQp` is the checked problem
 and :func:`solve_box_qp` solves one with a fresh solver and reports its
-:class:`QpDiagnostics`. Variables with ``lb == ub`` are pinned and never
-enter a free set. Convergence is judged by this module's own
-projected-gradient KKT residual. Everything is deterministic for fixed
+:class:`QpDiagnostics`; the inversion loop uses neither, and they remain
+for the tests and the benchmark tracer. A variable with ``lb == ub`` is
+pinned: it stays on its bound through the one BVLS loop and never enters a
+free set. Convergence is judged by this module's own projected-gradient KKT
+residual at a fixed tolerance. Everything is deterministic for fixed
 inputs.
 """
 
@@ -25,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BoxQp", "QpDiagnostics", "BvlsSolver", "solve_box_qp", "kkt_residual"]
+__all__ = ["BoxQp", "QpDiagnostics", "BvlsSolver", "solve_box_qp"]
 
-# Defaults of every solve: the KKT tolerance and the cap on BVLS main-loop
-# iterations.
+# The KKT tolerance of every solve (also BVLS's relative cost-change stop)
+# and the default cap on BVLS main-loop iterations.
 _TOL = 1e-10
 _MAX_ITER = 20000
 
@@ -75,22 +77,9 @@ def _clamp(x, lb, ub):
 
 
 def _kkt_residual(A, b, lb, ub, x) -> float:
+    """Projected-gradient residual ``||x - clip(x - A'(Ax - b), lb, ub)||_inf``."""
     grad = A.T @ (A @ x - b)
     return float(np.abs(x - _clamp(x - grad, lb, ub)).max(initial=0.0))
-
-
-def kkt_residual(problem: BoxQp, x: np.ndarray) -> float:
-    """Projected-gradient optimality residual, zero exactly at the optimum.
-
-    Returns ``||x - clip(x - A'(Ax - b), lb, ub)||_inf`` for a feasible ``x``.
-
-    Raises:
-        ValueError: if ``x`` lies outside the box.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x < problem.lb - 1e-12) or np.any(x > problem.ub + 1e-12):
-        raise ValueError("x lies outside [lb, ub]")
-    return _kkt_residual(problem.A, problem.b, problem.lb, problem.ub, x)
 
 
 def _pinv(sub: np.ndarray) -> np.ndarray:
@@ -128,69 +117,51 @@ class BvlsSolver:
         self._pinv_all = _pinv(self.A)
         self._pinv: dict[bytes, np.ndarray] = {}
 
-    def _subproblem(self, free: np.ndarray, cols, rhs: np.ndarray) -> np.ndarray:
-        """Minimum-norm least-squares solution on the free columns.
-
-        ``free`` masks the columns ``cols`` of ``A`` (all of them when
-        ``cols`` is None); the cache is keyed by the full-width mask.
-        """
-        if cols is not None:
-            mask = np.zeros(self.A.shape[1], dtype=bool)
-            mask[cols[free]] = True
-            free = mask
+    def _subproblem(self, free: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Minimum-norm least-squares solution on the columns ``free`` masks."""
         key = free.tobytes()
         pinv = self._pinv.get(key)
         if pinv is None:
             pinv = self._pinv[key] = _pinv(self.A[:, free])
         return pinv @ rhs
 
-    def solve(self, b, lb, ub, tol: float = _TOL, max_iter: int = _MAX_ITER):
+    def solve(self, b, lb, ub, max_iter: int = _MAX_ITER):
         """Solve ``min 1/2 ||Ax - b||^2`` over ``lb <= x <= ub``.
 
         Inputs are finite float vectors of matching lengths with
-        ``lb <= ub``; they are not checked beyond ``tol`` and ``max_iter``.
+        ``lb <= ub``; only ``max_iter`` is checked.
+
+        Follows ``scipy.optimize._lsq.bvls`` step for step (up to the first
+        step's cutoff, see the class docstring): the unbounded solution,
+        the initialization loop that drops violators to their bounds, then
+        the main loop that frees the variable with the largest KKT
+        violation and steps back to the first bound crossed. A pinned
+        variable (``lb == ub``) starts on its bound, its gradient entry is
+        masked to 0 and it never joins a free set, which is the same as
+        moving its column into ``b``.
 
         Returns:
-            ``(x, iterations, converged)``: ``x`` lies in the box,
+            ``(x, iterations, converged)``: ``x`` lies in the box (a first
+            step that lies in it as is, any later iterate clamped to it),
             ``iterations`` counts BVLS steps as ``lsq_linear``'s ``nit``
             does (0 when the unconstrained minimum is feasible), and
-            ``converged`` is ``kkt_residual <= tol``.
+            ``converged`` is a KKT residual of at most ``1e-10``.
         """
-        if tol <= 0.0:
-            raise ValueError("tol must be positive")
         if max_iter < 1:
             raise ValueError("max_iter must be a positive integer")
+        x, iterations = self._bvls(b, lb, ub, max_iter)
+        return x, iterations, _kkt_residual(self.A, b, lb, ub, x) <= _TOL
+
+    def _bvls(self, b, lb, ub, max_iter):
         A = self.A
         live = lb < ub
+        # The unbounded first step, with pinned columns moved into b.
         if live.all():
-            x, iterations = self._bvls(A, b, lb, ub, None, tol, max_iter)
-        else:
-            x, iterations = lb.copy(), 0
-            if live.any():
-                # Pinned columns are moved into b; the rest is solved as is.
-                cols = np.flatnonzero(live)
-                b_live = b - A[:, ~live] @ x[~live]
-                x[cols], iterations = self._bvls(
-                    A[:, cols], b_live, lb[cols], ub[cols], cols, tol, max_iter
-                )
-        return x, iterations, _kkt_residual(A, b, lb, ub, x) <= tol
-
-    def _bvls(self, A, b, lb, ub, cols, tol, max_iter):
-        """BVLS on ``A`` (all columns live); ``cols`` maps them into ``self.A``.
-
-        Returns ``(x, iterations)`` with ``x`` in the box: a first step that
-        lies in it as is, any later iterate clamped to it. Follows
-        ``scipy.optimize._lsq.bvls`` step for step (up to the first step's
-        cutoff, see the class docstring): the unbounded solution, the
-        initialization loop that drops violators to their bounds, then
-        the main loop that frees the variable with the largest KKT
-        violation and steps back to the first bound crossed.
-        """
-        n = A.shape[1]
-        if cols is None:
             x = self._pinv_all @ b
         else:
-            x = self._subproblem(np.ones(n, dtype=bool), cols, b)
+            x = lb * ~live
+            if live.any():
+                x[live] = self._subproblem(live, b - A @ x)
         if ((x >= lb) & (x <= ub)).all():
             return x, 0
         on_bound = np.where(x >= ub, 1.0, np.where(x <= lb, -1.0, 0.0))
@@ -198,12 +169,12 @@ class BvlsSolver:
 
         # Initialization: least squares on the free variables, sending
         # violators to their bounds, until the free solution is feasible.
-        free = on_bound == 0
+        free = (on_bound == 0) & live
         iteration = 0
         while free.any():
             iteration += 1
             idx = np.flatnonzero(free)
-            z = self._subproblem(free, cols, b - A @ (x * ~free))
+            z = self._subproblem(free, b - A @ (x * ~free))
             side = np.where(z < lb[idx], -1.0, np.where(z > ub[idx], 1.0, 0.0))
             x[idx] = _clamp(z, lb[idx], ub[idx])
             on_bound[idx] = side
@@ -213,20 +184,20 @@ class BvlsSolver:
 
         r = A @ x - b
         cost = 0.5 * (r @ r)
-        g = A.T @ r
+        g = (A.T @ r) * live
         optimality = _kkt_violation(g, on_bound)
         stopped = False
         for iteration in range(iteration, max_iter + iteration):
-            if stopped or optimality < tol:
+            if stopped or optimality < _TOL:
                 break
             on_bound[np.argmax(g * on_bound)] = 0.0
             while True:
-                free = on_bound == 0
+                free = (on_bound == 0) & live
                 idx = np.flatnonzero(free)
                 x_free = x[idx]
                 lb_free = lb[idx]
                 ub_free = ub[idx]
-                z = self._subproblem(free, cols, b - A @ (x * ~free))
+                z = self._subproblem(free, b - A @ (x * ~free))
                 lbv = np.flatnonzero(z < lb_free)
                 ubv = np.flatnonzero(z > ub_free)
                 if lbv.size == 0 and ubv.size == 0:
@@ -245,36 +216,22 @@ class BvlsSolver:
                 on_bound[idx[v[i]]] = -1.0 if i < lbv.size else 1.0
             r = A @ x - b
             cost_new = 0.5 * (r @ r)
-            stopped = cost - cost_new < tol * cost
+            stopped = cost - cost_new < _TOL * cost
             cost = cost_new
-            g = A.T @ r
+            g = (A.T @ r) * live
             optimality = _kkt_violation(g, on_bound)
         return _clamp(x, lb, ub), iteration + 1
 
 
-def solve_box_qp(
-    problem: BoxQp,
-    tol: float = _TOL,
-    max_iter: int = _MAX_ITER,
-) -> tuple[np.ndarray, QpDiagnostics]:
-    """Solve a bounded least-squares problem to a KKT tolerance.
+def solve_box_qp(problem: BoxQp, max_iter: int = _MAX_ITER) -> tuple[np.ndarray, QpDiagnostics]:
+    """Solve ``problem`` with a fresh :class:`BvlsSolver` and report the objective too.
 
-    One :meth:`BvlsSolver.solve` of a fresh solver bound to ``problem.A``,
-    plus the objective at the solution.
-
-    Args:
-        problem: validated problem data.
-        tol: infinity-norm bound on the projected-gradient residual; also
-            the BVLS termination tolerance.
-        max_iter: cap on BVLS main-loop iterations; on exhaustion the last
-            iterate is returned with ``converged=False`` and the caller
-            decides failure policy.
-
-    Returns:
-        ``(x, diagnostics)`` with ``x`` feasible componentwise.
+    ``x`` is feasible componentwise; when ``max_iter`` runs out it is the
+    last iterate, with ``converged=False``, and the caller decides what
+    that means.
     """
     x, iterations, converged = BvlsSolver(problem.A).solve(
-        problem.b, problem.lb, problem.ub, tol, max_iter
+        problem.b, problem.lb, problem.ub, max_iter
     )
     residual = problem.A @ x - problem.b
     return x, QpDiagnostics(iterations, converged, float(0.5 * residual @ residual))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cholesky, solve_triangular
 
-from myoctl.activation import smoothstep, step_activation, time_constant
+from myoctl.activation import _time_constant, smoothstep, step_activation
 from myoctl.cli import parse_args, run
 from myoctl.inverse import roundtrip
 from myoctl.muscle import MuscleParams, fl_curve, fp_curve, fv_curve
@@ -21,7 +21,7 @@ from myoctl.plant import (
     tendon_kinematics,
     forward_step,
 )
-from myoctl.qp import BoxQp, kkt_residual, solve_box_qp
+from myoctl.qp import BoxQp, _kkt_residual, solve_box_qp
 from myoctl.timeseries import resample
 
 from qp_oracle import enumerate_box_qp_optimum, random_box_qp
@@ -81,7 +81,7 @@ def test_criterion_3_qp_oracle_equivalence():
         assert gap <= 1e-8, f"objective gap {gap}"
         if diag.converged:
             converged_count += 1
-            assert kkt_residual(problem, x) <= 1e-10
+            assert _kkt_residual(lower.T, bvec, lb, ub, x) <= 1e-10
     assert converged_count == 1000
     report(3, f"1000 problems, worst objective gap {worst_gap:.2e}, all KKT <= 1e-10")
 
@@ -138,7 +138,7 @@ def test_criterion_5_activation_dynamics():
                 act = nxt
             assert act == pytest.approx(ctrl, abs=1e-9)
 
-    tau_mid = time_constant(0.4, 0.4, 0.01, 0.04, 0.005)
+    tau_mid = _time_constant(0.4 - 0.4, 0.01, 0.04, 0.005)
     assert tau_mid == (0.01 + 0.04) / 2  # exact equality required
 
     assert smoothstep(0.5) == 0.5

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from myoctl.activation import smoothstep, step_activation, time_constant
+from myoctl.activation import _time_constant, smoothstep, step_activation
 
 
 class TestSmoothstep:
@@ -35,28 +35,26 @@ class TestSmoothstep:
 
 class TestTimeConstant:
     def test_smooth_midpoint_is_exact_average(self):
-        tau = time_constant(0.3, 0.3, 0.01, 0.04, 0.005)
+        tau = _time_constant(0.3 - 0.3, 0.01, 0.04, 0.005)
         assert tau == (0.01 + 0.04) / 2
 
     def test_smooth_is_always_positive(self):
         rng = np.random.default_rng(1)
         ctrl = rng.uniform(0, 1, 500)
         act = rng.uniform(0, 1, 500)
-        tau = time_constant(ctrl, act, 0.01, 0.04, 0.005)
+        tau = _time_constant(ctrl - act, 0.01, 0.04, 0.005)
         assert np.all(np.asarray(tau) > 0.0)
 
     def test_smoothing_width_to_zero_selects_the_switch(self):
         # Pointwise limit for ctrl != act: rising picks tau_act, falling tau_deact.
         for width in (1e-3, 1e-5, 1e-8):
-            up = time_constant(0.6, 0.4, 0.01, 0.04, width)
-            dn = time_constant(0.4, 0.6, 0.01, 0.04, width)
+            up = _time_constant(0.6 - 0.4, 0.01, 0.04, width)
+            dn = _time_constant(0.4 - 0.6, 0.01, 0.04, width)
             assert up == pytest.approx(0.01)
             assert dn == pytest.approx(0.04)
 
     def test_mode_validation(self):
         for width in (0.0, -0.005, np.nan, np.array([0.005, 0.0])):
-            with pytest.raises(ValueError, match="tau_smooth"):
-                time_constant(0.6, 0.4, 0.01, 0.04, width)
             with pytest.raises(ValueError, match="tau_smooth"):
                 step_activation(0.4, 0.6, 0.002, 0.01, 0.04, width)
 

@@ -67,6 +67,31 @@ class TestParseArgs:
         assert excinfo.value.code == 2
         assert f"{option}: must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "-0.25"])
+    def test_settle_must_be_non_negative_and_finite(self, capsys, value):
+        with pytest.raises(SystemExit) as excinfo:
+            parse_args(["simulate", "--plant", "p", "--out", "o", f"--settle={value}"])
+        assert excinfo.value.code == 2
+        assert "--settle: must be non-negative and finite" in capsys.readouterr().err
+
+    def test_settle_of_zero_is_accepted(self):
+        args = parse_args(["simulate", "--plant", "p", "--out", "o", "--settle", "0"])
+        assert args.settle == 0.0
+
+    @pytest.mark.parametrize("command, option, value, kind", [
+        (["roundtrip"], "--rmse-tol", "abc", "a number"),
+        (["simulate", "--plant", "p", "--out", "o"], "--settle", "soon", "a number"),
+        (["batch", "--in", "i", "--plant", "p", "--out", "o"], "--workers", "two", "an integer"),
+        (["resample", "--in", "i", "--out", "o"], "--to-hz", "1.5", "an integer"),
+    ])
+    def test_unparsable_values_are_reported_plainly(self, capsys, command, option, value, kind):
+        with pytest.raises(SystemExit) as excinfo:
+            parse_args(command + [f"{option}={value}"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{option}: must be {kind}, got {value!r}" in err
+        assert "_positive" not in err and "invalid" not in err
+
 
 class TestCommands:
     def test_gen_fixture_writes_loadable_plant(self, tmp_path):

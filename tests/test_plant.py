@@ -488,6 +488,11 @@ class TestRandomControls:
         assert ctrl[-12:].max() < 0.01
         assert ctrl.max() > 0.2
 
+    @pytest.mark.parametrize("settle", [float("nan"), -1.0, -0.25, float("inf")])
+    def test_settle_must_be_non_negative_and_finite(self, settle):
+        with pytest.raises(ValueError, match="settle must be non-negative and finite"):
+            smooth_random_controls(4, 100, 0.002, 3, settle=settle)
+
     @pytest.mark.parametrize("nframes, dt, message", [
         (1, 0.002, "at least 2 frames"),
         (0, 0.002, "at least 2 frames"),
