@@ -108,8 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--kind", required=True, choices=["toy_finger", "hand_like", "random"])
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--njoints", type=int, default=None)
-    p_gen.add_argument("--nactuators", type=int, default=None)
+    p_gen.add_argument("--njoints", type=_positive_int, default=None)
+    p_gen.add_argument("--nactuators", type=_positive_int, default=None)
 
     p_rs = sub.add_parser("resample", help="resample a session to a new rate")
     p_rs.add_argument("--in", dest="input", required=True)

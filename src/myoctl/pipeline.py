@@ -17,19 +17,18 @@ count apart from wall-time fields.
 from __future__ import annotations
 
 import json
-import math
 import os
 import shutil
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
 from .inverse import MIN_FRAMES, _check_fail_threshold, invert_trajectory
-from .plant import Plant
+from .plant import Plant, _whole_number, _write_atomic, _write_json
 from .timeseries import resample
 
 __all__ = [
@@ -127,17 +126,12 @@ class Session:
         )
 
 
-def _write_atomic(path: Path, payload: bytes) -> None:
-    tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
-
-
 def write_session(session: Session, path) -> None:
-    """Write a session directory (``session.json`` plus ``data.bin``)."""
+    """Write a session directory (``session.json`` plus ``data.bin``),
+    creating it if needed; each file is replaced atomically."""
     directory = Path(path)
     directory.mkdir(parents=True, exist_ok=True)
-    header = {
+    _write_json(directory / "session.json", {
         "format": SESSION_FORMAT,
         "id": session.id,
         "rate_hz": session.rate_hz,
@@ -147,29 +141,8 @@ def write_session(session: Session, path) -> None:
             for name, unit in zip(session.channel_names, session.units)
         ],
         "metadata": session.metadata,
-    }
-    _write_atomic(directory / "session.json", (json.dumps(header, indent=2) + "\n").encode())
+    })
     _write_atomic(directory / "data.bin", session.data.astype("<f4").tobytes())
-
-
-def _header_count(header: dict, key: str, minimum: int) -> int:
-    """A whole-number header field of at least ``minimum``.
-
-    Raises:
-        KeyError: if the field is missing.
-        ValueError: naming the field, for anything but a finite whole
-            number (``2000`` or ``2000.0``) of at least ``minimum``.
-    """
-    value = header[key]
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not math.isfinite(value)
-        or value != int(value)
-        or value < minimum
-    ):
-        raise ValueError(f"{key!r} must be a whole number >= {minimum}, got {value!r}")
-    return int(value)
 
 
 def read_session(path) -> Session:
@@ -192,14 +165,14 @@ def read_session(path) -> Session:
             f"session in {path} is not in the expected {SESSION_FORMAT} format"
         )
     try:
-        frames = _header_count(header, "frames", minimum=0)
+        frames = _whole_number(header, "frames", minimum=0)
         channels = header["channels"]
         names = tuple(entry["name"] for entry in channels)
         repeated = _repeated(names)
         if repeated:
             raise ValueError(f"'channels' repeats the names {repeated}")
         units = tuple(entry.get("units", "1") for entry in channels)
-        rate = _header_count(header, "rate_hz", minimum=1)
+        rate = _whole_number(header, "rate_hz", minimum=1)
         session_id = str(header["id"])
         metadata = dict(header.get("metadata", {}))
     except (KeyError, TypeError, ValueError) as exc:
@@ -241,15 +214,7 @@ class SessionRecord:
     wall_time_s: float
 
     def as_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "status": self.status,
-            "failure_reason": self.failure_reason,
-            "frames": self.frames,
-            "infeasible_frames": self.infeasible_frames,
-            "max_residual": self.max_residual,
-            "wall_time_s": self.wall_time_s,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -382,21 +347,23 @@ def process_session(
         )
     poses = _map_joints(session, plant, opts.joint_map)
 
-    def failed(reason: str, infeasible: int = 0, max_residual: float | None = None):
+    def finish(out: Session | None, reason: str | None, infeasible: int = 0,
+               max_residual: float | None = None):
+        """The result pair; a ``reason`` marks the session failed."""
         record = SessionRecord(
             id=session.id,
-            status="failed",
+            status="ok" if reason is None else "failed",
             failure_reason=reason,
             frames=session.n_frames,
             infeasible_frames=infeasible,
             max_residual=max_residual,
             wall_time_s=time.perf_counter() - start,
         )
-        return None, record
+        return out, record
 
     if not np.isfinite(poses).all():
         frame = int(np.argwhere(~np.isfinite(poses).all(axis=1))[0, 0])
-        return failed(f"non-finite input at frame {frame}")
+        return finish(None, f"non-finite input at frame {frame}")
 
     q_solve = resample(poses, session.rate_hz, SOLVE_RATE_HZ, axis=0)
     result = invert_trajectory(plant, q_solve, SOLVE_RATE_HZ, opts.fail_threshold)
@@ -404,7 +371,7 @@ def process_session(
         float(np.nanmax(result.residuals)) if result.residuals.size else None
     )
     if result.status != "ok":
-        return failed(result.failure_reason or "inversion failed",
+        return finish(None, result.failure_reason or "inversion failed",
                       result.infeasible_frames, max_residual)
 
     controls = resample(result.ctrl, SOLVE_RATE_HZ, session.rate_hz, axis=0)
@@ -417,16 +384,7 @@ def process_session(
         units=("1",) * plant.nactuators,
         metadata={"plant": plant.name, "kind": "tendon_ctrl"},
     )
-    record = SessionRecord(
-        id=session.id,
-        status="ok",
-        failure_reason=None,
-        frames=session.n_frames,
-        infeasible_frames=result.infeasible_frames,
-        max_residual=max_residual,
-        wall_time_s=time.perf_counter() - start,
-    )
-    return out, record
+    return finish(out, None, result.infeasible_frames, max_residual)
 
 
 def _write_session_atomic(session: Session, final_dir: Path) -> None:
@@ -528,8 +486,5 @@ def run_batch(
             records = list(pool.map(_convert_one, tasks))
 
     manifest = Manifest(records=tuple(sorted(records, key=lambda r: r.id)))
-    _write_atomic(
-        out_dir / "manifest.json",
-        (json.dumps(manifest.as_dict(), indent=2) + "\n").encode(),
-    )
+    _write_json(out_dir / "manifest.json", manifest.as_dict())
     return manifest

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -61,6 +61,9 @@ __all__ = [
 ]
 
 PLANT_FORMAT = "myoctl-plant/1"
+
+# The array fields of a Plant, in file order.
+_ARRAYS = ("moment_arms", "length_offsets", "inertia", "damping", "gravity", "joint_range")
 
 
 class PlantError(ValueError):
@@ -125,8 +128,7 @@ class Plant:
     geometry: tuple[MuscleGeometry, ...]
 
     def __post_init__(self) -> None:
-        for attr in ("moment_arms", "length_offsets", "inertia", "damping",
-                     "gravity", "joint_range"):
+        for attr in _ARRAYS:
             value = np.asarray(getattr(self, attr), dtype=float)
             if not np.isfinite(value).all():
                 raise PlantError(f"{attr} has non-finite entries")
@@ -166,24 +168,21 @@ class Plant:
 
     @cached_property
     def _muscle(self) -> _MuscleArrays:
-        def stack(records, attr):
-            return np.array([getattr(r, attr) for r in records])
-
         p, g = self.params, self.geometry
-        lmin, lmax = stack(p, "lmin"), stack(p, "lmax")
+        lmin, lmax = np.array([r.lmin for r in p]), np.array([r.lmax for r in p])
         fl_half_lo, fl_half_hi = _fl_constants(lmin, lmax)
-        fv_rise, fv_rise_width = _fv_constants(stack(p, "fvmax"))
-        fp_width, fp_quarter = _fp_constants(lmax, stack(p, "fpmax"))
+        fv_rise, fv_rise_width = _fv_constants(np.array([r.fvmax for r in p]))
+        fp_width, fp_quarter = _fp_constants(lmax, np.array([r.fpmax for r in p]))
         return _MuscleArrays(
-            l0=stack(g, "l0"),
-            lt=stack(g, "lt"),
-            f0=stack(g, "f0"),
+            l0=np.array([r.l0 for r in g]),
+            lt=np.array([r.lt for r in g]),
+            f0=np.array([r.f0 for r in g]),
             lmin=lmin,
             lmax=lmax,
-            vmax=stack(p, "vmax"),
-            tau_act=stack(p, "tau_act"),
-            tau_deact=stack(p, "tau_deact"),
-            tau_smooth=stack(p, "tau_smooth"),
+            vmax=np.array([r.vmax for r in p]),
+            tau_act=np.array([r.tau_act for r in p]),
+            tau_deact=np.array([r.tau_deact for r in p]),
+            tau_smooth=np.array([r.tau_smooth for r in p]),
             fl_half_lo=fl_half_lo,
             fl_half_hi=fl_half_hi,
             fv_rise=fv_rise,
@@ -611,88 +610,93 @@ def make_fixture(
 # Plant definition files
 
 
+def _write_atomic(path, payload: bytes) -> None:
+    """Write ``payload`` to a temporary sibling, then rename it onto ``path``,
+    so readers see the old file or the new one, never a partial write."""
+    path = Path(path)
+    tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
+    tmp.write_bytes(payload)
+    os.replace(tmp, path)
+
+
+def _write_json(path, doc) -> None:
+    """Write ``doc`` atomically as indented JSON with a trailing newline."""
+    _write_atomic(path, (json.dumps(doc, indent=2) + "\n").encode())
+
+
+def _whole_number(doc: dict, key: str, minimum: int) -> int:
+    """A whole-number field of at least ``minimum``.
+
+    Raises:
+        KeyError: if the field is missing.
+        ValueError: naming the field, for anything but a finite whole
+            number (``2000`` or ``2000.0``) of at least ``minimum``.
+    """
+    value = doc[key]
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+        or value != int(value)
+        or value < minimum
+    ):
+        raise ValueError(f"{key!r} must be a whole number >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _record(cls, entry: dict):
+    """A ``cls`` dataclass built from the entry's values for its fields."""
+    return cls(**{f.name: entry[f.name] for f in fields(cls)})
+
+
 def save_plant(plant: Plant, path) -> None:
-    """Write a plant definition as a versioned JSON document."""
-    doc = {
+    """Write a plant definition as a versioned JSON document, atomically."""
+    _write_json(path, {
         "format": PLANT_FORMAT,
         "name": plant.name,
         "njoints": plant.njoints,
         "nactuators": plant.nactuators,
         "joint_names": list(plant.joint_names),
         "actuator_names": list(plant.actuator_names),
-        "moment_arms": plant.moment_arms.flatten().tolist(),
-        "length_offsets": plant.length_offsets.tolist(),
-        "inertia": plant.inertia.tolist(),
-        "damping": plant.damping.tolist(),
-        "gravity": plant.gravity.tolist(),
-        "joint_range": plant.joint_range.tolist(),
+        **{attr: getattr(plant, attr).ravel().tolist() for attr in _ARRAYS},
         "muscles": [
-            {
-                "range_lo": p.range_lo, "range_hi": p.range_hi,
-                "lmin": p.lmin, "lmax": p.lmax, "vmax": p.vmax,
-                "fpmax": p.fpmax, "fvmax": p.fvmax, "scale": p.scale,
-                "force_override": p.force_override,
-                "tau_act": p.tau_act, "tau_deact": p.tau_deact,
-                "tau_smooth": p.tau_smooth,
-                "l0": g.l0, "lt": g.lt, "f0": g.f0,
-            }
-            for p, g in zip(plant.params, plant.geometry)
+            {**asdict(p), **asdict(g)} for p, g in zip(plant.params, plant.geometry)
         ],
-    }
-    path = Path(path)
-    tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
-    tmp.write_text(json.dumps(doc, indent=2) + "\n")
-    os.replace(tmp, path)
-
-
-def _count(doc: dict, key: str) -> int:
-    value = doc[key]
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"{key} must be finite")
-    return int(value)
+    })
 
 
 def load_plant(path) -> Plant:
     """Read a plant definition written by :func:`save_plant`.
 
     Raises:
-        PlantFormatError: for a wrong format header or malformed document.
+        OSError: if the file cannot be read, such as a missing file.
+        PlantFormatError: for text that is not JSON, a wrong format header
+            or a malformed document, such as a missing field or a joint or
+            actuator count that is not a whole number of at least 1.
         PlantError: for a well-formed document describing an invalid plant.
         Either error names the field that holds a NaN or infinite number.
     """
+    text = Path(path).read_text()
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
         raise PlantFormatError(f"cannot parse plant file {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != PLANT_FORMAT:
         raise PlantFormatError(
             f"plant file {path} is not in the expected {PLANT_FORMAT} format"
         )
     try:
-        nj, na = _count(doc, "njoints"), _count(doc, "nactuators")
-        params = []
-        geometry = []
-        for entry in doc["muscles"]:
-            params.append(MuscleParams(
-                range_lo=entry["range_lo"], range_hi=entry["range_hi"],
-                lmin=entry["lmin"], lmax=entry["lmax"], vmax=entry["vmax"],
-                fpmax=entry["fpmax"], fvmax=entry["fvmax"], scale=entry["scale"],
-                force_override=entry["force_override"], tau_act=entry["tau_act"],
-                tau_deact=entry["tau_deact"], tau_smooth=entry["tau_smooth"],
-            ))
-            geometry.append(MuscleGeometry(entry["l0"], entry["lt"], entry["f0"]))
+        nj, na = _whole_number(doc, "njoints", 1), _whole_number(doc, "nactuators", 1)
+        arrays = {attr: doc[attr] for attr in _ARRAYS}
+        arrays["moment_arms"] = np.asarray(arrays["moment_arms"], dtype=float).reshape(nj, na)
+        muscles = doc["muscles"]
         return Plant(
             name=str(doc.get("name", Path(path).stem)),
             joint_names=tuple(doc["joint_names"]),
             actuator_names=tuple(doc["actuator_names"]),
-            moment_arms=np.asarray(doc["moment_arms"], dtype=float).reshape(nj, na),
-            length_offsets=doc["length_offsets"],
-            inertia=doc["inertia"],
-            damping=doc["damping"],
-            gravity=doc["gravity"],
-            joint_range=doc["joint_range"],
-            params=tuple(params),
-            geometry=tuple(geometry),
+            params=tuple(_record(MuscleParams, entry) for entry in muscles),
+            geometry=tuple(_record(MuscleGeometry, entry) for entry in muscles),
+            **arrays,
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, PlantError):

@@ -86,18 +86,15 @@ def resample(trace, from_hz: float, to_hz: float, axis: int = -1):
 
     n_out = int(round(data.shape[axis] * to_hz / from_hz))
     work = np.moveaxis(data, axis, 0)
-    if to_hz < from_hz:
-        taps = _design_lowpass(ratio, from_hz, to_hz)
-        pad = (len(taps) // (2 * ratio) + 2) * ratio
-        ext = _extend_linear(work, pad, pad)
-        full = resample_poly(ext, up=1, down=ratio, axis=0, window=taps)
-        out = full[pad // ratio : pad // ratio + n_out]
-    else:
-        taps = _normalize_branches(_design_lowpass(ratio, to_hz, from_hz), ratio)
-        pad = len(taps) // (2 * ratio) + 2
-        ext = _extend_linear(work, pad, pad)
-        full = resample_poly(ext, up=ratio, down=1, axis=0, window=taps)
-        out = full[pad * ratio : pad * ratio + n_out]
+    up, down = (1, ratio) if to_hz < from_hz else (ratio, 1)
+    taps = _design_lowpass(ratio, max(from_hz, to_hz), min(from_hz, to_hz))
+    if up > 1:
+        taps = _normalize_branches(taps, up)
+    # Extend each end by ``pad`` low-rate samples, then drop them again.
+    pad = len(taps) // (2 * ratio) + 2
+    ext = _extend_linear(work, pad * down, pad * down)
+    full = resample_poly(ext, up=up, down=down, axis=0, window=taps)
+    out = full[pad * up : pad * up + n_out]
     return np.moveaxis(out, 0, axis)
 
 

@@ -59,6 +59,8 @@ class TestParseArgs:
         (["simulate", "--plant", "p", "--out", "o"], "--rate"),
         (["batch", "--in", "i", "--plant", "p", "--out", "o"], "--workers"),
         (["resample", "--in", "i", "--out", "o"], "--to-hz"),
+        (["gen-fixture", "--kind", "random", "--out", "o"], "--njoints"),
+        (["gen-fixture", "--kind", "random", "--out", "o"], "--nactuators"),
     ])
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_counts_must_be_at_least_1(self, capsys, command, option, value):

@@ -1,6 +1,7 @@
 import json
 import re
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -442,6 +443,35 @@ class TestPlantFiles:
         path.write_text("moment arms go brr")
         with pytest.raises(PlantFormatError):
             load_plant(path)
+
+    @pytest.mark.parametrize("kind", ["toy_finger", "hand_like"])
+    def test_file_layout(self, tmp_path, kind):
+        path = tmp_path / "plant.json"
+        save_plant(make_fixture(kind), path)
+        doc = json.loads(path.read_text())
+        assert list(doc) == [
+            "format", "name", "njoints", "nactuators", "joint_names", "actuator_names",
+            "moment_arms", "length_offsets", "inertia", "damping", "gravity",
+            "joint_range", "muscles",
+        ]
+        keys = [f.name for f in fields(MuscleParams) + fields(MuscleGeometry)]
+        assert [list(entry) for entry in doc["muscles"]] == [keys] * len(doc["muscles"])
+        again = tmp_path / "again.json"
+        save_plant(load_plant(path), again)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("field", ["njoints", "nactuators"])
+    @pytest.mark.parametrize("token", ["2.5", "4.9", "true", "0", "-1"])
+    def test_bad_count_is_named(self, tmp_path, field, token):
+        path, doc = toy_finger_document(tmp_path)
+        doc[field] = json.loads(token)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PlantFormatError, match=rf"'{field}' must be a whole number >= 1"):
+            load_plant(path)
+
+    def test_missing_file_is_an_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_plant(tmp_path / "nope.json")
 
     def test_zero_smoothing_width_is_rejected(self, tmp_path):
         path, doc = toy_finger_document(tmp_path)
