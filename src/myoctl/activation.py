@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .muscle import _collapse
+from .muscle import _collapse, _require_positive
 
 __all__ = ["smoothstep", "step_activation"]
 
@@ -30,11 +30,6 @@ def smoothstep(x):
     Between the clamps it evaluates ``6x^5 - 15x^4 + 10x^3``.
     """
     return _collapse(_smoothstep(np.asarray(x, dtype=float)))
-
-
-def _check_tau_smooth(tau_smooth) -> None:
-    if not (np.asarray(tau_smooth, dtype=float) > 0.0).all():
-        raise ValueError("tau_smooth must be positive")
 
 
 def _time_constant(err, tau_act, tau_deact, tau_smooth) -> np.ndarray:
@@ -61,10 +56,10 @@ def step_activation(act, ctrl, dt, tau_act, tau_deact, tau_smooth):
     Every argument may be a scalar or an array; they broadcast together.
 
     Raises:
-        ValueError: if ``dt`` or ``tau_smooth`` is not positive.
+        ValueError: if ``dt`` or ``tau_smooth`` has an entry that is not
+            positive and finite.
     """
-    if not (np.asarray(dt, dtype=float) > 0.0).all():
-        raise ValueError("dt must be positive")
-    _check_tau_smooth(tau_smooth)
+    _require_positive("dt", dt)
+    _require_positive("tau_smooth", tau_smooth)
     args = (np.asarray(a, dtype=float) for a in (act, ctrl, dt, tau_act, tau_deact, tau_smooth))
     return _collapse(_step_activation(*args))

@@ -22,8 +22,6 @@ from . import pipeline
 from .inverse import roundtrip
 from .pipeline import PipelineOptions, Session, read_session, write_session
 from .plant import (
-    PlantError,
-    PlantFormatError,
     load_plant,
     make_fixture,
     rest_state,
@@ -250,14 +248,7 @@ def run(args: argparse.Namespace) -> int:
     """Dispatch a parsed command; processing failures map to exit code 1."""
     try:
         return _COMMANDS[args.command](args)
-    except (
-        OSError,
-        ValueError,
-        PlantError,
-        PlantFormatError,
-        pipeline.SessionFormatError,
-        pipeline.ConfigurationError,
-    ) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

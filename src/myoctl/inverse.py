@@ -26,8 +26,9 @@ built or checked), and the next activation. A last vectorized bisection on
 ``f`` recovers every frame's control from its pair of activations.
 Replaying the controls from rest therefore reproduces the inversion's
 activations, and a trajectory the forward model produced at the same rate,
-to round-off. A trajectory fails once more than 1 % of its frames are
-infeasible.
+to round-off. A frame that fails an up-front check raises a ``ValueError``
+naming it; a returned inversion's status is failed only when more than 1 %
+of its frames are infeasible.
 
 :func:`invert_frame` checks one frame's inputs (:class:`InverseInputs`) and
 runs the same private kernels as the loop.
@@ -42,6 +43,7 @@ import numpy as np
 # bench/spans.py patches step_activation and solve_box_qp in this module, so
 # the names must stay importable here.
 from .activation import _step_activation, step_activation  # noqa: F401
+from .muscle import _require_positive
 from .plant import Plant, inverse_dynamics, tendon_kinematics, _gain_bias, _normalized
 from .qp import BvlsSolver, solve_box_qp  # noqa: F401
 from .timeseries import differentiate
@@ -110,12 +112,11 @@ class InverseInputs:
             raise ValueError("per-actuator vectors do not match the transmission width")
         if self.q_frc.shape != (nj,):
             raise ValueError("q_frc does not match the joint count")
-        for attr in ("moment_arms", "gain", "bias", "act", "q_frc", "timestep") + taus:
+        for attr in ("moment_arms", "gain", "bias", "act", "q_frc"):
             if not np.isfinite(getattr(self, attr)).all():
                 raise ValueError(f"{attr} contains non-finite entries")
         for attr in ("timestep",) + taus:
-            if not np.all(getattr(self, attr) > 0.0):
-                raise ValueError(f"{attr} must be positive")
+            _require_positive(attr, getattr(self, attr))
         if np.any(self.act < 0.0) or np.any(self.act > 1.0):
             raise ValueError("act must lie in [0, 1]")
         if np.any(self.gain > 0.0):
@@ -139,6 +140,7 @@ class TrajectoryInversion:
     ``causes`` holds one code per frame, an index into :data:`CAUSES`: 0 ok,
     1 unreachable force (the residual exceeds the frame's threshold), 2
     solver not converged. Its nonzero count is ``infeasible_frames``.
+    ``status`` is ``"failed"`` only when more than 1 % of the frames are infeasible.
     """
 
     ctrl: np.ndarray
@@ -192,9 +194,10 @@ def _solve_frame(solver: BvlsSolver, act, gain, gap_base, live, live_gain, filte
     return act_next, x, residual, iterations, converged
 
 
-def _check_fail_threshold(fail_threshold: float) -> None:
-    if not (np.isfinite(fail_threshold) and fail_threshold > 0.0):
-        raise ValueError("fail_threshold must be positive and finite")
+def _reject_frames(what: str, bad: np.ndarray) -> None:
+    """Raise ``ValueError(f"{what} {frame}")`` for the first flagged frame, if any."""
+    if bad.any():
+        raise ValueError(f"{what} {int(np.argmax(bad))}")
 
 
 def _bisect_ctrl(act, act_next, dt, tau_act, tau_deact, tau_smooth):
@@ -262,8 +265,7 @@ def invert_trajectory(
     recovers the controls. A frame counts as infeasible when its force
     residual exceeds ``fail_threshold * max(1, ||q_frc||_inf)`` or its
     solve does not converge, and its cause code says which (see
-    :class:`TrajectoryInversion`). Non-finite input fails the whole trajectory
-    with the offending frame reported.
+    :class:`TrajectoryInversion`).
 
     The loop hands the solver plain arrays and checks none of them per
     frame, because the up-front checks make every frame's problem valid:
@@ -279,33 +281,20 @@ def invert_trajectory(
 
     Raises:
         ValueError: for fewer than :data:`MIN_FRAMES` frames, a rate or
-            ``fail_threshold`` that is not positive and finite, muscle
-            forces that are non-finite or push, or a force gap that can
-            overflow (the message names the frame).
+            ``fail_threshold`` that is not positive and finite, or a frame
+            whose pose, muscle forces or generalized force are non-finite,
+            whose muscles push, or whose force gap can overflow (the message
+            names the first such frame).
         PlantError: if a frame puts a tendon at non-positive length; the
             message names the tendon and the frame.
     """
     q = np.atleast_2d(np.asarray(q_traj, dtype=float))
     if q.shape[0] < MIN_FRAMES:
         raise ValueError(f"need at least {MIN_FRAMES} frames to invert a trajectory")
-    if not (np.isfinite(rate_hz) and rate_hz > 0.0):
-        raise ValueError("rate_hz must be positive and finite")
-    _check_fail_threshold(fail_threshold)
+    _require_positive("rate_hz", rate_hz)
+    _require_positive("fail_threshold", fail_threshold)
+    _reject_frames("non-finite input at frame", ~np.isfinite(q).all(axis=1))
     nframes = q.shape[0]
-    na = plant.nactuators
-
-    if not np.isfinite(q).all():
-        frame = int(np.argwhere(~np.isfinite(q).all(axis=1))[0, 0])
-        return TrajectoryInversion(
-            ctrl=np.zeros((nframes, na)),
-            residuals=np.full(nframes, np.nan),
-            act=np.zeros((nframes, na)),
-            status="failed",
-            failure_reason=f"non-finite input at frame {frame}",
-            infeasible_frames=0,
-            iterations=np.zeros(nframes, dtype=int),
-            causes=np.zeros(nframes, dtype=np.int8),
-        )
 
     dt = 1.0 / rate_hz
     qdot, qddot = differentiate(q, dt)
@@ -314,21 +303,12 @@ def invert_trajectory(
     q_frc = inverse_dynamics(plant, q, qdot, qddot)
     for label, values in (("muscle gain", gain), ("muscle bias", bias),
                           ("generalized force", q_frc)):
-        bad = ~np.isfinite(values).all(axis=1)
-        if bad.any():
-            raise ValueError(f"non-finite {label} at frame {int(np.argmax(bad))}")
-    pushing = (gain > 0.0).any(axis=1)
-    if pushing.any():
-        raise ValueError(
-            f"gain must be non-positive (muscles only pull); frame {int(np.argmax(pushing))}"
-        )
+        _reject_frames(f"non-finite {label} at frame", ~np.isfinite(values).all(axis=1))
+    _reject_frames("gain must be non-positive (muscles only pull); frame",
+                   (gain > 0.0).any(axis=1))
     moment_arms = plant.moment_arms
     gap_base, overflows = _gap_base(moment_arms, gain, bias, q_frc)
-    if overflows.any():
-        raise ValueError(
-            "force gap overflows for some activation in [0, 1]; "
-            f"frame {int(np.argmax(overflows))}"
-        )
+    _reject_frames("force gap overflows for some activation in [0, 1]; frame", overflows)
     live, live_gain = _live(gain)
     thresholds = fail_threshold * np.maximum(1.0, np.abs(q_frc).max(axis=1))
     solver = BvlsSolver(moment_arms)
@@ -336,7 +316,7 @@ def invert_trajectory(
     filter_args = (dt, m.tau_act, m.tau_deact, m.tau_smooth)
 
     # Row t is the activation before frame t's step; the last row, after it.
-    act = np.zeros((nframes + 1, na))
+    act = np.zeros((nframes + 1, plant.nactuators))
     residuals = np.empty(nframes)
     iterations = np.zeros(nframes, dtype=int)
     converged = np.empty(nframes, dtype=bool)
@@ -396,10 +376,8 @@ def roundtrip(
     """
     from .plant import rest_state, rollout, smooth_random_controls
 
-    if not (np.isfinite(rate_hz) and rate_hz > 0.0):
-        raise ValueError("rate_hz must be positive and finite")
-    if not (np.isfinite(duration) and duration > 0.0):
-        raise ValueError("duration must be positive and finite")
+    _require_positive("rate_hz", rate_hz)
+    _require_positive("duration", duration)
     dt = 1.0 / rate_hz
     nframes = int(round(duration * rate_hz))
     if nframes < MIN_FRAMES:

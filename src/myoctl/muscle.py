@@ -47,6 +47,14 @@ def _require_finite(record) -> None:
             raise ValueError(f"{f.name} must be finite")
 
 
+def _require_positive(name: str, value) -> None:
+    """Reject a scalar or array with an entry that is not positive and finite
+    (NaN included), naming it."""
+    v = np.asarray(value, dtype=float)
+    if not ((v > 0.0) & (v < np.inf)).all():
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MuscleParams:
     """Dimensionless curve parameters and time constants for one actuator.
@@ -87,18 +95,12 @@ class MuscleParams:
             raise ValueError("require 0 < range_lo < range_hi")
         if not self.lmin < 1.0 < self.lmax:
             raise ValueError("require lmin < 1 < lmax")
-        if self.vmax <= 0.0:
-            raise ValueError("vmax must be positive")
+        for name in ("vmax", "scale", "tau_act", "tau_deact", "tau_smooth"):
+            _require_positive(name, getattr(self, name))
         if self.fpmax < 0.0:
             raise ValueError("fpmax must be non-negative")
         if self.fvmax < 1.0:
             raise ValueError("fvmax must be at least 1")
-        if self.scale <= 0.0:
-            raise ValueError("scale must be positive")
-        if self.tau_act <= 0.0 or self.tau_deact <= 0.0:
-            raise ValueError("activation time constants must be positive")
-        if self.tau_smooth <= 0.0:
-            raise ValueError("tau_smooth must be positive")
 
 
 @dataclass(frozen=True)
@@ -117,12 +119,10 @@ class MuscleGeometry:
 
     def __post_init__(self) -> None:
         _require_finite(self)
-        if self.l0 <= 0.0:
-            raise ValueError("l0 must be positive")
+        _require_positive("l0", self.l0)
         if self.lt < 0.0:
             raise ValueError("lt must be non-negative")
-        if self.f0 <= 0.0:
-            raise ValueError("f0 must be positive")
+        _require_positive("f0", self.f0)
 
 
 def calibrate_geometry(

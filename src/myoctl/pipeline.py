@@ -27,7 +27,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .inverse import MIN_FRAMES, _check_fail_threshold, invert_trajectory
+from .inverse import MIN_FRAMES, invert_trajectory
+from .muscle import _require_positive
 from .plant import Plant, _whole_number, _write_atomic, _write_json
 from .timeseries import resample
 
@@ -253,7 +254,7 @@ def _check_options(opts: PipelineOptions, plant: Plant) -> None:
         ValueError: for a ``fail_threshold`` that is not positive and finite.
         ConfigurationError: for joint-map keys that name no plant joint.
     """
-    _check_fail_threshold(opts.fail_threshold)
+    _require_positive("fail_threshold", opts.fail_threshold)
     unknown = set(opts.joint_map or {}) - set(plant.joint_names)
     if unknown:
         raise ConfigurationError(f"joint map references unknown joints: {sorted(unknown)}")
@@ -367,12 +368,9 @@ def process_session(
 
     q_solve = resample(poses, session.rate_hz, SOLVE_RATE_HZ, axis=0)
     result = invert_trajectory(plant, q_solve, SOLVE_RATE_HZ, opts.fail_threshold)
-    max_residual = (
-        float(np.nanmax(result.residuals)) if result.residuals.size else None
-    )
+    max_residual = float(result.residuals.max())
     if result.status != "ok":
-        return finish(None, result.failure_reason or "inversion failed",
-                      result.infeasible_frames, max_residual)
+        return finish(None, result.failure_reason, result.infeasible_frames, max_residual)
 
     controls = resample(result.ctrl, SOLVE_RATE_HZ, session.rate_hz, axis=0)
     controls = np.clip(_fit_length(controls, session.n_frames), 0.0, 1.0)

@@ -36,6 +36,7 @@ from .muscle import (  # noqa: F401
     _fp_constants,
     _fv,
     _fv_constants,
+    _require_positive,
     calibrate_geometry,
     fl_curve,
     fp_curve,
@@ -194,7 +195,12 @@ class Plant:
 
 @dataclass(frozen=True, eq=False)
 class PlantState:
-    """Joint positions, joint velocities and per-muscle activations."""
+    """Joint positions, joint velocities and per-muscle activations.
+
+    Raises:
+        PlantError: for ``q`` and ``qdot`` of different shapes or with a
+            non-finite entry (named), or an activation outside [0, 1] or NaN.
+    """
 
     q: np.ndarray
     qdot: np.ndarray
@@ -205,7 +211,10 @@ class PlantState:
             object.__setattr__(self, attr, np.asarray(getattr(self, attr), dtype=float))
         if self.q.shape != self.qdot.shape:
             raise PlantError("q and qdot shapes differ")
-        if np.any(self.act < 0.0) or np.any(self.act > 1.0):
+        for attr in ("q", "qdot"):
+            if not np.isfinite(getattr(self, attr)).all():
+                raise PlantError(f"{attr} has non-finite entries")
+        if not ((self.act >= 0.0) & (self.act <= 1.0)).all():
             raise PlantError("activations must lie in [0, 1]")
 
 
@@ -278,10 +287,9 @@ def inverse_dynamics(plant: Plant, q, qdot, qddot):
 
 
 def _check_step_args(ctrl, dt: float) -> np.ndarray:
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    _require_positive("dt", dt)
     ctrl = np.asarray(ctrl, dtype=float)
-    if np.any(ctrl < 0.0) or np.any(ctrl > 1.0):
+    if not ((ctrl >= 0.0) & (ctrl <= 1.0)).all():
         raise ValueError("controls must lie in [0, 1]")
     return ctrl
 
@@ -324,7 +332,8 @@ def forward_step(plant: Plant, state: PlantState, ctrl, dt: float) -> PlantState
     update.
 
     Raises:
-        ValueError: for controls outside [0, 1] or non-positive ``dt``.
+        ValueError: for a control outside [0, 1] or NaN, or a ``dt`` that is
+            not positive and finite.
         PlantError: if a tendon length is non-positive or the state goes
             non-finite.
     """
@@ -351,8 +360,8 @@ def rollout(plant: Plant, state: PlantState, ctrl_traj, dt: float) -> RolloutRes
     so the states match a loop over :func:`forward_step` bit for bit.
 
     Raises:
-        ValueError: for any control outside [0, 1] or non-positive ``dt``,
-            before the first step.
+        ValueError: for any control outside [0, 1] or NaN, or a ``dt`` that
+            is not positive and finite, before the first step.
         PlantError: at the step where a tendon length turns non-positive or
             the state goes non-finite.
     """
@@ -391,8 +400,7 @@ def smooth_random_controls(
     """
     if nframes < 2:
         raise ValueError(f"need at least 2 frames of controls, got {nframes}")
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    _require_positive("dt", dt)
     if not (math.isfinite(settle) and settle >= 0.0):
         raise ValueError(f"settle must be non-negative and finite, got {settle!r}")
     from scipy.interpolate import CubicSpline
@@ -672,7 +680,8 @@ def load_plant(path) -> Plant:
         OSError: if the file cannot be read, such as a missing file.
         PlantFormatError: for text that is not JSON, a wrong format header
             or a malformed document, such as a missing field or a joint or
-            actuator count that is not a whole number of at least 1.
+            actuator count that is not a whole number of at least 1 or
+            differs from the number of names.
         PlantError: for a well-formed document describing an invalid plant.
         Either error names the field that holds a NaN or infinite number.
     """
@@ -687,6 +696,10 @@ def load_plant(path) -> Plant:
         )
     try:
         nj, na = _whole_number(doc, "njoints", 1), _whole_number(doc, "nactuators", 1)
+        for key, count, names in (("njoints", nj, "joint_names"),
+                                  ("nactuators", na, "actuator_names")):
+            if count != len(doc[names]):
+                raise ValueError(f"{key!r} is {count} but {names!r} has {len(doc[names])} names")
         arrays = {attr: doc[attr] for attr in _ARRAYS}
         arrays["moment_arms"] = np.asarray(arrays["moment_arms"], dtype=float).reshape(nj, na)
         muscles = doc["muscles"]

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .muscle import _require_positive
+
 __all__ = ["resample", "differentiate"]
 
 # Anti-alias / interpolation filter: linear-phase FIR, Kaiser window, cutoff
@@ -72,10 +74,11 @@ def resample(trace, from_hz: float, to_hz: float, axis: int = -1):
     copy without it.
 
     Raises:
-        ValueError: if the two rates are not related by an integer factor.
+        ValueError: if a rate is not positive and finite, or the two rates
+            are not related by an integer factor.
     """
-    if from_hz <= 0 or to_hz <= 0:
-        raise ValueError("sample rates must be positive")
+    _require_positive("from_hz", from_hz)
+    _require_positive("to_hz", to_hz)
     data = np.asarray(trace, dtype=float)
     if data.shape[axis] < 2:
         raise ValueError("need at least 2 samples to resample")
@@ -110,13 +113,13 @@ def differentiate(q_traj, dt: float):
     each step applied.
 
     Raises:
-        ValueError: for fewer than 3 frames or non-positive ``dt``.
+        ValueError: for fewer than 3 frames or a ``dt`` that is not positive
+            and finite.
     """
     q = np.asarray(q_traj, dtype=float)
     if q.shape[0] < 3:
         raise ValueError("need at least 3 frames to differentiate")
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    _require_positive("dt", dt)
 
     qdot = np.zeros_like(q)
     qdot[1:] = (q[1:] - q[:-1]) / dt

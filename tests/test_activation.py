@@ -77,6 +77,8 @@ class TestStepActivation:
             step_activation(0.0, 1.0, 0.0, 0.01, 0.04, 0.005)
         with pytest.raises(ValueError, match="dt"):
             step_activation(0.0, 1.0, -0.002, 0.01, 0.04, 0.005)
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            step_activation(0.0, 1.0, np.inf, 0.01, 0.04, 0.005)
 
     @given(
         cases=st.lists(

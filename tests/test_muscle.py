@@ -311,7 +311,7 @@ class TestActuatorForce:
         # Forces are evaluated at activations from a checked state or from
         # the activation step, which clamps to [0, 1].
         q = np.zeros(self.plant.njoints)
-        for act in (1.5, -0.1):
+        for act in (1.5, -0.1, np.nan):
             with pytest.raises(PlantError, match="activations"):
                 PlantState(q=q, qdot=q, act=np.full(4, act))
         assert step_activation(0.99, 1.0, 10.0, 0.01, 0.04, 0.005) == 1.0

@@ -281,6 +281,23 @@ class TestRollout:
             rollout(plant, rest_state(plant), ctrl, 0.002)
         with pytest.raises(ValueError, match="dt"):
             rollout(plant, rest_state(plant), np.zeros((100, plant.nactuators)), 0.0)
+        # NaN and infinity fail the same checks instead of diverging later.
+        state = rest_state(plant)
+        ctrl[-1, 2] = np.nan
+        with pytest.raises(ValueError, match="controls"):
+            rollout(plant, state, ctrl, 0.002)
+        with pytest.raises(ValueError, match="controls"):
+            forward_step(plant, state, ctrl[-1], 0.002)
+        for dt in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="dt must be positive and finite"):
+                rollout(plant, state, np.zeros((100, plant.nactuators)), dt)
+            with pytest.raises(ValueError, match="dt must be positive and finite"):
+                forward_step(plant, state, np.zeros(plant.nactuators), dt)
+            bad = np.full(plant.njoints, dt)
+            with pytest.raises(PlantError, match="^q has non-finite entries"):
+                PlantState(q=bad, qdot=state.qdot, act=state.act)
+            with pytest.raises(PlantError, match="^qdot has non-finite entries"):
+                PlantState(q=state.q, qdot=bad, act=state.act)
 
     def test_divergence_is_detected_at_the_step(self):
         plant = make_fixture("toy_finger")
@@ -467,6 +484,18 @@ class TestPlantFiles:
         doc[field] = json.loads(token)
         path.write_text(json.dumps(doc))
         with pytest.raises(PlantFormatError, match=rf"'{field}' must be a whole number >= 1"):
+            load_plant(path)
+
+    @pytest.mark.parametrize("field, names", [("njoints", "joint_names"),
+                                              ("nactuators", "actuator_names")])
+    @pytest.mark.parametrize("count", [1, 5])
+    def test_count_must_match_the_names(self, tmp_path, field, names, count):
+        path, doc = toy_finger_document(tmp_path)
+        doc[field] = count
+        path.write_text(json.dumps(doc))
+        listed = len(doc[names])
+        with pytest.raises(PlantFormatError,
+                           match=rf"'{field}' is {count} but '{names}' has {listed} names"):
             load_plant(path)
 
     def test_missing_file_is_an_os_error(self, tmp_path):

@@ -53,6 +53,13 @@ class TestResample:
         with pytest.raises(ValueError, match="integer"):
             resample(np.zeros(100), 2000, 600)
 
+    @pytest.mark.parametrize("rate", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("which", ["from_hz", "to_hz"])
+    def test_rates_must_be_positive_and_finite(self, which, rate):
+        rates = {"from_hz": 2000.0, "to_hz": 500.0, which: rate}
+        with pytest.raises(ValueError, match=f"{which} must be positive and finite"):
+            resample(np.zeros(100), **rates)
+
     def test_multichannel_axis_handling(self):
         t = np.arange(4000) / 2000.0
         data = np.stack([np.sin(2 * np.pi * 5 * t), np.cos(2 * np.pi * 3 * t)])
@@ -118,3 +125,6 @@ class TestDifferentiate:
             differentiate(np.zeros((2, 1)), 0.002)
         with pytest.raises(ValueError):
             differentiate(np.zeros((10, 1)), 0.0)
+        for dt in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="dt must be positive and finite"):
+                differentiate(np.zeros((10, 1)), dt)
