@@ -22,8 +22,12 @@ on the running activation, which starts from zero: the frame's activation
 bounds, one :meth:`~myoctl.qp.BvlsSolver.solve` on plain arrays by a solver
 bound to the moment arms for the whole trajectory (so each distinct free
 set's pseudo-inverse is computed once, and no per-frame problem object is
-built or checked), and the next activation. A last vectorized bisection on
-``f`` recovers every frame's control from its pair of activations.
+built or checked), and the next activation. The solver hands back each
+frame's residual vector ``A x - b`` with its solution, and the residuals are
+reduced once after the loop. A last vectorized pass recovers every frame's
+control from its pair of activations: it returns what 53 bisections of
+[0, 1] on ``f`` would, starting from a short dyadic interval around a
+Newton estimate of the control (see :func:`_recover_ctrl`).
 Replaying the controls from rest therefore reproduces the inversion's
 activations, and a trajectory the forward model produced at the same rate,
 to round-off. A frame that fails an up-front check raises a ``ValueError``
@@ -42,7 +46,7 @@ import numpy as np
 
 # bench/spans.py patches step_activation and solve_box_qp in this module, so
 # the names must stay importable here.
-from .activation import _step_activation, step_activation  # noqa: F401
+from .activation import _step_activation, _time_constant, step_activation  # noqa: F401
 from .muscle import _require_positive
 from .plant import Plant, inverse_dynamics, tendon_kinematics, _gain_bias, _normalized
 from .qp import BvlsSolver, solve_box_qp  # noqa: F401
@@ -68,6 +72,12 @@ _CTRL_EDGES = np.array([[0.0], [1.0]])
 # Halvings of [0, 1] in control recovery: the midpoints are multiples of
 # 2**-53, the spacing of doubles just below 1.
 _BISECTIONS = 53
+# Control recovery starts bisecting from the dyadic interval of width
+# 2**-_SEED_LEVEL (about 9e-13) that holds a Newton estimate of the control,
+# taken in this many Newton steps. An estimate that lands in another interval
+# than the result only costs that entry the full bisection.
+_SEED_LEVEL = 40
+_NEWTON_STEPS = 4
 # Fewest frames a trajectory needs: the acceleration stencil spans three.
 MIN_FRAMES = 3
 # What each per-frame cause code in TrajectoryInversion.causes means.
@@ -154,9 +164,9 @@ class TrajectoryInversion:
 
 
 def _live(gain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Actuators with a usable gain, and the gain with every other one zeroed."""
+    """The gain with each unusable entry set to 0, and the same set to 1."""
     live = np.abs(gain) >= _ZERO_GAIN
-    return live, np.where(live, gain, 0.0)
+    return np.where(live, gain, 0.0), np.where(live, gain, 1.0)
 
 
 def _gap_base(moment_arms, gain, bias, q_frc) -> tuple[np.ndarray, np.ndarray]:
@@ -173,7 +183,7 @@ def _gap_base(moment_arms, gain, bias, q_frc) -> tuple[np.ndarray, np.ndarray]:
     return gap_base, ~np.isfinite(bound).all(axis=-1)
 
 
-def _solve_frame(solver: BvlsSolver, act, gain, gap_base, live, live_gain, filter_args):
+def _solve_frame(solver: BvlsSolver, act, gain, gap_base, live_gain, safe_gain, filter_args):
     """Gap, bound, box, solve, step: ``(act_next, x, residual, iterations, converged)``.
 
     The force gap is the torque at ``act`` minus the target, and
@@ -181,16 +191,17 @@ def _solve_frame(solver: BvlsSolver, act, gain, gap_base, live, live_gain, filte
     tau_smooth)``. The step under controls 0 and 1 bounds the next
     activation; the bounds map through the non-positive ``live_gain`` to the
     box of ``x = gain * (act' - act)``, and a dead actuator's ``x`` is pinned
-    at 0, so it keeps its activation. The solve runs on plain arrays, with
-    no per-frame checks; the callers' checks make its inputs valid (see
-    :func:`invert_trajectory`).
+    at 0, so dividing it by its ``safe_gain`` of 1 keeps its activation.
+    ``residual`` is the vector ``moment_arms @ x + gap``, the solver's ``A x
+    - b``. The solve runs on plain arrays, with no per-frame checks; the
+    callers' checks make its inputs valid (see :func:`invert_trajectory`).
     """
     gap = solver.A @ (gain * act) + gap_base
-    lo, hi = _step_activation(act, _CTRL_EDGES, *filter_args)
-    x, iterations, converged = solver.solve(-gap, live_gain * (hi - act), live_gain * (lo - act))
-    step = np.divide(x, live_gain, out=np.zeros(x.shape), where=live)
-    act_next = np.minimum(np.maximum(act + step, lo), hi)
-    residual = float(np.abs(solver.A @ x + gap).max())
+    bounds = _step_activation(act, _CTRL_EDGES, *filter_args)
+    # Control 0 gives the lower activation bound and the upper edge of x.
+    ub, lb = live_gain * (bounds - act)
+    x, iterations, converged, residual = solver.solve(-gap, lb, ub)
+    act_next = np.minimum(np.maximum(act + x / safe_gain, bounds[0]), bounds[1])
     return act_next, x, residual, iterations, converged
 
 
@@ -200,23 +211,79 @@ def _reject_frames(what: str, bad: np.ndarray) -> None:
         raise ValueError(f"{what} {int(np.argmax(bad))}")
 
 
-def _bisect_ctrl(act, act_next, dt, tau_act, tau_deact, tau_smooth):
+def _bisect(act, act_next, lo, level, filter_args):
+    """Bisect ``[lo, lo + 2**-level]`` on the step down to width ``2**-53``.
+
+    Each pass keeps the upper half when the step from the midpoint falls
+    short of ``act_next`` and the lower half otherwise; the upper end of the
+    last bracket is returned. ``lo`` is a multiple of ``2**-level``, so
+    every midpoint is exact, and from ``lo = 0`` at level 0 the passes are
+    those of a plain bisection of [0, 1].
+    """
+    for k in range(level + 1, _BISECTIONS + 1):
+        mid = lo + 2.0**-k
+        lo = np.where(_step_activation(act, mid, *filter_args) < act_next, mid, lo)
+    return lo + 2.0**-_BISECTIONS
+
+
+def _estimate_ctrl(act, act_next, dt, tau_act, tau_deact, tau_smooth):
+    """Control whose unclamped step takes ``act`` to ``act_next``, to round-off.
+
+    The step is ``act' = act + dt * e / tau(e)`` with ``e = ctrl - act``.
+    Outside the blend window ``|e| >= tau_smooth / 2`` the time constant is
+    ``tau_act`` or ``tau_deact``, and ``e = r * tau`` with ``r = (act' -
+    act) / dt``; inside it, Newton steps on ``e - r * tau(e)`` from the
+    window's middle time constant find ``e`` (one step, when the constants
+    are equal). An ``act'`` of 0, which a step clamped at 0 reaches from a
+    range of controls, gives control 0. Where Newton fails the estimate may
+    be wrong or NaN; :func:`_recover_ctrl`'s check catches both.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        rate = (act_next - act) / dt
+        half = 0.5 * tau_smooth
+        stretch = rate * (tau_act - tau_deact) * (30.0 / tau_smooth)
+        e = np.minimum(np.maximum(rate * (0.5 * (tau_act + tau_deact)), -half), half)
+        for _ in range(_NEWTON_STEPS):
+            u = e / tau_smooth + 0.5
+            # d/de of e - r * tau(e); the smoothstep's slope is 30 u^2 (1 - u)^2.
+            slope = 1.0 - stretch * (u * (1.0 - u)) ** 2
+            e = e - (e - rate * _time_constant(e, tau_act, tau_deact, tau_smooth)) / slope
+            e = np.minimum(np.maximum(e, -half), half)
+        rise, fall = rate * tau_act, rate * tau_deact
+        e = np.where(rise >= half, rise, np.where(fall <= -half, fall, e))
+        ctrl = np.where(act_next > 0.0, act + e, 0.0)
+    return np.minimum(np.maximum(ctrl, 0.0), 1.0)
+
+
+def _recover_ctrl(act, act_next, dt, tau_act, tau_deact, tau_smooth):
     """Controls in [0, 1] whose activation step takes ``act`` to ``act_next``.
 
-    The step is monotone in the control, so bisection on ``[0, 1]``, all
-    entries at once, brackets the least control that reaches ``act_next``
-    and returns the bracket's upper end, whose step reaches it. The
-    arguments broadcast together, for example ``(nframes, nact)``
-    activations with per-muscle time constants.
+    The result is that of 53 bisections of [0, 1] on the step, which is
+    monotone in the control: the upper end of the last bracket, a multiple
+    of ``2**-53`` whose step reaches ``act_next``, the least such wherever
+    the step is strictly increasing. Each entry starts instead from the
+    dyadic interval of width ``2**-40`` that holds its Newton estimate
+    (:func:`_estimate_ctrl`). When the step from the interval's lower end
+    falls short of ``act_next`` and the step from its upper end does not
+    (an end at 0 or 1 passes, as the full bisection tests neither), a
+    monotone step leads the full bisection into the same interval, so 13
+    passes from there return its result; an entry that fails the check
+    runs all 53. The arguments broadcast together, for example
+    ``(nframes, nact)`` activations with per-muscle time constants.
     """
-    lo = np.zeros(np.broadcast(act, act_next).shape)
-    hi = np.ones(lo.shape)
-    for _ in range(_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        short = _step_activation(act, mid, dt, tau_act, tau_deact, tau_smooth) < act_next
-        lo = np.where(short, mid, lo)
-        hi = np.where(short, hi, mid)
-    return hi
+    filter_args = (dt, tau_act, tau_deact, tau_smooth)
+    width = 2.0**-_SEED_LEVEL
+    # The estimate has the arguments' broadcast shape, and so has lo.
+    lo = np.minimum(np.floor(_estimate_ctrl(act, act_next, *filter_args) / width),
+                    2.0**_SEED_LEVEL - 1.0) * width
+    ends = np.stack((lo, lo + width))
+    short = _step_activation(act, ends, *filter_args) < act_next
+    seeded = (short[0] | (ends[0] == 0.0)) & ~(short[1] & (ends[1] < 1.0))
+    ctrl = np.asarray(_bisect(act, act_next, lo, _SEED_LEVEL, filter_args))
+    if not seeded.all():
+        rest = [np.broadcast_to(v, lo.shape)[~seeded] for v in (act, act_next) + filter_args]
+        ctrl[~seeded] = _bisect(rest[0], rest[1], 0.0, 0, rest[2:])
+    return ctrl
 
 
 def invert_frame(inp: InverseInputs) -> FrameSolution:
@@ -237,8 +304,9 @@ def invert_frame(inp: InverseInputs) -> FrameSolution:
         BvlsSolver(inp.moment_arms), inp.act, inp.gain, gap_base, *_live(inp.gain),
         filter_args,
     )
-    ctrl = _bisect_ctrl(inp.act, act_next, *filter_args)
-    return FrameSolution(ctrl=ctrl, x=x, residual=residual, converged=converged)
+    ctrl = _recover_ctrl(inp.act, act_next, *filter_args)
+    return FrameSolution(ctrl=ctrl, x=x, residual=float(np.abs(residual).max()),
+                         converged=converged)
 
 
 def invert_trajectory(
@@ -261,8 +329,10 @@ def invert_trajectory(
     problem with :meth:`~myoctl.qp.BvlsSolver.solve` of one solver bound to
     the moment arms (so each distinct free set's pseudo-inverse is computed
     once per trajectory) and takes the next activation from the solution.
-    One bisection over the whole ``(nframes, nactuators)`` arrays then
-    recovers the controls. A frame counts as infeasible when its force
+    After the loop, the frame residuals are reduced from the residual
+    vectors the solver handed back, and one pass over the whole
+    ``(nframes, nactuators)`` arrays recovers the controls
+    (:func:`_recover_ctrl`). A frame counts as infeasible when its force
     residual exceeds ``fail_threshold * max(1, ||q_frc||_inf)`` or its
     solve does not converge, and its cause code says which (see
     :class:`TrajectoryInversion`).
@@ -309,28 +379,29 @@ def invert_trajectory(
     moment_arms = plant.moment_arms
     gap_base, overflows = _gap_base(moment_arms, gain, bias, q_frc)
     _reject_frames("force gap overflows for some activation in [0, 1]; frame", overflows)
-    live, live_gain = _live(gain)
+    live_gain, safe_gain = _live(gain)
     thresholds = fail_threshold * np.maximum(1.0, np.abs(q_frc).max(axis=1))
     solver = BvlsSolver(moment_arms)
     m = plant._muscle
-    filter_args = (dt, m.tau_act, m.tau_deact, m.tau_smooth)
+    filter_args = (np.asarray(dt), m.tau_act, m.tau_deact, m.tau_smooth)
 
     # Row t is the activation before frame t's step; the last row, after it.
     act = np.zeros((nframes + 1, plant.nactuators))
-    residuals = np.empty(nframes)
+    residual_vectors = np.empty((nframes, plant.njoints))
     iterations = np.zeros(nframes, dtype=int)
     converged = np.empty(nframes, dtype=bool)
     for t in range(nframes):
-        act[t + 1], _, residuals[t], iterations[t], converged[t] = _solve_frame(
-            solver, act[t], gain[t], gap_base[t], live[t], live_gain[t], filter_args
+        act[t + 1], _, residual_vectors[t], iterations[t], converged[t] = _solve_frame(
+            solver, act[t], gain[t], gap_base[t], live_gain[t], safe_gain[t], filter_args
         )
+    residuals = np.abs(residual_vectors).max(axis=1)
     causes = np.where(converged, np.where(residuals <= thresholds, 0, _UNREACHABLE),
                       _NOT_CONVERGED).astype(np.int8)
     infeasible = int(np.count_nonzero(causes))
 
     failed = infeasible > _MAX_INFEASIBLE_FRACTION * nframes
     return TrajectoryInversion(
-        ctrl=_bisect_ctrl(act[:-1], act[1:], *filter_args),
+        ctrl=_recover_ctrl(act[:-1], act[1:], *filter_args),
         residuals=residuals,
         act=act[:-1],
         status="failed" if failed else "ok",

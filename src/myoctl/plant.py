@@ -79,11 +79,12 @@ class PlantFormatError(ValueError):
 class _MuscleArrays:
     """Per-actuator parameters stacked for vectorized evaluation, and the
     constants the curve kernels derive from them (``fl_*``, ``fv_*``,
-    ``fp_*``), computed once per plant as the public curves compute them."""
+    ``fp_*``), computed once per plant as the public curves compute them.
+    ``neg_f0`` is the peak forces negated, as the force terms use them."""
 
     l0: np.ndarray
     lt: np.ndarray
-    f0: np.ndarray
+    neg_f0: np.ndarray
     lmin: np.ndarray
     lmax: np.ndarray
     vmax: np.ndarray
@@ -177,7 +178,7 @@ class Plant:
         return _MuscleArrays(
             l0=np.array([r.l0 for r in g]),
             lt=np.array([r.lt for r in g]),
-            f0=np.array([r.f0 for r in g]),
+            neg_f0=-np.array([r.f0 for r in g]),
             lmin=lmin,
             lmax=lmax,
             vmax=np.array([r.vmax for r in p]),
@@ -227,14 +228,21 @@ def rest_state(plant: Plant) -> PlantState:
     )
 
 
-def _tendon_kinematics(plant: Plant, q: np.ndarray, qdot: np.ndarray):
-    lengths = plant.length_offsets - q @ plant.moment_arms
-    if (lengths <= 0.0).any():
-        where = np.unravel_index(int(np.argmin(lengths)), lengths.shape)
-        name = plant.actuator_names[where[-1]]
-        at = f"frame {where[0]}" if lengths.ndim == 2 else "this pose"
+def _check_lengths(plant: Plant, lengths: np.ndarray) -> None:
+    """Raise :class:`PlantError` if a tendon length is non-positive.
+
+    For ``(nframes, nactuators)`` lengths the message names the first such
+    frame and its shortest tendon; for one pose's, the shortest tendon.
+    """
+    slack = lengths <= 0.0
+    if slack.any():
+        if lengths.ndim == 2:
+            frame = int(np.argmax(slack.any(axis=1)))
+            lengths, at = lengths[frame], f"frame {frame}"
+        else:
+            at = "this pose"
+        name = plant.actuator_names[int(np.argmin(lengths))]
         raise PlantError(f"tendon {name!r} has non-positive length at {at}")
-    return lengths, -(qdot @ plant.moment_arms)
 
 
 def tendon_kinematics(plant: Plant, q, qdot):
@@ -246,9 +254,13 @@ def tendon_kinematics(plant: Plant, q, qdot):
 
     Raises:
         PlantError: if any tendon length is non-positive; for a trajectory
-            ``(nframes, njoints)`` the message names the tendon and frame.
+            ``(nframes, njoints)`` the message names the first such frame
+            and its shortest tendon.
     """
-    return _tendon_kinematics(plant, np.asarray(q, dtype=float), np.asarray(qdot, dtype=float))
+    q, qdot = np.asarray(q, dtype=float), np.asarray(qdot, dtype=float)
+    lengths = plant.length_offsets - q @ plant.moment_arms
+    _check_lengths(plant, lengths)
+    return lengths, -(qdot @ plant.moment_arms)
 
 
 def _normalized(plant: Plant, lengths, velocities):
@@ -270,7 +282,7 @@ def _gain_bias(plant: Plant, norm_len, norm_vel):
     fl = _fl(norm_len, m.lmin, m.lmax, m.fl_half_lo, m.fl_half_hi)
     fv = _fv(norm_vel, m.vmax, m.fv_rise, m.fv_rise_width)
     fp = _fp(norm_len, m.fp_width, m.fp_quarter)
-    return -m.f0 * fl * fv, -m.f0 * fp
+    return m.neg_f0 * fl * fv, m.neg_f0 * fp
 
 
 def inverse_dynamics(plant: Plant, q, qdot, qddot):
@@ -294,34 +306,61 @@ def _check_step_args(ctrl, dt: float) -> np.ndarray:
     return ctrl
 
 
-def _step(plant: Plant, q, qdot, act, ctrl, dt: float):
-    """One semi-implicit Euler step on float arrays; arguments are not checked.
+def _step(plant: Plant, q, qdot, act, ctrl, dt):
+    """One semi-implicit Euler step on float64 arrays; nothing is checked.
 
     Returns ``(q, qdot, act)`` after the step. The activation advances
     first, the muscle forces are evaluated at the pre-step pose with the new
     activation (:func:`_gain_bias` on the plant's cached constants), then
-    the velocity update precedes the position update. A non-finite velocity
-    always makes the new position non-finite (``dt > 0``), so checking the
-    position covers both.
-
-    Callers suppress numpy's overflow and invalid-value warnings, so that
-    a diverging state surfaces as the named :class:`PlantError`.
-
-    Raises:
-        PlantError: if a tendon length is non-positive (naming the tendon)
-            or the state goes non-finite.
+    the velocity update precedes the position update. ``dt`` is a 0-d array
+    (see ``myoctl.muscle._const``). A slack tendon or a non-finite state
+    does not stop the step: :func:`_simulate` checks the whole log once.
     """
     m = plant._muscle
-    norm_len, norm_vel = _normalized(plant, *_tendon_kinematics(plant, q, qdot))
+    lengths = plant.length_offsets - q @ plant.moment_arms
+    norm_len, norm_vel = _normalized(plant, lengths, -(qdot @ plant.moment_arms))
     act_next = _step_activation(act, ctrl, dt, m.tau_act, m.tau_deact, m.tau_smooth)
     gain, bias = _gain_bias(plant, norm_len, norm_vel)
     torque = plant.moment_arms @ (gain * act_next + bias)
     qddot = (torque - plant.damping * qdot - plant.gravity * np.sin(q)) / plant.inertia
     qdot_next = qdot + dt * qddot
-    q_next = q + dt * qdot_next
-    if not np.isfinite(q_next).all():
+    return q + dt * qdot_next, qdot_next, act_next
+
+
+def _simulate(plant: Plant, state: PlantState, ctrl_traj: np.ndarray, dt):
+    """Step from ``state`` through each control row; ``(q, qdot, act)`` logs.
+
+    Row ``t`` of each log is the state before step ``t`` and the last row
+    the state after the last step. The loop checks nothing; one pass over
+    the pose log afterwards raises what checking each step would have. A
+    non-finite velocity always makes the next pose non-finite (``dt > 0``),
+    so the poses cover both. The tendon lengths are checked on every pose
+    before the first non-finite one and on no later pose, as checking each
+    step would have stopped there.
+
+    Raises:
+        PlantError: naming the tendon and the frame (the log row) where a
+            tendon length is first non-positive, or if the state goes
+            non-finite before any tendon does.
+    """
+    n = ctrl_traj.shape[0]
+    q = np.empty((n + 1, plant.njoints))
+    qdot = np.empty((n + 1, plant.njoints))
+    act = np.empty((n + 1, plant.nactuators))
+    q_t, qdot_t, act_t = state.q, state.qdot, state.act
+    q[0], qdot[0], act[0] = q_t, qdot_t, act_t
+    dt = np.asarray(dt, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(n):
+            q_t, qdot_t, act_t = _step(plant, q_t, qdot_t, act_t, ctrl_traj[t], dt)
+            q[t + 1], qdot[t + 1], act[t + 1] = q_t, qdot_t, act_t
+        finite = np.isfinite(q).all(axis=1)
+        diverged = not finite.all()
+        valid = q[: int(np.argmin(finite))] if diverged else q
+        _check_lengths(plant, plant.length_offsets - valid @ plant.moment_arms)
+    if diverged:
         raise PlantError("simulation diverged to a non-finite state")
-    return q_next, qdot_next, act_next
+    return q, qdot, act
 
 
 def forward_step(plant: Plant, state: PlantState, ctrl, dt: float) -> PlantState:
@@ -329,18 +368,19 @@ def forward_step(plant: Plant, state: PlantState, ctrl, dt: float) -> PlantState
 
     Activations update first (smoothed time constants), forces are evaluated
     at the pre-step pose, and the velocity update precedes the position
-    update.
+    update. It is a one-row :func:`rollout` that returns the state after the
+    step.
 
     Raises:
         ValueError: for a control outside [0, 1] or NaN, or a ``dt`` that is
             not positive and finite.
-        PlantError: if a tendon length is non-positive or the state goes
+        PlantError: if a tendon length is non-positive at the given pose
+            (named frame 0) or the stepped one (frame 1), or the state goes
             non-finite.
     """
     ctrl = _check_step_args(ctrl, dt)
-    with np.errstate(over="ignore", invalid="ignore"):
-        q, qdot, act = _step(plant, state.q, state.qdot, state.act, ctrl, dt)
-    return PlantState(q=q, qdot=qdot, act=act)
+    q, qdot, act = _simulate(plant, state, ctrl[np.newaxis], dt)
+    return PlantState(q=q[1], qdot=qdot[1], act=act[1])
 
 
 @dataclass(frozen=True)
@@ -362,20 +402,13 @@ def rollout(plant: Plant, state: PlantState, ctrl_traj, dt: float) -> RolloutRes
     Raises:
         ValueError: for any control outside [0, 1] or NaN, or a ``dt`` that
             is not positive and finite, before the first step.
-        PlantError: at the step where a tendon length turns non-positive or
-            the state goes non-finite.
+        PlantError: after the last step, if a tendon length is non-positive
+            at some pose, the final one included (the message names the
+            tendon and the first such frame), or the state went non-finite.
     """
     ctrl_traj = _check_step_args(ctrl_traj, dt)
-    n = ctrl_traj.shape[0]
-    q = np.empty((n, plant.njoints))
-    qdot = np.empty((n, plant.njoints))
-    act = np.empty((n, plant.nactuators))
-    q_t, qdot_t, act_t = state.q, state.qdot, state.act
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(n):
-            q[t], qdot[t], act[t] = q_t, qdot_t, act_t
-            q_t, qdot_t, act_t = _step(plant, q_t, qdot_t, act_t, ctrl_traj[t], dt)
-    return RolloutResult(q=q, qdot=qdot, act=act)
+    q, qdot, act = _simulate(plant, state, ctrl_traj, dt)
+    return RolloutResult(q=q[:-1], qdot=qdot[:-1], act=act[:-1])
 
 
 def smooth_random_controls(

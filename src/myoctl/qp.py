@@ -11,10 +11,11 @@ uses. Each free-set subproblem is solved as ``pinv(A[:, free]) @ rhs``;
 every pseudo-inverse is computed the first time its free set appears and
 kept for the life of the solver, so a trajectory whose frames share ``A``
 pays for each distinct free set once. :meth:`BvlsSolver.solve` takes plain
-arrays and checks only ``max_iter``. :class:`BoxQp` is the checked problem
-and :func:`solve_box_qp` solves one with a fresh solver and reports its
-:class:`QpDiagnostics`; the inversion loop uses neither, and they remain
-for the tests and the benchmark tracer. A variable with ``lb == ub`` is
+arrays, checks only ``max_iter`` and hands back, with the solution, the
+residual vector ``Ax - b`` of its KKT check. :class:`BoxQp` is the checked
+problem and :func:`solve_box_qp` solves one with a fresh solver and reports
+its :class:`QpDiagnostics`; the inversion loop uses neither, and they
+remain for the tests and the benchmark tracer. A variable with ``lb == ub`` is
 pinned: it stays on its bound through the one BVLS loop and never enters a
 free set. Convergence is judged by this module's own projected-gradient KKT
 residual at a fixed tolerance. Everything is deterministic for fixed
@@ -76,10 +77,18 @@ def _clamp(x, lb, ub):
     return np.minimum(np.maximum(x, lb), ub)
 
 
+def _projected_gradient(A, r, lb, ub, x) -> float:
+    """``||x - clip(x - A'r, lb, ub)||_inf`` at ``x`` with residual ``r = Ax - b``."""
+    return float(np.abs(x - _clamp(x - A.T @ r, lb, ub)).max(initial=0.0))
+
+
 def _kkt_residual(A, b, lb, ub, x) -> float:
-    """Projected-gradient residual ``||x - clip(x - A'(Ax - b), lb, ub)||_inf``."""
-    grad = A.T @ (A @ x - b)
-    return float(np.abs(x - _clamp(x - grad, lb, ub)).max(initial=0.0))
+    """Projected-gradient residual ``||x - clip(x - A'(Ax - b), lb, ub)||_inf``.
+
+    :meth:`BvlsSolver.solve` evaluates it as :func:`_projected_gradient` on
+    the residual it hands back.
+    """
+    return _projected_gradient(A, A @ x - b, lb, ub, x)
 
 
 def _pinv(sub: np.ndarray) -> np.ndarray:
@@ -141,16 +150,19 @@ class BvlsSolver:
         moving its column into ``b``.
 
         Returns:
-            ``(x, iterations, converged)``: ``x`` lies in the box (a first
-            step that lies in it as is, any later iterate clamped to it),
-            ``iterations`` counts BVLS steps as ``lsq_linear``'s ``nit``
-            does (0 when the unconstrained minimum is feasible), and
-            ``converged`` is a KKT residual of at most ``1e-10``.
+            ``(x, iterations, converged, residual)``: ``x`` lies in the box
+            (a first step that lies in it as is, any later iterate clamped
+            to it), ``iterations`` counts BVLS steps as ``lsq_linear``'s
+            ``nit`` does (0 when the unconstrained minimum is feasible),
+            ``converged`` is a KKT residual of at most ``1e-10``, and
+            ``residual`` is the vector ``A x - b`` that the KKT check
+            computed.
         """
         if max_iter < 1:
             raise ValueError("max_iter must be a positive integer")
         x, iterations = self._bvls(b, lb, ub, max_iter)
-        return x, iterations, _kkt_residual(self.A, b, lb, ub, x) <= _TOL
+        residual = self.A @ x - b
+        return x, iterations, _projected_gradient(self.A, residual, lb, ub, x) <= _TOL, residual
 
     def _bvls(self, b, lb, ub, max_iter):
         A = self.A
@@ -230,8 +242,7 @@ def solve_box_qp(problem: BoxQp, max_iter: int = _MAX_ITER) -> tuple[np.ndarray,
     last iterate, with ``converged=False``, and the caller decides what
     that means.
     """
-    x, iterations, converged = BvlsSolver(problem.A).solve(
+    x, iterations, converged, residual = BvlsSolver(problem.A).solve(
         problem.b, problem.lb, problem.ub, max_iter
     )
-    residual = problem.A @ x - problem.b
     return x, QpDiagnostics(iterations, converged, float(0.5 * residual @ residual))

@@ -90,7 +90,7 @@ def test_criterion_4_algebraic_inversion():
     # The inverse recovers each control from the activation step it
     # produced, by bisection on the simulator's own step; that step is
     # strictly increasing in the control wherever it is not clamped.
-    from myoctl.inverse import _bisect_ctrl
+    from myoctl.inverse import _recover_ctrl
 
     rng = np.random.default_rng(99)
     total = 0
@@ -103,7 +103,7 @@ def test_criterion_4_algebraic_inversion():
                 rng.uniform(0.005, 0.05, n), rng.uniform(0.001, 0.05, n))
         act_next = step_activation(act, ctrl, *args)
         keep = (act_next > 0.0) & (act_next < 1.0)
-        recovered = _bisect_ctrl(act, act_next, *args)
+        recovered = _recover_ctrl(act, act_next, *args)
         worst = max(worst, float(np.abs(recovered[keep] - ctrl[keep]).max()))
         total += int(keep.sum())
     assert worst < 1e-9, f"round-trip error {worst}"
@@ -116,7 +116,7 @@ def test_criterion_4_algebraic_inversion():
         args = (rng.uniform(5e-4, 5e-3), rng.uniform(0.01, 0.05),
                 rng.uniform(0.01, 0.05), rng.uniform(0.001, 0.02))
         for edge in (0.0, 1.0):
-            recovered = _bisect_ctrl(act, step_activation(act, edge, *args), *args)
+            recovered = _recover_ctrl(act, step_activation(act, edge, *args), *args)
             sat_worst = max(sat_worst, abs(float(recovered) - edge))
     assert sat_worst < 1e-9
     report(4, f"{total} tuples, worst recovery error {worst:.2e}, saturation {sat_worst:.2e}")

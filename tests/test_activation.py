@@ -57,6 +57,12 @@ class TestTimeConstant:
         for width in (0.0, -0.005, np.nan, np.array([0.005, 0.0])):
             with pytest.raises(ValueError, match="tau_smooth"):
                 step_activation(0.4, 0.6, 0.002, 0.01, 0.04, width)
+        # Unchecked, these returned 1.0, NaN and 0.5 -> 0.515 under control 0.2.
+        for name, args in (("tau_act", (0.0, 1.0, 0.002, 0.0, 0.04, 0.005)),
+                           ("tau_act", (0.0, 1.0, 0.002, np.nan, 0.04, 0.005)),
+                           ("tau_deact", (0.5, 0.2, 0.002, 0.01, -0.04, 0.005))):
+            with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+                step_activation(*args)
 
 
 class TestStepActivation:

@@ -9,7 +9,7 @@ import myoctl.qp
 from myoctl.inverse import (
     CAUSES,
     InverseInputs,
-    _bisect_ctrl,
+    _recover_ctrl,
     invert_frame,
     invert_trajectory,
     roundtrip,
@@ -29,6 +29,8 @@ from myoctl.plant import (
 )
 from myoctl.qp import BoxQp, _kkt_residual, solve_box_qp
 from myoctl.timeseries import differentiate
+
+from ctrl_oracle import bisect_ctrl
 
 
 def invert_frame_by_frame(plant, q, rate_hz, fail_threshold=1e-3):
@@ -113,7 +115,7 @@ def taus_of(inp):
 
 def ctrl_for(x, inp):
     """Control that realizes ``x = gain * (act' - act)``: ``act' = act + x / gain``."""
-    return _bisect_ctrl(inp.act, inp.act + np.asarray(x) / inp.gain, *taus_of(inp))
+    return _recover_ctrl(inp.act, inp.act + np.asarray(x) / inp.gain, *taus_of(inp))
 
 
 def with_time_constants(plant, tau_act, tau_deact):
@@ -233,11 +235,70 @@ class TestRecoverCtrl:
                     rng.uniform(0.005, 0.05, n), rng.uniform(0.001, 0.05, n))
             act_next = step_activation(act, ctrl, *args)
             ok = (act_next > 0.0) & (act_next < 1.0)
-            recovered = _bisect_ctrl(act, act_next, *args)
+            recovered = _recover_ctrl(act, act_next, *args)
             assert np.abs(recovered[ok] - ctrl[ok]).max() < 1e-9
             # The returned end of the bracket is the one whose step reaches.
             assert np.all(step_activation(act, recovered, *args) >= act_next)
             count += int(ok.sum())
+
+    @staticmethod
+    def assert_matches_bisection(act, act_next, *args):
+        recovered = _recover_ctrl(act, act_next, *args)
+        reference = bisect_ctrl(act, act_next, *args)
+        assert recovered.shape == reference.shape
+        assert recovered.tobytes() == reference.tobytes()
+
+    def test_matches_bisection_on_random_steps(self, monkeypatch):
+        # Criterion 4's draws: per-entry steps and unequal time constants,
+        # with steps up to twice the shorter constant, so some clamp. Both
+        # ways through the recovery run: the seeded bisection and, for
+        # entries whose interval fails its check, the full one.
+        levels = set()
+        real = myoctl.inverse._bisect
+
+        def recording(act, act_next, lo, level, filter_args):
+            levels.add(level)
+            return real(act, act_next, lo, level, filter_args)
+
+        monkeypatch.setattr(myoctl.inverse, "_bisect", recording)
+        rng = np.random.default_rng(4)
+        n = 50_000
+        act = rng.uniform(0.0, 1.0, n)
+        args = (rng.uniform(1e-4, 1e-2, n), rng.uniform(0.005, 0.05, n),
+                rng.uniform(0.005, 0.05, n), rng.uniform(0.001, 0.05, n))
+        act_next = step_activation(act, rng.uniform(0.0, 1.0, n), *args)
+        self.assert_matches_bisection(act, act_next, *args)
+        assert levels == {0, 40}
+
+    def test_matches_bisection_at_the_saturation_edges(self):
+        # Next activations that controls 0 and 1 reach, from anywhere in
+        # [0, 1] and from both ends, including steps clamped at 0 or 1.
+        rng = np.random.default_rng(5)
+        n = 20_000
+        act = rng.uniform(0.0, 1.0, n)
+        act[:500], act[500:1000] = 0.0, 1.0
+        args = (rng.uniform(1e-4, 2e-2, n), rng.uniform(0.005, 0.05, n),
+                rng.uniform(0.005, 0.05, n), rng.uniform(0.001, 0.05, n))
+        for edge in (0.0, 1.0):
+            self.assert_matches_bisection(act, step_activation(act, edge, *args), *args)
+        for act_next in (0.0, 1.0):
+            self.assert_matches_bisection(act, np.full(n, act_next), *args)
+
+    @pytest.mark.parametrize("kind, time_constants", [
+        ("toy_finger", None), ("hand_like", None), ("toy_finger", (0.01, 0.04)),
+    ])
+    def test_matches_bisection_on_an_inversion(self, kind, time_constants):
+        plant = make_fixture(kind)
+        if time_constants:
+            plant = with_time_constants(plant, *time_constants)
+        dt = 0.002
+        ctrl = smooth_random_controls(plant.nactuators, 500, dt, 6)
+        q = rollout(plant, rest_state(plant), ctrl, dt).q
+        result = invert_trajectory(plant, q, 500.0)
+        m = plant._muscle
+        args = (dt, m.tau_act, m.tau_deact, m.tau_smooth)
+        reference = bisect_ctrl(result.act[:-1], result.act[1:], *args)
+        assert result.ctrl[:-1].tobytes() == reference.tobytes()
 
 
 class TestInvertFrame:
@@ -522,9 +583,9 @@ class TestInvertTrajectory:
         calls = []
 
         def stalls_at_frame_7(solver, b, lb, ub):
-            x, iterations, converged = real(solver, b, lb, ub)
+            x, iterations, converged, residual = real(solver, b, lb, ub)
             calls.append(None)
-            return x, iterations, converged and len(calls) != 8
+            return x, iterations, converged and len(calls) != 8, residual
 
         monkeypatch.setattr(myoctl.qp.BvlsSolver, "solve", stalls_at_frame_7)
         result = invert_trajectory(plant, q, 500.0)

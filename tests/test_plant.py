@@ -24,6 +24,7 @@ from myoctl.plant import (
     PlantFormatError,
     PlantState,
     _assemble,
+    _step,
     forward_step,
     inverse_dynamics,
     load_plant,
@@ -310,6 +311,29 @@ class TestRollout:
             rollout(plant, state, np.zeros((5, plant.nactuators)), 0.002)
         with pytest.raises(PlantError, match="diverged"):
             forward_step(plant, state, np.zeros(plant.nactuators), 0.002)
+
+    def test_slack_tendon_is_named_at_its_frame(self):
+        # Flung at 500 rad/s with no control, the base joint coasts past
+        # 14.4 rad, where the flexor's tendon length reaches 0, at frame 23.
+        plant = make_fixture("toy_finger")
+        state = PlantState(q=np.zeros(2), qdot=np.array([500.0, 0.0]), act=np.zeros(4))
+        ctrl = np.zeros((40, plant.nactuators))
+        slack = "tendon 'mcp_flex' has non-positive length at frame"
+        with pytest.raises(PlantError, match=f"{slack} 23$"):
+            rollout(plant, state, ctrl, 0.002)
+        # The final state is checked too: 23 steps end on the slack pose.
+        with pytest.raises(PlantError, match=f"{slack} 23$"):
+            rollout(plant, state, ctrl[:23], 0.002)
+        before = rollout(plant, state, ctrl[:22], 0.002)
+        at_21 = PlantState(q=before.q[-1], qdot=before.qdot[-1], act=before.act[-1])
+        at_22 = forward_step(plant, at_21, ctrl[21], 0.002)
+        with pytest.raises(PlantError, match=f"{slack} 1$"):
+            forward_step(plant, at_22, ctrl[22], 0.002)
+        # From frame 23's pose itself, which only the unchecked step reaches.
+        at_23 = PlantState(*_step(plant, at_22.q, at_22.qdot, at_22.act, ctrl[22],
+                                  np.asarray(0.002)))
+        with pytest.raises(PlantError, match=f"{slack} 0$"):
+            forward_step(plant, at_23, ctrl[23], 0.002)
 
 
 class TestStepInvariants:

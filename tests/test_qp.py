@@ -167,8 +167,8 @@ class TestAgainstLsqLinear:
         reused = BvlsSolver(A)
         for _ in range(60):
             p = random_bvls_problem(rng, A)
-            x_fresh, it_fresh, ok_fresh = BvlsSolver(A).solve(p.b, p.lb, p.ub)
-            x_reused, it_reused, ok_reused = reused.solve(p.b, p.lb, p.ub)
+            x_fresh, it_fresh, ok_fresh, _ = BvlsSolver(A).solve(p.b, p.lb, p.ub)
+            x_reused, it_reused, ok_reused, _ = reused.solve(p.b, p.lb, p.ub)
             assert np.array_equal(x_reused, x_fresh)
             assert (it_reused, ok_reused) == (it_fresh, ok_fresh)
 
@@ -192,7 +192,7 @@ class TestAgainstLsqLinear:
             if k % 3 == 0:
                 # A box wide enough for the unbounded first step.
                 lb, ub = np.where(lb < ub, lb - 1e3, lb), np.where(lb < ub, ub + 1e3, ub)
-            x, iterations, converged = solver.solve(p.b, lb, ub)
+            x, iterations, converged, _ = solver.solve(p.b, lb, ub)
             x_ref, diag = solve_box_qp(BoxQp(A, p.b, lb, ub))
             assert x.tobytes() == x_ref.tobytes(), k
             assert (iterations, converged) == (diag.iterations, diag.converged), k
@@ -217,12 +217,12 @@ class TestPinnedVariables:
             pins[rng.integers(A.shape[1])] = True
             ub[pins] = lb[pins] = rng.uniform(-1.0, 1.0, pins.sum())
             live = ~pins
-            x, iterations, converged = BvlsSolver(A).solve(p.b, lb, ub)
+            x, iterations, converged, _ = BvlsSolver(A).solve(p.b, lb, ub)
             assert np.array_equal(x[pins], lb[pins]), k
             if not live.any():
                 assert (iterations, converged) == (0, True)
                 continue
-            x_ref, it_ref, ok_ref = BvlsSolver(A[:, live]).solve(
+            x_ref, it_ref, ok_ref, _ = BvlsSolver(A[:, live]).solve(
                 p.b - A[:, pins] @ lb[pins], lb[live], ub[live])
             assert np.abs(x[live] - x_ref).max() <= 1e-12, k
             assert (iterations, converged) == (it_ref, ok_ref), k
@@ -236,11 +236,11 @@ class TestPinnedVariables:
         b = np.array([-5.0, 6.0, 0.2])
         lb = np.array([0.5, -1.0, -1.0])
         ub = np.array([0.5, 1.0, 1.0])
-        x, iterations, converged = BvlsSolver(A).solve(b, lb, ub)
+        x, iterations, converged, _ = BvlsSolver(A).solve(b, lb, ub)
         assert x[0] == 0.5
         assert converged and iterations > 0
         assert (A.T @ (A @ x - b))[0] > 1.0
-        freed, _, _ = BvlsSolver(A).solve(b, np.array([-10.0, -1, -1]), ub)
+        freed, _, _, _ = BvlsSolver(A).solve(b, np.array([-10.0, -1, -1]), ub)
         assert np.sum((A @ freed - b) ** 2) < np.sum((A @ x - b) ** 2)
 
 
