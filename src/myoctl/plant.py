@@ -411,6 +411,51 @@ def rollout(plant: Plant, state: PlantState, ctrl_traj, dt: float) -> RolloutRes
     return RolloutResult(q=q[:-1], qdot=qdot[:-1], act=act[:-1])
 
 
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer, False for a bool or a float such as ``100.0``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _natural_cubic_spline(x: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Natural cubic spline through knots ``(x, y[i])``, evaluated at times ``t``.
+
+    ``x`` is increasing with at least 2 entries, ``y`` holds one row per
+    knot and ``t`` is non-decreasing within ``[x[0], x[-1]]``. The knot
+    second derivatives solve the tridiagonal continuity system with zero end
+    values by one forward and one backward sweep, in O(len(x)) time and
+    memory; each piece is then evaluated in Horner form from its left knot.
+    Matches ``scipy.interpolate.CubicSpline(x, y, bc_type="natural")`` to
+    round-off.
+    """
+    h = np.diff(x)
+    slope = np.diff(y, axis=0) / h[:, None]
+    # Interior row j: h[j] m[j] + 2 (h[j] + h[j+1]) m[j+1] + h[j+1] m[j+2] = rhs[j].
+    # Scalars stay Python floats: numpy scalar arithmetic is slower, not different.
+    step = h.tolist()
+    diag = (2.0 * (h[:-1] + h[1:])).tolist()
+    rhs = 6.0 * np.diff(slope, axis=0)
+    for j in range(1, len(rhs)):
+        w = step[j] / diag[j - 1]
+        diag[j] -= w * step[j]
+        rhs[j] -= w * rhs[j - 1]
+    m = np.zeros_like(y)
+    for j in range(len(rhs) - 1, -1, -1):
+        m[j + 1] = (rhs[j] - step[j + 1] * m[j + 2]) / diag[j]
+
+    # Piece i covers x[i] <= t < x[i+1] (the last one also t == x[-1]) and
+    # is y[i] + b (c1 + b (c2 + b c3)) with b = t - x[i].
+    c1 = slope - h[:, None] * (2.0 * m[:-1] + m[1:]) / 6.0
+    c2 = 0.5 * m[:-1]
+    c3 = np.diff(m, axis=0) / (6.0 * h[:, None])
+    bounds = [0, *np.searchsorted(t, x[1:-1]).tolist(), len(t)]
+    out = np.empty((len(t), y.shape[1]))
+    for i in range(len(h)):
+        lo, hi = bounds[i], bounds[i + 1]
+        b = (t[lo:hi] - x[i])[:, None]
+        out[lo:hi] = y[i] + b * (c1[i] + b * (c2[i] + b * c3[i]))
+    return out
+
+
 def smooth_random_controls(
     nactuators: int,
     nframes: int,
@@ -420,24 +465,25 @@ def smooth_random_controls(
 ) -> np.ndarray:
     """Seeded band-limited random control trajectory in [0, 1].
 
-    Uniform random knots, about two a second, joined by a cubic spline and
-    clipped to the unit interval. With ``settle > 0`` a smoothstep envelope fades the
+    Uniform random knots, about two a second, joined by a natural cubic
+    spline and clipped to the unit interval. With ``settle > 0`` a smoothstep envelope fades the
     controls to exactly zero over that many seconds at both ends, so the
     plant starts and finishes at rest (filter-friendly session edges);
-    ``settle = 0`` applies no envelope. Deterministic for a fixed seed. The
-    first call imports ``scipy.interpolate`` for the spline.
+    ``settle = 0`` applies no envelope. Deterministic for a fixed seed.
 
     Raises:
-        ValueError: for fewer than 2 frames, a ``dt`` that is not positive
-            and finite, or a ``settle`` that is not non-negative and finite.
+        ValueError: for an actuator count that is not an integer of at least
+            1, a frame count that is not an integer of at least 2, a ``dt``
+            that is not positive and finite, or a ``settle`` that is not
+            non-negative and finite.
     """
-    if nframes < 2:
-        raise ValueError(f"need at least 2 frames of controls, got {nframes}")
+    if not _is_integer(nactuators) or nactuators < 1:
+        raise ValueError(f"nactuators must be an integer of at least 1, got {nactuators!r}")
+    if not _is_integer(nframes) or nframes < 2:
+        raise ValueError(f"nframes must be an integer of at least 2 frames, got {nframes!r}")
     _require_positive("dt", dt)
     if not (math.isfinite(settle) and settle >= 0.0):
         raise ValueError(f"settle must be non-negative and finite, got {settle!r}")
-    from scipy.interpolate import CubicSpline
-
     from .activation import smoothstep
 
     rng = np.random.default_rng(seed)
@@ -445,9 +491,8 @@ def smooth_random_controls(
     nknots = max(4, int(round(duration * 2.0)) + 2)
     knot_times = np.linspace(0.0, duration, nknots)
     knots = rng.uniform(0.0, 1.0, size=(nknots, nactuators))
-    spline = CubicSpline(knot_times, knots, axis=0, bc_type="natural")
     times = np.arange(nframes) * dt
-    ctrl = np.clip(spline(times), 0.0, 1.0)
+    ctrl = np.clip(_natural_cubic_spline(knot_times, knots, times), 0.0, 1.0)
     if settle > 0.0:
         envelope = smoothstep(times / settle) * smoothstep((duration - times) / settle)
         ctrl = ctrl * envelope[:, None]

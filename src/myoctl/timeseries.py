@@ -1,8 +1,8 @@
 """Rate conversion and numerical differentiation for uniformly sampled traces.
 
-scipy is imported on first use, by a :func:`resample` between two different
-rates; importing this module, differentiating or a same-rate resample loads
-numpy only.
+Numpy only: the anti-alias filter is a Kaiser-windowed sinc designed here,
+and the polyphase resampler zero-stuffs, filters and decimates with the same
+pad and trim offsets as ``scipy.signal.resample_poly``.
 """
 
 from __future__ import annotations
@@ -30,11 +30,16 @@ def _integer_ratio(from_hz: float, to_hz: float) -> int:
 
 
 def _design_lowpass(ratio: int, high_rate: float, low_rate: float) -> np.ndarray:
-    from scipy.signal import firwin
+    """Kaiser-windowed sinc low-pass taps, normalized to unit DC gain.
 
+    The taps of ``scipy.signal.firwin(numtaps, cutoff, window=("kaiser",
+    beta), fs=high_rate)``, in its operation order: the ideal low-pass
+    impulse response times the window, scaled by its sum.
+    """
     numtaps = _TAPS_PER_BRANCH * ratio + 1
-    cutoff = _CUTOFF_FRACTION * (low_rate / 2.0)
-    taps = firwin(numtaps, cutoff, window=("kaiser", _KAISER_BETA), fs=high_rate)
+    cutoff = _CUTOFF_FRACTION * (low_rate / 2.0) / (0.5 * high_rate)
+    m = np.arange(numtaps, dtype=float) - 0.5 * (numtaps - 1)
+    taps = cutoff * np.sinc(cutoff * m) * np.kaiser(numtaps, _KAISER_BETA)
     return taps / taps.sum()
 
 
@@ -63,15 +68,49 @@ def _extend_linear(x: np.ndarray, before: int, after: int) -> np.ndarray:
     return np.concatenate([head, x, tail], axis=0)
 
 
+def _resample_poly(x: np.ndarray, up: int, down: int, taps: np.ndarray) -> np.ndarray:
+    """Polyphase rate change by ``up / down`` along axis 0, with zeros outside ``x``.
+
+    ``scipy.signal.resample_poly(x, up, down, axis=0, window=taps)`` for
+    ``up == 1`` or ``down == 1``: ``x`` zero-stuffed by ``up``, convolved
+    with ``up * taps`` and kept at every ``down``-th sample from the filter
+    centre, ``ceil(n * up / down)`` samples in all. Only kept samples are
+    computed, and none of the stuffed zeros: output ``q * up + p`` is
+    branch ``taps[p::up]`` dotted with the inputs up to ``x[q]``.
+    """
+    n = x.shape[0]
+    n_out = -(-n * up // down)
+    half_len = (len(taps) - 1) // 2
+    branch_len = -(-len(taps) // up)
+    # Row p is branch p, last tap first, zero-padded to equal length. Rows
+    # are contiguous: a strided vector would take numpy's slow dot loop.
+    padded = np.zeros(branch_len * up)
+    padded[: len(taps)] = taps * up
+    branches = np.ascontiguousarray(padded.reshape(branch_len, up).T[:, ::-1])
+    first = half_len // up
+    offset = half_len % up
+    rows = -(-(offset + n_out) // up)
+    # Channels first, so that every window of inputs is a contiguous row.
+    chans = np.moveaxis(x, 0, -1)
+    stream = np.zeros(chans.shape[:-1] + (max(first + (rows - 1) * down + branch_len,
+                                              branch_len - 1 + n),))
+    stream[..., branch_len - 1 : branch_len - 1 + n] = chans
+    windows = np.lib.stride_tricks.sliding_window_view(stream, branch_len, axis=-1)
+    windows = windows[..., first : first + (rows - 1) * down + 1 : down, :]
+    phases = np.stack([windows.dot(branch) for branch in branches], axis=-1)
+    out = phases.reshape(phases.shape[:-2] + (-1,))[..., offset : offset + n_out]
+    return np.moveaxis(out, -1, 0)
+
+
 def resample(trace, from_hz: float, to_hz: float, axis: int = -1):
     """Convert a trace between sample rates related by an integer factor.
 
     Downsampling low-pass filters (zero phase, boundaries extended by local
     linear extrapolation) and decimates; upsampling zero-stuffs and
     interpolates with the mirrored filter scaled by the ratio. Output
-    length is ``round(n * to_hz / from_hz)``. The first call between two
-    different rates imports ``scipy.signal``; a same-rate call returns a
-    copy without it.
+    length is ``round(n * to_hz / from_hz)``. A same-rate call returns a
+    copy. Uses numpy only; the result matches the same filter run through
+    ``scipy.signal.resample_poly`` to round-off.
 
     Raises:
         ValueError: if a rate is not positive and finite, or the two rates
@@ -85,8 +124,6 @@ def resample(trace, from_hz: float, to_hz: float, axis: int = -1):
     ratio = _integer_ratio(from_hz, to_hz)
     if ratio == 1:
         return data.copy()
-    from scipy.signal import resample_poly
-
     n_out = int(round(data.shape[axis] * to_hz / from_hz))
     work = np.moveaxis(data, axis, 0)
     up, down = (1, ratio) if to_hz < from_hz else (ratio, 1)
@@ -96,7 +133,7 @@ def resample(trace, from_hz: float, to_hz: float, axis: int = -1):
     # Extend each end by ``pad`` low-rate samples, then drop them again.
     pad = len(taps) // (2 * ratio) + 2
     ext = _extend_linear(work, pad * down, pad * down)
-    full = resample_poly(ext, up=up, down=down, axis=0, window=taps)
+    full = _resample_poly(ext, up, down, taps)
     out = full[pad * up : pad * up + n_out]
     return np.moveaxis(out, 0, axis)
 

@@ -1,9 +1,9 @@
-"""The numpy-only paths load no scipy module.
+"""myoctl runs on numpy alone: no path loads a scipy module.
 
-scipy is imported only where resampling between two rates and the
-random-control spline use it, so a fresh process that imports the package,
-inverts a trajectory or converts a session already at the solve rate starts
-on numpy alone.
+The random-control spline and the polyphase resampler are written in numpy,
+so a fresh process that imports the package, synthesizes controls, runs a
+round trip, resamples between two rates, converts a session recorded above
+the solve rate or runs the CLI ``simulate`` command never imports scipy.
 """
 
 import os
@@ -13,23 +13,22 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-HEAVY = ("scipy.signal", "scipy.interpolate", "scipy.stats")
-
 PROGRAM = r"""
 import sys, tempfile
 import numpy as np
 
 def loaded(step):
-    heavy = sorted(m for m in {heavy!r} if m in sys.modules)
-    print(step, ",".join(heavy) or "-")
+    scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    print("after", step, "|", ",".join(scipy) or "-")
 
 import myoctl
 loaded("import myoctl")
 import myoctl.cli
 loaded("import myoctl.cli")
 
-from myoctl.plant import make_fixture, rest_state, rollout
-from myoctl.inverse import invert_trajectory
+from myoctl.plant import make_fixture, rest_state, rollout, smooth_random_controls
+from myoctl.inverse import invert_trajectory, roundtrip
+from myoctl.timeseries import resample
 plant = make_fixture("toy_finger")
 t = np.arange(500) / 500.0
 ctrl = 0.5 + 0.4 * np.sin(2 * np.pi * np.outer(t, [1.0, 1.5, 2.0, 2.5]))
@@ -37,26 +36,53 @@ q = rollout(plant, rest_state(plant), ctrl, 1.0 / 500.0).q
 assert invert_trajectory(plant, q, 500.0).status == "ok"
 loaded("invert_trajectory")
 
-session = myoctl.Session(id="s", rate_hz=500, channel_names=plant.joint_names,
-                         data=q.T, units=("rad",) * plant.njoints, metadata={{}})
-path = tempfile.mkdtemp() + "/s"
-myoctl.write_session(session, path)
-out, record = myoctl.process_session(myoctl.read_session(path), plant)
-assert record.status == "ok", record.failure_reason
+def convert(q, rate_hz):
+    session = myoctl.Session(id="s", rate_hz=rate_hz, channel_names=plant.joint_names,
+                             data=q.T, units=("rad",) * plant.njoints, metadata={})
+    path = tempfile.mkdtemp() + "/s"
+    myoctl.write_session(session, path)
+    out, record = myoctl.process_session(myoctl.read_session(path), plant)
+    assert record.status == "ok", record.failure_reason
+
+convert(q, 500)
 loaded("process_session")
+
+ctrl = smooth_random_controls(plant.nactuators, 2000, 1.0 / 2000.0, 3, settle=0.1)
+loaded("smooth_random_controls")
+assert roundtrip(plant, seed=1, duration=0.5, rate_hz=500.0).status == "ok"
+loaded("roundtrip")
+q = rollout(plant, rest_state(plant), ctrl, 1.0 / 2000.0).q
+assert resample(q, 2000.0, 500.0, axis=0).shape == (500, plant.njoints)
+loaded("resample 2000 -> 500 Hz")
+convert(q, 2000)
+loaded("process_session at 2 kHz")
+
+from myoctl.cli import parse_args, run
+root = tempfile.mkdtemp()
+assert run(parse_args(["gen-fixture", "--kind", "toy_finger", "--out", root + "/p.json"])) == 0
+assert run(parse_args(["simulate", "--plant", root + "/p.json", "--out", root + "/poses",
+                       "--duration", "0.5", "--rate", "2000", "--seed", "3"])) == 0
+loaded("cli simulate")
 """
 
 
 def test_numpy_only_paths_load_no_scipy():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
-        [sys.executable, "-c", PROGRAM.format(heavy=HEAVY)],
+        [sys.executable, "-c", PROGRAM],
         env=env, capture_output=True, text=True, check=True,
     )
-    steps = dict(line.rsplit(" ", 1) for line in done.stdout.splitlines())
+    # The CLI prints to the same stream; keep only the checkpoints.
+    steps = dict(line[len("after "):].split(" | ") for line in done.stdout.splitlines()
+                 if line.startswith("after "))
     assert steps == {
         "import myoctl": "-",
         "import myoctl.cli": "-",
         "invert_trajectory": "-",
         "process_session": "-",
+        "smooth_random_controls": "-",
+        "roundtrip": "-",
+        "resample 2000 -> 500 Hz": "-",
+        "process_session at 2 kHz": "-",
+        "cli simulate": "-",
     }

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from myoctl import plant as plant_module
 from myoctl.activation import step_activation
 from myoctl.muscle import (
     CalibrationError,
@@ -576,6 +577,13 @@ class TestRandomControls:
         with pytest.raises(ValueError, match="settle must be non-negative and finite"):
             smooth_random_controls(4, 100, 0.002, 3, settle=settle)
 
+    @pytest.fixture
+    def no_scipy(self, monkeypatch):
+        """Make every scipy import fail, so anything that still needs it errors."""
+        for name in [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]:
+            monkeypatch.delitem(sys.modules, name)
+        monkeypatch.setitem(sys.modules, "scipy", None)
+
     @pytest.mark.parametrize("nframes, dt, message", [
         (1, 0.002, "at least 2 frames"),
         (0, 0.002, "at least 2 frames"),
@@ -583,11 +591,50 @@ class TestRandomControls:
         (100, -0.002, "dt must be positive and finite"),
         (100, float("nan"), "dt must be positive and finite"),
         (100, float("inf"), "dt must be positive and finite"),
+        (100.0, 0.002, "nframes must be an integer"),
+        (True, 0.002, "nframes must be an integer"),
     ])
-    def test_bad_length_or_step_is_rejected_before_scipy(self, monkeypatch, nframes, dt,
-                                                         message):
-        # A None entry makes the deferred scipy import fail, so the named
-        # error must come first.
-        monkeypatch.setitem(sys.modules, "scipy.interpolate", None)
+    def test_bad_length_or_step_is_rejected_before_scipy(self, no_scipy, nframes, dt, message):
+        # With scipy unimportable, the named error comes first and a valid
+        # call still succeeds.
         with pytest.raises(ValueError, match=message):
             smooth_random_controls(4, nframes, dt, 3)
+        assert smooth_random_controls(4, 100, 0.002, 3).shape == (100, 4)
+
+    @pytest.mark.parametrize("nactuators", [-1, 0, 2.0, True])
+    def test_bad_actuator_count_is_rejected_by_name(self, no_scipy, nactuators):
+        with pytest.raises(ValueError, match="nactuators must be an integer of at least 1"):
+            smooth_random_controls(nactuators, 100, 0.002, 3)
+
+    def test_numpy_integer_counts_are_accepted(self):
+        assert np.array_equal(smooth_random_controls(np.int64(4), np.int32(100), 0.002, 3),
+                              smooth_random_controls(4, 100, 0.002, 3))
+
+    @pytest.mark.parametrize("nframes, dt", [
+        (2, 0.002),  # the shortest trajectory: 4 knots
+        (1000, 1.0 / 500.0),
+        (4000, 1.0 / 2000.0),
+        (300_000, 1.0 / 500.0),  # 1202 knots
+    ])
+    def test_spline_matches_scipy_cubic_spline(self, monkeypatch, nframes, dt):
+        from scipy.interpolate import CubicSpline
+
+        ours = smooth_random_controls(4, nframes, dt, 5, settle=0.0)
+        monkeypatch.setattr(
+            plant_module, "_natural_cubic_spline",
+            lambda x, y, t: CubicSpline(x, y, axis=0, bc_type="natural")(t),
+        )
+        reference = smooth_random_controls(4, nframes, dt, 5, settle=0.0)
+        assert np.abs(ours - reference).max() <= 1e-14
+
+    @pytest.mark.parametrize("nknots", [2, 3, 4, 9])
+    def test_spline_on_uneven_knots_matches_scipy(self, nknots):
+        from scipy.interpolate import CubicSpline
+
+        rng = np.random.default_rng(nknots)
+        x = np.cumsum(rng.uniform(0.1, 2.0, nknots))
+        y = rng.uniform(-3.0, 3.0, (nknots, 3))
+        t = np.sort(np.concatenate([x, rng.uniform(x[0], x[-1], 500)]))
+        ours = plant_module._natural_cubic_spline(x, y, t)
+        reference = CubicSpline(x, y, axis=0, bc_type="natural")(t)
+        assert np.abs(ours - reference).max() <= 1e-14

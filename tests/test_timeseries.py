@@ -1,8 +1,25 @@
 import numpy as np
 import pytest
 
+from myoctl import timeseries
 from myoctl.plant import make_fixture, rest_state, rollout, smooth_random_controls
 from myoctl.timeseries import differentiate, resample
+
+
+def scipy_lowpass(ratio, high_rate, low_rate):
+    """The anti-alias taps as ``scipy.signal.firwin`` designs them."""
+    from scipy.signal import firwin
+
+    taps = firwin(timeseries._TAPS_PER_BRANCH * ratio + 1,
+                  timeseries._CUTOFF_FRACTION * (low_rate / 2.0),
+                  window=("kaiser", timeseries._KAISER_BETA), fs=high_rate)
+    return taps / taps.sum()
+
+
+def scipy_resample_poly(x, up, down, taps):
+    from scipy.signal import resample_poly
+
+    return resample_poly(x, up, down, axis=0, window=taps)
 
 
 class TestResample:
@@ -67,6 +84,56 @@ class TestResample:
         assert out.shape == (2, 1000)
         out0 = resample(data[0], 2000, 500)
         assert np.allclose(out[0], out0)
+
+
+class TestScipyOracle:
+    """The numpy filter design and polyphase resampler against scipy's."""
+
+    @pytest.mark.parametrize("ratio", [2, 3, 4, 8])
+    def test_taps_match_firwin(self, ratio):
+        ours = timeseries._design_lowpass(ratio, 2000.0, 2000.0 / ratio)
+        reference = scipy_lowpass(ratio, 2000.0, 2000.0 / ratio)
+        assert ours.shape == reference.shape
+        assert np.abs(ours - reference).max() <= 1e-15
+
+    @pytest.mark.parametrize("up, down", [(1, 2), (1, 4), (2, 1), (4, 1)])
+    @pytest.mark.parametrize("n", [2, 3, 7, 128, 501])
+    def test_polyphase_matches_resample_poly(self, up, down, n):
+        ratio = max(up, down)
+        taps = timeseries._design_lowpass(ratio, 2000.0, 2000.0 / ratio)
+        if up > 1:
+            taps = timeseries._normalize_branches(taps, up)
+        x = np.random.default_rng(n).standard_normal((n, 3)) * 5.0
+        ours = timeseries._resample_poly(x, up, down, taps)
+        reference = scipy_resample_poly(x, up, down, taps)
+        assert ours.shape == reference.shape
+        assert np.abs(ours - reference).max() <= 1e-13 * np.abs(x).max()
+
+    @pytest.mark.parametrize("from_hz, to_hz", [
+        (2000, 1000), (2000, 500), (1000, 2000), (500, 2000),
+    ])
+    @pytest.mark.parametrize("n, shape, axis", [
+        (2, "1d", -1),
+        (3, "1d", -1),
+        (999, "1d", -1),
+        (1001, "2d", 0),
+        (1001, "2d", 1),
+        (4000, "2d", 0),
+    ])
+    def test_resample_matches_resample_poly(self, monkeypatch, from_hz, to_hz, n, shape, axis):
+        t = np.arange(n) / from_hz
+        rng = np.random.default_rng(n)
+        trace = np.sin(2 * np.pi * 7.0 * t) + 0.3 * rng.standard_normal(n)
+        if shape == "2d":
+            trace = np.stack([trace, 2.0 * trace[::-1], np.full(n, 0.25)], axis=1 - axis)
+        ours = resample(trace, from_hz, to_hz, axis=axis)
+        monkeypatch.setattr(timeseries, "_design_lowpass", scipy_lowpass)
+        monkeypatch.setattr(timeseries, "_resample_poly", scipy_resample_poly)
+        reference = resample(trace, from_hz, to_hz, axis=axis)
+        assert ours.shape == reference.shape
+        # Two samples at a 4:1 step down round to an empty trace.
+        assert ours.shape[axis] == round(n * to_hz / from_hz)
+        assert np.all(np.abs(ours - reference) <= 1e-13 * np.abs(trace).max())
 
 
 class TestDifferentiate:
