@@ -98,8 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--in", dest="input", required=True)
     p_batch.add_argument("--plant", required=True)
     p_batch.add_argument("--out", required=True)
-    p_batch.add_argument("--workers", type=_positive_int, default=None,
-                         help=f"worker count (falls back to ${pipeline.WORKERS_ENV}, then 1)")
+    p_batch.add_argument("--workers", type=_positive_int, default=1,
+                         help="worker count (default 1)")
     p_batch.add_argument("--joint-map", default=None)
 
     p_gen = sub.add_parser("gen-fixture", help="write a plant definition file")

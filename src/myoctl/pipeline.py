@@ -9,9 +9,13 @@ session is solved as-is), recovers tendon controls, and resamples the
 controls back to the session's rate so all streams stay synchronized.
 
 Batches run a worker pool over session directories: every session is
-processed exactly once, outputs and the manifest are written atomically
-(temp file + rename), and the manifest content is independent of the worker
-count apart from wall-time fields.
+processed exactly once and named by its input directory, which names both its
+output directory and its manifest record (the id inside ``session.json`` only
+travels into the output header). Outputs and the manifest are written
+atomically (temp file + rename), and the manifest content is independent of
+the worker count apart from wall-time fields. The worker count is
+``run_batch``'s ``workers`` argument, 1 by default; no environment variable
+sets it.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import os
 import shutil
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Mapping
 
@@ -49,7 +53,6 @@ __all__ = [
 ]
 
 SESSION_FORMAT = "myoctl-session/1"
-WORKERS_ENV = "MYOCTL_WORKERS"
 
 POSE_RATE_HZ = 2000
 SOLVE_RATE_HZ = 500
@@ -204,7 +207,7 @@ def read_session(path) -> Session:
 
 @dataclass(frozen=True)
 class SessionRecord:
-    """Per-session batch outcome."""
+    """Per-session batch outcome; in a batch, ``id`` is the input directory's name."""
 
     id: str
     status: str
@@ -213,9 +216,6 @@ class SessionRecord:
     infeasible_frames: int
     max_residual: float | None
     wall_time_s: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -230,7 +230,22 @@ class Manifest:
         return {"sessions": len(self.records), "ok": ok, "failed": len(self.records) - ok}
 
     def as_dict(self) -> dict:
-        return {"records": [r.as_dict() for r in self.records], "totals": self.totals}
+        return {"records": [asdict(r) for r in self.records], "totals": self.totals}
+
+
+def _record(session_id: str, start: float, reason: str | None = None, frames: int = 0,
+            infeasible: int = 0, max_residual: float | None = None) -> SessionRecord:
+    """The record of a session whose work began at ``start`` (``perf_counter``);
+    a ``reason`` marks it failed."""
+    return SessionRecord(
+        id=session_id,
+        status="ok" if reason is None else "failed",
+        failure_reason=reason,
+        frames=frames,
+        infeasible_frames=infeasible,
+        max_residual=max_residual,
+        wall_time_s=time.perf_counter() - start,
+    )
 
 
 @dataclass(frozen=True)
@@ -347,30 +362,17 @@ def process_session(
             f"at least {min_frames} are needed at {session.rate_hz} Hz"
         )
     poses = _map_joints(session, plant, opts.joint_map)
-
-    def finish(out: Session | None, reason: str | None, infeasible: int = 0,
-               max_residual: float | None = None):
-        """The result pair; a ``reason`` marks the session failed."""
-        record = SessionRecord(
-            id=session.id,
-            status="ok" if reason is None else "failed",
-            failure_reason=reason,
-            frames=session.n_frames,
-            infeasible_frames=infeasible,
-            max_residual=max_residual,
-            wall_time_s=time.perf_counter() - start,
-        )
-        return out, record
-
     if not np.isfinite(poses).all():
         frame = int(np.argwhere(~np.isfinite(poses).all(axis=1))[0, 0])
-        return finish(None, f"non-finite input at frame {frame}")
+        return None, _record(session.id, start, f"non-finite input at frame {frame}",
+                             session.n_frames)
 
     q_solve = resample(poses, session.rate_hz, SOLVE_RATE_HZ, axis=0)
     result = invert_trajectory(plant, q_solve, SOLVE_RATE_HZ, opts.fail_threshold)
     max_residual = float(result.residuals.max())
     if result.status != "ok":
-        return finish(None, result.failure_reason, result.infeasible_frames, max_residual)
+        return None, _record(session.id, start, result.failure_reason, session.n_frames,
+                             result.infeasible_frames, max_residual)
 
     controls = resample(result.ctrl, SOLVE_RATE_HZ, session.rate_hz, axis=0)
     controls = np.clip(_fit_length(controls, session.n_frames), 0.0, 1.0)
@@ -382,7 +384,8 @@ def process_session(
         units=("1",) * plant.nactuators,
         metadata={"plant": plant.name, "kind": "tendon_ctrl"},
     )
-    return finish(out, None, result.infeasible_frames, max_residual)
+    return out, _record(session.id, start, None, session.n_frames,
+                        result.infeasible_frames, max_residual)
 
 
 def _write_session_atomic(session: Session, final_dir: Path) -> None:
@@ -396,64 +399,34 @@ def _write_session_atomic(session: Session, final_dir: Path) -> None:
 
 
 def _convert_one(args) -> SessionRecord:
+    """Convert the session in ``session_dir`` to ``out_dir/<its directory name>``;
+    the record carries that name as its id."""
     session_dir, plant, opts, out_dir = args
     start = time.perf_counter()
-    session_id = Path(session_dir).name
+    name = Path(session_dir).name
     try:
-        session = read_session(session_dir)
-        session_id = session.id
-        out_session, record = process_session(session, plant, opts)
+        out_session, record = process_session(read_session(session_dir), plant, opts)
         if out_session is not None:
-            _write_session_atomic(out_session, Path(out_dir) / session_id)
-        return record
+            _write_session_atomic(out_session, Path(out_dir) / name)
+        return replace(record, id=name)
     except Exception as exc:  # unreadable or misconfigured: record, don't abort
-        return SessionRecord(
-            id=session_id,
-            status="failed",
-            failure_reason=f"{type(exc).__name__}: {exc}",
-            frames=0,
-            infeasible_frames=0,
-            max_residual=None,
-            wall_time_s=time.perf_counter() - start,
-        )
-
-
-def _resolve_workers(workers: int | None) -> int:
-    """The worker count: ``workers``, else ``$MYOCTL_WORKERS``, else 1.
-
-    Raises:
-        ValueError: for a count below 1, or an environment value that is not
-            an integer; the message names the source.
-    """
-    source = "workers"
-    if workers is None:
-        env = os.environ.get(WORKERS_ENV)
-        if not env:
-            return 1
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ValueError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
-        source = WORKERS_ENV
-    workers = int(workers)
-    if workers < 1:
-        raise ValueError(f"{source} must be at least 1, got {workers}")
-    return workers
+        return _record(name, start, f"{type(exc).__name__}: {exc}")
 
 
 def run_batch(
     input_dir,
     plant: Plant,
     out_dir,
-    workers: int | None = None,
+    workers: int = 1,
     opts: PipelineOptions | None = None,
 ) -> Manifest:
     """Convert every session under ``input_dir``, writing to ``out_dir``.
 
-    Sessions are any subdirectories holding a ``session.json``. Unreadable or
-    failing sessions become failed records and the batch continues. With
-    ``workers`` unset, the ``MYOCTL_WORKERS`` environment variable is the
-    fallback, then 1.
+    Sessions are any subdirectories holding a ``session.json``. Each is
+    named by its directory: its output goes to ``out_dir/<directory name>``
+    and its manifest record carries that name as its ``id``, whatever id its
+    header holds. Unreadable or failing sessions become failed records and
+    the batch continues.
 
     ``opts`` and the worker count are checked once, before any session is
     read or ``out_dir`` is created.
@@ -466,7 +439,8 @@ def run_batch(
     """
     opts = opts or PipelineOptions()
     _check_options(opts, plant)
-    nworkers = _resolve_workers(workers)
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     input_dir = Path(input_dir)
     out_dir = Path(out_dir)
     session_dirs = sorted(
@@ -477,12 +451,12 @@ def run_batch(
     out_dir.mkdir(parents=True, exist_ok=True)
 
     tasks = [(str(d), plant, opts, str(out_dir)) for d in session_dirs]
-    if nworkers == 1 or len(tasks) == 1:
+    if workers == 1 or len(tasks) == 1:
         records = [_convert_one(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=min(nworkers, len(tasks))) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             records = list(pool.map(_convert_one, tasks))
 
-    manifest = Manifest(records=tuple(sorted(records, key=lambda r: r.id)))
+    manifest = Manifest(records=tuple(records))  # in directory-name order
     _write_json(out_dir / "manifest.json", manifest.as_dict())
     return manifest

@@ -111,8 +111,10 @@ class Plant:
             viscous damping (N m s/rad) matrices.
         gravity: per-joint torque coefficient multiplying ``sin(q)``; zeros
             disable gravity.
-        joint_range: symmetric joint excursion (rad) the plant is calibrated
-            for; tendon lengths stay positive well beyond it.
+        joint_range: symmetric joint excursion (rad) the muscle geometry is
+            calibrated over, not a limit: ``hand_like``'s own 2 s seeded
+            reference motion reaches 3.3, 2.3 and 3.9 times it (seeds 1-3)
+            and simulates and inverts without error.
         params, geometry: per-actuator muscle parameters and calibrated
             geometry, aligned with ``actuator_names``.
     """
@@ -298,9 +300,20 @@ def inverse_dynamics(plant: Plant, q, qdot, qddot):
     )
 
 
-def _check_step_args(ctrl, dt: float) -> np.ndarray:
+def _check_step_args(plant: Plant, state: PlantState, name: str, ctrl, dt: float) -> np.ndarray:
+    """``ctrl`` as float64: one control vector (``name="ctrl"``) or rows of them."""
     _require_positive("dt", dt)
+    # PlantState keeps qdot the shape of q.
+    for attr, size, what in (("q", plant.njoints, "joints"),
+                             ("act", plant.nactuators, "actuators")):
+        shape = getattr(state, attr).shape
+        if shape != (size,):
+            raise ValueError(f"state.{attr} has shape {shape}; the plant has {size} {what}")
     ctrl = np.asarray(ctrl, dtype=float)
+    rows = name == "ctrl_traj"
+    if ctrl.ndim != 1 + rows or ctrl.shape[-1] != plant.nactuators:
+        expected = f"(nframes, {plant.nactuators})" if rows else f"({plant.nactuators},)"
+        raise ValueError(f"{name} has shape {ctrl.shape}; the plant needs {expected}")
     if not ((ctrl >= 0.0) & (ctrl <= 1.0)).all():
         raise ValueError("controls must lie in [0, 1]")
     return ctrl
@@ -372,13 +385,14 @@ def forward_step(plant: Plant, state: PlantState, ctrl, dt: float) -> PlantState
     step.
 
     Raises:
-        ValueError: for a control outside [0, 1] or NaN, or a ``dt`` that is
-            not positive and finite.
+        ValueError: for a control outside [0, 1] or NaN, a ``ctrl`` that is
+            not one entry per actuator, a ``state`` whose sizes do not match
+            the plant, or a ``dt`` that is not positive and finite.
         PlantError: if a tendon length is non-positive at the given pose
             (named frame 0) or the stepped one (frame 1), or the state goes
             non-finite.
     """
-    ctrl = _check_step_args(ctrl, dt)
+    ctrl = _check_step_args(plant, state, "ctrl", ctrl, dt)
     q, qdot, act = _simulate(plant, state, ctrl[np.newaxis], dt)
     return PlantState(q=q[1], qdot=qdot[1], act=act[1])
 
@@ -400,13 +414,15 @@ def rollout(plant: Plant, state: PlantState, ctrl_traj, dt: float) -> RolloutRes
     so the states match a loop over :func:`forward_step` bit for bit.
 
     Raises:
-        ValueError: for any control outside [0, 1] or NaN, or a ``dt`` that
-            is not positive and finite, before the first step.
+        ValueError: before the first step, for any control outside [0, 1]
+            or NaN, a ``ctrl_traj`` that is not ``(nframes, nactuators)``, a
+            ``state`` whose sizes do not match the plant, or a ``dt`` that is
+            not positive and finite.
         PlantError: after the last step, if a tendon length is non-positive
             at some pose, the final one included (the message names the
             tendon and the first such frame), or the state went non-finite.
     """
-    ctrl_traj = _check_step_args(ctrl_traj, dt)
+    ctrl_traj = _check_step_args(plant, state, "ctrl_traj", ctrl_traj, dt)
     q, qdot, act = _simulate(plant, state, ctrl_traj, dt)
     return RolloutResult(q=q[:-1], qdot=qdot[:-1], act=act[:-1])
 

@@ -113,18 +113,22 @@ def resample(trace, from_hz: float, to_hz: float, axis: int = -1):
     ``scipy.signal.resample_poly`` to round-off.
 
     Raises:
-        ValueError: if a rate is not positive and finite, or the two rates
-            are not related by an integer factor.
+        ValueError: if a rate is not positive and finite, the two rates are
+            not related by an integer factor, or the trace has fewer than 2
+            samples or too few to give at least 1 output sample.
     """
     _require_positive("from_hz", from_hz)
     _require_positive("to_hz", to_hz)
     data = np.asarray(trace, dtype=float)
-    if data.shape[axis] < 2:
-        raise ValueError("need at least 2 samples to resample")
+    n_out = int(round(data.shape[axis] * to_hz / from_hz))
+    if data.shape[axis] < 2 or n_out < 1:
+        raise ValueError(
+            f"need at least 2 input samples and 1 output sample to resample; "
+            f"{data.shape[axis]} at {from_hz} Hz give {n_out} at {to_hz} Hz"
+        )
     ratio = _integer_ratio(from_hz, to_hz)
     if ratio == 1:
         return data.copy()
-    n_out = int(round(data.shape[axis] * to_hz / from_hz))
     work = np.moveaxis(data, axis, 0)
     up, down = (1, ratio) if to_hz < from_hz else (ratio, 1)
     taps = _design_lowpass(ratio, max(from_hz, to_hz), min(from_hz, to_hz))

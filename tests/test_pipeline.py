@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -324,12 +325,49 @@ class TestRunBatch:
 
         def strip(manifest):
             return [
-                {k: v for k, v in r.as_dict().items() if k != "wall_time_s"}
+                {k: v for k, v in asdict(r).items() if k != "wall_time_s"}
                 for r in manifest.records
             ]
 
         assert strip(m1) == strip(m4)
         assert m1.totals == m4.totals
+
+    def test_outputs_and_records_are_named_by_input_directory(self, tmp_path, toy_plant):
+        # Header ids that name out/ itself or a directory beside it, and four
+        # directories that share one id, choose no path: every session lands
+        # in out/<directory name> and is recorded under that name.
+        header_ids = {"dot": ".", "empty": "", "up": "../outside",
+                      "dup0": "same", "dup1": "same", "dup2": "same", "dup3": "same"}
+        src = tmp_path / "sessions"
+        for seed, (name, header_id) in enumerate(header_ids.items()):
+            write_session(pose_session(toy_plant, seed=seed, nframes=1000,
+                                       session_id=header_id), src / name)
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        (outside / "keep.txt").write_text("sibling")
+
+        manifests, payloads = [], []
+        for run, workers in enumerate([1, 2, 2, 2]):
+            out = tmp_path / f"out{run}"
+            out.mkdir()
+            (out / "keep.txt").write_text("sentinel")
+            manifest = run_batch(src, toy_plant, out, workers=workers)
+            assert manifest.totals == {"sessions": 7, "ok": 7, "failed": 0}
+            assert [r.id for r in manifest.records] == sorted(header_ids)
+            assert sorted(p.name for p in out.iterdir()) == sorted(
+                [*header_ids, "keep.txt", "manifest.json"])
+            assert (out / "keep.txt").read_text() == "sentinel"
+            for name, header_id in header_ids.items():
+                assert read_session(out / name).id == header_id
+            doc = json.loads((out / "manifest.json").read_text())
+            for record in doc["records"]:
+                del record["wall_time_s"]
+            manifests.append(doc)
+            payloads.append({name: (out / name / "data.bin").read_bytes() for name in header_ids})
+        assert [p.name for p in outside.iterdir()] == ["keep.txt"]
+        assert (outside / "keep.txt").read_text() == "sibling"
+        assert all(doc == manifests[0] for doc in manifests[1:])
+        assert all(blobs == payloads[0] for blobs in payloads[1:])
 
     @pytest.mark.parametrize("opts, error, message", [
         (PipelineOptions(fail_threshold=math.nan), ValueError,
@@ -353,24 +391,6 @@ class TestRunBatch:
         with pytest.raises(ValueError, match="no sessions"):
             run_batch(tmp_path / "nothing", toy_plant, tmp_path / "out")
 
-    def test_workers_env_fallback(self, tmp_path, toy_plant, monkeypatch):
-        src = self._make_batch(tmp_path, toy_plant, count=2)
-        monkeypatch.setenv("MYOCTL_WORKERS", "2")
-        manifest = run_batch(src, toy_plant, tmp_path / "out", workers=None)
-        assert manifest.totals["ok"] == 2
-
-    def test_bad_workers_env(self, tmp_path, toy_plant, monkeypatch):
-        src = self._make_batch(tmp_path, toy_plant, count=2)
-        read = []
-        monkeypatch.setattr("myoctl.pipeline.read_session", read.append)
-        for value, message in (("many", "must be an integer, got 'many'"),
-                               ("0", "must be at least 1, got 0")):
-            monkeypatch.setenv("MYOCTL_WORKERS", value)
-            with pytest.raises(ValueError, match=f"MYOCTL_WORKERS {message}"):
-                run_batch(src, toy_plant, tmp_path / "out", workers=None)
-        assert read == []
-        assert not (tmp_path / "out").exists()
-
     @pytest.mark.parametrize("workers", [0, -2])
     def test_worker_count_below_1_is_rejected_before_any_session_is_read(
         self, tmp_path, toy_plant, monkeypatch, workers
@@ -378,7 +398,6 @@ class TestRunBatch:
         src = self._make_batch(tmp_path, toy_plant, count=3)
         read = []
         monkeypatch.setattr("myoctl.pipeline.read_session", read.append)
-        monkeypatch.setenv("MYOCTL_WORKERS", "2")
         with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
             run_batch(src, toy_plant, tmp_path / "out", workers=workers)
         assert read == []

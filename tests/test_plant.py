@@ -301,6 +301,30 @@ class TestRollout:
             with pytest.raises(PlantError, match="^qdot has non-finite entries"):
                 PlantState(q=state.q, qdot=bad, act=state.act)
 
+    @pytest.mark.parametrize("step, ctrl_shape, njoints, nact, message", [
+        ("rollout", (50, 1), 2, 4, "ctrl_traj has shape (50, 1); the plant needs (nframes, 4)"),
+        ("rollout", (50,), 2, 4, "ctrl_traj has shape (50,); the plant needs (nframes, 4)"),
+        ("rollout", (50, 3), 2, 4, "ctrl_traj has shape (50, 3); the plant needs (nframes, 4)"),
+        ("forward_step", (), 2, 4, "ctrl has shape (); the plant needs (4,)"),
+        ("forward_step", (1,), 2, 4, "ctrl has shape (1,); the plant needs (4,)"),
+        ("forward_step", (3,), 2, 4, "ctrl has shape (3,); the plant needs (4,)"),
+        ("rollout", (50, 4), 2, 1, "state.act has shape (1,); the plant has 4 actuators"),
+        ("forward_step", (4,), 2, 1, "state.act has shape (1,); the plant has 4 actuators"),
+        ("rollout", (50, 4), 3, 4, "state.q has shape (3,); the plant has 2 joints"),
+        ("forward_step", (4,), 3, 4, "state.q has shape (3,); the plant has 2 joints"),
+    ], ids=["traj_1_column", "traj_1d", "traj_3_columns", "scalar_ctrl", "ctrl_1", "ctrl_3",
+            "rollout_act_1", "step_act_1", "rollout_3_joints", "step_3_joints"])
+    def test_sizes_that_do_not_fit_the_plant_are_named(
+        self, monkeypatch, step, ctrl_shape, njoints, nact, message
+    ):
+        # A single control column or activation must not broadcast to all
+        # four toy_finger muscles.
+        plant = make_fixture("toy_finger")
+        state = PlantState(q=np.zeros(njoints), qdot=np.zeros(njoints), act=np.full(nact, 0.5))
+        monkeypatch.setattr(plant_module, "_simulate", None)  # rejected before any step
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            getattr(plant_module, step)(plant, state, np.full(ctrl_shape, 0.5), 0.002)
+
     def test_divergence_is_detected_at_the_step(self):
         plant = make_fixture("toy_finger")
         state = PlantState(

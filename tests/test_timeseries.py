@@ -77,6 +77,18 @@ class TestResample:
         with pytest.raises(ValueError, match=f"{which} must be positive and finite"):
             resample(np.zeros(100), **rates)
 
+    @pytest.mark.parametrize("trace, from_hz, axis, counts", [
+        (np.zeros(2), 2000, -1, "2 at 2000 Hz give 0 at 500 Hz"),
+        (np.zeros((2, 3)), 2000, 0, "2 at 2000 Hz give 0 at 500 Hz"),
+        (np.zeros(1), 500, -1, "1 at 500 Hz give 1 at 500 Hz"),
+    ], ids=["1d", "2d_axis0", "one_sample"])
+    def test_too_few_samples_for_one_output_sample(self, trace, from_hz, axis, counts):
+        # round(2 * 500 / 2000) = 0: an empty trace would be written as a
+        # 0-frame session.
+        message = "need at least 2 input samples and 1 output sample to resample; "
+        with pytest.raises(ValueError, match=message + counts):
+            resample(trace, from_hz, 500, axis=axis)
+
     def test_multichannel_axis_handling(self):
         t = np.arange(4000) / 2000.0
         data = np.stack([np.sin(2 * np.pi * 5 * t), np.cos(2 * np.pi * 3 * t)])
@@ -109,16 +121,14 @@ class TestScipyOracle:
         assert ours.shape == reference.shape
         assert np.abs(ours - reference).max() <= 1e-13 * np.abs(x).max()
 
-    @pytest.mark.parametrize("from_hz, to_hz", [
-        (2000, 1000), (2000, 500), (1000, 2000), (500, 2000),
-    ])
-    @pytest.mark.parametrize("n, shape, axis", [
-        (2, "1d", -1),
-        (3, "1d", -1),
-        (999, "1d", -1),
-        (1001, "2d", 0),
-        (1001, "2d", 1),
-        (4000, "2d", 0),
+    @pytest.mark.parametrize("n, shape, axis, from_hz, to_hz", [
+        trace + rates
+        for rates in [(2000, 1000), (2000, 500), (1000, 2000), (500, 2000)]
+        for trace in [(2, "1d", -1), (3, "1d", -1), (999, "1d", -1),
+                      (1001, "2d", 0), (1001, "2d", 1), (4000, "2d", 0)]
+        # Two samples at a 4:1 step down give no output sample; see
+        # TestResample.test_too_few_samples_for_one_output_sample.
+        if round(trace[0] * rates[1] / rates[0]) >= 1
     ])
     def test_resample_matches_resample_poly(self, monkeypatch, from_hz, to_hz, n, shape, axis):
         t = np.arange(n) / from_hz
@@ -131,7 +141,6 @@ class TestScipyOracle:
         monkeypatch.setattr(timeseries, "_resample_poly", scipy_resample_poly)
         reference = resample(trace, from_hz, to_hz, axis=axis)
         assert ours.shape == reference.shape
-        # Two samples at a 4:1 step down round to an empty trace.
         assert ours.shape[axis] == round(n * to_hz / from_hz)
         assert np.all(np.abs(ours - reference) <= 1e-13 * np.abs(trace).max())
 
