@@ -14,28 +14,36 @@ dead (zero-gain) actuator keeps its activation.
 
 A trajectory is inverted in three passes. Everything that depends only on
 the joint motion (the integrator's difference stencils, tendon kinematics,
-muscle gain and bias with dead actuators' gains zeroed, the required
-generalized force, the activation-free part of each frame's force gap and
-each frame's failure threshold) is computed and checked once on the whole
-``(nframes, ...)`` arrays. The sequential loop then keeps only what depends
-on the running activation, which starts from zero: the frame's activation
-bounds, one :meth:`~myoctl.qp.BvlsSolver.solve` on plain arrays by a solver
-bound to the moment arms for the whole trajectory (so each distinct free
-set's pseudo-inverse is computed once, and no per-frame problem object is
-built or checked), and the next activation. The solver hands back each
-frame's residual vector ``A x - b`` with its solution, and the residuals are
-reduced once after the loop. A last vectorized pass recovers every frame's
-control from its pair of activations: it returns what 53 bisections of
-[0, 1] on ``f`` would, starting from a short dyadic interval around a
-Newton estimate of the control (see :func:`_recover_ctrl`).
-Replaying the controls from rest therefore reproduces the inversion's
-activations, and a trajectory the forward model produced at the same rate,
-to round-off. A frame that fails an up-front check raises a ``ValueError``
-naming it; a returned inversion's status is failed only when more than 1 %
-of its frames are infeasible.
+muscle gain and bias, the required generalized force, the activation-free
+part of each frame's force gap and each frame's failure threshold) is
+computed and checked once on the whole ``(nframes, ...)`` arrays, and a
+frame that fails a check raises a ``ValueError`` naming it. The sequential
+loop then keeps only what depends on the running activation, which starts
+from zero: the frame's activation bounds and box, the solve, and the next
+activation. The loop advances several trajectories (lanes) of one plant
+together on ``(lanes, nact)`` stacks, the longest first, each lane while
+its frames last; a single trajectory is the one-lane case. Each frame it
+computes once for every lane the force gap, the bounds and the box, and the
+unbounded first step ``pinv(moment_arms) @ b`` with its KKT verdict, as
+stacked-column products that give each lane the bits of its own
+matrix-vector product. Only a lane whose first step leaves its box, or
+whose box pins a variable, goes through
+:meth:`~myoctl.qp.BvlsSolver.solve`, by one solver bound to the moment arms
+(so each distinct free set's pseudo-inverse is computed once, and no
+per-frame problem object is built or checked). A lane's outputs are
+therefore bit for bit the same whichever lanes share its loop. The residual
+vectors ``A x - b`` of every frame are reduced once after the loop. A last
+vectorized pass per lane recovers every frame's control from its pair of
+activations: it returns what 53 bisections of [0, 1] on ``f`` would,
+starting from a short dyadic interval around a Newton estimate of the
+control (see :func:`_recover_ctrl`). Replaying the controls from rest
+therefore reproduces the inversion's activations, and a trajectory the
+forward model produced at the same rate, to round-off. A returned
+inversion's status is failed only when more than 1 % of its frames are
+infeasible.
 
 :func:`invert_frame` checks one frame's inputs (:class:`InverseInputs`) and
-runs the same private kernels as the loop.
+hands its problem to the solver whatever the first step gives.
 """
 
 from __future__ import annotations
@@ -66,9 +74,9 @@ __all__ = [
 
 _ZERO_GAIN = 1e-12
 _MAX_INFEASIBLE_FRACTION = 0.01
-# Controls 0 and 1 as a column: one activation step from an activation vector
-# gives the (2, nact) bounds of the next activation.
-_CTRL_EDGES = np.array([[0.0], [1.0]])
+# Controls 0 and 1, shaped so one activation step from a (lanes, nact) stack
+# gives the (2, lanes, nact) bounds of the next activations.
+_CTRL_EDGES = np.array([[[0.0]], [[1.0]]])
 # Halvings of [0, 1] in control recovery: the midpoints are multiples of
 # 2**-53, the spacing of doubles just below 1.
 _BISECTIONS = 53
@@ -183,26 +191,25 @@ def _gap_base(moment_arms, gain, bias, q_frc) -> tuple[np.ndarray, np.ndarray]:
     return gap_base, ~np.isfinite(bound).all(axis=-1)
 
 
-def _solve_frame(solver: BvlsSolver, act, gain, gap_base, live_gain, safe_gain, filter_args):
-    """Gap, bound, box, solve, step: ``(act_next, x, residual, iterations, converged)``.
+def _box(act, live_gain, filter_args):
+    """The next activation's bounds and the box of ``x = gain * (act' - act)``.
 
-    The force gap is the torque at ``act`` minus the target, and
-    ``filter_args`` the activation step's ``(dt, tau_act, tau_deact,
+    ``filter_args`` are the activation step's ``(dt, tau_act, tau_deact,
     tau_smooth)``. The step under controls 0 and 1 bounds the next
-    activation; the bounds map through the non-positive ``live_gain`` to the
-    box of ``x = gain * (act' - act)``, and a dead actuator's ``x`` is pinned
-    at 0, so dividing it by its ``safe_gain`` of 1 keeps its activation.
-    ``residual`` is the vector ``moment_arms @ x + gap``, the solver's ``A x
-    - b``. The solve runs on plain arrays, with no per-frame checks; the
-    callers' checks make its inputs valid (see :func:`invert_trajectory`).
+    activation, ``(2, ...)`` for ``act`` of shape ``(...)``; the bounds map
+    through the non-positive ``live_gain`` to ``(lb, ub)``, and a dead
+    actuator's edges are both 0, which pins its ``x``.
     """
-    gap = solver.A @ (gain * act) + gap_base
     bounds = _step_activation(act, _CTRL_EDGES, *filter_args)
     # Control 0 gives the lower activation bound and the upper edge of x.
     ub, lb = live_gain * (bounds - act)
-    x, iterations, converged, residual = solver.solve(-gap, lb, ub)
-    act_next = np.minimum(np.maximum(act + x / safe_gain, bounds[0]), bounds[1])
-    return act_next, x, residual, iterations, converged
+    return bounds, lb, ub
+
+
+def _next_act(act, x, safe_gain, bounds):
+    """``act + x / gain`` clamped to the step's bounds; a dead actuator's
+    ``safe_gain`` of 1 and pinned ``x`` of 0 keep its activation."""
+    return np.minimum(np.maximum(act + x / safe_gain, bounds[0]), bounds[1])
 
 
 def _reject_frames(what: str, bad: np.ndarray) -> None:
@@ -291,6 +298,8 @@ def invert_frame(inp: InverseInputs) -> FrameSolution:
 
     The residual is ``||moment_arms @ x + k||_inf``; it is zero (within the
     solver tolerance) exactly when the target force is reachable this step.
+    Unlike the inversion loop, it hands every frame to
+    :meth:`~myoctl.qp.BvlsSolver.solve`.
 
     Raises:
         ValueError: if the force gap can overflow for some activation in
@@ -300,13 +309,138 @@ def invert_frame(inp: InverseInputs) -> FrameSolution:
     if overflows:
         raise ValueError("force gap overflows for some activation in [0, 1]")
     filter_args = (inp.timestep, inp.tau_act, inp.tau_deact, inp.tau_smooth)
-    act_next, x, residual, _, converged = _solve_frame(
-        BvlsSolver(inp.moment_arms), inp.act, inp.gain, gap_base, *_live(inp.gain),
-        filter_args,
-    )
-    ctrl = _recover_ctrl(inp.act, act_next, *filter_args)
-    return FrameSolution(ctrl=ctrl, x=x, residual=float(np.abs(residual).max()),
-                         converged=converged)
+    live_gain, safe_gain = _live(inp.gain)
+    bounds, lb, ub = _box(inp.act[None], live_gain, filter_args)
+    gap = inp.moment_arms @ (inp.gain * inp.act) + gap_base
+    x, _, converged, residual = BvlsSolver(inp.moment_arms).solve(-gap, lb[0], ub[0])
+    act_next = _next_act(inp.act, x, safe_gain, bounds[:, 0])
+    return FrameSolution(ctrl=_recover_ctrl(inp.act, act_next, *filter_args), x=x,
+                         residual=float(np.abs(residual).max()), converged=converged)
+
+
+@dataclass(frozen=True, eq=False)
+class _Lane:
+    """One checked trajectory, ready for the frame loop: every per-frame term
+    that does not depend on the activation (see :func:`_prepare`)."""
+
+    dt: float
+    gain: np.ndarray
+    gap_base: np.ndarray
+    thresholds: np.ndarray
+
+    @property
+    def nframes(self) -> int:
+        return self.gain.shape[0]
+
+
+def _prepare(plant: Plant, q_traj, rate_hz: float, fail_threshold: float) -> _Lane:
+    """The up-front pass over one trajectory; raises what :func:`invert_trajectory` does.
+
+    It differentiates the trajectory with the integrator's stencils,
+    evaluates tendon kinematics, muscle gain/bias and the generalized force,
+    and checks, for every frame at once, what does not depend on the
+    activation (finite values, ``gain <= 0``, a force gap that stays finite
+    for every activation in [0, 1]).
+    """
+    q = np.atleast_2d(np.asarray(q_traj, dtype=float))
+    if q.shape[0] < MIN_FRAMES:
+        raise ValueError(f"need at least {MIN_FRAMES} frames to invert a trajectory")
+    _require_positive("rate_hz", rate_hz)
+    _require_positive("fail_threshold", fail_threshold)
+    _reject_frames("non-finite input at frame", ~np.isfinite(q).all(axis=1))
+
+    dt = 1.0 / rate_hz
+    qdot, qddot = differentiate(q, dt)
+    lengths, velocities = tendon_kinematics(plant, q, qdot)
+    gain, bias = _gain_bias(plant, *_normalized(plant, lengths, velocities))
+    q_frc = inverse_dynamics(plant, q, qdot, qddot)
+    for label, values in (("muscle gain", gain), ("muscle bias", bias),
+                          ("generalized force", q_frc)):
+        _reject_frames(f"non-finite {label} at frame", ~np.isfinite(values).all(axis=1))
+    _reject_frames("gain must be non-positive (muscles only pull); frame",
+                   (gain > 0.0).any(axis=1))
+    gap_base, overflows = _gap_base(plant.moment_arms, gain, bias, q_frc)
+    _reject_frames("force gap overflows for some activation in [0, 1]; frame", overflows)
+    return _Lane(dt, gain, gap_base, fail_threshold * np.maximum(1.0, np.abs(q_frc).max(axis=1)))
+
+
+def _invert_lanes(plant: Plant, lanes: list[_Lane]) -> list[TrajectoryInversion]:
+    """Invert prepared trajectories of one plant together, in one frame loop.
+
+    Frames ``[start, stop)`` advance the lanes that still have frames, the
+    longest first, on ``(lanes, nact)`` stacks (see the module docstring).
+    One solver serves every lane. The lanes must share one rate; a
+    ``ValueError`` says so otherwise.
+    """
+    dt = lanes[0].dt
+    if any(lane.dt != dt for lane in lanes):
+        raise ValueError("lanes inverted together must share one rate")
+    m = plant._muscle
+    filter_args = (np.asarray(dt), m.tau_act, m.tau_deact, m.tau_smooth)
+    order = sorted(range(len(lanes)), key=lambda i: -lanes[i].nframes)
+    nframes = lanes[order[0]].nframes
+
+    def stack(attr, width):
+        # (nframes, lanes, width), lanes longest first; zero past a lane's end.
+        out = np.zeros((nframes, len(lanes), width))
+        for j, i in enumerate(order):
+            out[:lanes[i].nframes, j] = getattr(lanes[i], attr)
+        return out
+
+    nact, njoints = plant.nactuators, plant.njoints
+    gain, gap_base = stack("gain", nact), stack("gap_base", njoints)
+    live_gain, safe_gain = _live(gain)
+    solver = BvlsSolver(plant.moment_arms)
+    A = solver.A
+
+    # Row t is the activation before frame t's step; row t + 1, after it.
+    act = np.zeros((nframes + 1, len(lanes), nact))
+    residual_vectors = np.empty((nframes, len(lanes), njoints))
+    iterations = np.zeros((nframes, len(lanes)), dtype=int)
+    converged = np.empty((nframes, len(lanes)), dtype=bool)
+    start = 0
+    for k in range(len(lanes), 0, -1):
+        # Frames [start, stop) run the k longest lanes.
+        stop = lanes[order[k - 1]].nframes
+        if stop <= start:
+            continue
+        g, gb, lg, sg, a_, r_, it_, ok_ = (v[:, :k] for v in (
+            gain, gap_base, live_gain, safe_gain, act, residual_vectors, iterations, converged))
+        for t in range(start, stop):
+            a = a_[t]
+            b = -((A @ (g[t] * a)[..., None])[..., 0] + gb[t])
+            bounds, lb, ub = _box(a, lg[t], filter_args)
+            x, done, ok, r = solver._first_steps(b, lb, ub)
+            if ok is not None:
+                ok_[t], r_[t] = ok, r
+            for i, first_step_solves in enumerate(done):
+                if not first_step_solves:
+                    x[i], it_[t, i], ok_[t, i], r_[t, i] = solver.solve(b[i], lb[i], ub[i])
+            a_[t + 1] = _next_act(a, x, sg[t], bounds)
+        start = stop
+
+    results = [None] * len(lanes)
+    for j, i in enumerate(order):
+        lane = lanes[i]
+        n = lane.nframes
+        lane_act = act[:n + 1, j]
+        residuals = np.abs(residual_vectors[:n, j]).max(axis=1)
+        causes = np.where(converged[:n, j],
+                          np.where(residuals <= lane.thresholds, 0, _UNREACHABLE),
+                          _NOT_CONVERGED).astype(np.int8)
+        infeasible = int(np.count_nonzero(causes))
+        failed = infeasible > _MAX_INFEASIBLE_FRACTION * n
+        results[i] = TrajectoryInversion(
+            ctrl=_recover_ctrl(lane_act[:-1], lane_act[1:], *filter_args),
+            residuals=residuals,
+            act=lane_act[:-1],
+            status="failed" if failed else "ok",
+            failure_reason=f"{infeasible} of {n} frames infeasible" if failed else None,
+            infeasible_frames=infeasible,
+            iterations=iterations[:n, j],
+            causes=causes,
+        )
+    return results
 
 
 def invert_trajectory(
@@ -317,32 +451,19 @@ def invert_trajectory(
 ) -> TrajectoryInversion:
     """Recover per-muscle controls along a joint-angle trajectory.
 
-    One array pass over all frames differentiates the trajectory with the
-    integrator's stencils, evaluates tendon kinematics and muscle
-    gain/bias, forms the required generalized force through the plant's
-    inverse dynamics and the activation-free part of each frame's force
-    gap, and checks once what does not depend on the activation (finite
-    values, ``gain <= 0``, a force gap that stays finite for every
-    activation in [0, 1]). A sequential loop, starting from zero
-    activation, bounds each next activation by the plant's own activation
-    step under controls 0 and 1, solves the frame's bounded least-squares
-    problem with :meth:`~myoctl.qp.BvlsSolver.solve` of one solver bound to
-    the moment arms (so each distinct free set's pseudo-inverse is computed
-    once per trajectory) and takes the next activation from the solution.
-    After the loop, the frame residuals are reduced from the residual
-    vectors the solver handed back, and one pass over the whole
-    ``(nframes, nactuators)`` arrays recovers the controls
-    (:func:`_recover_ctrl`). A frame counts as infeasible when its force
-    residual exceeds ``fail_threshold * max(1, ||q_frc||_inf)`` or its
-    solve does not converge, and its cause code says which (see
+    The trajectory is prepared and checked in one array pass
+    (:func:`_prepare`) and inverted as the one lane of the frame loop
+    (:func:`_invert_lanes`), from zero activation; see the module
+    docstring. A frame counts as infeasible when its force residual exceeds
+    ``fail_threshold * max(1, ||q_frc||_inf)`` or its solve does not
+    converge, and its cause code says which (see
     :class:`TrajectoryInversion`).
 
-    The loop hands the solver plain arrays and checks none of them per
-    frame, because the up-front checks make every frame's problem valid:
-    the moment arms are checked finite when the solver is built; the force
-    gap (the solve's ``b``) is finite because gain, bias and the
-    generalized force are checked finite and the gap's bound over
-    activations in [0, 1] is checked finite; the box edges
+    The loop checks no frame's problem, because the up-front checks make
+    every frame's problem valid: the moment arms are checked finite when
+    the solver is built; the force gap (the solve's ``b``) is finite
+    because gain, bias and the generalized force are checked finite and the
+    gap's bound over activations in [0, 1] is checked finite; the box edges
     ``gain * (f(act, 1) - act)`` and ``gain * (f(act, 0) - act)`` are
     finite because the gain is and activations stay in [0, 1] (the step
     clamps to [0, 1] and the next activation is clamped to the step's
@@ -358,60 +479,7 @@ def invert_trajectory(
         PlantError: if a frame puts a tendon at non-positive length; the
             message names the tendon and the frame.
     """
-    q = np.atleast_2d(np.asarray(q_traj, dtype=float))
-    if q.shape[0] < MIN_FRAMES:
-        raise ValueError(f"need at least {MIN_FRAMES} frames to invert a trajectory")
-    _require_positive("rate_hz", rate_hz)
-    _require_positive("fail_threshold", fail_threshold)
-    _reject_frames("non-finite input at frame", ~np.isfinite(q).all(axis=1))
-    nframes = q.shape[0]
-
-    dt = 1.0 / rate_hz
-    qdot, qddot = differentiate(q, dt)
-    lengths, velocities = tendon_kinematics(plant, q, qdot)
-    gain, bias = _gain_bias(plant, *_normalized(plant, lengths, velocities))
-    q_frc = inverse_dynamics(plant, q, qdot, qddot)
-    for label, values in (("muscle gain", gain), ("muscle bias", bias),
-                          ("generalized force", q_frc)):
-        _reject_frames(f"non-finite {label} at frame", ~np.isfinite(values).all(axis=1))
-    _reject_frames("gain must be non-positive (muscles only pull); frame",
-                   (gain > 0.0).any(axis=1))
-    moment_arms = plant.moment_arms
-    gap_base, overflows = _gap_base(moment_arms, gain, bias, q_frc)
-    _reject_frames("force gap overflows for some activation in [0, 1]; frame", overflows)
-    live_gain, safe_gain = _live(gain)
-    thresholds = fail_threshold * np.maximum(1.0, np.abs(q_frc).max(axis=1))
-    solver = BvlsSolver(moment_arms)
-    m = plant._muscle
-    filter_args = (np.asarray(dt), m.tau_act, m.tau_deact, m.tau_smooth)
-
-    # Row t is the activation before frame t's step; the last row, after it.
-    act = np.zeros((nframes + 1, plant.nactuators))
-    residual_vectors = np.empty((nframes, plant.njoints))
-    iterations = np.zeros(nframes, dtype=int)
-    converged = np.empty(nframes, dtype=bool)
-    for t in range(nframes):
-        act[t + 1], _, residual_vectors[t], iterations[t], converged[t] = _solve_frame(
-            solver, act[t], gain[t], gap_base[t], live_gain[t], safe_gain[t], filter_args
-        )
-    residuals = np.abs(residual_vectors).max(axis=1)
-    causes = np.where(converged, np.where(residuals <= thresholds, 0, _UNREACHABLE),
-                      _NOT_CONVERGED).astype(np.int8)
-    infeasible = int(np.count_nonzero(causes))
-
-    failed = infeasible > _MAX_INFEASIBLE_FRACTION * nframes
-    return TrajectoryInversion(
-        ctrl=_recover_ctrl(act[:-1], act[1:], *filter_args),
-        residuals=residuals,
-        act=act[:-1],
-        status="failed" if failed else "ok",
-        failure_reason=(
-            f"{infeasible} of {nframes} frames infeasible" if failed else None
-        ),
-        infeasible_frames=infeasible,
-        iterations=iterations,
-        causes=causes,
-    )
+    return _invert_lanes(plant, [_prepare(plant, q_traj, rate_hz, fail_threshold)])[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,14 +8,21 @@ session at 2 kHz or 500 Hz, resamples it to the 500 Hz solve rate (a 500 Hz
 session is solved as-is), recovers tendon controls, and resamples the
 controls back to the session's rate so all streams stay synchronized.
 
-Batches run a worker pool over session directories: every session is
-processed exactly once and named by its input directory, which names both its
-output directory and its manifest record (the id inside ``session.json`` only
-travels into the output header). Outputs and the manifest are written
-atomically (temp file + rename), and the manifest content is independent of
-the worker count apart from wall-time fields. The worker count is
-``run_batch``'s ``workers`` argument, 1 by default; no environment variable
-sets it.
+Batches run a worker pool over groups of consecutive session directories,
+``ceil(sessions / workers)`` to a group and at most ``_GROUP_CAP``. Each of a
+group's sessions is read, checked, mapped, resampled and prepared alone (a
+failure there is that session's failed record), the group's sessions are
+inverted together in one frame loop (see :mod:`myoctl.inverse`), and each is
+finished and written alone. Every session is processed exactly once and
+named by its input directory, which names both its output directory and its
+manifest record (the id inside ``session.json`` only travels into the output
+header). Inverting together changes no session's bits, so outputs and the
+manifest content are independent of the worker count and of a session's
+neighbours, apart from wall-time fields. A record's ``wall_time_s`` is the
+session's own stages plus an equal share of its group's loop, so the records
+of one worker sum to no more than its wall time. Outputs and the manifest are
+written atomically (temp file + rename). The worker count is ``run_batch``'s
+``workers`` argument, 1 by default; no environment variable sets it.
 """
 
 from __future__ import annotations
@@ -31,7 +38,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .inverse import MIN_FRAMES, invert_trajectory
+# bench/spans.py patches invert_trajectory in this module, so the name must
+# stay importable here; conversion runs the inversion's two parts itself.
+from .inverse import MIN_FRAMES, _invert_lanes, _prepare, invert_trajectory  # noqa: F401
 from .muscle import _require_positive
 from .plant import Plant, _whole_number, _write_atomic, _write_json
 from .timeseries import resample
@@ -56,6 +65,13 @@ SESSION_FORMAT = "myoctl-session/1"
 
 POSE_RATE_HZ = 2000
 SOLVE_RATE_HZ = 500
+# Most sessions one batch worker inverts together. In a lane sweep of
+# 1000-frame trajectories (2 cores), a toy_finger trajectory inverted 2.5x
+# cheaper in a group of 8 than alone and no cheaper in groups of 12 to 32,
+# where the solves of lanes whose first step leaves the box dominate.
+_GROUP_CAP = 8
+# The batch manifest's file name in the output directory.
+_MANIFEST = "manifest.json"
 
 
 class SessionFormatError(ValueError):
@@ -233,10 +249,9 @@ class Manifest:
         return {"records": [asdict(r) for r in self.records], "totals": self.totals}
 
 
-def _record(session_id: str, start: float, reason: str | None = None, frames: int = 0,
+def _record(session_id: str, wall_time_s: float, reason: str | None = None, frames: int = 0,
             infeasible: int = 0, max_residual: float | None = None) -> SessionRecord:
-    """The record of a session whose work began at ``start`` (``perf_counter``);
-    a ``reason`` marks it failed."""
+    """The record of a session that took ``wall_time_s``; a ``reason`` marks it failed."""
     return SessionRecord(
         id=session_id,
         status="ok" if reason is None else "failed",
@@ -244,7 +259,7 @@ def _record(session_id: str, start: float, reason: str | None = None, frames: in
         frames=frames,
         infeasible_frames=infeasible,
         max_residual=max_residual,
-        wall_time_s=time.perf_counter() - start,
+        wall_time_s=wall_time_s,
     )
 
 
@@ -326,28 +341,13 @@ def _min_frames(rate_hz: int) -> int:
     return n
 
 
-def process_session(
-    session: Session,
-    plant: Plant,
-    opts: PipelineOptions | None = None,
-) -> tuple[Session | None, SessionRecord]:
-    """Convert one pose session into a tendon-control session.
+def _begin(session: Session, plant: Plant, opts: PipelineOptions):
+    """Conversion's first stage: check, map, resample and prepare one session.
 
-    Resample from the session's rate (``POSE_RATE_HZ`` or ``SOLVE_RATE_HZ``)
-    to the solve rate, differentiate, invert, and resample the recovered
-    controls back to the session's rate. On failure the record carries the
-    reason and no output session is produced.
-
-    Raises:
-        ValueError: for an empty session, one with fewer frames than its
-            rate needs to give ``MIN_FRAMES`` solve-rate frames (a
-            precondition, not a failure), or a ``fail_threshold`` that is not
-            positive and finite.
-        ConfigurationError: for rate or joint-map mismatches.
+    Returns ``(lane, None)`` with the session's prepared inversion lane, or
+    ``(None, reason)`` for a session that fails before its inversion.
+    Raises what :func:`process_session` documents.
     """
-    opts = opts or PipelineOptions()
-    _check_options(opts, plant)
-    start = time.perf_counter()
     if session.n_frames == 0 or not session.channel_names:
         raise ValueError(f"session {session.id!r} is empty")
     if session.rate_hz not in (POSE_RATE_HZ, SOLVE_RATE_HZ):
@@ -364,16 +364,18 @@ def process_session(
     poses = _map_joints(session, plant, opts.joint_map)
     if not np.isfinite(poses).all():
         frame = int(np.argwhere(~np.isfinite(poses).all(axis=1))[0, 0])
-        return None, _record(session.id, start, f"non-finite input at frame {frame}",
-                             session.n_frames)
-
+        return None, f"non-finite input at frame {frame}"
     q_solve = resample(poses, session.rate_hz, SOLVE_RATE_HZ, axis=0)
-    result = invert_trajectory(plant, q_solve, SOLVE_RATE_HZ, opts.fail_threshold)
-    max_residual = float(result.residuals.max())
-    if result.status != "ok":
-        return None, _record(session.id, start, result.failure_reason, session.n_frames,
-                             result.infeasible_frames, max_residual)
+    return _prepare(plant, q_solve, SOLVE_RATE_HZ, opts.fail_threshold), None
 
+
+def _finish(session: Session, plant: Plant, result) -> tuple[Session | None, dict]:
+    """Conversion's last stage: the control session at the session's rate, or
+    ``None`` when the inversion failed, and the record's fields."""
+    fields = dict(frames=session.n_frames, infeasible=result.infeasible_frames,
+                  max_residual=float(result.residuals.max()))
+    if result.status != "ok":
+        return None, dict(fields, reason=result.failure_reason)
     controls = resample(result.ctrl, SOLVE_RATE_HZ, session.rate_hz, axis=0)
     controls = np.clip(_fit_length(controls, session.n_frames), 0.0, 1.0)
     out = Session(
@@ -384,8 +386,39 @@ def process_session(
         units=("1",) * plant.nactuators,
         metadata={"plant": plant.name, "kind": "tendon_ctrl"},
     )
-    return out, _record(session.id, start, None, session.n_frames,
-                        result.infeasible_frames, max_residual)
+    return out, fields
+
+
+def process_session(
+    session: Session,
+    plant: Plant,
+    opts: PipelineOptions | None = None,
+) -> tuple[Session | None, SessionRecord]:
+    """Convert one pose session into a tendon-control session.
+
+    Resample from the session's rate (``POSE_RATE_HZ`` or ``SOLVE_RATE_HZ``)
+    to the solve rate, differentiate, invert, and resample the recovered
+    controls back to the session's rate. It runs the stages a batch runs on
+    a group of sessions, on a group of one. On failure the record carries
+    the reason and no output session is produced.
+
+    Raises:
+        ValueError: for an empty session, one with fewer frames than its
+            rate needs to give ``MIN_FRAMES`` solve-rate frames (a
+            precondition, not a failure), a ``fail_threshold`` that is not
+            positive and finite, or what
+            :func:`~myoctl.inverse.invert_trajectory` raises for the
+            resampled poses.
+        ConfigurationError: for rate or joint-map mismatches.
+    """
+    opts = opts or PipelineOptions()
+    _check_options(opts, plant)
+    start = time.perf_counter()
+    lane, reason = _begin(session, plant, opts)
+    if lane is None:
+        return None, _record(session.id, time.perf_counter() - start, reason, session.n_frames)
+    out, fields = _finish(session, plant, _invert_lanes(plant, [lane])[0])
+    return out, _record(session.id, time.perf_counter() - start, **fields)
 
 
 def _write_session_atomic(session: Session, final_dir: Path) -> None:
@@ -398,19 +431,45 @@ def _write_session_atomic(session: Session, final_dir: Path) -> None:
     os.replace(tmp, final_dir)
 
 
-def _convert_one(args) -> SessionRecord:
-    """Convert the session in ``session_dir`` to ``out_dir/<its directory name>``;
-    the record carries that name as its id."""
-    session_dir, plant, opts, out_dir = args
+def _convert_group(args) -> list[SessionRecord]:
+    """Convert the sessions in ``session_dirs`` as one group (see the module
+    docstring), each to ``out_dir/<its directory name>``; each record
+    carries that name as its id."""
+    session_dirs, plant, opts, out_dir = args
+    names = [Path(d).name for d in session_dirs]
+    records: list[SessionRecord | None] = [None] * len(names)
+    pending = []  # (index, session, lane, seconds spent on it so far)
+    for i, session_dir in enumerate(session_dirs):
+        if names[i] == _MANIFEST:
+            records[i] = _record(names[i], 0.0, f"its output directory {_MANIFEST!r} "
+                                 "would replace the batch manifest")
+            continue
+        start = time.perf_counter()
+        try:
+            session = read_session(session_dir)
+            lane, reason = _begin(session, plant, opts)
+        except Exception as exc:  # unreadable or misconfigured: record, don't abort
+            records[i] = _record(names[i], time.perf_counter() - start,
+                                 f"{type(exc).__name__}: {exc}")
+            continue
+        if lane is None:
+            records[i] = _record(names[i], time.perf_counter() - start, reason, session.n_frames)
+        else:
+            pending.append((i, session, lane, time.perf_counter() - start))
+
     start = time.perf_counter()
-    name = Path(session_dir).name
-    try:
-        out_session, record = process_session(read_session(session_dir), plant, opts)
-        if out_session is not None:
-            _write_session_atomic(out_session, Path(out_dir) / name)
-        return replace(record, id=name)
-    except Exception as exc:  # unreadable or misconfigured: record, don't abort
-        return _record(name, start, f"{type(exc).__name__}: {exc}")
+    results = _invert_lanes(plant, [lane for _, _, lane, _ in pending]) if pending else []
+    share = (time.perf_counter() - start) / max(len(pending), 1)
+    for (i, session, _, spent), result in zip(pending, results):
+        start = time.perf_counter()
+        try:
+            out, fields = _finish(session, plant, result)
+            if out is not None:
+                _write_session_atomic(out, Path(out_dir) / names[i])
+        except Exception as exc:  # an unwritable output: record, don't abort
+            fields = {"reason": f"{type(exc).__name__}: {exc}"}
+        records[i] = _record(names[i], spent + share + time.perf_counter() - start, **fields)
+    return records
 
 
 def run_batch(
@@ -426,7 +485,9 @@ def run_batch(
     named by its directory: its output goes to ``out_dir/<directory name>``
     and its manifest record carries that name as its ``id``, whatever id its
     header holds. Unreadable or failing sessions become failed records and
-    the batch continues.
+    the batch continues; so does a directory named ``manifest.json``, whose
+    output would replace the manifest. Consecutive sessions are converted
+    in groups (see the module docstring).
 
     ``opts`` and the worker count are checked once, before any session is
     read or ``out_dir`` is created.
@@ -450,13 +511,16 @@ def run_batch(
         raise ValueError(f"no sessions found in {input_dir}")
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    tasks = [(str(d), plant, opts, str(out_dir)) for d in session_dirs]
+    size = min(-(-len(session_dirs) // workers), _GROUP_CAP)
+    tasks = [([str(d) for d in session_dirs[i:i + size]], plant, opts, str(out_dir))
+             for i in range(0, len(session_dirs), size)]
     if workers == 1 or len(tasks) == 1:
-        records = [_convert_one(task) for task in tasks]
+        groups = [_convert_group(task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            records = list(pool.map(_convert_one, tasks))
+            groups = list(pool.map(_convert_group, tasks))
 
-    manifest = Manifest(records=tuple(records))  # in directory-name order
-    _write_json(out_dir / "manifest.json", manifest.as_dict())
+    # In directory-name order: groups are consecutive runs of the sorted directories.
+    manifest = Manifest(records=tuple(r for group in groups for r in group))
+    _write_json(out_dir / _MANIFEST, manifest.as_dict())
     return manifest

@@ -714,11 +714,16 @@ def make_fixture(
 
 def _write_atomic(path, payload: bytes) -> None:
     """Write ``payload`` to a temporary sibling, then rename it onto ``path``,
-    so readers see the old file or the new one, never a partial write."""
+    so readers see the old file or the new one, never a partial write. A
+    failed rename removes the temporary file and raises."""
     path = Path(path)
     tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
     tmp.write_bytes(payload)
-    os.replace(tmp, path)
+    try:
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_json(path, doc) -> None:

@@ -12,7 +12,9 @@ every pseudo-inverse is computed the first time its free set appears and
 kept for the life of the solver, so a trajectory whose frames share ``A``
 pays for each distinct free set once. :meth:`BvlsSolver.solve` takes plain
 arrays, checks only ``max_iter`` and hands back, with the solution, the
-residual vector ``Ax - b`` of its KKT check. :class:`BoxQp` is the checked
+residual vector ``Ax - b`` of its KKT check; the inversion loop takes many
+problems' unbounded first steps at once, bit for bit as :meth:`solve` would,
+and calls it only where they are not the answer. :class:`BoxQp` is the checked
 problem and :func:`solve_box_qp` solves one with a fresh solver and reports
 its :class:`QpDiagnostics`; the inversion loop uses neither, and they
 remain for the tests and the benchmark tracer. A variable with ``lb == ub`` is
@@ -163,6 +165,29 @@ class BvlsSolver:
         x, iterations = self._bvls(b, lb, ub, max_iter)
         residual = self.A @ x - b
         return x, iterations, _projected_gradient(self.A, residual, lb, ub, x) <= _TOL, residual
+
+    def _first_steps(self, b, lb, ub):
+        """The unbounded first step of many problems at once, and where it is the answer.
+
+        Row ``i`` of ``b`` (``(k, m)``) and of the bounds (``(k, n)``) is one
+        problem. Returns ``(x, done, converged, residual)``: per row, the
+        step ``pinv(A) @ b``; a list of flags, set where the step is
+        :meth:`solve`'s answer (with 0 iterations) because it lies in the box
+        and no variable is pinned; and the step's KKT verdict and residual
+        vector ``A x - b``, both ``None`` when no row is done. A row that is
+        done holds the bits :meth:`solve` returns for it, because each
+        product runs as a stack of columns (``M @ v[..., None]``), which
+        numpy evaluates column by column as it does ``M @ v``; the other
+        rows need :meth:`solve`.
+        """
+        x = (self._pinv_all @ b[..., None])[..., 0]
+        done = ((x >= lb) & (x <= ub) & (lb < ub)).all(axis=-1).tolist()
+        if not any(done):
+            return x, done, None, None
+        residual = (self.A @ x[..., None])[..., 0] - b
+        gradient = (self.A.T @ residual[..., None])[..., 0]
+        kkt = np.abs(x - _clamp(x - gradient, lb, ub)).max(axis=-1, initial=0.0)
+        return x, done, kkt <= _TOL, residual
 
     def _bvls(self, b, lb, ub, max_iter):
         A = self.A

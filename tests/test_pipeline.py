@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import time
 from dataclasses import asdict
 
 import numpy as np
@@ -318,19 +319,70 @@ class TestRunBatch:
         assert (tmp_path / "out" / "s00" / "data.bin").exists()
         assert not (tmp_path / "out" / "s02").exists()
 
-    def test_manifest_independent_of_worker_count(self, tmp_path, toy_plant):
-        src = self._make_batch(tmp_path, toy_plant, count=4, corrupt="s01")
-        m1 = run_batch(src, toy_plant, tmp_path / "out1", workers=1)
-        m4 = run_batch(src, toy_plant, tmp_path / "out4", workers=4)
+    def _make_mixed_batch(self, tmp_path, plant):
+        """Eight sessions: mixed lengths at 2 kHz and 500 Hz, the fewest frames
+        each rate allows among them, a NaN burst in s01 and an unparsable
+        header in s05."""
+        src = tmp_path / "sessions"
+        for i, (rate, nframes) in enumerate([(2000, 1000), (2000, 900), (500, 250), (2000, 11),
+                                             (500, 3), (2000, 600), (500, 180), (2000, 1400)]):
+            dt = 1.0 / rate
+            ctrl = smooth_random_controls(plant.nactuators, nframes, dt, i)
+            q = rollout(plant, rest_state(plant), ctrl, dt).q
+            if i == 1:
+                q[300:320] = np.nan
+            write_session(Session(id=f"s{i:02d}", rate_hz=rate, channel_names=plant.joint_names,
+                                  data=q.T), src / f"s{i:02d}")
+        (src / "s05" / "session.json").write_text("{not json")
+        return src
 
-        def strip(manifest):
-            return [
-                {k: v for k, v in asdict(r).items() if k != "wall_time_s"}
-                for r in manifest.records
-            ]
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_manifest_independent_of_worker_count(self, tmp_path, toy_plant, workers):
+        # 1, 2 and 3 workers group the eight sessions as 8, 4 + 4 and 3 + 3 +
+        # 2, so the NaN burst and the unparsable header sit in a group with
+        # good sessions each time. Every record (apart from its wall time)
+        # and every output must be the session's own conversion alone, which
+        # makes them equal across worker counts and blind to the neighbours.
+        src = self._make_mixed_batch(tmp_path, toy_plant)
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        manifest = run_batch(src, toy_plant, out, workers=workers)
+        elapsed = time.perf_counter() - start
+        assert [r.id for r in manifest.records] == [f"s{i:02d}" for i in range(8)]
+        if workers == 1:
+            # Each record holds its own stages and a share of its group's loop.
+            assert 0.0 < sum(r.wall_time_s for r in manifest.records) <= elapsed
+        assert manifest.totals == {"sessions": 8, "ok": 6, "failed": 2}
+        for record in manifest.records:
+            try:
+                session = read_session(src / record.id)
+            except SessionFormatError as exc:
+                assert (record.status, record.failure_reason) == (
+                    "failed", f"{type(exc).__name__}: {exc}")
+                assert not (out / record.id).exists()
+                continue
+            alone, expected = process_session(session, toy_plant)
+            strip = {"id", "wall_time_s"}
+            assert ({k: v for k, v in asdict(record).items() if k not in strip}
+                    == {k: v for k, v in asdict(expected).items() if k not in strip})
+            if alone is None:
+                assert not (out / record.id).exists()
+            else:
+                assert read_session(out / record.id) == alone
+        assert manifest.records[1].failure_reason == "non-finite input at frame 300"
 
-        assert strip(m1) == strip(m4)
-        assert m1.totals == m4.totals
+    def test_session_directory_named_like_the_manifest_fails_alone(self, tmp_path, toy_plant):
+        src = tmp_path / "sessions"
+        for name in ("a", "manifest.json"):
+            write_session(pose_session(toy_plant, nframes=1000, session_id=name), src / name)
+        out = tmp_path / "out"
+        manifest = run_batch(src, toy_plant, out, workers=1)
+        assert [(r.id, r.status) for r in manifest.records] == [
+            ("a", "ok"), ("manifest.json", "failed")]
+        assert "manifest" in manifest.records[1].failure_reason
+        assert sorted(p.name for p in out.iterdir()) == ["a", "manifest.json"]
+        assert json.loads((out / "manifest.json").read_text())["totals"] == {
+            "sessions": 2, "ok": 1, "failed": 1}
 
     def test_outputs_and_records_are_named_by_input_directory(self, tmp_path, toy_plant):
         # Header ids that name out/ itself or a directory beside it, and four

@@ -510,6 +510,14 @@ class TestPlantFiles:
         with pytest.raises(PlantFormatError):
             load_plant(path)
 
+    def test_failed_rename_leaves_no_temporary_file(self, tmp_path):
+        # A directory in the way makes the rename onto it fail.
+        (tmp_path / "plant.json").mkdir()
+        with pytest.raises(IsADirectoryError):
+            save_plant(make_fixture("toy_finger"), tmp_path / "plant.json")
+        assert [p.name for p in tmp_path.iterdir()] == ["plant.json"]
+        assert (tmp_path / "plant.json").is_dir()
+
     @pytest.mark.parametrize("kind", ["toy_finger", "hand_like"])
     def test_file_layout(self, tmp_path, kind):
         path = tmp_path / "plant.json"

@@ -203,6 +203,42 @@ class TestAgainstLsqLinear:
         assert first_steps < 150
 
 
+    @pytest.mark.parametrize("shape", ["toy_finger", "hand_like", "2x4 negated pairs"])
+    def test_stacked_first_steps_match_solve(self, shape):
+        # Many problems' first steps at once, as the inversion loop takes
+        # them: a row that is done carries solve's answer bit for bit; every
+        # other row is one solve iterates on or pins a variable in.
+        rng = np.random.default_rng(21)
+        if shape in ("toy_finger", "hand_like"):
+            A = make_fixture(shape).moment_arms
+        else:
+            A = random_matrix(rng, shape)
+        solver = BvlsSolver(A)
+        problems = [random_bvls_problem(rng, A) for _ in range(60)]
+        b = np.stack([p.b for p in problems])
+        # Every second box wide enough for the unbounded first step.
+        wide = np.arange(60)[:, None] % 2 == 0
+        lb = np.stack([p.lb for p in problems])
+        ub = np.stack([p.ub for p in problems])
+        live = lb < ub
+        lb, ub = np.where(wide & live, lb - 1e3, lb), np.where(wide & live, ub + 1e3, ub)
+        x, done, converged, residual = solver._first_steps(b, lb, ub)
+        for i in range(60):
+            x_ref, iterations, converged_ref, residual_ref = solver.solve(b[i], lb[i], ub[i])
+            if done[i]:
+                assert iterations == 0, i
+                assert x[i].tobytes() == x_ref.tobytes(), i
+                assert residual[i].tobytes() == residual_ref.tobytes(), i
+                assert converged[i] == converged_ref, i
+            else:
+                assert iterations > 0 or (lb[i] == ub[i]).any(), i
+        assert 10 < sum(done) < 50
+        # With no row done, the KKT verdicts and residuals are not computed.
+        rest = ~np.array(done)
+        assert solver._first_steps(b[rest], lb[rest], ub[rest])[1:] == (
+            [False] * int(rest.sum()), None, None)
+
+
 class TestPinnedVariables:
     def test_matches_the_problem_with_pinned_columns_moved_into_b(self):
         # Pinned at values that are not zero, so the pinned columns change
