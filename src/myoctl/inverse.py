@@ -23,27 +23,25 @@ from zero: the frame's activation bounds and box, the solve, and the next
 activation. The loop advances several trajectories (lanes) of one plant
 together on ``(lanes, nact)`` stacks, the longest first, each lane while
 its frames last; a single trajectory is the one-lane case. Each frame it
-computes once for every lane the force gap, the bounds and the box, and the
-unbounded first step ``pinv(moment_arms) @ b`` with its KKT verdict, as
-stacked-column products that give each lane the bits of its own
-matrix-vector product. Only a lane whose first step leaves its box, or
-whose box pins a variable, goes through
-:meth:`~myoctl.qp.BvlsSolver.solve`, by one solver bound to the moment arms
-(so each distinct free set's pseudo-inverse is computed once, and no
-per-frame problem object is built or checked). A lane's outputs are
-therefore bit for bit the same whichever lanes share its loop. The residual
-vectors ``A x - b`` of every frame are reduced once after the loop. A last
-vectorized pass per lane recovers every frame's control from its pair of
-activations: it returns what 53 bisections of [0, 1] on ``f`` would,
-starting from a short dyadic interval around a Newton estimate of the
-control (see :func:`_recover_ctrl`). Replaying the controls from rest
+computes once for every lane the force gap (as a stacked-column product,
+which gives each lane the bits of its own matrix-vector product), the
+bounds and the box, and solves the lanes' problems in one
+:meth:`~myoctl.qp.BvlsSolver.solve` call on the stack, by one solver bound
+to the moment arms (so each distinct free set's pseudo-inverse is computed
+once, and no per-frame problem object is built or checked). A lane's
+outputs are therefore bit for bit the same whichever lanes share its loop.
+The residual vectors ``A x - b`` of every frame are reduced once after the
+loop. A last vectorized pass per lane recovers every frame's control from
+its pair of activations: it returns what 53 bisections of [0, 1] on ``f``
+would, starting from a short dyadic interval around a Newton estimate of
+the control (see :func:`_recover_ctrl`). Replaying the controls from rest
 therefore reproduces the inversion's activations, and a trajectory the
 forward model produced at the same rate, to round-off. A returned
 inversion's status is failed only when more than 1 % of its frames are
 infeasible.
 
 :func:`invert_frame` checks one frame's inputs (:class:`InverseInputs`) and
-hands its problem to the solver whatever the first step gives.
+solves it as the loop solves a one-lane frame.
 """
 
 from __future__ import annotations
@@ -298,8 +296,8 @@ def invert_frame(inp: InverseInputs) -> FrameSolution:
 
     The residual is ``||moment_arms @ x + k||_inf``; it is zero (within the
     solver tolerance) exactly when the target force is reachable this step.
-    Unlike the inversion loop, it hands every frame to
-    :meth:`~myoctl.qp.BvlsSolver.solve`.
+    The frame is the inversion loop's one-lane frame: one
+    :meth:`~myoctl.qp.BvlsSolver.solve` call on a stack of one problem.
 
     Raises:
         ValueError: if the force gap can overflow for some activation in
@@ -312,10 +310,10 @@ def invert_frame(inp: InverseInputs) -> FrameSolution:
     live_gain, safe_gain = _live(inp.gain)
     bounds, lb, ub = _box(inp.act[None], live_gain, filter_args)
     gap = inp.moment_arms @ (inp.gain * inp.act) + gap_base
-    x, _, converged, residual = BvlsSolver(inp.moment_arms).solve(-gap, lb[0], ub[0])
-    act_next = _next_act(inp.act, x, safe_gain, bounds[:, 0])
-    return FrameSolution(ctrl=_recover_ctrl(inp.act, act_next, *filter_args), x=x,
-                         residual=float(np.abs(residual).max()), converged=converged)
+    x, _, converged, residual = BvlsSolver(inp.moment_arms).solve(-gap[None], lb, ub)
+    act_next = _next_act(inp.act, x[0], safe_gain, bounds[:, 0])
+    return FrameSolution(ctrl=_recover_ctrl(inp.act, act_next, *filter_args), x=x[0],
+                         residual=float(np.abs(residual).max()), converged=bool(converged[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -410,12 +408,7 @@ def _invert_lanes(plant: Plant, lanes: list[_Lane]) -> list[TrajectoryInversion]
             a = a_[t]
             b = -((A @ (g[t] * a)[..., None])[..., 0] + gb[t])
             bounds, lb, ub = _box(a, lg[t], filter_args)
-            x, done, ok, r = solver._first_steps(b, lb, ub)
-            if ok is not None:
-                ok_[t], r_[t] = ok, r
-            for i, first_step_solves in enumerate(done):
-                if not first_step_solves:
-                    x[i], it_[t, i], ok_[t, i], r_[t, i] = solver.solve(b[i], lb[i], ub[i])
+            x, it_[t], ok_[t], r_[t] = solver.solve(b, lb, ub)
             a_[t + 1] = _next_act(a, x, sg[t], bounds)
         start = stop
 

@@ -511,7 +511,9 @@ def smooth_random_controls(
     ctrl = np.clip(_natural_cubic_spline(knot_times, knots, times), 0.0, 1.0)
     if settle > 0.0:
         envelope = smoothstep(times / settle) * smoothstep((duration - times) / settle)
-        ctrl = ctrl * envelope[:, None]
+        # The smoothstep exceeds 1 by round-off just below 1; the bound keeps
+        # every other control's bits.
+        ctrl = np.minimum(ctrl * envelope[:, None], 1.0)
     return ctrl
 
 

@@ -10,18 +10,18 @@ computes the full-column pseudo-inverse that every unbounded first step
 uses. Each free-set subproblem is solved as ``pinv(A[:, free]) @ rhs``;
 every pseudo-inverse is computed the first time its free set appears and
 kept for the life of the solver, so a trajectory whose frames share ``A``
-pays for each distinct free set once. :meth:`BvlsSolver.solve` takes plain
-arrays, checks only ``max_iter`` and hands back, with the solution, the
-residual vector ``Ax - b`` of its KKT check; the inversion loop takes many
-problems' unbounded first steps at once, bit for bit as :meth:`solve` would,
-and calls it only where they are not the answer. :class:`BoxQp` is the checked
-problem and :func:`solve_box_qp` solves one with a fresh solver and reports
-its :class:`QpDiagnostics`; the inversion loop uses neither, and they
-remain for the tests and the benchmark tracer. A variable with ``lb == ub`` is
-pinned: it stays on its bound through the one BVLS loop and never enters a
-free set. Convergence is judged by this module's own projected-gradient KKT
-residual at a fixed tolerance. Everything is deterministic for fixed
-inputs.
+pays for each distinct free set once. :meth:`BvlsSolver.solve`, the one
+entry point, solves a stack of problems on plain arrays, one per row, and
+checks only ``max_iter``: it takes every row's unbounded first step at
+once and runs the BVLS loop only on the rows whose first step leaves the
+box or whose box pins a variable. A variable with ``lb == ub`` is pinned: it stays on its bound
+through the one BVLS loop and never enters a free set. Convergence is
+judged by a projected-gradient KKT residual at a fixed tolerance.
+:class:`BoxQp` is the checked problem and :func:`solve_box_qp` solves one
+as a stack of one with a fresh solver and reports its
+:class:`QpDiagnostics`; the inversion loop uses neither, and they remain
+for the tests and the benchmark tracer. Everything is deterministic for
+fixed inputs.
 """
 
 from __future__ import annotations
@@ -79,20 +79,6 @@ def _clamp(x, lb, ub):
     return np.minimum(np.maximum(x, lb), ub)
 
 
-def _projected_gradient(A, r, lb, ub, x) -> float:
-    """``||x - clip(x - A'r, lb, ub)||_inf`` at ``x`` with residual ``r = Ax - b``."""
-    return float(np.abs(x - _clamp(x - A.T @ r, lb, ub)).max(initial=0.0))
-
-
-def _kkt_residual(A, b, lb, ub, x) -> float:
-    """Projected-gradient residual ``||x - clip(x - A'(Ax - b), lb, ub)||_inf``.
-
-    :meth:`BvlsSolver.solve` evaluates it as :func:`_projected_gradient` on
-    the residual it hands back.
-    """
-    return _projected_gradient(A, A @ x - b, lb, ub, x)
-
-
 def _pinv(sub: np.ndarray) -> np.ndarray:
     """Pseudo-inverse cutting singular values at ``np.linalg.lstsq``'s default."""
     return np.linalg.pinv(sub, rcond=max(sub.shape) * np.finfo(float).eps)
@@ -137,70 +123,61 @@ class BvlsSolver:
         return pinv @ rhs
 
     def solve(self, b, lb, ub, max_iter: int = _MAX_ITER):
-        """Solve ``min 1/2 ||Ax - b||^2`` over ``lb <= x <= ub``.
+        """Solve ``min 1/2 ||Ax - b||^2`` over ``lb <= x <= ub`` for a stack of problems.
 
-        Inputs are finite float vectors of matching lengths with
-        ``lb <= ub``; only ``max_iter`` is checked.
+        Row ``i`` of ``b`` (``(k, m)``) and of ``lb`` and ``ub`` (``(k, n)``)
+        is one problem. Inputs are finite float arrays of these shapes with
+        ``lb <= ub``; only ``max_iter`` is checked. The first steps
+        ``pinv(A) @ b``, residuals and KKT checks of all rows are computed
+        at once, as stacks of columns (``M @ v[..., None]``), which numpy
+        evaluates column by column as it does ``M @ v``; so a row's outputs
+        are bit for bit the same whatever rows share its stack.
 
-        Follows ``scipy.optimize._lsq.bvls`` step for step (up to the first
-        step's cutoff, see the class docstring): the unbounded solution,
-        the initialization loop that drops violators to their bounds, then
-        the main loop that frees the variable with the largest KKT
-        violation and steps back to the first bound crossed. A pinned
+        Each row follows ``scipy.optimize._lsq.bvls`` step for step (up to
+        the first step's cutoff, see the class docstring): the unbounded
+        solution, the initialization loop that drops violators to their
+        bounds, then the main loop that frees the variable with the largest
+        KKT violation and steps back to the first bound crossed. A pinned
         variable (``lb == ub``) starts on its bound, its gradient entry is
         masked to 0 and it never joins a free set, which is the same as
         moving its column into ``b``.
 
         Returns:
-            ``(x, iterations, converged, residual)``: ``x`` lies in the box
-            (a first step that lies in it as is, any later iterate clamped
-            to it), ``iterations`` counts BVLS steps as ``lsq_linear``'s
-            ``nit`` does (0 when the unconstrained minimum is feasible),
-            ``converged`` is a KKT residual of at most ``1e-10``, and
-            ``residual`` is the vector ``A x - b`` that the KKT check
+            ``(x, iterations, converged, residual)``, one row per problem:
+            ``x`` (``(k, n)``) lies in the box (a first step that lies in it
+            as is, any later iterate clamped to it); ``iterations``
+            (``(k,)``) counts BVLS steps as ``lsq_linear``'s ``nit`` does (0
+            when the unconstrained minimum is feasible); ``converged``
+            (``(k,)``) is a projected-gradient KKT residual ``||x - clip(x -
+            A'(Ax - b), lb, ub)||_inf`` of at most ``1e-10``; and
+            ``residual`` (``(k, m)``) is the vector ``Ax - b`` that check
             computed.
         """
         if max_iter < 1:
             raise ValueError("max_iter must be a positive integer")
-        x, iterations = self._bvls(b, lb, ub, max_iter)
-        residual = self.A @ x - b
-        return x, iterations, _projected_gradient(self.A, residual, lb, ub, x) <= _TOL, residual
-
-    def _first_steps(self, b, lb, ub):
-        """The unbounded first step of many problems at once, and where it is the answer.
-
-        Row ``i`` of ``b`` (``(k, m)``) and of the bounds (``(k, n)``) is one
-        problem. Returns ``(x, done, converged, residual)``: per row, the
-        step ``pinv(A) @ b``; a list of flags, set where the step is
-        :meth:`solve`'s answer (with 0 iterations) because it lies in the box
-        and no variable is pinned; and the step's KKT verdict and residual
-        vector ``A x - b``, both ``None`` when no row is done. A row that is
-        done holds the bits :meth:`solve` returns for it, because each
-        product runs as a stack of columns (``M @ v[..., None]``), which
-        numpy evaluates column by column as it does ``M @ v``; the other
-        rows need :meth:`solve`.
-        """
         x = (self._pinv_all @ b[..., None])[..., 0]
-        done = ((x >= lb) & (x <= ub) & (lb < ub)).all(axis=-1).tolist()
-        if not any(done):
-            return x, done, None, None
+        done = ((x >= lb) & (x <= ub) & (lb < ub)).all(axis=-1)
+        iterations = np.zeros(len(done), dtype=int)
+        for i, first_step_solves in enumerate(done.tolist()):
+            if not first_step_solves:
+                x[i], iterations[i] = self._bvls(b[i], lb[i], ub[i], x[i], max_iter)
         residual = (self.A @ x[..., None])[..., 0] - b
         gradient = (self.A.T @ residual[..., None])[..., 0]
         kkt = np.abs(x - _clamp(x - gradient, lb, ub)).max(axis=-1, initial=0.0)
-        return x, done, kkt <= _TOL, residual
+        return x, iterations, kkt <= _TOL, residual
 
-    def _bvls(self, b, lb, ub, max_iter):
+    def _bvls(self, b, lb, ub, x, max_iter):
+        """One row of :meth:`solve`, from the unbounded first step ``x`` that
+        leaves its box or whose box pins a variable; returns ``(x, iterations)``."""
         A = self.A
         live = lb < ub
-        # The unbounded first step, with pinned columns moved into b.
-        if live.all():
-            x = self._pinv_all @ b
-        else:
+        if not live.all():
+            # The first step on the live columns, with pinned ones moved into b.
             x = lb * ~live
             if live.any():
                 x[live] = self._subproblem(live, b - A @ x)
-        if ((x >= lb) & (x <= ub)).all():
-            return x, 0
+            if ((x >= lb) & (x <= ub)).all():
+                return x, 0
         on_bound = np.where(x >= ub, 1.0, np.where(x <= lb, -1.0, 0.0))
         x = _clamp(x, lb, ub)
 
@@ -261,13 +238,15 @@ class BvlsSolver:
 
 
 def solve_box_qp(problem: BoxQp, max_iter: int = _MAX_ITER) -> tuple[np.ndarray, QpDiagnostics]:
-    """Solve ``problem`` with a fresh :class:`BvlsSolver` and report the objective too.
+    """Solve ``problem`` as a stack of one with a fresh :class:`BvlsSolver`,
+    and report the objective too.
 
     ``x`` is feasible componentwise; when ``max_iter`` runs out it is the
     last iterate, with ``converged=False``, and the caller decides what
     that means.
     """
     x, iterations, converged, residual = BvlsSolver(problem.A).solve(
-        problem.b, problem.lb, problem.ub, max_iter
+        problem.b[None], problem.lb[None], problem.ub[None], max_iter
     )
-    return x, QpDiagnostics(iterations, converged, float(0.5 * residual @ residual))
+    r = residual[0]
+    return x[0], QpDiagnostics(int(iterations[0]), bool(converged[0]), float(0.5 * r @ r))

@@ -21,10 +21,10 @@ from myoctl.plant import (
     tendon_kinematics,
     forward_step,
 )
-from myoctl.qp import BoxQp, _kkt_residual, solve_box_qp
+from myoctl.qp import BoxQp, solve_box_qp
 from myoctl.timeseries import resample
 
-from qp_oracle import enumerate_box_qp_optimum, random_box_qp
+from qp_oracle import enumerate_box_qp_optimum, kkt_residual, random_box_qp
 
 
 def report(number: int, detail: str) -> None:
@@ -81,7 +81,7 @@ def test_criterion_3_qp_oracle_equivalence():
         assert gap <= 1e-8, f"objective gap {gap}"
         if diag.converged:
             converged_count += 1
-            assert _kkt_residual(lower.T, bvec, lb, ub, x) <= 1e-10
+            assert kkt_residual(lower.T, bvec, lb, ub, x) <= 1e-10
     assert converged_count == 1000
     report(3, f"1000 problems, worst objective gap {worst_gap:.2e}, all KKT <= 1e-10")
 

@@ -31,10 +31,11 @@ from myoctl.plant import (
     smooth_random_controls,
     tendon_kinematics,
 )
-from myoctl.qp import BoxQp, _kkt_residual, solve_box_qp
+from myoctl.qp import BoxQp, BvlsSolver, solve_box_qp
 from myoctl.timeseries import differentiate
 
 from ctrl_oracle import bisect_ctrl
+from qp_oracle import kkt_residual
 
 
 def invert_frame_by_frame(plant, q, rate_hz, fail_threshold=1e-3):
@@ -93,7 +94,10 @@ def random_scalar_inputs(rng):
 
 
 def recorded_solves(run):
-    """``(A, b, lb, ub)`` of every ``BvlsSolver.solve`` call ``run()`` makes, and its result."""
+    """``(A, b, lb, ub)`` of every ``BvlsSolver.solve`` call ``run()`` makes, and its result.
+
+    ``b``, ``lb`` and ``ub`` are the call's stacks, one problem per row.
+    """
     calls = []
     real = myoctl.qp.BvlsSolver.solve
 
@@ -109,8 +113,9 @@ def recorded_solves(run):
 
 def frame_problem(inp):
     """The checked problem on the arrays :func:`invert_frame` hands its solver for ``inp``."""
-    (call,), _ = recorded_solves(lambda: invert_frame(inp))
-    return BoxQp(*call)
+    ((A, b, lb, ub),), _ = recorded_solves(lambda: invert_frame(inp))
+    assert b.shape[0] == lb.shape[0] == ub.shape[0] == 1
+    return BoxQp(A, b[0], lb[0], ub[0])
 
 
 def taus_of(inp):
@@ -360,7 +365,7 @@ class TestInvertFrame:
         assert sol.x[1] == 0.0
         assert sol.ctrl[1] == pytest.approx(act[1], abs=1e-12)
         assert sol.converged
-        assert _kkt_residual(problem.A, problem.b, problem.lb, problem.ub, sol.x) <= 1e-10
+        assert kkt_residual(problem.A, problem.b, problem.lb, problem.ub, sol.x) <= 1e-10
 
     def test_all_pinned_frame_skips_the_solver(self, monkeypatch):
         act = np.array([0.3, 0.6])
@@ -456,6 +461,51 @@ class TestLanes:
             assert (iterations == 0).any() or kind == "hand_like"
             assert bool(sum(r.infeasible_frames for r in alone)) == bool(sigma)
 
+    def test_one_solve_per_frame_and_bvls_only_where_the_first_step_is_not_the_answer(
+            self, monkeypatch):
+        # Each frame hands all its lanes to one solve call, which takes their
+        # unbounded first steps together; only a lane-frame that then
+        # iterates or pins a variable reaches the per-row BVLS loop. Actuator
+        # 1's gain is dead in frames 20-39, which pins its variable there.
+        plant = make_fixture("toy_finger")
+        real_gain_bias = myoctl.inverse._gain_bias
+
+        def dead_actuator(*args):
+            gain, bias = (np.array(a) for a in real_gain_bias(*args))
+            gain[20:40, 1] = 0.0
+            return gain, bias
+
+        monkeypatch.setattr(myoctl.inverse, "_gain_bias", dead_actuator)
+        lengths = (MIN_FRAMES, 150, 40, 400, 90, 260, 5, 330)
+        lanes = [_prepare(plant, q, 500.0, 1e-3)
+                 for q in noisy_trajectories(plant, lengths, 1e-6)]
+        frames, bvls_rows = [], []
+        real_solve, real_bvls = BvlsSolver.solve, BvlsSolver._bvls
+
+        def solve(solver, b, lb, ub, *args, **kwargs):
+            result = real_solve(solver, b, lb, ub, *args, **kwargs)
+            frames.append((b, lb, ub, result[1]))
+            return result
+
+        def bvls(solver, b, *args):
+            bvls_rows.append((len(frames), b.tobytes()))
+            return real_bvls(solver, b, *args)
+
+        monkeypatch.setattr(BvlsSolver, "solve", solve)
+        monkeypatch.setattr(BvlsSolver, "_bvls", bvls)
+        results = _invert_lanes(plant, lanes)
+        assert [len(b) for b, _, _, _ in frames] == [
+            sum(n > t for n in lengths) for t in range(max(lengths))]
+        expected = [(t, b[i].tobytes())
+                    for t, (b, lb, ub, iterations) in enumerate(frames)
+                    for i in range(len(b)) if iterations[i] > 0 or (lb[i] == ub[i]).any()]
+        assert bvls_rows == expected
+        pinned_rows = sum(int(((lb == ub).any(axis=1) & (it == 0)).sum())
+                          for _, lb, ub, it in frames)
+        iterating_rows = sum(int(np.count_nonzero(r.iterations)) for r in results)
+        assert pinned_rows > 0
+        assert 0 < iterating_rows and len(expected) < sum(lengths)
+
     def test_lanes_must_share_one_rate(self):
         plant = make_fixture("toy_finger")
         q = np.zeros((10, plant.njoints))
@@ -533,10 +583,10 @@ class TestInvertTrajectory:
         assert max(expected) >= 2
 
     def test_frames_are_solved_without_a_problem_object(self, monkeypatch):
-        # The loop hands its solver plain arrays, and only for the frames
-        # whose unbounded first step leaves the box (none of toy_finger's
-        # variables is pinned): each such frame's iterations are those of the
-        # checked problem on the same arrays, and every other frame has 0.
+        # The loop hands its solver plain arrays, one stack of one problem
+        # per frame: each frame's iterations are those of the checked problem
+        # on the same arrays, 0 where the unbounded first step is the answer
+        # (none of toy_finger's variables is pinned).
         def fail(self):
             raise AssertionError("a BoxQp was built inside the inversion")
 
@@ -546,10 +596,11 @@ class TestInvertTrajectory:
         with monkeypatch.context() as patch:
             patch.setattr(BoxQp, "__post_init__", fail)
             calls, result = recorded_solves(lambda: invert_trajectory(plant, q, 500.0))
-        expected = [solve_box_qp(BoxQp(*call))[1].iterations for call in calls]
-        assert result.iterations[result.iterations > 0].tolist() == expected
-        assert min(expected) >= 1
-        assert 0 < len(calls) < q.shape[0]
+        expected = [solve_box_qp(BoxQp(A, b[0], lb[0], ub[0]))[1].iterations
+                    for A, b, lb, ub in calls]
+        assert result.iterations.tolist() == expected
+        assert len(calls) == q.shape[0]
+        assert 0 < np.count_nonzero(expected) < q.shape[0]
 
     def test_inf_input_fails_with_frame_index(self):
         plant = make_fixture("toy_finger")
@@ -655,7 +706,9 @@ class TestInvertTrajectory:
         def stalls_at_frame_7(solver, b, lb, ub):
             x, iterations, converged, residual = real(solver, b, lb, ub)
             calls.append(None)
-            return x, iterations, converged and len(calls) != 8, residual
+            # The 8th call solves frame 7; its one row is marked not converged.
+            converged[0] &= len(calls) != 8
+            return x, iterations, converged, residual
 
         monkeypatch.setattr(myoctl.qp.BvlsSolver, "solve", stalls_at_frame_7)
         result = invert_trajectory(plant, q, 500.0)

@@ -604,6 +604,26 @@ class TestRandomControls:
         assert ctrl[-12:].max() < 0.01
         assert ctrl.max() > 0.2
 
+    def test_settle_envelope_stays_within_the_unit_interval(self):
+        # The smoothstep envelope exceeds 1 by round-off just below 1: here
+        # the plain product reaches 1.0000000000000013 at frame 949, which
+        # rollout would reject. The controls are bounded by 1 after the
+        # envelope, and every product already in [0, 1] keeps its bits.
+        from myoctl.activation import smoothstep
+
+        nframes, dt, settle = 1000, 0.002, 0.1
+        ctrl = smooth_random_controls(4, nframes, dt, 100, settle=settle)
+        times = np.arange(nframes) * dt
+        duration = times[-1]
+        envelope = smoothstep(times / settle) * smoothstep((duration - times) / settle)
+        product = smooth_random_controls(4, nframes, dt, 100) * envelope[:, None]
+        over = product > 1.0
+        assert over.any()
+        assert np.all(ctrl[over] == 1.0)
+        assert ctrl[~over].tobytes() == product[~over].tobytes()
+        plant = make_fixture("toy_finger")
+        assert np.isfinite(rollout(plant, rest_state(plant), ctrl, dt).q).all()
+
     @pytest.mark.parametrize("settle", [float("nan"), -1.0, -0.25, float("inf")])
     def test_settle_must_be_non_negative_and_finite(self, settle):
         with pytest.raises(ValueError, match="settle must be non-negative and finite"):

@@ -4,8 +4,9 @@ from scipy.linalg import cholesky, solve_triangular
 from scipy.optimize import lsq_linear
 
 from myoctl.plant import make_fixture
-from myoctl.qp import BoxQp, BvlsSolver, _kkt_residual, solve_box_qp
+from myoctl.qp import BoxQp, BvlsSolver, solve_box_qp
 
+import qp_oracle
 from qp_oracle import enumerate_box_qp_optimum, random_box_qp
 
 
@@ -23,7 +24,13 @@ def _least_squares(pmat, qvec, lb, ub):
 
 
 def kkt_residual(problem, x):
-    return _kkt_residual(problem.A, problem.b, problem.lb, problem.ub, x)
+    return qp_oracle.kkt_residual(problem.A, problem.b, problem.lb, problem.ub, x)
+
+
+def solve_one(solver, b, lb, ub, **kwargs):
+    """``solver.solve`` on a stack of one problem: ``(x, iterations, converged, residual)``."""
+    x, iterations, converged, residual = solver.solve(b[None], lb[None], ub[None], **kwargs)
+    return x[0], int(iterations[0]), bool(converged[0]), residual[0]
 
 
 class TestExamples:
@@ -167,8 +174,8 @@ class TestAgainstLsqLinear:
         reused = BvlsSolver(A)
         for _ in range(60):
             p = random_bvls_problem(rng, A)
-            x_fresh, it_fresh, ok_fresh, _ = BvlsSolver(A).solve(p.b, p.lb, p.ub)
-            x_reused, it_reused, ok_reused, _ = reused.solve(p.b, p.lb, p.ub)
+            x_fresh, it_fresh, ok_fresh, _ = solve_one(BvlsSolver(A), p.b, p.lb, p.ub)
+            x_reused, it_reused, ok_reused, _ = solve_one(reused, p.b, p.lb, p.ub)
             assert np.array_equal(x_reused, x_fresh)
             assert (it_reused, ok_reused) == (it_fresh, ok_fresh)
 
@@ -192,7 +199,7 @@ class TestAgainstLsqLinear:
             if k % 3 == 0:
                 # A box wide enough for the unbounded first step.
                 lb, ub = np.where(lb < ub, lb - 1e3, lb), np.where(lb < ub, ub + 1e3, ub)
-            x, iterations, converged, _ = solver.solve(p.b, lb, ub)
+            x, iterations, converged, _ = solve_one(solver, p.b, lb, ub)
             x_ref, diag = solve_box_qp(BoxQp(A, p.b, lb, ub))
             assert x.tobytes() == x_ref.tobytes(), k
             assert (iterations, converged) == (diag.iterations, diag.converged), k
@@ -202,41 +209,48 @@ class TestAgainstLsqLinear:
         assert first_steps >= 40 and pinned >= 15
         assert first_steps < 150
 
-
     @pytest.mark.parametrize("shape", ["toy_finger", "hand_like", "2x4 negated pairs"])
-    def test_stacked_first_steps_match_solve(self, shape):
-        # Many problems' first steps at once, as the inversion loop takes
-        # them: a row that is done carries solve's answer bit for bit; every
-        # other row is one solve iterates on or pins a variable in.
+    def test_stack_matches_stacks_of_one(self, shape):
+        # Many problems in one call, as the inversion loop hands a frame's
+        # lanes to the solver: every row gets the bytes of that row solved
+        # as a stack of one. The stack mixes rows whose first step is the
+        # answer (wide boxes), rows BVLS iterates on, rows with one or every
+        # variable pinned, and runs once more with max_iter=1.
         rng = np.random.default_rng(21)
         if shape in ("toy_finger", "hand_like"):
             A = make_fixture(shape).moment_arms
         else:
             A = random_matrix(rng, shape)
-        solver = BvlsSolver(A)
         problems = [random_bvls_problem(rng, A) for _ in range(60)]
         b = np.stack([p.b for p in problems])
-        # Every second box wide enough for the unbounded first step.
-        wide = np.arange(60)[:, None] % 2 == 0
         lb = np.stack([p.lb for p in problems])
         ub = np.stack([p.ub for p in problems])
         live = lb < ub
+        # Every third box wide enough for the unbounded first step, and every
+        # tenth with each variable pinned.
+        wide = np.arange(60)[:, None] % 3 == 0
         lb, ub = np.where(wide & live, lb - 1e3, lb), np.where(wide & live, ub + 1e3, ub)
-        x, done, converged, residual = solver._first_steps(b, lb, ub)
-        for i in range(60):
-            x_ref, iterations, converged_ref, residual_ref = solver.solve(b[i], lb[i], ub[i])
-            if done[i]:
-                assert iterations == 0, i
-                assert x[i].tobytes() == x_ref.tobytes(), i
-                assert residual[i].tobytes() == residual_ref.tobytes(), i
-                assert converged[i] == converged_ref, i
-            else:
-                assert iterations > 0 or (lb[i] == ub[i]).any(), i
-        assert 10 < sum(done) < 50
-        # With no row done, the KKT verdicts and residuals are not computed.
-        rest = ~np.array(done)
-        assert solver._first_steps(b[rest], lb[rest], ub[rest])[1:] == (
-            [False] * int(rest.sum()), None, None)
+        ub[5::10] = lb[5::10]
+        for max_iter in (20000, 1):
+            solver = BvlsSolver(A)
+            x, iterations, converged, residual = solver.solve(b, lb, ub, max_iter=max_iter)
+            assert (x.shape, iterations.shape, converged.shape, residual.shape) == (
+                lb.shape, (60,), (60,), b.shape)
+            for i in range(60):
+                row = BvlsSolver(A).solve(b[i:i + 1], lb[i:i + 1], ub[i:i + 1],
+                                          max_iter=max_iter)
+                assert x[i].tobytes() == row[0].tobytes(), (max_iter, i)
+                assert iterations[i:i + 1].tobytes() == row[1].tobytes(), (max_iter, i)
+                assert converged[i:i + 1].tobytes() == row[2].tobytes(), (max_iter, i)
+                assert residual[i].tobytes() == row[3].tobytes(), (max_iter, i)
+            pinned = (lb == ub).any(axis=1)
+            assert 10 <= np.count_nonzero((iterations == 0) & ~pinned) < 50
+            assert np.count_nonzero(iterations > 0) >= 10
+            assert np.count_nonzero(pinned & ~(lb == ub).all(axis=1)) >= 3
+            assert np.count_nonzero((lb == ub).all(axis=1)) == 6
+            # max_iter=1 stops some rows short of convergence except on
+            # toy_finger, whose problems here need one main-loop step at most.
+            assert converged.all() == (max_iter == 20000 or shape == "toy_finger")
 
 
 class TestPinnedVariables:
@@ -253,13 +267,13 @@ class TestPinnedVariables:
             pins[rng.integers(A.shape[1])] = True
             ub[pins] = lb[pins] = rng.uniform(-1.0, 1.0, pins.sum())
             live = ~pins
-            x, iterations, converged, _ = BvlsSolver(A).solve(p.b, lb, ub)
+            x, iterations, converged, _ = solve_one(BvlsSolver(A), p.b, lb, ub)
             assert np.array_equal(x[pins], lb[pins]), k
             if not live.any():
                 assert (iterations, converged) == (0, True)
                 continue
-            x_ref, it_ref, ok_ref, _ = BvlsSolver(A[:, live]).solve(
-                p.b - A[:, pins] @ lb[pins], lb[live], ub[live])
+            x_ref, it_ref, ok_ref, _ = solve_one(
+                BvlsSolver(A[:, live]), p.b - A[:, pins] @ lb[pins], lb[live], ub[live])
             assert np.abs(x[live] - x_ref).max() <= 1e-12, k
             assert (iterations, converged) == (it_ref, ok_ref), k
             loops += iterations > 0
@@ -272,11 +286,11 @@ class TestPinnedVariables:
         b = np.array([-5.0, 6.0, 0.2])
         lb = np.array([0.5, -1.0, -1.0])
         ub = np.array([0.5, 1.0, 1.0])
-        x, iterations, converged, _ = BvlsSolver(A).solve(b, lb, ub)
+        x, iterations, converged, _ = solve_one(BvlsSolver(A), b, lb, ub)
         assert x[0] == 0.5
         assert converged and iterations > 0
         assert (A.T @ (A @ x - b))[0] > 1.0
-        freed, _, _, _ = BvlsSolver(A).solve(b, np.array([-10.0, -1, -1]), ub)
+        freed, _, _, _ = solve_one(BvlsSolver(A), b, np.array([-10.0, -1, -1]), ub)
         assert np.sum((A @ freed - b) ** 2) < np.sum((A @ x - b) ** 2)
 
 
