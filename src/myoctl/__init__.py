@@ -14,7 +14,6 @@ from .muscle import CalibrationError, MuscleGeometry, MuscleParams
 from .pipeline import (
     ConfigurationError,
     Manifest,
-    PipelineOptions,
     Session,
     SessionFormatError,
     SessionRecord,
@@ -44,7 +43,7 @@ __version__ = "0.1.0"
 __all__ = [
     "RoundTripReport", "TrajectoryInversion", "invert_trajectory", "roundtrip",
     "CalibrationError", "MuscleGeometry", "MuscleParams",
-    "ConfigurationError", "Manifest", "PipelineOptions", "Session",
+    "ConfigurationError", "Manifest", "Session",
     "SessionFormatError", "SessionRecord", "SessionTruncatedError",
     "SessionVersionError", "process_session", "read_session", "run_batch",
     "write_session",

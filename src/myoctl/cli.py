@@ -20,7 +20,7 @@ import numpy as np
 
 from . import pipeline
 from .inverse import roundtrip
-from .pipeline import PipelineOptions, Session, read_session, write_session
+from .pipeline import Session, read_session, write_session
 from .plant import (
     load_plant,
     make_fixture,
@@ -81,7 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("--in", dest="input", required=True, help="pose session directory")
     p_inv.add_argument("--out", required=True, help="output session directory")
     p_inv.add_argument("--joint-map", default=None, help="JSON file mapping plant joints to channels")
-    p_inv.add_argument("--fail-threshold", type=_positive_float, default=1e-3)
 
     p_rt = sub.add_parser("roundtrip", help="simulate, invert, replay, compare trajectories")
     group = p_rt.add_mutually_exclusive_group()
@@ -166,11 +165,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_invert(args) -> int:
     plant = load_plant(args.plant)
     session = read_session(args.input)
-    opts = PipelineOptions(
-        fail_threshold=args.fail_threshold,
-        joint_map=_load_joint_map(args.joint_map),
-    )
-    out, record = pipeline.process_session(session, plant, opts)
+    out, record = pipeline.process_session(session, plant, _load_joint_map(args.joint_map))
     if out is None:
         print(f"inversion failed: {record.failure_reason}", file=sys.stderr)
         return 1
@@ -198,9 +193,9 @@ def _cmd_roundtrip(args) -> int:
 
 def _cmd_batch(args) -> int:
     plant = load_plant(args.plant)
-    opts = PipelineOptions(joint_map=_load_joint_map(args.joint_map))
     manifest = pipeline.run_batch(
-        args.input, plant, args.out, workers=args.workers, opts=opts
+        args.input, plant, args.out, workers=args.workers,
+        joint_map=_load_joint_map(args.joint_map),
     )
     totals = manifest.totals
     print(f"batch: {totals['ok']} ok, {totals['failed']} failed of {totals['sessions']}")

@@ -71,6 +71,10 @@ __all__ = [
 ]
 
 _ZERO_GAIN = 1e-12
+# The status rule: a frame is infeasible when its force residual exceeds
+# _FAIL_THRESHOLD * max(1, ||q_frc||_inf) or its solve does not converge, and
+# a trajectory fails when more than _MAX_INFEASIBLE_FRACTION of its frames are.
+_FAIL_THRESHOLD = 1e-3
 _MAX_INFEASIBLE_FRACTION = 0.01
 # Controls 0 and 1, shaped so one activation step from a (lanes, nact) stack
 # gives the (2, lanes, nact) bounds of the next activations.
@@ -331,7 +335,7 @@ class _Lane:
         return self.gain.shape[0]
 
 
-def _prepare(plant: Plant, q_traj, rate_hz: float, fail_threshold: float) -> _Lane:
+def _prepare(plant: Plant, q_traj, rate_hz: float) -> _Lane:
     """The up-front pass over one trajectory; raises what :func:`invert_trajectory` does.
 
     It differentiates the trajectory with the integrator's stencils,
@@ -341,10 +345,12 @@ def _prepare(plant: Plant, q_traj, rate_hz: float, fail_threshold: float) -> _La
     for every activation in [0, 1]).
     """
     q = np.atleast_2d(np.asarray(q_traj, dtype=float))
+    if q.ndim != 2 or q.shape[1] != plant.njoints:
+        raise ValueError(f"q_traj has shape {np.shape(q_traj)}; "
+                         f"the plant needs (nframes, {plant.njoints})")
     if q.shape[0] < MIN_FRAMES:
         raise ValueError(f"need at least {MIN_FRAMES} frames to invert a trajectory")
     _require_positive("rate_hz", rate_hz)
-    _require_positive("fail_threshold", fail_threshold)
     _reject_frames("non-finite input at frame", ~np.isfinite(q).all(axis=1))
 
     dt = 1.0 / rate_hz
@@ -359,7 +365,7 @@ def _prepare(plant: Plant, q_traj, rate_hz: float, fail_threshold: float) -> _La
                    (gain > 0.0).any(axis=1))
     gap_base, overflows = _gap_base(plant.moment_arms, gain, bias, q_frc)
     _reject_frames("force gap overflows for some activation in [0, 1]; frame", overflows)
-    return _Lane(dt, gain, gap_base, fail_threshold * np.maximum(1.0, np.abs(q_frc).max(axis=1)))
+    return _Lane(dt, gain, gap_base, _FAIL_THRESHOLD * np.maximum(1.0, np.abs(q_frc).max(axis=1)))
 
 
 def _invert_lanes(plant: Plant, lanes: list[_Lane]) -> list[TrajectoryInversion]:
@@ -436,21 +442,17 @@ def _invert_lanes(plant: Plant, lanes: list[_Lane]) -> list[TrajectoryInversion]
     return results
 
 
-def invert_trajectory(
-    plant: Plant,
-    q_traj,
-    rate_hz: float,
-    fail_threshold: float = 1e-3,
-) -> TrajectoryInversion:
+def invert_trajectory(plant: Plant, q_traj, rate_hz: float) -> TrajectoryInversion:
     """Recover per-muscle controls along a joint-angle trajectory.
 
     The trajectory is prepared and checked in one array pass
     (:func:`_prepare`) and inverted as the one lane of the frame loop
     (:func:`_invert_lanes`), from zero activation; see the module
     docstring. A frame counts as infeasible when its force residual exceeds
-    ``fail_threshold * max(1, ||q_frc||_inf)`` or its solve does not
-    converge, and its cause code says which (see
-    :class:`TrajectoryInversion`).
+    ``1e-3 * max(1, ||q_frc||_inf)`` or its solve does not converge, and its
+    cause code says which (see :class:`TrajectoryInversion`); the trajectory
+    fails when more than 1 % of its frames are infeasible. Both limits are
+    fixed, so every caller labels a trajectory by the same rule.
 
     The loop checks no frame's problem, because the up-front checks make
     every frame's problem valid: the moment arms are checked finite when
@@ -464,15 +466,16 @@ def invert_trajectory(
     step is monotone in the control and ``gain <= 0``.
 
     Raises:
-        ValueError: for fewer than :data:`MIN_FRAMES` frames, a rate or
-            ``fail_threshold`` that is not positive and finite, or a frame
+        ValueError: for a ``q_traj`` that is not ``(nframes, njoints)``,
+            fewer than :data:`MIN_FRAMES` frames, a rate that is not
+            positive and finite, or a frame
             whose pose, muscle forces or generalized force are non-finite,
             whose muscles push, or whose force gap can overflow (the message
             names the first such frame).
         PlantError: if a frame puts a tendon at non-positive length; the
             message names the tendon and the frame.
     """
-    return _invert_lanes(plant, [_prepare(plant, q_traj, rate_hz, fail_threshold)])[0]
+    return _invert_lanes(plant, [_prepare(plant, q_traj, rate_hz)])[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,7 +22,8 @@ neighbours, apart from wall-time fields. A record's ``wall_time_s`` is the
 session's own stages plus an equal share of its group's loop, so the records
 of one worker sum to no more than its wall time. Outputs and the manifest are
 written atomically (temp file + rename). The worker count is ``run_batch``'s
-``workers`` argument, 1 by default; no environment variable sets it.
+``workers`` argument, 1 by default; no environment variable sets it. Alone or
+in a batch, a session is labelled by the inversion's one fixed status rule.
 """
 
 from __future__ import annotations
@@ -41,8 +42,7 @@ import numpy as np
 # bench/spans.py patches invert_trajectory in this module, so the name must
 # stay importable here; conversion runs the inversion's two parts itself.
 from .inverse import MIN_FRAMES, _invert_lanes, _prepare, invert_trajectory  # noqa: F401
-from .muscle import _require_positive
-from .plant import Plant, _whole_number, _write_atomic, _write_json
+from .plant import Plant, _repeated, _whole_number, _write_atomic, _write_json
 from .timeseries import resample
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
     "write_session",
     "SessionRecord",
     "Manifest",
-    "PipelineOptions",
     "process_session",
     "run_batch",
 ]
@@ -90,18 +89,14 @@ class ConfigurationError(ValueError):
     """Raised when a session does not fit the plant it is processed with."""
 
 
-def _repeated(names: tuple[str, ...]) -> list[str]:
-    """The names that occur more than once, sorted."""
-    return sorted({name for name in names if names.count(name) > 1})
-
-
 @dataclass(eq=False)
 class Session:
     """Named traces at a fixed sample rate.
 
     ``data`` is channel-major, ``(nchannels, nframes)``, stored as float32
     (the wire format) so write/read round trips are exact. Channel names
-    must be distinct: a ``ValueError`` names any that repeat.
+    must be distinct: a ``ValueError`` names any that repeat, and another
+    names the shape of ``data`` that is not ``(nchannels, nframes)``.
     """
 
     id: str
@@ -117,6 +112,9 @@ class Session:
         if repeated:
             raise ValueError(f"channel_names repeats the names {repeated}")
         self.data = np.ascontiguousarray(np.atleast_2d(self.data), dtype=np.float32)
+        if self.data.ndim != 2:
+            raise ValueError(f"data has shape {self.data.shape}; a session needs "
+                             "(nchannels, nframes)")
         if self.units is None:
             self.units = ("1",) * len(self.channel_names)
         self.units = tuple(self.units)
@@ -263,29 +261,17 @@ def _record(session_id: str, wall_time_s: float, reason: str | None = None, fram
     )
 
 
-@dataclass(frozen=True)
-class PipelineOptions:
-    """Conversion options: the inversion's failure threshold and the joint map.
+def _check_joint_map(joint_map: Mapping[str, str] | None, plant: Plant) -> None:
+    """Reject a joint map that no session can satisfy.
 
-    ``fail_threshold`` is passed to :func:`~myoctl.inverse.invert_trajectory`.
-    ``joint_map`` maps plant joint names to session channel names; plant
+    A joint map maps plant joint names to session channel names; plant
     joints absent from both the map and the session default to zero
     trajectories, mirroring excluded joints in the source recordings.
-    """
-
-    fail_threshold: float = 1e-3
-    joint_map: Mapping[str, str] | None = None
-
-
-def _check_options(opts: PipelineOptions, plant: Plant) -> None:
-    """Reject options that no session can satisfy.
 
     Raises:
-        ValueError: for a ``fail_threshold`` that is not positive and finite.
         ConfigurationError: for joint-map keys that name no plant joint.
     """
-    _require_positive("fail_threshold", opts.fail_threshold)
-    unknown = set(opts.joint_map or {}) - set(plant.joint_names)
+    unknown = set(joint_map or {}) - set(plant.joint_names)
     if unknown:
         raise ConfigurationError(f"joint map references unknown joints: {sorted(unknown)}")
 
@@ -293,7 +279,7 @@ def _check_options(opts: PipelineOptions, plant: Plant) -> None:
 def _map_joints(session: Session, plant: Plant, joint_map: Mapping[str, str] | None):
     """Assemble the (nframes, njoints) pose matrix for a plant.
 
-    Joint-map keys are plant joints (see :func:`_check_options`).
+    Joint-map keys are plant joints (see :func:`_check_joint_map`).
 
     Raises:
         ConfigurationError: for explicitly mapped channels that are missing,
@@ -341,7 +327,7 @@ def _min_frames(rate_hz: int) -> int:
     return n
 
 
-def _begin(session: Session, plant: Plant, opts: PipelineOptions):
+def _begin(session: Session, plant: Plant, joint_map: Mapping[str, str] | None):
     """Conversion's first stage: check, map, resample and prepare one session.
 
     Returns ``(lane, None)`` with the session's prepared inversion lane, or
@@ -361,12 +347,12 @@ def _begin(session: Session, plant: Plant, opts: PipelineOptions):
             f"session {session.id!r} has {session.n_frames} frames; "
             f"at least {min_frames} are needed at {session.rate_hz} Hz"
         )
-    poses = _map_joints(session, plant, opts.joint_map)
+    poses = _map_joints(session, plant, joint_map)
     if not np.isfinite(poses).all():
         frame = int(np.argwhere(~np.isfinite(poses).all(axis=1))[0, 0])
         return None, f"non-finite input at frame {frame}"
     q_solve = resample(poses, session.rate_hz, SOLVE_RATE_HZ, axis=0)
-    return _prepare(plant, q_solve, SOLVE_RATE_HZ, opts.fail_threshold), None
+    return _prepare(plant, q_solve, SOLVE_RATE_HZ), None
 
 
 def _finish(session: Session, plant: Plant, result) -> tuple[Session | None, dict]:
@@ -392,29 +378,30 @@ def _finish(session: Session, plant: Plant, result) -> tuple[Session | None, dic
 def process_session(
     session: Session,
     plant: Plant,
-    opts: PipelineOptions | None = None,
+    joint_map: Mapping[str, str] | None = None,
 ) -> tuple[Session | None, SessionRecord]:
     """Convert one pose session into a tendon-control session.
 
     Resample from the session's rate (``POSE_RATE_HZ`` or ``SOLVE_RATE_HZ``)
     to the solve rate, differentiate, invert, and resample the recovered
     controls back to the session's rate. It runs the stages a batch runs on
-    a group of sessions, on a group of one. On failure the record carries
-    the reason and no output session is produced.
+    a group of sessions, on a group of one. ``joint_map`` maps plant joint
+    names to session channel names (see :func:`_check_joint_map`). The
+    session fails on a non-finite pose or by the fixed status rule of
+    :func:`~myoctl.inverse.invert_trajectory`; the record then carries the
+    reason and no output session is produced.
 
     Raises:
         ValueError: for an empty session, one with fewer frames than its
             rate needs to give ``MIN_FRAMES`` solve-rate frames (a
-            precondition, not a failure), a ``fail_threshold`` that is not
-            positive and finite, or what
+            precondition, not a failure), or what
             :func:`~myoctl.inverse.invert_trajectory` raises for the
             resampled poses.
         ConfigurationError: for rate or joint-map mismatches.
     """
-    opts = opts or PipelineOptions()
-    _check_options(opts, plant)
+    _check_joint_map(joint_map, plant)
     start = time.perf_counter()
-    lane, reason = _begin(session, plant, opts)
+    lane, reason = _begin(session, plant, joint_map)
     if lane is None:
         return None, _record(session.id, time.perf_counter() - start, reason, session.n_frames)
     out, fields = _finish(session, plant, _invert_lanes(plant, [lane])[0])
@@ -435,7 +422,7 @@ def _convert_group(args) -> list[SessionRecord]:
     """Convert the sessions in ``session_dirs`` as one group (see the module
     docstring), each to ``out_dir/<its directory name>``; each record
     carries that name as its id."""
-    session_dirs, plant, opts, out_dir = args
+    session_dirs, plant, joint_map, out_dir = args
     names = [Path(d).name for d in session_dirs]
     records: list[SessionRecord | None] = [None] * len(names)
     pending = []  # (index, session, lane, seconds spent on it so far)
@@ -447,7 +434,7 @@ def _convert_group(args) -> list[SessionRecord]:
         start = time.perf_counter()
         try:
             session = read_session(session_dir)
-            lane, reason = _begin(session, plant, opts)
+            lane, reason = _begin(session, plant, joint_map)
         except Exception as exc:  # unreadable or misconfigured: record, don't abort
             records[i] = _record(names[i], time.perf_counter() - start,
                                  f"{type(exc).__name__}: {exc}")
@@ -477,7 +464,7 @@ def run_batch(
     plant: Plant,
     out_dir,
     workers: int = 1,
-    opts: PipelineOptions | None = None,
+    joint_map: Mapping[str, str] | None = None,
 ) -> Manifest:
     """Convert every session under ``input_dir``, writing to ``out_dir``.
 
@@ -487,19 +474,18 @@ def run_batch(
     header holds. Unreadable or failing sessions become failed records and
     the batch continues; so does a directory named ``manifest.json``, whose
     output would replace the manifest. Consecutive sessions are converted
-    in groups (see the module docstring).
+    in groups (see the module docstring). Every session is labelled by the
+    fixed status rule that :func:`process_session` applies.
 
-    ``opts`` and the worker count are checked once, before any session is
-    read or ``out_dir`` is created.
+    ``joint_map`` (as in :func:`process_session`) and the worker count are
+    checked once, before any session is read or ``out_dir`` is created.
 
     Raises:
-        ValueError: if the input directory holds no sessions, for a worker
-            count below 1, or for a ``fail_threshold`` that is not positive
-            and finite.
+        ValueError: if the input directory holds no sessions, or for a
+            worker count below 1.
         ConfigurationError: for joint-map keys that name no plant joint.
     """
-    opts = opts or PipelineOptions()
-    _check_options(opts, plant)
+    _check_joint_map(joint_map, plant)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     input_dir = Path(input_dir)
@@ -512,7 +498,7 @@ def run_batch(
     out_dir.mkdir(parents=True, exist_ok=True)
 
     size = min(-(-len(session_dirs) // workers), _GROUP_CAP)
-    tasks = [([str(d) for d in session_dirs[i:i + size]], plant, opts, str(out_dir))
+    tasks = [([str(d) for d in session_dirs[i:i + size]], plant, joint_map, str(out_dir))
              for i in range(0, len(session_dirs), size)]
     if workers == 1 or len(tasks) == 1:
         groups = [_convert_group(task) for task in tasks]

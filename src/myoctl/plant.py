@@ -99,6 +99,11 @@ class _MuscleArrays:
     fp_quarter: np.ndarray
 
 
+def _repeated(names: tuple[str, ...]) -> list[str]:
+    """The names that occur more than once, sorted."""
+    return sorted({name for name in names if names.count(name) > 1})
+
+
 @dataclass(frozen=True, eq=False)
 class Plant:
     """Immutable synthetic musculoskeletal model.
@@ -117,6 +122,9 @@ class Plant:
             and simulates and inverts without error.
         params, geometry: per-actuator muscle parameters and calibrated
             geometry, aligned with ``actuator_names``.
+
+    Joint names must be distinct, and so must actuator names: a
+    ``PlantError`` names any that repeat.
     """
 
     name: str
@@ -137,6 +145,10 @@ class Plant:
             if not np.isfinite(value).all():
                 raise PlantError(f"{attr} has non-finite entries")
             object.__setattr__(self, attr, value)
+        for attr in ("joint_names", "actuator_names"):
+            repeated = _repeated(getattr(self, attr))
+            if repeated:
+                raise PlantError(f"{attr} repeats the names {repeated}")
         nj, na = len(self.joint_names), len(self.actuator_names)
         if self.moment_arms.shape != (nj, na):
             raise PlantError("moment_arms shape does not match joint/actuator counts")

@@ -41,18 +41,26 @@ class TestParseArgs:
             parse_args([])
         assert excinfo.value.code == 2
 
+    # Explicit ids keep each case's name whatever rows are added or removed.
     @pytest.mark.parametrize("command, option", [
         (["roundtrip"], "--rmse-tol"),
-        (["invert", "--plant", "p", "--in", "i", "--out", "o"], "--fail-threshold"),
         (["roundtrip"], "--duration"),
         (["simulate", "--plant", "p", "--out", "o"], "--duration"),
-    ])
+    ], ids=["command0---rmse-tol", "command2---duration", "command3---duration"])
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-3"])
     def test_tolerances_must_be_positive_and_finite(self, capsys, command, option, value):
         with pytest.raises(SystemExit) as excinfo:
             parse_args(command + [f"{option}={value}"])
         assert excinfo.value.code == 2
         assert f"{option}: must be positive and finite" in capsys.readouterr().err
+
+    def test_invert_has_no_fail_threshold(self, capsys):
+        # The status rule is fixed: invert labels a session as batch does.
+        with pytest.raises(SystemExit) as excinfo:
+            parse_args(["invert", "--plant", "p", "--in", "i", "--out", "o",
+                        "--fail-threshold", "1e-3"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --fail-threshold" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, option", [
         (["roundtrip"], "--rate"),
@@ -139,6 +147,21 @@ class TestCommands:
         session = read_session(out)
         assert session.n_frames == 250
         assert len(session.channel_names) == 4
+
+    def test_invert_passes_the_joint_map(self, tmp_path, capsys):
+        plant_path = tmp_path / "plant.json"
+        run(parse_args(["gen-fixture", "--kind", "toy_finger", "--out", str(plant_path)]))
+        poses = tmp_path / "poses"
+        run(parse_args(["simulate", "--plant", str(plant_path), "--out", str(poses),
+                        "--duration", "0.1", "--rate", "500", "--seed", "3"]))
+        joint_map = tmp_path / "map.json"
+        joint_map.write_text(json.dumps({"elbow": "mcp"}))
+        capsys.readouterr()
+        code = run(parse_args(["invert", "--plant", str(plant_path), "--in", str(poses),
+                               "--out", str(tmp_path / "ctrl"), "--joint-map", str(joint_map)]))
+        assert code == 1
+        assert capsys.readouterr().err == "error: joint map references unknown joints: ['elbow']\n"
+        assert not (tmp_path / "ctrl").exists()
 
     def test_roundtrip_toy_finger(self, capsys):
         code = run(parse_args(["roundtrip", "--kind", "toy_finger", "--seed", "1",

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import time
 
 import numpy as np
@@ -448,7 +449,7 @@ class TestLanes:
         if kind == "hand_like":
             lengths = [min(n, 120) for n in lengths]
         trajectories = noisy_trajectories(plant, lengths, sigma)
-        lanes = [_prepare(plant, q, 500.0, 1e-3) for q in trajectories]
+        lanes = [_prepare(plant, q, 500.0) for q in trajectories]
         together = _invert_lanes(plant, lanes)
         alone = [invert_trajectory(plant, q, 500.0) for q in trajectories]
         assert [inversion_bytes(r) for r in together] == [inversion_bytes(r) for r in alone]
@@ -477,7 +478,7 @@ class TestLanes:
 
         monkeypatch.setattr(myoctl.inverse, "_gain_bias", dead_actuator)
         lengths = (MIN_FRAMES, 150, 40, 400, 90, 260, 5, 330)
-        lanes = [_prepare(plant, q, 500.0, 1e-3)
+        lanes = [_prepare(plant, q, 500.0)
                  for q in noisy_trajectories(plant, lengths, 1e-6)]
         frames, bvls_rows = [], []
         real_solve, real_bvls = BvlsSolver.solve, BvlsSolver._bvls
@@ -509,7 +510,7 @@ class TestLanes:
     def test_lanes_must_share_one_rate(self):
         plant = make_fixture("toy_finger")
         q = np.zeros((10, plant.njoints))
-        lanes = [_prepare(plant, q, rate, 1e-3) for rate in (500.0, 2000.0)]
+        lanes = [_prepare(plant, q, rate) for rate in (500.0, 2000.0)]
         with pytest.raises(ValueError, match="share one rate"):
             _invert_lanes(plant, lanes)
 
@@ -660,11 +661,16 @@ class TestInvertTrajectory:
         with pytest.raises(ValueError, match="rate_hz must be positive"):
             invert_trajectory(plant, np.zeros((10, plant.njoints)), rate_hz)
 
-    @pytest.mark.parametrize("threshold", [0.0, -1e-3, np.inf, np.nan])
-    def test_fail_threshold_must_be_positive_and_finite(self, threshold):
-        plant = make_fixture("toy_finger")
-        with pytest.raises(ValueError, match="fail_threshold must be positive and finite"):
-            invert_trajectory(plant, np.zeros((10, plant.njoints)), 500.0, threshold)
+    @pytest.mark.parametrize("kind", ["toy_finger", "hand_like"])
+    def test_shape_that_does_not_fit_the_plant_is_named(self, kind):
+        plant = make_fixture(kind)
+        need = rf"; the plant needs \(nframes, {plant.njoints}\)$"
+        for shape in [(50, plant.njoints + 1), (50,), (50, 1, plant.njoints)]:
+            with pytest.raises(ValueError, match=re.escape(f"q_traj has shape {shape}") + need):
+                invert_trajectory(plant, np.zeros(shape), 500.0)
+        # One pose is one frame: too few, not a wrong shape.
+        with pytest.raises(ValueError, match="need at least 3 frames"):
+            invert_trajectory(plant, np.zeros(plant.njoints), 500.0)
 
     @pytest.mark.parametrize("kind", ["toy_finger", "hand_like"])
     def test_non_positive_tendon_length_names_the_frame(self, kind):

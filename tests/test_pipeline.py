@@ -1,5 +1,4 @@
 import json
-import math
 import re
 import time
 from dataclasses import asdict
@@ -13,7 +12,6 @@ from myoctl.inverse import invert_trajectory
 from myoctl.pipeline import (
     ConfigurationError,
     Manifest,
-    PipelineOptions,
     Session,
     SessionFormatError,
     SessionRecord,
@@ -148,6 +146,13 @@ class TestSessionContainer:
         with pytest.raises(ValueError):
             Session(id="x", rate_hz=500, channel_names=("a", "b"), data=np.zeros((1, 10)))
 
+    def test_data_of_more_than_two_dimensions_is_named(self):
+        # write_session would write 3x the payload its header promises.
+        with pytest.raises(ValueError, match=r"data has shape \(2, 10, 3\); a session "
+                                             r"needs \(nchannels, nframes\)"):
+            Session(id="x", rate_hz=500, channel_names=("mcp", "pip"),
+                    data=np.zeros((2, 10, 3)))
+
 
 class TestProcessSession:
     def test_oracle_session_converts_cleanly(self, toy_plant):
@@ -172,13 +177,6 @@ class TestProcessSession:
         assert out is None
         assert record.status == "failed"
         assert "non-finite" in record.failure_reason
-
-    @pytest.mark.parametrize("threshold", [np.nan, -1e-3, 0.0])
-    def test_bad_fail_threshold_is_named(self, toy_plant, threshold):
-        session = pose_session(toy_plant, seed=2, nframes=200)
-        opts = PipelineOptions(fail_threshold=threshold)
-        with pytest.raises(ValueError, match="fail_threshold must be positive and finite"):
-            process_session(session, toy_plant, opts)
 
     def test_repeated_channel_names_are_rejected(self, toy_plant):
         # Mapping by name would take the first 'mcp' and leave 'pip' at zero.
@@ -249,8 +247,8 @@ class TestProcessSession:
             id=session.id, rate_hz=2000, channel_names=("alpha", "beta"),
             data=session.data,
         )
-        opts = PipelineOptions(joint_map={"mcp": "alpha", "pip": "beta"})
-        out, record = process_session(renamed, toy_plant, opts)
+        out, record = process_session(renamed, toy_plant,
+                                      joint_map={"mcp": "alpha", "pip": "beta"})
         assert record.status == "ok"
         reference, _ = process_session(session, toy_plant)
         assert np.array_equal(out.data, reference.data)
@@ -268,9 +266,8 @@ class TestProcessSession:
 
     def test_missing_mapped_channel_errors(self, toy_plant):
         session = pose_session(toy_plant, seed=6, nframes=400)
-        opts = PipelineOptions(joint_map={"mcp": "not_there"})
         with pytest.raises(ConfigurationError, match="not_there"):
-            process_session(session, toy_plant, opts)
+            process_session(session, toy_plant, joint_map={"mcp": "not_there"})
 
     def test_unconsumed_channels_error(self, toy_plant):
         session = pose_session(toy_plant, seed=7, nframes=400)
@@ -284,9 +281,8 @@ class TestProcessSession:
 
     def test_unknown_map_key_errors(self, toy_plant):
         session = pose_session(toy_plant, seed=8, nframes=400)
-        opts = PipelineOptions(joint_map={"elbow": "mcp"})
         with pytest.raises(ConfigurationError, match="elbow"):
-            process_session(session, toy_plant, opts)
+            process_session(session, toy_plant, joint_map={"elbow": "mcp"})
 
     def test_frame_count_preserved_for_ragged_lengths(self, toy_plant):
         session = pose_session(toy_plant, seed=9, nframes=2002)  # not divisible by 4
@@ -421,20 +417,15 @@ class TestRunBatch:
         assert all(doc == manifests[0] for doc in manifests[1:])
         assert all(blobs == payloads[0] for blobs in payloads[1:])
 
-    @pytest.mark.parametrize("opts, error, message", [
-        (PipelineOptions(fail_threshold=math.nan), ValueError,
-         "fail_threshold must be positive and finite"),
-        (PipelineOptions(joint_map={"elbow": "mcp"}), ConfigurationError,
-         r"unknown joints: \['elbow'\]"),
-    ], ids=["nan_threshold", "unknown_joint"])
+    @pytest.mark.parametrize("joint_map", [{"elbow": "mcp"}], ids=["unknown_joint"])
     def test_bad_options_are_rejected_before_any_session_is_read(
-        self, tmp_path, toy_plant, monkeypatch, opts, error, message
+        self, tmp_path, toy_plant, monkeypatch, joint_map
     ):
         src = self._make_batch(tmp_path, toy_plant, count=3)
         read = []
         monkeypatch.setattr("myoctl.pipeline.read_session", read.append)
-        with pytest.raises(error, match=message):
-            run_batch(src, toy_plant, tmp_path / "out", workers=1, opts=opts)
+        with pytest.raises(ConfigurationError, match=r"unknown joints: \['elbow'\]"):
+            run_batch(src, toy_plant, tmp_path / "out", workers=1, joint_map=joint_map)
         assert read == []
         assert not (tmp_path / "out").exists()
 

@@ -555,6 +555,17 @@ class TestPlantFiles:
                            match=rf"'{field}' is {count} but '{names}' has {listed} names"):
             load_plant(path)
 
+    @pytest.mark.parametrize("field, name", [("joint_names", "mcp"),
+                                             ("actuator_names", "mcp_flex")])
+    def test_repeated_names_are_named(self, tmp_path, field, name):
+        # A repeated joint would take one channel twice; a repeated actuator
+        # would fail every session only when its output is written.
+        path, doc = toy_finger_document(tmp_path)
+        doc[field][1] = name
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PlantError, match=rf"{field} repeats the names \['{name}'\]"):
+            load_plant(path)
+
     def test_missing_file_is_an_os_error(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_plant(tmp_path / "nope.json")
