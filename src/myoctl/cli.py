@@ -57,6 +57,10 @@ _non_negative_float = _checked(
 )
 _positive_int = _checked(int, "an integer", lambda v: v >= 1, "at least 1")
 
+# The round trip's bound on the trajectory RMSE (rad), the same as
+# acceptance criterion 1's and the benchmark's gate.
+_RMSE_TOL_RAD = 1e-2
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -90,8 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rt.add_argument("--seed", type=int, default=1)
     p_rt.add_argument("--duration", type=_positive_float, default=2.0)
     p_rt.add_argument("--rate", type=_positive_int, default=500)
-    p_rt.add_argument("--rmse-tol", type=_positive_float, default=1e-2,
-                      help="trajectory RMSE bound (rad)")
 
     p_batch = sub.add_parser("batch", help="convert every session in a directory")
     p_batch.add_argument("--in", dest="input", required=True)
@@ -185,8 +187,8 @@ def _cmd_roundtrip(args) -> int:
     print(f"trajectory RMSE: {report.rmse:.6e} rad")
     print(f"max residual:    {report.max_residual:.6e}")
     print(f"inversion:       {report.status} ({report.infeasible_frames} infeasible frames)")
-    if report.status != "ok" or report.rmse >= args.rmse_tol:
-        print(f"roundtrip failed (tolerance {args.rmse_tol} rad)", file=sys.stderr)
+    if report.status != "ok" or report.rmse >= _RMSE_TOL_RAD:
+        print(f"roundtrip failed (tolerance {_RMSE_TOL_RAD} rad)", file=sys.stderr)
         return 1
     return 0
 

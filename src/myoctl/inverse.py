@@ -22,14 +22,14 @@ loop then keeps only what depends on the running activation, which starts
 from zero: the frame's activation bounds and box, the solve, and the next
 activation. The loop advances several trajectories (lanes) of one plant
 together on ``(lanes, nact)`` stacks, the longest first, each lane while
-its frames last; a single trajectory is the one-lane case. Each frame it
-computes once for every lane the force gap (as a stacked-column product,
-which gives each lane the bits of its own matrix-vector product), the
-bounds and the box, and solves the lanes' problems in one
+its frames last; a single trajectory is the one-lane case. Each frame is
+one :func:`_advance` call, which computes for every lane at once the force
+gap, the bounds and the box, solves the lanes' problems in one
 :meth:`~myoctl.qp.BvlsSolver.solve` call on the stack, by one solver bound
 to the moment arms (so each distinct free set's pseudo-inverse is computed
-once, and no per-frame problem object is built or checked). A lane's
-outputs are therefore bit for bit the same whichever lanes share its loop.
+once, and no per-frame problem object is built or checked), and clamps the
+next activations. A lane's outputs are bit for bit the same whichever lanes
+share its loop.
 The residual vectors ``A x - b`` of every frame are reduced once after the
 loop. A last vectorized pass per lane recovers every frame's control from
 its pair of activations: it returns what 53 bisections of [0, 1] on ``f``
@@ -41,7 +41,7 @@ inversion's status is failed only when more than 1 % of its frames are
 infeasible.
 
 :func:`invert_frame` checks one frame's inputs (:class:`InverseInputs`) and
-solves it as the loop solves a one-lane frame.
+runs :func:`_advance` on a stack of one, as the loop runs a one-lane frame.
 """
 
 from __future__ import annotations
@@ -50,13 +50,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# bench/spans.py patches step_activation and solve_box_qp in this module, so
-# the names must stay importable here.
-from .activation import _step_activation, _time_constant, step_activation  # noqa: F401
+from .activation import _step_activation, _time_constant
 from .muscle import _require_positive
 from .plant import Plant, inverse_dynamics, tendon_kinematics, _gain_bias, _normalized
-from .qp import BvlsSolver, solve_box_qp  # noqa: F401
+from .qp import BvlsSolver
 from .timeseries import differentiate
+
+# bench/spans.py patches these names in this module, so they must stay
+# importable here.
+from .activation import step_activation  # noqa: F401
+from .qp import solve_box_qp  # noqa: F401
 
 __all__ = [
     "InverseInputs",
@@ -193,25 +196,28 @@ def _gap_base(moment_arms, gain, bias, q_frc) -> tuple[np.ndarray, np.ndarray]:
     return gap_base, ~np.isfinite(bound).all(axis=-1)
 
 
-def _box(act, live_gain, filter_args):
-    """The next activation's bounds and the box of ``x = gain * (act' - act)``.
+def _advance(solver, act, gain, gap_base, live_gain, safe_gain, filter_args):
+    """One frame's step for a ``(lanes, nact)`` stack of activations.
 
-    ``filter_args`` are the activation step's ``(dt, tau_act, tau_deact,
-    tau_smooth)``. The step under controls 0 and 1 bounds the next
-    activation, ``(2, ...)`` for ``act`` of shape ``(...)``; the bounds map
-    through the non-positive ``live_gain`` to ``(lb, ub)``, and a dead
-    actuator's edges are both 0, which pins its ``x``.
+    Returns ``(act_next, x, iterations, converged, residual)``, one row per
+    lane. The force gap ``moment_arms @ (gain * act) + gap_base`` is a
+    stacked-column product, which gives each lane the bits of its own
+    matrix-vector product. The activation step under controls 0 and 1
+    (``filter_args`` are its ``(dt, tau_act, tau_deact, tau_smooth)``)
+    bounds the next activation, and the bounds map through the non-positive
+    ``live_gain`` to the box of ``x = gain * (act' - act)``; a dead
+    actuator's edges are both 0, which pins its ``x``. One ``solver.solve``
+    call (``solver`` is bound to the moment arms) solves every lane, and the
+    next activation is ``act + x / gain`` clamped to the bounds, which a dead
+    actuator's ``safe_gain`` of 1 and pinned ``x`` keep at ``act``.
     """
+    gap = (solver.A @ (gain * act)[..., None])[..., 0] + gap_base
     bounds = _step_activation(act, _CTRL_EDGES, *filter_args)
     # Control 0 gives the lower activation bound and the upper edge of x.
     ub, lb = live_gain * (bounds - act)
-    return bounds, lb, ub
-
-
-def _next_act(act, x, safe_gain, bounds):
-    """``act + x / gain`` clamped to the step's bounds; a dead actuator's
-    ``safe_gain`` of 1 and pinned ``x`` of 0 keep its activation."""
-    return np.minimum(np.maximum(act + x / safe_gain, bounds[0]), bounds[1])
+    x, iterations, converged, residual = solver.solve(-gap, lb, ub)
+    act_next = np.minimum(np.maximum(act + x / safe_gain, bounds[0]), bounds[1])
+    return act_next, x, iterations, converged, residual
 
 
 def _reject_frames(what: str, bad: np.ndarray) -> None:
@@ -300,8 +306,8 @@ def invert_frame(inp: InverseInputs) -> FrameSolution:
 
     The residual is ``||moment_arms @ x + k||_inf``; it is zero (within the
     solver tolerance) exactly when the target force is reachable this step.
-    The frame is the inversion loop's one-lane frame: one
-    :meth:`~myoctl.qp.BvlsSolver.solve` call on a stack of one problem.
+    The frame is the inversion loop's one-lane frame: :func:`_advance` on a
+    stack of one.
 
     Raises:
         ValueError: if the force gap can overflow for some activation in
@@ -311,12 +317,10 @@ def invert_frame(inp: InverseInputs) -> FrameSolution:
     if overflows:
         raise ValueError("force gap overflows for some activation in [0, 1]")
     filter_args = (inp.timestep, inp.tau_act, inp.tau_deact, inp.tau_smooth)
-    live_gain, safe_gain = _live(inp.gain)
-    bounds, lb, ub = _box(inp.act[None], live_gain, filter_args)
-    gap = inp.moment_arms @ (inp.gain * inp.act) + gap_base
-    x, _, converged, residual = BvlsSolver(inp.moment_arms).solve(-gap[None], lb, ub)
-    act_next = _next_act(inp.act, x[0], safe_gain, bounds[:, 0])
-    return FrameSolution(ctrl=_recover_ctrl(inp.act, act_next, *filter_args), x=x[0],
+    act_next, x, _, converged, residual = _advance(
+        BvlsSolver(inp.moment_arms), inp.act[None], inp.gain, gap_base, *_live(inp.gain),
+        filter_args)
+    return FrameSolution(ctrl=_recover_ctrl(inp.act, act_next[0], *filter_args), x=x[0],
                          residual=float(np.abs(residual).max()), converged=bool(converged[0]))
 
 
@@ -379,8 +383,7 @@ def _invert_lanes(plant: Plant, lanes: list[_Lane]) -> list[TrajectoryInversion]
     dt = lanes[0].dt
     if any(lane.dt != dt for lane in lanes):
         raise ValueError("lanes inverted together must share one rate")
-    m = plant._muscle
-    filter_args = (np.asarray(dt), m.tau_act, m.tau_deact, m.tau_smooth)
+    filter_args = (np.asarray(dt), *plant._muscle.taus)
     order = sorted(range(len(lanes)), key=lambda i: -lanes[i].nframes)
     nframes = lanes[order[0]].nframes
 
@@ -395,7 +398,6 @@ def _invert_lanes(plant: Plant, lanes: list[_Lane]) -> list[TrajectoryInversion]
     gain, gap_base = stack("gain", nact), stack("gap_base", njoints)
     live_gain, safe_gain = _live(gain)
     solver = BvlsSolver(plant.moment_arms)
-    A = solver.A
 
     # Row t is the activation before frame t's step; row t + 1, after it.
     act = np.zeros((nframes + 1, len(lanes), nact))
@@ -411,11 +413,8 @@ def _invert_lanes(plant: Plant, lanes: list[_Lane]) -> list[TrajectoryInversion]
         g, gb, lg, sg, a_, r_, it_, ok_ = (v[:, :k] for v in (
             gain, gap_base, live_gain, safe_gain, act, residual_vectors, iterations, converged))
         for t in range(start, stop):
-            a = a_[t]
-            b = -((A @ (g[t] * a)[..., None])[..., 0] + gb[t])
-            bounds, lb, ub = _box(a, lg[t], filter_args)
-            x, it_[t], ok_[t], r_[t] = solver.solve(b, lb, ub)
-            a_[t + 1] = _next_act(a, x, sg[t], bounds)
+            a_[t + 1], _, it_[t], ok_[t], r_[t] = _advance(
+                solver, a_[t], g[t], gb[t], lg[t], sg[t], filter_args)
         start = stop
 
     results = [None] * len(lanes)
@@ -509,6 +508,8 @@ def roundtrip(
         ValueError: for a rate or duration that is not positive and finite,
             or one that gives fewer than :data:`MIN_FRAMES` frames.
     """
+    # bench/spans.py patches rollout in myoctl.plant, so the round trip looks
+    # it up there at call time.
     from .plant import rest_state, rollout, smooth_random_controls
 
     _require_positive("rate_hz", rate_hz)

@@ -192,24 +192,25 @@ def _floats(*values):
     return tuple(np.asarray(v, dtype=float) for v in values)
 
 
-# Each curve is a derivation of constants from its parameters plus a kernel
-# that takes a normalized state and those constants. The public curves run
-# both on float arrays; a plant derives its constants once and calls the
-# kernels directly (``myoctl.plant._gain_bias``). The kernels use no
-# ``np.where``: each piece is a polynomial in a scaled distance that
-# ``np.minimum``/``np.maximum`` clamp to the piece's own interval, so a point
-# past a breakpoint sees the neighbouring piece's end value. They divide by
-# widths rather than multiply by reciprocals: it costs the same and keeps
-# ratios such as ``vmax / vmax`` exactly 1.
+# Each curve is a kernel that takes a normalized state and then the argument
+# list its ``_*_args`` function derives from the parameters, so that order is
+# fixed here alone. The public curves run both on float arrays; a plant
+# derives each list once and splats it into the kernel (``_gain_bias`` in
+# ``myoctl.plant``). The kernels use no ``np.where``: each piece is a
+# polynomial in a scaled distance that ``np.minimum``/``np.maximum`` clamp to
+# the piece's own interval, so a point past a breakpoint sees the neighbouring
+# piece's end value. They divide by widths rather than multiply by
+# reciprocals: it costs the same and keeps ratios such as ``vmax / vmax``
+# exactly 1.
 
 
-def _fl_constants(lmin, lmax):
-    """Half-widths of the force-length bump below and above ``L = 1``."""
-    return 0.5 * (1.0 - lmin), 0.5 * (lmax - 1.0)
+def _fl_args(lmin, lmax):
+    """``lmin``, ``lmax`` and the bump's half-widths below and above ``L = 1``."""
+    return lmin, lmax, 0.5 * (1.0 - lmin), 0.5 * (lmax - 1.0)
 
 
 def _fl(length, lmin, lmax, half_lo, half_hi):
-    """Force-length kernel: :func:`fl_curve` from :func:`_fl_constants`.
+    """Force-length kernel: :func:`fl_curve` with :func:`_fl_args`.
 
     With ``near`` the distance from the peak at 1 and ``far`` the distance
     from the nearer support edge, both in half-widths and clamped to
@@ -233,17 +234,17 @@ def fl_curve(norm_len, lmin, lmax):
     with a symmetric quadratic descent.
     """
     length, lmin, lmax = _floats(norm_len, lmin, lmax)
-    return _collapse(_fl(length, lmin, lmax, *_fl_constants(lmin, lmax)))
+    return _collapse(_fl(length, *_fl_args(lmin, lmax)))
 
 
-def _fv_constants(fvmax):
-    """The eccentric rise ``fvmax - 1`` and the same floored at a tiny width."""
+def _fv_args(vmax, fvmax):
+    """``vmax``, the eccentric rise ``fvmax - 1`` and the same floored at a tiny width."""
     rise = fvmax - 1.0
-    return rise, np.maximum(rise, _TINY)
+    return vmax, rise, np.maximum(rise, _TINY)
 
 
 def _fv(vel, vmax, rise, rise_width):
-    """Force-velocity kernel: :func:`fv_curve` from :func:`_fv_constants`.
+    """Force-velocity kernel: :func:`fv_curve` with :func:`_fv_args`.
 
     With ``v = vel / vmax``, the concentric factor ``a = v + 1`` and the
     eccentric fraction ``w = v / rise``, both clamped to ``[0, 1]``, the
@@ -264,17 +265,17 @@ def fv_curve(norm_vel, vmax, fvmax):
     reached at lengthening velocity ``vmax * (fvmax - 1)``.
     """
     vel, vmax, fvmax = _floats(norm_vel, vmax, fvmax)
-    return _collapse(_fv(vel, vmax, *_fv_constants(fvmax)))
+    return _collapse(_fv(vel, *_fv_args(vmax, fvmax)))
 
 
-def _fp_constants(lmax, fpmax):
+def _fp_args(lmax, fpmax):
     """``(max(b - 1, tiny), fpmax / 4)`` with midpoint ``b = (1 + lmax) / 2``."""
     b = 0.5 * (1.0 + lmax)
     return np.maximum(b - 1.0, _TINY), 0.25 * fpmax
 
 
 def _fp(length, width, quarter_fpmax):
-    """Passive-force kernel: :func:`fp_curve` from :func:`_fp_constants`.
+    """Passive-force kernel: :func:`fp_curve` with :func:`_fp_args`.
 
     With ``t = max(L - 1, 0) / (b - 1)`` and ``c = min(t, 1)`` the curve is
     ``fpmax/4 * (c^3 + 3 (t - c))``: the cubic up to ``b``, then its tangent
@@ -293,4 +294,4 @@ def fp_curve(norm_len, lmax, fpmax):
     at ``lmax`` and continuing beyond.
     """
     length, lmax, fpmax = _floats(norm_len, lmax, fpmax)
-    return _collapse(_fp(length, *_fp_constants(lmax, fpmax)))
+    return _collapse(_fp(length, *_fp_args(lmax, fpmax)))

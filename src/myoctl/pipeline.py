@@ -33,17 +33,19 @@ import os
 import shutil
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-# bench/spans.py patches invert_trajectory in this module, so the name must
-# stay importable here; conversion runs the inversion's two parts itself.
-from .inverse import MIN_FRAMES, _invert_lanes, _prepare, invert_trajectory  # noqa: F401
+from .inverse import MIN_FRAMES, _invert_lanes, _prepare
 from .plant import Plant, _repeated, _whole_number, _write_atomic, _write_json
 from .timeseries import resample
+
+# bench/spans.py patches invert_trajectory in this module, so the name must
+# stay importable here; conversion runs the inversion's two parts itself.
+from .inverse import invert_trajectory  # noqa: F401
 
 __all__ = [
     "SESSION_FORMAT",
@@ -264,16 +266,27 @@ def _record(session_id: str, wall_time_s: float, reason: str | None = None, fram
 def _check_joint_map(joint_map: Mapping[str, str] | None, plant: Plant) -> None:
     """Reject a joint map that no session can satisfy.
 
-    A joint map maps plant joint names to session channel names; plant
-    joints absent from both the map and the session default to zero
-    trajectories, mirroring excluded joints in the source recordings.
+    A joint map maps plant joint names to session channel names; a plant
+    joint it does not name reads the channel of its own name, or a zero
+    trajectory if the session lacks it, mirroring excluded joints in the
+    source recordings. Each channel feeds at most one joint, so a swap such
+    as ``{"mcp": "pip", "pip": "mcp"}`` is legal and ``{"mcp": "pip"}`` is
+    not: the unmapped ``pip`` would read ``pip`` too.
 
     Raises:
-        ConfigurationError: for joint-map keys that name no plant joint.
+        ConfigurationError: for joint-map keys that name no plant joint, or
+            a channel that would feed two or more joints (named with them).
     """
-    unknown = set(joint_map or {}) - set(plant.joint_names)
+    joint_map = joint_map or {}
+    unknown = set(joint_map) - set(plant.joint_names)
     if unknown:
         raise ConfigurationError(f"joint map references unknown joints: {sorted(unknown)}")
+    readers: dict[str, list[str]] = {}
+    for joint in plant.joint_names:
+        readers.setdefault(joint_map.get(joint, joint), []).append(joint)
+    shared = {channel: joints for channel, joints in readers.items() if len(joints) > 1}
+    if shared:
+        raise ConfigurationError(f"joint map feeds one channel to several joints: {shared}")
 
 
 def _map_joints(session: Session, plant: Plant, joint_map: Mapping[str, str] | None):
@@ -332,19 +345,19 @@ def _begin(session: Session, plant: Plant, joint_map: Mapping[str, str] | None):
 
     Returns ``(lane, None)`` with the session's prepared inversion lane, or
     ``(None, reason)`` for a session that fails before its inversion.
-    Raises what :func:`process_session` documents.
+    Raises what :func:`process_session` documents; the messages do not name
+    the session, which in a batch is named by its directory.
     """
     if session.n_frames == 0 or not session.channel_names:
-        raise ValueError(f"session {session.id!r} is empty")
+        raise ValueError("session is empty")
     if session.rate_hz not in (POSE_RATE_HZ, SOLVE_RATE_HZ):
         raise ConfigurationError(
-            f"session {session.id!r} is at {session.rate_hz} Hz, "
-            f"expected {POSE_RATE_HZ} or {SOLVE_RATE_HZ}"
+            f"session is at {session.rate_hz} Hz, expected {POSE_RATE_HZ} or {SOLVE_RATE_HZ}"
         )
     min_frames = _min_frames(session.rate_hz)
     if session.n_frames < min_frames:
         raise ValueError(
-            f"session {session.id!r} has {session.n_frames} frames; "
+            f"session has {session.n_frames} frames; "
             f"at least {min_frames} are needed at {session.rate_hz} Hz"
         )
     poses = _map_joints(session, plant, joint_map)
@@ -386,7 +399,8 @@ def process_session(
     to the solve rate, differentiate, invert, and resample the recovered
     controls back to the session's rate. It runs the stages a batch runs on
     a group of sessions, on a group of one. ``joint_map`` maps plant joint
-    names to session channel names (see :func:`_check_joint_map`). The
+    names to session channel names, one joint to a channel (see
+    :func:`_check_joint_map`); it is checked before the session. The
     session fails on a non-finite pose or by the fixed status rule of
     :func:`~myoctl.inverse.invert_trajectory`; the record then carries the
     reason and no output session is produced.
@@ -397,7 +411,8 @@ def process_session(
             precondition, not a failure), or what
             :func:`~myoctl.inverse.invert_trajectory` raises for the
             resampled poses.
-        ConfigurationError: for rate or joint-map mismatches.
+        ConfigurationError: for rate or joint-map mismatches, such as a
+            channel that would feed two joints.
     """
     _check_joint_map(joint_map, plant)
     start = time.perf_counter()
@@ -409,13 +424,20 @@ def process_session(
 
 
 def _write_session_atomic(session: Session, final_dir: Path) -> None:
+    """Write ``session`` to a temporary sibling directory, then rename it onto
+    ``final_dir``. A failed write or rename removes the temporary directory
+    and raises."""
     tmp = final_dir.with_name(f".tmp-{final_dir.name}-{os.getpid()}")
     if tmp.exists():
         shutil.rmtree(tmp)
-    write_session(session, tmp)
-    if final_dir.exists():
-        shutil.rmtree(final_dir)
-    os.replace(tmp, final_dir)
+    try:
+        write_session(session, tmp)
+        if final_dir.exists():
+            shutil.rmtree(final_dir)
+        os.replace(tmp, final_dir)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
 
 
 def _convert_group(args) -> list[SessionRecord]:
@@ -483,7 +505,8 @@ def run_batch(
     Raises:
         ValueError: if the input directory holds no sessions, or for a
             worker count below 1.
-        ConfigurationError: for joint-map keys that name no plant joint.
+        ConfigurationError: for joint-map keys that name no plant joint, or
+            a channel that would feed two joints.
     """
     _check_joint_map(joint_map, plant)
     if workers < 1:

@@ -23,25 +23,25 @@ from pathlib import Path
 
 import numpy as np
 
-# The step calls the unchecked kernels. bench/spans.py patches
-# step_activation and the public curves in this module, so those names must
-# stay importable here.
-from .activation import _step_activation, step_activation  # noqa: F401
-from .muscle import (  # noqa: F401
+# The step calls the unchecked kernels.
+from .activation import _step_activation, smoothstep
+from .muscle import (
     MuscleGeometry,
     MuscleParams,
     _fl,
-    _fl_constants,
+    _fl_args,
     _fp,
-    _fp_constants,
+    _fp_args,
     _fv,
-    _fv_constants,
+    _fv_args,
     _require_positive,
     calibrate_geometry,
-    fl_curve,
-    fp_curve,
-    fv_curve,
 )
+
+# bench/spans.py patches these names in this module, so they must stay
+# importable here.
+from .activation import step_activation  # noqa: F401
+from .muscle import fl_curve, fp_curve, fv_curve  # noqa: F401
 
 __all__ = [
     "PlantError",
@@ -77,26 +77,21 @@ class PlantFormatError(ValueError):
 
 @dataclass(frozen=True)
 class _MuscleArrays:
-    """Per-actuator parameters stacked for vectorized evaluation, and the
-    constants the curve kernels derive from them (``fl_*``, ``fv_*``,
-    ``fp_*``), computed once per plant as the public curves compute them.
-    ``neg_f0`` is the peak forces negated, as the force terms use them."""
+    """Per-actuator parameters stacked for vectorized evaluation, computed
+    once per plant. ``l0`` and ``lt`` normalize tendon lengths, ``neg_f0`` is
+    the peak forces negated, as the force terms use them, and ``taus`` is
+    ``(tau_act, tau_deact, tau_smooth)``, the activation step's arguments
+    after ``dt``. ``fl``, ``fv`` and ``fp`` are the curve kernels' arguments
+    after the state, from ``myoctl.muscle``'s ``_fl_args``, ``_fv_args`` and
+    ``_fp_args`` as the public curves derive them."""
 
     l0: np.ndarray
     lt: np.ndarray
     neg_f0: np.ndarray
-    lmin: np.ndarray
-    lmax: np.ndarray
-    vmax: np.ndarray
-    tau_act: np.ndarray
-    tau_deact: np.ndarray
-    tau_smooth: np.ndarray
-    fl_half_lo: np.ndarray
-    fl_half_hi: np.ndarray
-    fv_rise: np.ndarray
-    fv_rise_width: np.ndarray
-    fp_width: np.ndarray
-    fp_quarter: np.ndarray
+    taus: tuple[np.ndarray, ...]
+    fl: tuple[np.ndarray, ...]
+    fv: tuple[np.ndarray, ...]
+    fp: tuple[np.ndarray, ...]
 
 
 def _repeated(names: tuple[str, ...]) -> list[str]:
@@ -184,27 +179,19 @@ class Plant:
 
     @cached_property
     def _muscle(self) -> _MuscleArrays:
+        def stacked(records, attr):
+            return np.array([getattr(r, attr) for r in records])
+
         p, g = self.params, self.geometry
-        lmin, lmax = np.array([r.lmin for r in p]), np.array([r.lmax for r in p])
-        fl_half_lo, fl_half_hi = _fl_constants(lmin, lmax)
-        fv_rise, fv_rise_width = _fv_constants(np.array([r.fvmax for r in p]))
-        fp_width, fp_quarter = _fp_constants(lmax, np.array([r.fpmax for r in p]))
+        lmax = stacked(p, "lmax")
         return _MuscleArrays(
-            l0=np.array([r.l0 for r in g]),
-            lt=np.array([r.lt for r in g]),
-            neg_f0=-np.array([r.f0 for r in g]),
-            lmin=lmin,
-            lmax=lmax,
-            vmax=np.array([r.vmax for r in p]),
-            tau_act=np.array([r.tau_act for r in p]),
-            tau_deact=np.array([r.tau_deact for r in p]),
-            tau_smooth=np.array([r.tau_smooth for r in p]),
-            fl_half_lo=fl_half_lo,
-            fl_half_hi=fl_half_hi,
-            fv_rise=fv_rise,
-            fv_rise_width=fv_rise_width,
-            fp_width=fp_width,
-            fp_quarter=fp_quarter,
+            l0=stacked(g, "l0"),
+            lt=stacked(g, "lt"),
+            neg_f0=-stacked(g, "f0"),
+            taus=tuple(stacked(p, a) for a in ("tau_act", "tau_deact", "tau_smooth")),
+            fl=_fl_args(stacked(p, "lmin"), lmax),
+            fv=_fv_args(stacked(p, "vmax"), stacked(p, "fvmax")),
+            fp=_fp_args(lmax, stacked(p, "fpmax")),
         )
 
 
@@ -289,14 +276,13 @@ def _gain_bias(plant: Plant, norm_len, norm_vel):
     ``gain = -f0 * FL * FV`` and ``bias = -f0 * FP``, both non-positive,
     for inputs of shape ``(..., nactuators)``. It runs the kernels of
     :func:`~myoctl.muscle.fl_curve`, :func:`~myoctl.muscle.fv_curve` and
-    :func:`~myoctl.muscle.fp_curve` on the plant's cached constants; the
-    forward step and the inversion both evaluate forces through it.
+    :func:`~myoctl.muscle.fp_curve` on the plant's cached argument lists
+    (:class:`_MuscleArrays`); the forward step and the inversion both
+    evaluate forces through it.
     """
     m = plant._muscle
-    fl = _fl(norm_len, m.lmin, m.lmax, m.fl_half_lo, m.fl_half_hi)
-    fv = _fv(norm_vel, m.vmax, m.fv_rise, m.fv_rise_width)
-    fp = _fp(norm_len, m.fp_width, m.fp_quarter)
-    return m.neg_f0 * fl * fv, m.neg_f0 * fp
+    gain = m.neg_f0 * _fl(norm_len, *m.fl) * _fv(norm_vel, *m.fv)
+    return gain, m.neg_f0 * _fp(norm_len, *m.fp)
 
 
 def inverse_dynamics(plant: Plant, q, qdot, qddot):
@@ -336,7 +322,7 @@ def _step(plant: Plant, q, qdot, act, ctrl, dt):
 
     Returns ``(q, qdot, act)`` after the step. The activation advances
     first, the muscle forces are evaluated at the pre-step pose with the new
-    activation (:func:`_gain_bias` on the plant's cached constants), then
+    activation (:func:`_gain_bias` on the plant's cached arguments), then
     the velocity update precedes the position update. ``dt`` is a 0-d array
     (see ``myoctl.muscle._const``). A slack tendon or a non-finite state
     does not stop the step: :func:`_simulate` checks the whole log once.
@@ -344,7 +330,7 @@ def _step(plant: Plant, q, qdot, act, ctrl, dt):
     m = plant._muscle
     lengths = plant.length_offsets - q @ plant.moment_arms
     norm_len, norm_vel = _normalized(plant, lengths, -(qdot @ plant.moment_arms))
-    act_next = _step_activation(act, ctrl, dt, m.tau_act, m.tau_deact, m.tau_smooth)
+    act_next = _step_activation(act, ctrl, dt, *m.taus)
     gain, bias = _gain_bias(plant, norm_len, norm_vel)
     torque = plant.moment_arms @ (gain * act_next + bias)
     qddot = (torque - plant.damping * qdot - plant.gravity * np.sin(q)) / plant.inertia
@@ -512,8 +498,6 @@ def smooth_random_controls(
     _require_positive("dt", dt)
     if not (math.isfinite(settle) and settle >= 0.0):
         raise ValueError(f"settle must be non-negative and finite, got {settle!r}")
-    from .activation import smoothstep
-
     rng = np.random.default_rng(seed)
     duration = (nframes - 1) * dt
     nknots = max(4, int(round(duration * 2.0)) + 2)

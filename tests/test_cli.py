@@ -43,10 +43,9 @@ class TestParseArgs:
 
     # Explicit ids keep each case's name whatever rows are added or removed.
     @pytest.mark.parametrize("command, option", [
-        (["roundtrip"], "--rmse-tol"),
         (["roundtrip"], "--duration"),
         (["simulate", "--plant", "p", "--out", "o"], "--duration"),
-    ], ids=["command0---rmse-tol", "command2---duration", "command3---duration"])
+    ], ids=["command2---duration", "command3---duration"])
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-3"])
     def test_tolerances_must_be_positive_and_finite(self, capsys, command, option, value):
         with pytest.raises(SystemExit) as excinfo:
@@ -61,6 +60,13 @@ class TestParseArgs:
                         "--fail-threshold", "1e-3"])
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --fail-threshold" in capsys.readouterr().err
+
+    def test_roundtrip_has_no_rmse_tol(self, capsys):
+        # The bound is fixed: criterion 1's and the benchmark's 1e-2 rad.
+        with pytest.raises(SystemExit) as excinfo:
+            parse_args(["roundtrip", "--rmse-tol", "1e-2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --rmse-tol" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, option", [
         (["roundtrip"], "--rate"),
@@ -89,11 +95,11 @@ class TestParseArgs:
         assert args.settle == 0.0
 
     @pytest.mark.parametrize("command, option, value, kind", [
-        (["roundtrip"], "--rmse-tol", "abc", "a number"),
         (["simulate", "--plant", "p", "--out", "o"], "--settle", "soon", "a number"),
         (["batch", "--in", "i", "--plant", "p", "--out", "o"], "--workers", "two", "an integer"),
         (["resample", "--in", "i", "--out", "o"], "--to-hz", "1.5", "an integer"),
-    ])
+    ], ids=["command1---settle-soon-a number", "command2---workers-two-an integer",
+            "command3---to-hz-1.5-an integer"])
     def test_unparsable_values_are_reported_plainly(self, capsys, command, option, value, kind):
         with pytest.raises(SystemExit) as excinfo:
             parse_args(command + [f"{option}={value}"])
@@ -171,20 +177,19 @@ class TestCommands:
         assert "RMSE" in captured.out
 
     def test_roundtrip_failure_exit(self, capsys, monkeypatch):
-        # The inverse is exact, so a real replay meets any tolerance; one that
-        # misses by 1e-3 rad must fail a 1e-4 rad tolerance.
+        # The inverse is exact, so a real replay meets the tolerance; one that
+        # misses by 2e-2 rad must fail the fixed 1e-2 rad tolerance.
         real = myoctl.cli.roundtrip
 
         def missing(*args, **kwargs):
-            return dataclasses.replace(real(*args, **kwargs), rmse=1e-3)
+            return dataclasses.replace(real(*args, **kwargs), rmse=2e-2)
 
         monkeypatch.setattr(myoctl.cli, "roundtrip", missing)
         code = run(parse_args(
-            ["roundtrip", "--kind", "toy_finger", "--seed", "1",
-             "--duration", "0.5", "--rmse-tol", "1e-4"]
+            ["roundtrip", "--kind", "toy_finger", "--seed", "1", "--duration", "0.5"]
         ))
         assert code == 1
-        assert "roundtrip failed (tolerance 0.0001 rad)" in capsys.readouterr().err
+        assert "roundtrip failed (tolerance 0.01 rad)" in capsys.readouterr().err
 
     def test_invert_2khz_session(self, tmp_path):
         plant_path = tmp_path / "plant.json"

@@ -46,8 +46,7 @@ def invert_frame_by_frame(plant, q, rate_hz, fail_threshold=1e-3):
     """
     dt = 1.0 / rate_hz
     qdot, qddot = differentiate(q, dt)
-    m = plant._muscle
-    taus = (m.tau_act, m.tau_deact, m.tau_smooth)
+    taus = plant._muscle.taus
     act = np.zeros(plant.nactuators)
     ctrl, acts, residuals, infeasible = [], [], [], 0
     for t in range(q.shape[0]):
@@ -305,8 +304,7 @@ class TestRecoverCtrl:
         ctrl = smooth_random_controls(plant.nactuators, 500, dt, 6)
         q = rollout(plant, rest_state(plant), ctrl, dt).q
         result = invert_trajectory(plant, q, 500.0)
-        m = plant._muscle
-        args = (dt, m.tau_act, m.tau_deact, m.tau_smooth)
+        args = (dt, *plant._muscle.taus)
         reference = bisect_ctrl(result.act[:-1], result.act[1:], *args)
         assert result.ctrl[:-1].tobytes() == reference.tobytes()
 
@@ -569,13 +567,12 @@ class TestInvertTrajectory:
         q = rollout(plant, rest_state(plant), ctrl, dt).q
         result = invert_trajectory(plant, q, 500.0)
         qdot, qddot = differentiate(q, dt)
-        m = plant._muscle
         gain, bias = _gain_bias(plant, *_normalized(plant, *tendon_kinematics(plant, q, qdot)))
         q_frc = inverse_dynamics(plant, q, qdot, qddot)
         expected = [
             solve_box_qp(frame_problem(InverseInputs(
                 plant.moment_arms, gain[t], bias[t], result.act[t], q_frc[t], dt,
-                m.tau_act, m.tau_deact, m.tau_smooth,
+                *plant._muscle.taus,
             )))[1].iterations
             for t in range(q.shape[0])
         ]
@@ -742,8 +739,7 @@ class TestInvertTrajectory:
         dt = 0.01
         ctrl = smooth_random_controls(plant.nactuators, 400, dt, seed)
         inv = invert_trajectory(plant, rollout(plant, rest_state(plant), ctrl, dt).q, 100.0)
-        m = plant._muscle
-        reach = [step_activation(inv.act[:-1], u, dt, m.tau_act, m.tau_deact, m.tau_smooth)
+        reach = [step_activation(inv.act[:-1], u, dt, *plant._muscle.taus)
                  for u in (0.0, 1.0)]
         assert np.all((reach[0] <= inv.act[1:]) & (inv.act[1:] <= reach[1]))
 

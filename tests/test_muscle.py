@@ -11,11 +11,11 @@ from myoctl.muscle import (
     MuscleGeometry,
     MuscleParams,
     _fl,
-    _fl_constants,
+    _fl_args,
     _fp,
-    _fp_constants,
+    _fp_args,
     _fv,
-    _fv_constants,
+    _fv_args,
     calibrate_geometry,
     fl_curve,
     fp_curve,
@@ -220,9 +220,9 @@ class TestKernels:
     def test_kernels_on_derived_constants_match_the_public_curves(self, p):
         lgrid = np.linspace(p.lmin - 0.5, p.lmax + 0.5, 1001)
         vgrid = np.linspace(-2.0 * p.vmax, 2.0 * p.vmax, 1001)
-        fl = _fl(lgrid, p.lmin, p.lmax, *_fl_constants(p.lmin, p.lmax))
-        fv = _fv(vgrid, p.vmax, *_fv_constants(p.fvmax))
-        fp = _fp(lgrid, *_fp_constants(p.lmax, p.fpmax))
+        fl = _fl(lgrid, *_fl_args(p.lmin, p.lmax))
+        fv = _fv(vgrid, *_fv_args(p.vmax, p.fvmax))
+        fp = _fp(lgrid, *_fp_args(p.lmax, p.fpmax))
         assert np.array_equal(fl, fl_curve(lgrid, p.lmin, p.lmax))
         assert np.array_equal(fv, fv_curve(vgrid, p.vmax, p.fvmax))
         assert np.array_equal(fp, fp_curve(lgrid, p.lmax, p.fpmax))

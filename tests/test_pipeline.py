@@ -2,12 +2,14 @@ import json
 import re
 import time
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import myoctl.pipeline
 from myoctl.inverse import invert_trajectory
 from myoctl.pipeline import (
     ConfigurationError,
@@ -204,7 +206,7 @@ class TestProcessSession:
             id="short", rate_hz=rate_hz, channel_names=toy_plant.joint_names,
             data=np.zeros((toy_plant.njoints, nframes)),
         )
-        message = f"session 'short' has {nframes} frames; at least {minimum} are needed at {rate_hz} Hz"
+        message = f"^session has {nframes} frames; at least {minimum} are needed at {rate_hz} Hz$"
         with pytest.raises(ValueError, match=message):
             process_session(short, toy_plant)
 
@@ -283,6 +285,27 @@ class TestProcessSession:
         session = pose_session(toy_plant, seed=8, nframes=400)
         with pytest.raises(ConfigurationError, match="elbow"):
             process_session(session, toy_plant, joint_map={"elbow": "mcp"})
+
+    @pytest.mark.parametrize("channels, joint_map, shared", [
+        (("a",), {"mcp": "a", "pip": "a"}, "{'a': ['mcp', 'pip']}"),
+        # The unmapped 'pip' reads its own name, which 'mcp' is mapped to.
+        (("pip",), {"mcp": "pip"}, "{'pip': ['mcp', 'pip']}"),
+    ], ids=["one_channel_two_joints", "unmapped_joint_shares_a_channel"])
+    def test_one_channel_feeding_two_joints_errors(self, toy_plant, channels, joint_map, shared):
+        session = pose_session(toy_plant, seed=8, nframes=400)
+        one = Session(id="one", rate_hz=2000, channel_names=channels, data=session.data[:1])
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"feeds one channel to several joints: {shared}")):
+            process_session(one, toy_plant, joint_map=joint_map)
+
+    def test_joint_map_may_swap_channels(self, toy_plant):
+        session = pose_session(toy_plant, seed=8, nframes=400)
+        # The mcp trace is stored as 'pip' and the pip trace as 'mcp'.
+        swapped = Session(id=session.id, rate_hz=2000, channel_names=("pip", "mcp"),
+                          data=session.data)
+        out, record = process_session(swapped, toy_plant, joint_map={"mcp": "pip", "pip": "mcp"})
+        assert record.status == "ok"
+        assert np.array_equal(out.data, process_session(session, toy_plant)[0].data)
 
     def test_frame_count_preserved_for_ragged_lengths(self, toy_plant):
         session = pose_session(toy_plant, seed=9, nframes=2002)  # not divisible by 4
@@ -417,17 +440,46 @@ class TestRunBatch:
         assert all(doc == manifests[0] for doc in manifests[1:])
         assert all(blobs == payloads[0] for blobs in payloads[1:])
 
-    @pytest.mark.parametrize("joint_map", [{"elbow": "mcp"}], ids=["unknown_joint"])
+    @pytest.mark.parametrize("joint_map, message", [
+        ({"elbow": "mcp"}, "unknown joints: ['elbow']"),
+        ({"mcp": "a", "pip": "a"}, "several joints: {'a': ['mcp', 'pip']}"),
+        ({"mcp": "pip"}, "several joints: {'pip': ['mcp', 'pip']}"),
+    ], ids=["unknown_joint", "one_channel_two_joints", "unmapped_joint_shares_a_channel"])
     def test_bad_options_are_rejected_before_any_session_is_read(
-        self, tmp_path, toy_plant, monkeypatch, joint_map
+        self, tmp_path, toy_plant, monkeypatch, joint_map, message
     ):
         src = self._make_batch(tmp_path, toy_plant, count=3)
         read = []
         monkeypatch.setattr("myoctl.pipeline.read_session", read.append)
-        with pytest.raises(ConfigurationError, match=r"unknown joints: \['elbow'\]"):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
             run_batch(src, toy_plant, tmp_path / "out", workers=1, joint_map=joint_map)
         assert read == []
         assert not (tmp_path / "out").exists()
+
+    def test_failed_write_leaves_no_temporary_directory(self, tmp_path, toy_plant, monkeypatch):
+        src = tmp_path / "sessions"
+        write_session(pose_session(toy_plant, nframes=1000), src / "a")
+        real = myoctl.pipeline._write_atomic
+
+        def disk_full(path, payload):
+            if Path(path).name == "data.bin":
+                raise OSError(28, "No space left on device")
+            real(path, payload)
+
+        monkeypatch.setattr(myoctl.pipeline, "_write_atomic", disk_full)
+        out = tmp_path / "out"
+        manifest = run_batch(src, toy_plant, out, workers=1)
+        assert [(r.id, r.status) for r in manifest.records] == [("a", "failed")]
+        assert manifest.records[0].failure_reason.startswith("OSError: [Errno 28]")
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+    def test_failure_reason_names_no_header_id(self, tmp_path, toy_plant):
+        # The directory names the session in a batch; its header id is 's2'.
+        session = pose_session(toy_plant, nframes=8, session_id="s2")
+        write_session(session, tmp_path / "sessions" / "r")
+        manifest = run_batch(tmp_path / "sessions", toy_plant, tmp_path / "out")
+        assert [(r.id, r.failure_reason) for r in manifest.records] == [
+            ("r", "ValueError: session has 8 frames; at least 11 are needed at 2000 Hz")]
 
     def test_empty_directory_is_an_error(self, tmp_path, toy_plant):
         (tmp_path / "nothing").mkdir()
