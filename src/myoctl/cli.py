@@ -31,7 +31,7 @@ from .plant import (
 )
 from .timeseries import resample
 
-__all__ = ["build_parser", "parse_args", "run", "main"]
+__all__ = ["parse_args", "run", "main"]
 
 
 def _checked(kind, name: str, ok, requirement: str):
@@ -62,7 +62,8 @@ _positive_int = _checked(int, "an integer", lambda v: v >= 1, "at least 1")
 _RMSE_TOL_RAD = 1e-2
 
 
-def build_parser() -> argparse.ArgumentParser:
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse and validate arguments; argparse exits with code 2 on misuse."""
     parser = argparse.ArgumentParser(
         prog="myoctl",
         description="Muscle-tendon actuation toolkit: simulate, invert, batch-convert.",
@@ -115,12 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rs.add_argument("--out", required=True)
     p_rs.add_argument("--to-hz", type=_positive_int, required=True)
 
-    return parser
-
-
-def parse_args(argv=None) -> argparse.Namespace:
-    """Parse and validate arguments; argparse exits with code 2 on misuse."""
-    return build_parser().parse_args(argv)
+    return parser.parse_args(argv)
 
 
 def _load_joint_map(path):

@@ -2,7 +2,7 @@
 
 One forward step (:func:`myoctl.plant._step`) advances the activation by
 ``act' = f(act, ctrl)``, the simulator's own
-:func:`~myoctl.activation._step_activation`, and then applies the joint
+:func:`~myoctl.muscle._step_activation`, and then applies the joint
 torque ``moment_arms @ (gain * act' + bias)``. ``f`` is monotone in the
 control, so controls in [0, 1] reach exactly the activations in
 ``[f(act, 0), f(act, 1)]``. In the force-space variable ``x = gain * (act' -
@@ -13,9 +13,10 @@ squares. The next activation is ``act + x / gain``, clamped to its bounds; a
 dead (zero-gain) actuator keeps its activation.
 
 A trajectory is inverted in three passes. Everything that depends only on
-the joint motion (the integrator's difference stencils, tendon kinematics,
-muscle gain and bias, the required generalized force, the activation-free
-part of each frame's force gap and each frame's failure threshold) is
+the joint motion (the integrator's difference stencils of
+:func:`myoctl.plant.differentiate`, tendon kinematics, muscle gain and
+bias, the required generalized force, the activation-free part of each
+frame's force gap and each frame's failure threshold) is
 computed and checked once on the whole ``(nframes, ...)`` arrays, and a
 frame that fails a check raises a ``ValueError`` naming it. The sequential
 loop then keeps only what depends on the running activation, which starts
@@ -26,10 +27,10 @@ its frames last; a single trajectory is the one-lane case. Each frame is
 one :func:`_advance` call, which computes for every lane at once the force
 gap, the bounds and the box, solves the lanes' problems in one
 :meth:`~myoctl.qp.BvlsSolver.solve` call on the stack, by one solver bound
-to the moment arms (so each distinct free set's pseudo-inverse is computed
-once, and no per-frame problem object is built or checked), and clamps the
-next activations. A lane's outputs are bit for bit the same whichever lanes
-share its loop.
+to the moment arms (so a free set's cached pseudo-inverse serves every
+frame that meets it, and no per-frame problem object is built or checked),
+and clamps the next activations. A lane's outputs are bit for bit the same
+whichever lanes share its loop.
 The residual vectors ``A x - b`` of every frame are reduced once after the
 loop. A last vectorized pass per lane recovers every frame's control from
 its pair of activations: it returns what 53 bisections of [0, 1] on ``f``
@@ -50,20 +51,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activation import _step_activation, _time_constant
-from .muscle import _require_positive
-from .plant import Plant, inverse_dynamics, tendon_kinematics, _gain_bias, _normalized
+from .muscle import _require_positive, _step_activation, _time_constant
+from .plant import Plant, differentiate, inverse_dynamics, tendon_kinematics, _gain_bias, _normalized
 from .qp import BvlsSolver
-from .timeseries import differentiate
 
 # bench/spans.py patches these names in this module, so they must stay
 # importable here.
-from .activation import step_activation  # noqa: F401
+from .muscle import step_activation  # noqa: F401
 from .qp import solve_box_qp  # noqa: F401
 
 __all__ = [
     "InverseInputs",
-    "FrameSolution",
     "TrajectoryInversion",
     "RoundTripReport",
     "invert_frame",

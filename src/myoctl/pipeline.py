@@ -48,7 +48,6 @@ from .timeseries import resample
 from .inverse import invert_trajectory  # noqa: F401
 
 __all__ = [
-    "SESSION_FORMAT",
     "SessionFormatError",
     "SessionVersionError",
     "SessionTruncatedError",
@@ -425,19 +424,25 @@ def process_session(
 
 def _write_session_atomic(session: Session, final_dir: Path) -> None:
     """Write ``session`` to a temporary sibling directory, then rename it onto
-    ``final_dir``. A failed write or rename removes the temporary directory
-    and raises."""
-    tmp = final_dir.with_name(f".tmp-{final_dir.name}-{os.getpid()}")
-    if tmp.exists():
-        shutil.rmtree(tmp)
+    ``final_dir``. An earlier ``final_dir`` is renamed aside first and removed
+    only once the new one is in place. A failed write or rename removes the
+    temporary directory, puts the earlier directory back and raises."""
+    tmp, aside = (final_dir.with_name(f".{tag}-{final_dir.name}-{os.getpid()}")
+                  for tag in ("tmp", "old"))
+    for stale in (tmp, aside):
+        if stale.exists():
+            shutil.rmtree(stale)
     try:
         write_session(session, tmp)
         if final_dir.exists():
-            shutil.rmtree(final_dir)
+            os.replace(final_dir, aside)
         os.replace(tmp, final_dir)
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
+        if aside.exists():
+            os.replace(aside, final_dir)
         raise
+    shutil.rmtree(aside, ignore_errors=True)
 
 
 def _convert_group(args) -> list[SessionRecord]:

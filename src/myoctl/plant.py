@@ -7,6 +7,11 @@ matrix: tendon lengths are affine in the joint angles
 joint torques as ``torque = moment_arms @ force``. Gravity, when enabled,
 contributes ``gravity * sin(q)`` to the joint load.
 
+A plant advances by semi-implicit Euler steps: the activation filter of
+:mod:`myoctl.muscle`, then the velocity, then the pose. :func:`differentiate`
+inverts the last two updates, giving the inversion its velocities and
+accelerations from a pose trajectory.
+
 Plants are immutable after construction and safe to share across workers;
 stepping returns a fresh state. Definitions round-trip through a
 human-readable JSON document versioned ``myoctl-plant/1``.
@@ -24,24 +29,14 @@ from pathlib import Path
 import numpy as np
 
 # The step calls the unchecked kernels.
-from .activation import _step_activation, smoothstep
 from .muscle import (
-    MuscleGeometry,
-    MuscleParams,
-    _fl,
-    _fl_args,
-    _fp,
-    _fp_args,
-    _fv,
-    _fv_args,
-    _require_positive,
-    calibrate_geometry,
+    MuscleGeometry, MuscleParams, _fl, _fl_args, _fp, _fp_args, _fv, _fv_args,
+    _require_positive, _step_activation, calibrate_geometry, smoothstep,
 )
 
 # bench/spans.py patches these names in this module, so they must stay
 # importable here.
-from .activation import step_activation  # noqa: F401
-from .muscle import fl_curve, fp_curve, fv_curve  # noqa: F401
+from .muscle import fl_curve, fp_curve, fv_curve, step_activation  # noqa: F401
 
 __all__ = [
     "PlantError",
@@ -58,7 +53,7 @@ __all__ = [
     "smooth_random_controls",
     "save_plant",
     "load_plant",
-    "PLANT_FORMAT",
+    "differentiate",
 ]
 
 PLANT_FORMAT = "myoctl-plant/1"
@@ -372,6 +367,34 @@ def _simulate(plant: Plant, state: PlantState, ctrl_traj: np.ndarray, dt):
     if diverged:
         raise PlantError("simulation diverged to a non-finite state")
     return q, qdot, act
+
+
+def differentiate(q_traj, dt: float):
+    """Velocities and accelerations with the semi-implicit Euler stencils.
+
+    Time runs along axis 0. The velocity is the backward difference
+    ``qdot_t = (q_t - q_{t-1}) / dt``, with ``qdot_0 = 0`` (a start from
+    rest), and the acceleration the forward difference of the velocity,
+    ``qddot_t = (qdot_{t+1} - qdot_t) / dt``, with the last frame copied.
+    They invert the two updates of :func:`_step`, ``qdot' = qdot + dt *
+    qddot`` and ``q' = q + dt * qdot'``: on a trajectory logged by
+    :func:`rollout` from rest they give, to round-off, the logged pre-step
+    velocities and the accelerations each step applied.
+
+    Raises:
+        ValueError: for fewer than 3 frames or a ``dt`` that is not positive
+            and finite.
+    """
+    q = np.asarray(q_traj, dtype=float)
+    if q.shape[0] < 3:
+        raise ValueError("need at least 3 frames to differentiate")
+    _require_positive("dt", dt)
+    qdot = np.zeros_like(q)
+    qdot[1:] = (q[1:] - q[:-1]) / dt
+    qddot = np.empty_like(q)
+    qddot[:-1] = (qdot[1:] - qdot[:-1]) / dt
+    qddot[-1] = qddot[-2]
+    return qdot, qddot
 
 
 def forward_step(plant: Plant, state: PlantState, ctrl, dt: float) -> PlantState:

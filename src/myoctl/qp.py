@@ -9,8 +9,8 @@ fixed work once, when it is built: it checks that ``A`` is finite and
 computes the full-column pseudo-inverse that every unbounded first step
 uses. Each free-set subproblem is solved as ``pinv(A[:, free]) @ rhs``;
 every pseudo-inverse is computed the first time its free set appears and
-kept for the life of the solver, so a trajectory whose frames share ``A``
-pays for each distinct free set once. :meth:`BvlsSolver.solve`, the one
+kept in a bounded least-recently-used cache, so frames that share ``A``
+reuse each other's free sets. :meth:`BvlsSolver.solve`, the one
 entry point, solves a stack of problems on plain arrays, one per row, and
 checks only ``max_iter``: it takes every row's unbounded first step at
 once and runs the BVLS loop only on the rows whose first step leaves the
@@ -30,12 +30,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BoxQp", "QpDiagnostics", "BvlsSolver", "solve_box_qp"]
+__all__ = ["BoxQp", "BvlsSolver", "solve_box_qp"]
 
 # The KKT tolerance of every solve (also BVLS's relative cost-change stop)
 # and the default cap on BVLS main-loop iterations.
 _TOL = 1e-10
 _MAX_ITER = 20000
+# The most free-set pseudo-inverses a solver keeps, dropping the least recently
+# used past it; a rebuilt entry has the same bits. A clean 1000-frame hand_like
+# round trip uses at most 81 sets; a noisy one finds 90.9 % of its lookups
+# cached at this bound against 91.1 % unbounded.
+_PINV_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,13 +100,13 @@ class BvlsSolver:
     Every pseudo-inverse, the unbounded first step's included, cuts
     singular values below ``eps * max(shape)`` times the largest, the
     default of ``np.linalg.lstsq``. The full-column one is computed when
-    the solver is built; the others are kept per free-column mask for the
-    life of the solver. ``lsq_linear`` cuts its first step at ``eps``
-    instead; on a full-rank matrix the two agree, while on a rank-deficient
-    one (exactly dependent columns) the steps and iteration counts may
-    differ and the objective still agrees. ``A`` must be finite (a
-    ``ValueError`` says so otherwise); it is not copied, so it must not
-    change while the solver is in use.
+    the solver is built; of the others, the ``_PINV_CACHE_SIZE`` most
+    recently used are kept per free-column mask. ``lsq_linear`` cuts its
+    first step at ``eps`` instead; on a full-rank matrix the two agree, while
+    on a rank-deficient one (exactly dependent columns) the steps and
+    iteration counts may differ and the objective still agrees. ``A`` must
+    be finite (a ``ValueError`` says so otherwise); it is not copied, so it
+    must not change while the solver is in use.
     """
 
     def __init__(self, A) -> None:
@@ -112,14 +117,18 @@ class BvlsSolver:
             raise ValueError("A contains non-finite entries")
         # The unbounded first step's pseudo-inverse, outside the free-set cache.
         self._pinv_all = _pinv(self.A)
+        # In order of last use, oldest first.
         self._pinv: dict[bytes, np.ndarray] = {}
 
     def _subproblem(self, free: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Minimum-norm least-squares solution on the columns ``free`` masks."""
         key = free.tobytes()
-        pinv = self._pinv.get(key)
+        pinv = self._pinv.pop(key, None)
         if pinv is None:
-            pinv = self._pinv[key] = _pinv(self.A[:, free])
+            pinv = _pinv(self.A[:, free])
+            if len(self._pinv) >= _PINV_CACHE_SIZE:
+                del self._pinv[next(iter(self._pinv))]
+        self._pinv[key] = pinv
         return pinv @ rhs
 
     def solve(self, b, lb, ub, max_iter: int = _MAX_ITER):

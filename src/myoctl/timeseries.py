@@ -1,4 +1,4 @@
-"""Rate conversion and numerical differentiation for uniformly sampled traces.
+"""Rate conversion for uniformly sampled traces.
 
 Numpy only: the anti-alias filter is a Kaiser-windowed sinc designed here,
 and the polyphase resampler zero-stuffs, filters and decimates with the same
@@ -11,7 +11,7 @@ import numpy as np
 
 from .muscle import _require_positive
 
-__all__ = ["resample", "differentiate"]
+__all__ = ["resample"]
 
 # Anti-alias / interpolation filter: linear-phase FIR, Kaiser window, cutoff
 # at 80% of the low-rate Nyquist, 64 taps per polyphase branch.
@@ -141,30 +141,3 @@ def resample(trace, from_hz: float, to_hz: float, axis: int = -1):
     out = full[pad * up : pad * up + n_out]
     return np.moveaxis(out, 0, axis)
 
-
-def differentiate(q_traj, dt: float):
-    """Velocities and accelerations with the semi-implicit Euler stencils.
-
-    Time runs along axis 0. The velocity is the backward difference
-    ``qdot_t = (q_t - q_{t-1}) / dt``, with ``qdot_0 = 0`` (a start from
-    rest), and the acceleration the forward difference of the velocity,
-    ``qddot_t = (qdot_{t+1} - qdot_t) / dt``, with the last frame copied.
-    On a trajectory logged by :func:`myoctl.plant.rollout` from rest these
-    are, to round-off, the logged pre-step velocities and the accelerations
-    each step applied.
-
-    Raises:
-        ValueError: for fewer than 3 frames or a ``dt`` that is not positive
-            and finite.
-    """
-    q = np.asarray(q_traj, dtype=float)
-    if q.shape[0] < 3:
-        raise ValueError("need at least 3 frames to differentiate")
-    _require_positive("dt", dt)
-
-    qdot = np.zeros_like(q)
-    qdot[1:] = (q[1:] - q[:-1]) / dt
-    qddot = np.empty_like(q)
-    qddot[:-1] = (qdot[1:] - qdot[:-1]) / dt
-    qddot[-1] = qddot[-2]
-    return qdot, qddot

@@ -7,7 +7,7 @@ controls bit for bit.
 
 import numpy as np
 
-from myoctl.activation import _step_activation
+from myoctl.muscle import _step_activation
 
 
 def bisect_ctrl(act, act_next, dt, tau_act, tau_deact, tau_smooth):

@@ -10,10 +10,17 @@ import numpy as np
 import pytest
 from scipy.linalg import cholesky, solve_triangular
 
-from myoctl.activation import _time_constant, smoothstep, step_activation
 from myoctl.cli import parse_args, run
 from myoctl.inverse import roundtrip
-from myoctl.muscle import MuscleParams, fl_curve, fp_curve, fv_curve
+from myoctl.muscle import (
+    MuscleParams,
+    _time_constant,
+    fl_curve,
+    fp_curve,
+    fv_curve,
+    smoothstep,
+    step_activation,
+)
 from myoctl.plant import (
     make_fixture,
     rest_state,

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from myoctl.activation import _time_constant, smoothstep, step_activation
+from myoctl.muscle import _time_constant, smoothstep, step_activation
 
 
 class TestSmoothstep:

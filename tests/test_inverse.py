@@ -18,13 +18,13 @@ from myoctl.inverse import (
     invert_trajectory,
     roundtrip,
 )
-from myoctl.activation import step_activation
-from myoctl.muscle import MuscleParams
+from myoctl.muscle import MuscleParams, step_activation
 from myoctl.pipeline import _GROUP_CAP
 from myoctl.plant import (
     PlantError,
     _gain_bias,
     _normalized,
+    differentiate,
     inverse_dynamics,
     make_fixture,
     rest_state,
@@ -33,7 +33,6 @@ from myoctl.plant import (
     tendon_kinematics,
 )
 from myoctl.qp import BoxQp, BvlsSolver, solve_box_qp
-from myoctl.timeseries import differentiate
 
 from ctrl_oracle import bisect_ctrl
 from qp_oracle import kkt_residual

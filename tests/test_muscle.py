@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from myoctl.activation import step_activation
 from myoctl.muscle import (
     CalibrationError,
     MuscleGeometry,
@@ -20,6 +19,7 @@ from myoctl.muscle import (
     fl_curve,
     fp_curve,
     fv_curve,
+    step_activation,
 )
 from myoctl.plant import PlantError, PlantState, _gain_bias, _normalized, make_fixture
 

@@ -473,6 +473,27 @@ class TestRunBatch:
         assert manifest.records[0].failure_reason.startswith("OSError: [Errno 28]")
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
+    def test_failed_rerun_keeps_the_previous_output(self, tmp_path, toy_plant, monkeypatch):
+        src = tmp_path / "sessions"
+        for seed, name in enumerate(("a", "b")):
+            write_session(pose_session(toy_plant, seed=seed, nframes=1000), src / name)
+        out = tmp_path / "out"
+        run_batch(src, toy_plant, out, workers=1)
+        before = {p.name: p.read_bytes() for p in (out / "a").iterdir()}
+        real = myoctl.pipeline.os.replace
+
+        def install_fails(source, target):
+            if Path(target) == out / "a" and Path(source).name.startswith(".tmp-"):
+                raise OSError(5, "Input/output error")
+            real(source, target)
+
+        monkeypatch.setattr(myoctl.pipeline.os, "replace", install_fails)
+        manifest = run_batch(src, toy_plant, out, workers=1)
+        assert [(r.id, r.status) for r in manifest.records] == [("a", "failed"), ("b", "ok")]
+        assert manifest.records[0].failure_reason.startswith("OSError: [Errno 5]")
+        assert {p.name: p.read_bytes() for p in (out / "a").iterdir()} == before
+        assert sorted(p.name for p in out.iterdir()) == ["a", "b", "manifest.json"]
+
     def test_failure_reason_names_no_header_id(self, tmp_path, toy_plant):
         # The directory names the session in a batch; its header id is 's2'.
         session = pose_session(toy_plant, nframes=8, session_id="s2")

@@ -9,7 +9,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from myoctl import plant as plant_module
-from myoctl.activation import step_activation
 from myoctl.muscle import (
     CalibrationError,
     MuscleGeometry,
@@ -18,6 +17,7 @@ from myoctl.muscle import (
     fl_curve,
     fp_curve,
     fv_curve,
+    step_activation,
 )
 from myoctl.plant import (
     Plant,
@@ -620,7 +620,7 @@ class TestRandomControls:
         # the plain product reaches 1.0000000000000013 at frame 949, which
         # rollout would reject. The controls are bounded by 1 after the
         # envelope, and every product already in [0, 1] keeps its bits.
-        from myoctl.activation import smoothstep
+        from myoctl.muscle import smoothstep
 
         nframes, dt, settle = 1000, 0.002, 0.1
         ctrl = smooth_random_controls(4, nframes, dt, 100, settle=settle)

@@ -3,7 +3,9 @@ import pytest
 from scipy.linalg import cholesky, solve_triangular
 from scipy.optimize import lsq_linear
 
-from myoctl.plant import make_fixture
+import myoctl.qp
+from myoctl.inverse import invert_trajectory
+from myoctl.plant import make_fixture, rest_state, rollout, smooth_random_controls
 from myoctl.qp import BoxQp, BvlsSolver, solve_box_qp
 
 import qp_oracle
@@ -370,6 +372,36 @@ class TestProperties:
         assert diag.converged
         assert diag.iterations < 100
         assert kkt_residual(problem, x) <= 1e-10
+
+
+class TestPinvCache:
+    def test_a_small_cache_stays_bounded_and_changes_no_bit(self, monkeypatch):
+        # Pose noise makes nearly every hand_like frame meet new free sets,
+        # so a cache of 8 evicts and rebuilds entries throughout the run.
+        plant = make_fixture("hand_like")
+        ctrl = smooth_random_controls(plant.nactuators, 300, 0.002, 1)
+        q = rollout(plant, rest_state(plant), ctrl, 0.002).q
+        q = q + 1e-4 * np.random.default_rng(7).standard_normal(q.shape)
+        real = BvlsSolver._subproblem
+        sizes, keys = [], set()
+
+        def recording(self, free, rhs):
+            out = real(self, free, rhs)
+            sizes.append(len(self._pinv))
+            keys.add(free.tobytes())
+            return out
+
+        runs = []
+        for cap in (10**9, 8):
+            monkeypatch.setattr(myoctl.qp, "_PINV_CACHE_SIZE", cap)
+            monkeypatch.setattr(BvlsSolver, "_subproblem", recording)
+            sizes.clear()
+            runs.append(invert_trajectory(plant, q, 500.0))
+        assert len(keys) > 8
+        assert max(sizes) == 8
+        unbounded, bounded = runs
+        for name in ("ctrl", "act", "residuals", "iterations", "causes"):
+            assert getattr(bounded, name).tobytes() == getattr(unbounded, name).tobytes(), name
 
 
 class TestValidation:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from myoctl import timeseries
-from myoctl.plant import make_fixture, rest_state, rollout, smooth_random_controls
-from myoctl.timeseries import differentiate, resample
+from myoctl.plant import differentiate, make_fixture, rest_state, rollout, smooth_random_controls
+from myoctl.timeseries import resample
 
 
 def scipy_lowpass(ratio, high_rate, low_rate):
