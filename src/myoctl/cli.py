@@ -132,6 +132,9 @@ def _cmd_simulate(args) -> int:
     plant = load_plant(args.plant)
     dt = 1.0 / args.rate
     nframes = int(round(args.duration * args.rate))
+    if nframes < 2:
+        raise ValueError(f"--duration {args.duration} s at --rate {args.rate} Hz gives "
+                         f"{nframes} frames; simulate needs at least 2")
     ctrl = smooth_random_controls(
         plant.nactuators, nframes, dt, args.seed, settle=args.settle
     )

@@ -24,8 +24,9 @@ from zero: the frame's activation bounds and box, the solve, and the next
 activation. The loop advances several trajectories (lanes) of one plant
 together on ``(lanes, nact)`` stacks, the longest first, each lane while
 its frames last; a single trajectory is the one-lane case. Each frame is
-one :func:`_advance` call, which computes for every lane at once the force
-gap, the bounds and the box, solves the lanes' problems in one
+one call of :func:`invert_frame`, the module's one frame function, which
+computes for every lane at once the force gap, the bounds and the box,
+solves the lanes' problems in one
 :meth:`~myoctl.qp.BvlsSolver.solve` call on the stack, by one solver bound
 to the moment arms (so a free set's cached pseudo-inverse serves every
 frame that meets it, and no per-frame problem object is built or checked),
@@ -40,9 +41,6 @@ therefore reproduces the inversion's activations, and a trajectory the
 forward model produced at the same rate, to round-off. A returned
 inversion's status is failed only when more than 1 % of its frames are
 infeasible.
-
-:func:`invert_frame` checks one frame's inputs (:class:`InverseInputs`) and
-runs :func:`_advance` on a stack of one, as the loop runs a one-lane frame.
 """
 
 from __future__ import annotations
@@ -61,10 +59,8 @@ from .muscle import step_activation  # noqa: F401
 from .qp import solve_box_qp  # noqa: F401
 
 __all__ = [
-    "InverseInputs",
     "TrajectoryInversion",
     "RoundTripReport",
-    "invert_frame",
     "invert_trajectory",
     "roundtrip",
     "MIN_FRAMES",
@@ -94,64 +90,6 @@ MIN_FRAMES = 3
 # What each per-frame cause code in TrajectoryInversion.causes means.
 CAUSES = ("ok", "unreachable force", "not converged")
 _UNREACHABLE, _NOT_CONVERGED = 1, 2
-
-
-@dataclass(frozen=True, eq=False)
-class InverseInputs:
-    """Everything needed to invert one frame.
-
-    Attributes:
-        moment_arms: (njoints, nactuators) transmission matrix.
-        gain, bias: affine force decomposition at this frame (N, gain <= 0).
-        act: current activation state in [0, 1].
-        q_frc: target generalized force (N m).
-        timestep: integration step (s).
-        tau_act, tau_deact, tau_smooth: the activation filter's rise and
-            fall time constants and switch width (s); scalars or
-            per-muscle.
-
-    Every entry must be finite; a ``ValueError`` names the first field that
-    breaks a condition.
-    """
-
-    moment_arms: np.ndarray
-    gain: np.ndarray
-    bias: np.ndarray
-    act: np.ndarray
-    q_frc: np.ndarray
-    timestep: float
-    tau_act: float | np.ndarray
-    tau_deact: float | np.ndarray
-    tau_smooth: float | np.ndarray
-
-    def __post_init__(self) -> None:
-        taus = ("tau_act", "tau_deact", "tau_smooth")
-        for attr in ("moment_arms", "gain", "bias", "act", "q_frc") + taus:
-            object.__setattr__(self, attr, np.asarray(getattr(self, attr), dtype=float))
-        nj, na = self.moment_arms.shape
-        if self.gain.shape != (na,) or self.bias.shape != (na,) or self.act.shape != (na,):
-            raise ValueError("per-actuator vectors do not match the transmission width")
-        if self.q_frc.shape != (nj,):
-            raise ValueError("q_frc does not match the joint count")
-        for attr in ("moment_arms", "gain", "bias", "act", "q_frc"):
-            if not np.isfinite(getattr(self, attr)).all():
-                raise ValueError(f"{attr} contains non-finite entries")
-        for attr in ("timestep",) + taus:
-            _require_positive(attr, getattr(self, attr))
-        if np.any(self.act < 0.0) or np.any(self.act > 1.0):
-            raise ValueError("act must lie in [0, 1]")
-        if np.any(self.gain > 0.0):
-            raise ValueError("gain must be non-positive (muscles only pull)")
-
-
-@dataclass(frozen=True, eq=False)
-class FrameSolution:
-    """Recovered controls for one frame plus the achieved force residual."""
-
-    ctrl: np.ndarray
-    x: np.ndarray
-    residual: float
-    converged: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,10 +132,10 @@ def _gap_base(moment_arms, gain, bias, q_frc) -> tuple[np.ndarray, np.ndarray]:
     return gap_base, ~np.isfinite(bound).all(axis=-1)
 
 
-def _advance(solver, act, gain, gap_base, live_gain, safe_gain, filter_args):
+def invert_frame(solver, act, gain, gap_base, live_gain, safe_gain, filter_args):
     """One frame's step for a ``(lanes, nact)`` stack of activations.
 
-    Returns ``(act_next, x, iterations, converged, residual)``, one row per
+    Returns ``(act_next, iterations, converged, residual)``, one row per
     lane. The force gap ``moment_arms @ (gain * act) + gap_base`` is a
     stacked-column product, which gives each lane the bits of its own
     matrix-vector product. The activation step under controls 0 and 1
@@ -208,6 +146,11 @@ def _advance(solver, act, gain, gap_base, live_gain, safe_gain, filter_args):
     call (``solver`` is bound to the moment arms) solves every lane, and the
     next activation is ``act + x / gain`` clamped to the bounds, which a dead
     actuator's ``safe_gain`` of 1 and pinned ``x`` keep at ``act``.
+
+    It has a public name because :func:`_invert_lanes` looks it up by that
+    module-global name on every frame, so a wrapper set on
+    ``myoctl.inverse.invert_frame`` (the benchmark tracer's frame span) sees
+    each frame that runs. It takes unchecked arrays, so it is not in ``__all__``.
     """
     gap = (solver.A @ (gain * act)[..., None])[..., 0] + gap_base
     bounds = _step_activation(act, _CTRL_EDGES, *filter_args)
@@ -215,7 +158,7 @@ def _advance(solver, act, gain, gap_base, live_gain, safe_gain, filter_args):
     ub, lb = live_gain * (bounds - act)
     x, iterations, converged, residual = solver.solve(-gap, lb, ub)
     act_next = np.minimum(np.maximum(act + x / safe_gain, bounds[0]), bounds[1])
-    return act_next, x, iterations, converged, residual
+    return act_next, iterations, converged, residual
 
 
 def _reject_frames(what: str, bad: np.ndarray) -> None:
@@ -297,29 +240,6 @@ def _recover_ctrl(act, act_next, dt, tau_act, tau_deact, tau_smooth):
         rest = [np.broadcast_to(v, lo.shape)[~seeded] for v in (act, act_next) + filter_args]
         ctrl[~seeded] = _bisect(rest[0], rest[1], 0.0, 0, rest[2:])
     return ctrl
-
-
-def invert_frame(inp: InverseInputs) -> FrameSolution:
-    """Solve one frame: bounded least squares, next activation, control.
-
-    The residual is ``||moment_arms @ x + k||_inf``; it is zero (within the
-    solver tolerance) exactly when the target force is reachable this step.
-    The frame is the inversion loop's one-lane frame: :func:`_advance` on a
-    stack of one.
-
-    Raises:
-        ValueError: if the force gap can overflow for some activation in
-            [0, 1].
-    """
-    gap_base, overflows = _gap_base(inp.moment_arms, inp.gain, inp.bias, inp.q_frc)
-    if overflows:
-        raise ValueError("force gap overflows for some activation in [0, 1]")
-    filter_args = (inp.timestep, inp.tau_act, inp.tau_deact, inp.tau_smooth)
-    act_next, x, _, converged, residual = _advance(
-        BvlsSolver(inp.moment_arms), inp.act[None], inp.gain, gap_base, *_live(inp.gain),
-        filter_args)
-    return FrameSolution(ctrl=_recover_ctrl(inp.act, act_next[0], *filter_args), x=x[0],
-                         residual=float(np.abs(residual).max()), converged=bool(converged[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -411,7 +331,7 @@ def _invert_lanes(plant: Plant, lanes: list[_Lane]) -> list[TrajectoryInversion]
         g, gb, lg, sg, a_, r_, it_, ok_ = (v[:, :k] for v in (
             gain, gap_base, live_gain, safe_gain, act, residual_vectors, iterations, converged))
         for t in range(start, stop):
-            a_[t + 1], _, it_[t], ok_[t], r_[t] = _advance(
+            a_[t + 1], it_[t], ok_[t], r_[t] = invert_frame(
                 solver, a_[t], g[t], gb[t], lg[t], sg[t], filter_args)
         start = stop
 

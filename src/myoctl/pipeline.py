@@ -504,12 +504,15 @@ def run_batch(
     in groups (see the module docstring). Every session is labelled by the
     fixed status rule that :func:`process_session` applies.
 
-    ``joint_map`` (as in :func:`process_session`) and the worker count are
-    checked once, before any session is read or ``out_dir`` is created.
+    ``joint_map`` (as in :func:`process_session`), the worker count and
+    ``out_dir`` are checked once, before any session is read or ``out_dir``
+    is created.
 
     Raises:
-        ValueError: if the input directory holds no sessions, or for a
-            worker count below 1.
+        ValueError: if the input directory holds no sessions, for a worker
+            count below 1, or for an ``out_dir`` that resolves to
+            ``input_dir``, where each output would replace its input
+            session (the message names both paths).
         ConfigurationError: for joint-map keys that name no plant joint, or
             a channel that would feed two joints.
     """
@@ -518,6 +521,9 @@ def run_batch(
         raise ValueError(f"workers must be at least 1, got {workers}")
     input_dir = Path(input_dir)
     out_dir = Path(out_dir)
+    if out_dir.resolve() == input_dir.resolve():
+        raise ValueError(f"out_dir {out_dir} resolves to input_dir {input_dir}; "
+                         "the outputs would replace the input sessions")
     session_dirs = sorted(
         p for p in input_dir.iterdir() if p.is_dir() and (p / "session.json").exists()
     ) if input_dir.is_dir() else []

@@ -7,7 +7,7 @@ import pytest
 import myoctl.cli
 from myoctl.cli import parse_args, run
 from myoctl.pipeline import Session, read_session, write_session
-from myoctl.plant import load_plant
+from myoctl.plant import load_plant, smooth_random_controls
 
 
 class TestParseArgs:
@@ -136,6 +136,41 @@ class TestCommands:
         assert session.rate_hz == 500
         assert session.n_frames == 250
         assert session.channel_names == ("mcp", "pip")
+
+    def test_simulate_saves_the_applied_controls(self, tmp_path):
+        plant_path = tmp_path / "plant.json"
+        run(parse_args(["gen-fixture", "--kind", "toy_finger", "--out", str(plant_path)]))
+        ctrl_dir = tmp_path / "ctrl"
+        code = run(parse_args(
+            ["simulate", "--plant", str(plant_path), "--out", str(tmp_path / "poses"),
+             "--duration", "0.5", "--rate", "500", "--seed", "3", "--settle", "0.1",
+             "--save-ctrl", str(ctrl_dir)]
+        ))
+        assert code == 0
+        plant = load_plant(plant_path)
+        controls = read_session(ctrl_dir)
+        assert controls.channel_names == plant.actuator_names
+        assert controls.rate_hz == 500
+        assert controls.metadata["kind"] == "tendon_ctrl"
+        expected = smooth_random_controls(plant.nactuators, 250, 1.0 / 500, 3, settle=0.1)
+        assert controls.data.dtype == np.float32
+        assert np.array_equal(controls.data, expected.T.astype(np.float32))
+
+    @pytest.mark.parametrize("duration, rate, frames", [("0.001", "500", 0), ("0.002", "500", 1)])
+    def test_simulate_names_the_flags_that_give_too_few_frames(
+            self, tmp_path, capsys, duration, rate, frames):
+        plant_path = tmp_path / "plant.json"
+        run(parse_args(["gen-fixture", "--kind", "toy_finger", "--out", str(plant_path)]))
+        capsys.readouterr()
+        code = run(parse_args(
+            ["simulate", "--plant", str(plant_path), "--out", str(tmp_path / "poses"),
+             "--duration", duration, "--rate", rate]
+        ))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: --duration {duration} s at --rate {rate} Hz gives {frames} frames; "
+            "simulate needs at least 2\n")
+        assert not (tmp_path / "poses").exists()
 
     def test_invert_500hz_session(self, tmp_path):
         plant_path = tmp_path / "plant.json"

@@ -519,6 +519,25 @@ class TestRunBatch:
         assert read == []
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("spelling", ["same", "dotdot", "symlink"])
+    def test_output_directory_that_is_the_input_is_refused(
+        self, tmp_path, toy_plant, monkeypatch, spelling
+    ):
+        # Each output would replace the pose session it came from.
+        src = self._make_batch(tmp_path, toy_plant, count=2)
+        out = {"same": src, "dotdot": src / "s00" / "..", "symlink": tmp_path / "link"}[spelling]
+        if spelling == "symlink":
+            out.symlink_to(src, target_is_directory=True)
+        before = {p: p.read_bytes() for p in src.rglob("*") if p.is_file()}
+        read = []
+        monkeypatch.setattr("myoctl.pipeline.read_session", read.append)
+        message = f"out_dir {out} resolves to input_dir {src}; "
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_batch(src, toy_plant, out, workers=1)
+        assert read == []
+        assert {p: p.read_bytes() for p in src.rglob("*") if p.is_file()} == before
+        assert not (src / "manifest.json").exists()
+
 
 class TestManifest:
     def test_totals_equal_sums(self):
