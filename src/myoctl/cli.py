@@ -164,6 +164,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_invert(args) -> int:
+    if Path(args.out).resolve() == Path(args.input).resolve():
+        raise ValueError(f"--out {args.out} resolves to --in {args.input}; "
+                         "the controls would replace the pose session")
     plant = load_plant(args.plant)
     session = read_session(args.input)
     out, record = pipeline.process_session(session, plant, _load_joint_map(args.joint_map))

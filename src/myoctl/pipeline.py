@@ -504,15 +504,18 @@ def run_batch(
     in groups (see the module docstring). Every session is labelled by the
     fixed status rule that :func:`process_session` applies.
 
-    ``joint_map`` (as in :func:`process_session`), the worker count and
-    ``out_dir`` are checked once, before any session is read or ``out_dir``
-    is created.
+    ``joint_map`` (as in :func:`process_session`), the worker count,
+    ``out_dir`` and every session's output directory are checked once,
+    before any session is read or ``out_dir`` is created.
 
     Raises:
         ValueError: if the input directory holds no sessions, for a worker
-            count below 1, or for an ``out_dir`` that resolves to
+            count below 1, for an ``out_dir`` that resolves to
             ``input_dir``, where each output would replace its input
-            session (the message names both paths).
+            session (the message names both paths), or for a session whose
+            ``out_dir/<name>`` resolves to ``input_dir`` or a directory
+            holding it, where that output would replace every input session
+            (the message names the session and both paths).
         ConfigurationError: for joint-map keys that name no plant joint, or
             a channel that would feed two joints.
     """
@@ -529,6 +532,13 @@ def run_batch(
     ) if input_dir.is_dir() else []
     if not session_dirs:
         raise ValueError(f"no sessions found in {input_dir}")
+    held = input_dir.resolve()
+    for d in session_dirs:
+        target = out_dir / d.name
+        if target.resolve() in (held, *held.parents):
+            raise ValueError(f"session {d.name}: its output {target} resolves to input_dir "
+                             f"{input_dir} or a directory holding it; installing it would "
+                             "replace the input sessions")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     size = min(-(-len(session_dirs) // workers), _GROUP_CAP)

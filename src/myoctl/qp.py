@@ -12,11 +12,17 @@ every pseudo-inverse is computed the first time its free set appears and
 kept in a bounded least-recently-used cache, so frames that share ``A``
 reuse each other's free sets. :meth:`BvlsSolver.solve`, the one
 entry point, solves a stack of problems on plain arrays, one per row, and
-checks only ``max_iter``: it takes every row's unbounded first step at
-once and runs the BVLS loop only on the rows whose first step leaves the
-box or whose box pins a variable. A variable with ``lb == ub`` is pinned: it stays on its bound
-through the one BVLS loop and never enters a free set. Convergence is
-judged by a projected-gradient KKT residual at a fixed tolerance.
+checks only ``max_iter``. It takes every row's unbounded first step at
+once. For the rows whose first step leaves a box that pins nothing, it
+then takes BVLS's first initialization step at once too, with only each
+row's free-set product run row by row. The per-row BVLS loop runs only on
+the rows that step leaves unfinished, resuming from where it left them,
+and on the rows whose box pins a variable, from their first step; a stack
+of one row, which has no other row to share the step with, runs it from
+its first step too. A
+variable with ``lb == ub`` is pinned: it stays on its bound through the
+per-row loop and never enters a free set. Convergence is judged by a
+projected-gradient KKT residual at a fixed tolerance.
 :class:`BoxQp` is the checked problem and :func:`solve_box_qp` solves one
 as a stack of one with a fresh solver and reports its
 :class:`QpDiagnostics`; the inversion loop uses neither, and they remain
@@ -140,7 +146,13 @@ class BvlsSolver:
         ``pinv(A) @ b``, residuals and KKT checks of all rows are computed
         at once, as stacks of columns (``M @ v[..., None]``), which numpy
         evaluates column by column as it does ``M @ v``; so a row's outputs
-        are bit for bit the same whatever rows share its stack.
+        are bit for bit the same whatever rows share its stack. So is the
+        first initialization step of the rows whose first step leaves a box
+        that pins nothing (see :meth:`_bvls_stack`); only its free-set
+        products run row by row. The per-row loop :meth:`_bvls` takes the
+        rows that step leaves unfinished from where it left them, and the
+        rows whose box pins a variable, or a stack's lone row, from their
+        first step.
 
         Each row follows ``scipy.optimize._lsq.bvls`` step for step (up to
         the first step's cutoff, see the class docstring): the unbounded
@@ -165,35 +177,101 @@ class BvlsSolver:
         if max_iter < 1:
             raise ValueError("max_iter must be a positive integer")
         x = (self._pinv_all @ b[..., None])[..., 0]
-        done = ((x >= lb) & (x <= ub) & (lb < ub)).all(axis=-1)
+        live = lb < ub
+        # Per-row flags as lists: on the few rows of a frame, Python's any
+        # and all are cheaper than numpy's reductions.
+        done = ((x >= lb) & (x <= ub) & live).all(axis=-1).tolist()
         iterations = np.zeros(len(done), dtype=int)
-        for i, first_step_solves in enumerate(done.tolist()):
-            if not first_step_solves:
-                x[i], iterations[i] = self._bvls(b[i], lb[i], ub[i], x[i], max_iter)
+        if len(done) == 1:
+            # A lone row shares the stacked step's fixed cost with no other
+            # row; the per-row loop gives it the same bits for less.
+            if not done[0]:
+                x[0], iterations[0] = self._bvls(b[0], lb[0], ub[0], x[0], max_iter)
+        elif not all(done):
+            pinned = (~live.all(axis=-1)).tolist()
+            for i, p in enumerate(pinned):
+                if p:
+                    x[i], iterations[i] = self._bvls(b[i], lb[i], ub[i], x[i], max_iter)
+            rows = np.array([i for i, (d, p) in enumerate(zip(done, pinned)) if not (d or p)],
+                            dtype=int)
+            if rows.size:
+                x[rows], iterations[rows] = self._bvls_stack(
+                    b[rows], lb[rows], ub[rows], x[rows], max_iter)
         residual = (self.A @ x[..., None])[..., 0] - b
         gradient = (self.A.T @ residual[..., None])[..., 0]
         kkt = np.abs(x - _clamp(x - gradient, lb, ub)).max(axis=-1, initial=0.0)
         return x, iterations, kkt <= _TOL, residual
 
-    def _bvls(self, b, lb, ub, x, max_iter):
+    def _bvls_stack(self, b, lb, ub, x, max_iter):
+        """Rows of :meth:`solve` whose first steps ``x`` leave boxes that pin
+        nothing; returns ``(x, iterations)``.
+
+        BVLS's first initialization step is taken for all rows at once. A
+        row whose free solution is then feasible and within the KKT
+        tolerance is finished, after 2 iterations. Every other row goes on
+        in :meth:`_bvls` from the state the step left it in: its iterate,
+        ``on_bound``, the free set the initialization loop still has to
+        solve (empty once that loop is over) and its iteration count. Only
+        the free-set products run row by row, each the 1-D ``pinv @ rhs`` of
+        :meth:`_subproblem`; a stacked product of padded pseudo-inverses
+        would change their bits.
+        """
+        hi, lo = x >= ub, x <= lb
+        on_bound = np.subtract(hi, lo, dtype=float)
+        free = ~(hi | lo)
+        x = _clamp(x, lb, ub)
+        stepped = free.any(axis=-1)
+        steps = stepped.tolist()
+        iterations = np.zeros(len(steps), dtype=int)
+        unfinished = range(len(steps))
+        if any(steps):
+            rhs = b - (self.A @ (x * ~free)[..., None])[..., 0]
+            z = x.copy()
+            for j in [j for j, step in enumerate(steps) if step]:
+                z[j, free[j]] = self._subproblem(free[j], rhs[j])
+            # Off the free set z is the clamped x, which sends nothing.
+            hi, lo = z > ub, z < lb
+            x = _clamp(z, lb, ub)
+            on_bound += hi
+            on_bound -= lo
+            sent = hi | lo
+            free &= ~sent
+            feasible = stepped & ~sent.any(axis=-1)
+            if any(feasible.tolist()):
+                # A feasible row's initialization loop is over.
+                free[feasible] = False
+                r = (self.A @ x[..., None])[..., 0] - b
+                g = (self.A.T @ r[..., None])[..., 0]
+                finished = feasible & (np.where(
+                    on_bound == 0, np.abs(g), g * on_bound).max(axis=-1) < _TOL)
+                iterations[finished] = 2
+                unfinished = [j for j, f in enumerate(finished.tolist()) if not f]
+        for j in unfinished:
+            x[j], iterations[j] = self._bvls(b[j], lb[j], ub[j], x[j], max_iter,
+                                             on_bound[j], free[j], int(steps[j]))
+        return x, iterations
+
+    def _bvls(self, b, lb, ub, x, max_iter, on_bound=None, free=None, iteration=0):
         """One row of :meth:`solve`, from the unbounded first step ``x`` that
-        leaves its box or whose box pins a variable; returns ``(x, iterations)``."""
+        leaves its box or whose box pins a variable, or, given ``on_bound``,
+        ``free`` and ``iteration``, from the iterate ``x`` that
+        :meth:`_bvls_stack` left; returns ``(x, iterations)``."""
         A = self.A
         live = lb < ub
-        if not live.all():
-            # The first step on the live columns, with pinned ones moved into b.
-            x = lb * ~live
-            if live.any():
-                x[live] = self._subproblem(live, b - A @ x)
-            if ((x >= lb) & (x <= ub)).all():
-                return x, 0
-        on_bound = np.where(x >= ub, 1.0, np.where(x <= lb, -1.0, 0.0))
-        x = _clamp(x, lb, ub)
+        if on_bound is None:
+            if not live.all():
+                # The first step on the live columns, with pinned ones moved into b.
+                x = lb * ~live
+                if live.any():
+                    x[live] = self._subproblem(live, b - A @ x)
+                if ((x >= lb) & (x <= ub)).all():
+                    return x, 0
+            on_bound = np.where(x >= ub, 1.0, np.where(x <= lb, -1.0, 0.0))
+            x = _clamp(x, lb, ub)
+            free = (on_bound == 0) & live
 
         # Initialization: least squares on the free variables, sending
         # violators to their bounds, until the free solution is feasible.
-        free = (on_bound == 0) & live
-        iteration = 0
         while free.any():
             iteration += 1
             idx = np.flatnonzero(free)

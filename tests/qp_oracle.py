@@ -52,3 +52,33 @@ def random_box_qp(rng, max_dim=6):
     lo = rng.standard_normal(n)
     hi = rng.standard_normal(n)
     return pmat, qvec, np.minimum(lo, hi), np.maximum(lo, hi)
+
+
+def first_initialization_exit(solver, b, lb, ub) -> str:
+    """How BVLS's first initialization step ends for one problem on ``solver.A``.
+
+    ``"first step"``: the unbounded first step lies in a box that pins
+    nothing. ``"pinned"``: the box pins a variable. Otherwise the first
+    step's violators go to their bounds and the step ends in one of
+    ``"no free"`` (no variable is left free), ``"sent"`` (the free solution
+    sends a variable to its bound), ``"kkt"`` (it is feasible and misses
+    the KKT tolerance) or ``"finished"``. Computed row by row with the
+    solver's own pseudo-inverses, so its bits are those of the per-row loop.
+    """
+    A = solver.A
+    x = solver._pinv_all @ b
+    if (lb == ub).any():
+        return "pinned"
+    if ((x >= lb) & (x <= ub)).all():
+        return "first step"
+    on_bound = np.where(x >= ub, 1.0, np.where(x <= lb, -1.0, 0.0))
+    x = np.minimum(np.maximum(x, lb), ub)
+    free = on_bound == 0
+    if not free.any():
+        return "no free"
+    z = solver._subproblem(free, b - A @ (x * ~free))
+    if ((z < lb[free]) | (z > ub[free])).any():
+        return "sent"
+    x[free] = z
+    g = A.T @ (A @ x - b)
+    return "finished" if np.where(free, np.abs(g), g * on_bound).max() < 1e-10 else "kkt"

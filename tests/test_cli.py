@@ -243,6 +243,26 @@ class TestCommands:
         assert session.rate_hz == 2000
         assert session.n_frames == 2000
 
+    @pytest.mark.parametrize("spelling", ["same", "dotdot"])
+    def test_invert_refuses_an_output_that_is_its_input(self, tmp_path, capsys, spelling):
+        plant_path = tmp_path / "plant.json"
+        run(parse_args(["gen-fixture", "--kind", "toy_finger", "--out", str(plant_path)]))
+        poses = tmp_path / "poses"
+        run(parse_args(
+            ["simulate", "--plant", str(plant_path), "--out", str(poses),
+             "--duration", "0.5", "--rate", "2000", "--seed", "5"]
+        ))
+        before = {p: p.read_bytes() for p in poses.rglob("*") if p.is_file()}
+        out = {"same": poses, "dotdot": poses / ".." / "poses"}[spelling]
+        capsys.readouterr()
+        code = run(parse_args(
+            ["invert", "--plant", str(plant_path), "--in", str(poses), "--out", str(out)]
+        ))
+        assert code == 1
+        assert f"--out {out} resolves to --in {poses}" in capsys.readouterr().err
+        assert '"kind": "pose"' in (poses / "session.json").read_text()
+        assert {p: p.read_bytes() for p in poses.rglob("*") if p.is_file()} == before
+
     def test_resample_session(self, tmp_path):
         t = np.arange(4000) / 2000.0
         sine = 0.3 * np.sin(2 * np.pi * 10.0 * t)

@@ -37,7 +37,7 @@ from myoctl.plant import (
 from myoctl.qp import BoxQp, BvlsSolver, solve_box_qp
 
 from ctrl_oracle import bisect_ctrl
-from qp_oracle import kkt_residual
+from qp_oracle import first_initialization_exit, kkt_residual
 
 
 def invert_frame_by_frame(plant, q, rate_hz, fail_threshold=1e-3):
@@ -474,9 +474,13 @@ class TestLanes:
     def test_one_solve_per_frame_and_bvls_only_where_the_first_step_is_not_the_answer(
             self, monkeypatch):
         # Each frame hands all its lanes to one solve call, which takes their
-        # unbounded first steps together; only a lane-frame that then
-        # iterates or pins a variable reaches the per-row BVLS loop. Actuator
-        # 1's gain is dead in frames 20-39, which pins its variable there.
+        # unbounded first steps together, and then the first initialization
+        # step of those that leave a box pinning nothing. Only a lane-frame
+        # whose box pins a variable, or that is alone in its frame (the
+        # longest lane's last 70 frames), reaches the per-row BVLS loop from
+        # its first step; one that the stacked step leaves unfinished
+        # reaches it with the state the step left. Actuator 1's gain is dead
+        # in frames 20-39, which pins its variable there.
         plant = make_fixture("toy_finger")
         real_gain_bias = myoctl.inverse._gain_bias
 
@@ -497,24 +501,36 @@ class TestLanes:
             frames.append((b, lb, ub, result[1]))
             return result
 
-        def bvls(solver, b, *args):
-            bvls_rows.append((len(frames), b.tobytes()))
-            return real_bvls(solver, b, *args)
+        def bvls(solver, b, lb, ub, x, max_iter, *state):
+            bvls_rows.append((len(frames), b.tobytes(), bool(state)))
+            return real_bvls(solver, b, lb, ub, x, max_iter, *state)
 
         monkeypatch.setattr(BvlsSolver, "solve", solve)
         monkeypatch.setattr(BvlsSolver, "_bvls", bvls)
         results = _invert_lanes(plant, lanes)
         assert [len(b) for b, _, _, _ in frames] == [
             sum(n > t for n in lengths) for t in range(max(lengths))]
-        expected = [(t, b[i].tobytes())
-                    for t, (b, lb, ub, iterations) in enumerate(frames)
-                    for i in range(len(b)) if iterations[i] > 0 or (lb[i] == ub[i]).any()]
+        oracle = BvlsSolver(plant.moment_arms)
+        expected, exits = [], []
+        for t, (b, lb, ub, iterations) in enumerate(frames):
+            pinned = (lb == ub).any(axis=1)
+            if len(b) == 1:
+                if pinned[0] or iterations[0] > 0:
+                    expected.append((t, b[0].tobytes(), False))
+                continue
+            expected += [(t, b[i].tobytes(), False) for i in np.flatnonzero(pinned)]
+            for i in np.flatnonzero(~pinned & (iterations > 0)):
+                exits.append(first_initialization_exit(oracle, b[i], lb[i], ub[i]))
+                if exits[-1] != "finished":
+                    expected.append((t, b[i].tobytes(), True))
         assert bvls_rows == expected
         pinned_rows = sum(int(((lb == ub).any(axis=1) & (it == 0)).sum())
                           for _, lb, ub, it in frames)
         iterating_rows = sum(int(np.count_nonzero(r.iterations)) for r in results)
         assert pinned_rows > 0
         assert 0 < iterating_rows and len(expected) < sum(lengths)
+        assert exits.count("finished") > 0 and len(exits) > exits.count("finished")
+        assert any(len(frames[t][0]) == 1 for t, _, _ in expected)
 
     def test_lanes_must_share_one_rate(self):
         plant = make_fixture("toy_finger")

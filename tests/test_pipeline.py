@@ -539,6 +539,30 @@ class TestRunBatch:
         assert not (src / "manifest.json").exists()
 
 
+    @pytest.mark.parametrize("nesting", ["child", "grandchild"])
+    def test_session_output_that_would_hold_the_input_is_refused(
+        self, tmp_path, toy_plant, monkeypatch, nesting
+    ):
+        # --in out/x --out out with a session named x: installing x's output
+        # at out/x would replace the whole input directory. One level deeper,
+        # out/x/y with a session x, x's output would replace its parent.
+        out = tmp_path / "out"
+        src = out / "x" if nesting == "child" else out / "x" / "y"
+        for name in ("a", "x"):
+            write_session(pose_session(toy_plant, seed=1, nframes=200, session_id=name),
+                          src / name)
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        read = []
+        monkeypatch.setattr("myoctl.pipeline.read_session", read.append)
+        message = (f"session x: its output {out / 'x'} resolves to input_dir {src} "
+                   "or a directory holding it")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_batch(src, toy_plant, out, workers=1)
+        assert read == []
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+        assert not (out / "manifest.json").exists()
+
+
 class TestManifest:
     def test_totals_equal_sums(self):
         records = (

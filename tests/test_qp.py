@@ -4,12 +4,12 @@ from scipy.linalg import cholesky, solve_triangular
 from scipy.optimize import lsq_linear
 
 import myoctl.qp
-from myoctl.inverse import invert_trajectory
+from myoctl.inverse import _invert_lanes, _prepare, invert_trajectory
 from myoctl.plant import make_fixture, rest_state, rollout, smooth_random_controls
 from myoctl.qp import BoxQp, BvlsSolver, solve_box_qp
 
 import qp_oracle
-from qp_oracle import enumerate_box_qp_optimum, random_box_qp
+from qp_oracle import enumerate_box_qp_optimum, first_initialization_exit, random_box_qp
 
 
 def _solve(A, b, lb, ub, **kwargs):
@@ -253,6 +253,89 @@ class TestAgainstLsqLinear:
             # max_iter=1 stops some rows short of convergence except on
             # toy_finger, whose problems here need one main-loop step at most.
             assert converged.all() == (max_iter == 20000 or shape == "toy_finger")
+
+
+class TestStackedInitialization:
+    """The first initialization step that :meth:`BvlsSolver.solve` takes for
+    a whole stack against the per-row loop it replaces."""
+
+    EXITS = ("first step", "finished", "sent", "kkt", "no free", "pinned")
+
+    @staticmethod
+    def per_row(solver, b, lb, ub, max_iter):
+        """One row through the per-row loop from its unbounded first step:
+        ``(x, iterations, converged, residual)`` as ``solve`` reports them."""
+        x = solver._pinv_all @ b
+        iterations = 0
+        if (lb == ub).any() or not ((x >= lb) & (x <= ub)).all():
+            x, iterations = solver._bvls(b, lb, ub, x, max_iter)
+        residual = solver.A @ x - b
+        kkt = np.abs(x - np.minimum(np.maximum(x - solver.A.T @ residual, lb), ub)).max(
+            initial=0.0)
+        return x, iterations, kkt <= 1e-10, residual
+
+    @pytest.mark.parametrize("shape", ["toy_finger", "small", "tall negated pairs"])
+    def test_every_exit_matches_the_per_row_loop_bit_for_bit(self, shape):
+        rng = np.random.default_rng(21)
+        if shape == "toy_finger":
+            A = make_fixture(shape).moment_arms
+        else:
+            A = random_matrix(rng, shape)
+        problems = [random_bvls_problem(rng, A) for _ in range(120)]
+        b = np.stack([p.b for p in problems])
+        lb = np.stack([p.lb for p in problems])
+        ub = np.stack([p.ub for p in problems])
+        ub[7::20] = lb[7::20]
+        oracle = BvlsSolver(A)
+        exits = [first_initialization_exit(oracle, b[i], lb[i], ub[i]) for i in range(120)]
+        for name in self.EXITS:
+            assert exits.count(name) >= 2, (name, exits.count(name))
+        assert np.count_nonzero((lb == ub).all(axis=1)) == 6
+        # One more row that misses the KKT tolerance by less than a decade:
+        # a "kkt" row scaled down, which scales its violation, until the
+        # next decade would pass.
+        k = exits.index("kkt")
+        scale = 1.0
+        while first_initialization_exit(oracle, 0.1 * scale * b[k], 0.1 * scale * lb[k],
+                                        0.1 * scale * ub[k]) == "kkt":
+            scale *= 0.1
+        assert scale < 1.0
+        b, lb, ub = (np.vstack((v, scale * v[k])) for v in (b, lb, ub))
+        exits.append("kkt")
+        for max_iter in (20000, 1):
+            x, iterations, converged, residual = BvlsSolver(A).solve(b, lb, ub, max_iter)
+            reference = BvlsSolver(A)
+            for i in range(len(b)):
+                x_i, it_i, ok_i, r_i = self.per_row(reference, b[i], lb[i], ub[i], max_iter)
+                where = (max_iter, i, exits[i])
+                assert x[i].tobytes() == x_i.tobytes(), where
+                assert iterations[i] == it_i, where
+                assert converged[i] == ok_i, where
+                assert residual[i].tobytes() == r_i.tobytes(), where
+                if exits[i] == "finished":
+                    assert iterations[i] == 2, where
+            # max_iter=1 stops some rows that the stacked step leaves unfinished.
+            assert converged.all() == (max_iter == 20000), max_iter
+
+    def test_clean_toy_finger_lanes_never_reach_the_per_row_loop(self, monkeypatch):
+        # Eight clean lanes inverted together: every lane-frame whose first
+        # step leaves its box is finished by the stacked step.
+        plant = make_fixture("toy_finger")
+        lanes = [_prepare(plant, rollout(plant, rest_state(plant), smooth_random_controls(
+            plant.nactuators, 1000, 0.002, seed), 0.002).q, 500.0) for seed in range(1, 9)]
+        calls = []
+        real = BvlsSolver._bvls
+
+        def counting(solver, *args):
+            calls.append(args)
+            return real(solver, *args)
+
+        monkeypatch.setattr(BvlsSolver, "_bvls", counting)
+        results = _invert_lanes(plant, lanes)
+        assert calls == []
+        iterating = sum(int(np.count_nonzero(r.iterations)) for r in results)
+        assert iterating > 2000
+        assert all((r.iterations[r.iterations > 0] == 2).all() for r in results)
 
 
 class TestPinnedVariables:
