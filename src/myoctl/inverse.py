@@ -1,6 +1,6 @@
 """Trajectory inversion that reproduces the forward model exactly.
 
-One forward step (:func:`myoctl.plant._step`) advances the activation by
+One forward step (:func:`myoctl.plant._stepper`) advances the activation by
 ``act' = f(act, ctrl)``, the simulator's own
 :func:`~myoctl.muscle._step_activation`, and then applies the joint
 torque ``moment_arms @ (gain * act' + bias)``. ``f`` is monotone in the

@@ -20,6 +20,14 @@ Activation follows ``d(act)/dt = (ctrl - act) / tau``, where ``tau`` blends
 the rise and fall constants through a quintic smoothstep of the control error,
 of width ``tau_smooth``; the forward step and the inversion both advance it by
 the kernel of :func:`step_activation`, one explicit Euler step.
+
+Each law (FL, FV, FP and the time constant's smoothstep) is split at its
+clamp into two private pieces: its scaled distances, and a polynomial of
+those distances clamped to [0, 1]. The public curves, the activation step and
+the plant's gain and bias compose the pieces one law at a time; the forward
+step (``myoctl.plant._stepper``) clamps the distances of every law with one
+``np.maximum``/``np.minimum`` pair. Either way each law has one
+implementation and the same bits.
 """
 
 from __future__ import annotations
@@ -200,16 +208,22 @@ def _floats(*values):
     return tuple(np.asarray(v, dtype=float) for v in values)
 
 
-# Each curve is a kernel that takes a normalized state and then the argument
-# list its ``_*_args`` function derives from the parameters, so that order is
-# fixed here alone. The public curves run both on float arrays; a plant
-# derives each list once and splats it into the kernel (``_gain_bias`` in
-# ``myoctl.plant``). The kernels use no ``np.where``: each piece is a
-# polynomial in a scaled distance that ``np.minimum``/``np.maximum`` clamp to
-# the piece's own interval, so a point past a breakpoint sees the neighbouring
-# piece's end value. They divide by widths rather than multiply by
-# reciprocals: it costs the same and keeps ratios such as ``vmax / vmax``
-# exactly 1.
+# Each law's ``_*_reach`` piece gives its scaled distances, and its
+# ``_*_poly`` piece is a polynomial of them once :func:`_unit_clamp` has
+# clamped them (and of their squares, where it uses them). A curve kernel
+# takes a normalized state and then the argument list its ``_*_args``
+# function derives from the parameters, so that order is fixed here alone; a
+# plant derives each list once. The pieces use no ``np.where``: a point past a
+# breakpoint sees the neighbouring piece's end value through the clamp. They
+# divide by widths rather than multiply by reciprocals: it costs the same and
+# keeps ratios such as ``vmax / vmax`` exactly 1. A reach piece writes into
+# the arrays its keyword arguments name, or into new ones.
+
+
+def _unit_clamp(x, out=None):
+    """``x`` clamped to [0, 1], into ``out`` when given."""
+    # np.clip costs several microseconds of Python-level dispatch per call.
+    return np.minimum(np.maximum(x, _ZERO, out=out), _ONE, out=out)
 
 
 def _fl_args(lmin, lmax):
@@ -217,21 +231,34 @@ def _fl_args(lmin, lmax):
     return lmin, lmax, 0.5 * (1.0 - lmin), 0.5 * (lmax - 1.0)
 
 
-def _fl(length, lmin, lmax, half_lo, half_hi):
-    """Force-length kernel: :func:`fl_curve` with :func:`_fl_args`.
+def _fl_reach(length, lmin, lmax, half_lo, half_hi, near=None, far=None):
+    """Force-length distances ``(near, far)``, before the clamp.
 
-    With ``near`` the distance from the peak at 1 and ``far`` the distance
-    from the nearer support edge, both in half-widths and clamped to
-    ``[0, 1]``, the curve is ``(far^2 + 1 - near^2) / 2``: ``1 - near^2/2``
-    between the breakpoints (``far = 1``), ``far^2/2`` outside them
-    (``near = 1``). ``far`` is measured from the edge itself, so it is exactly
-    0 at and beyond ``lmin`` and ``lmax``, where the curve is exactly 0; at
-    ``L = 1``, ``near`` is exactly 0 and the curve exactly 1.
+    ``near`` is the distance from the peak at 1 and ``far`` the distance from
+    the nearer support edge, both in half-widths. ``near`` is never negative,
+    so the clamp's lower bound leaves it as it is.
     """
-    near = np.minimum(np.maximum((_ONE - length) / half_lo, (length - _ONE) / half_hi), _ONE)
-    far = np.minimum((length - lmin) / half_lo, (lmax - length) / half_hi)
-    far = np.maximum(np.minimum(far, _ONE), _ZERO)
-    return _HALF * (far * far + (_ONE - near * near))
+    near = np.maximum((_ONE - length) / half_lo, (length - _ONE) / half_hi, out=near)
+    far = np.minimum((length - lmin) / half_lo, (lmax - length) / half_hi, out=far)
+    return near, far
+
+
+def _fl_poly(near_sq, far_sq):
+    """Force-length polynomial of the squares of the clamped ``near`` and ``far``.
+
+    The curve is ``(far^2 + 1 - near^2) / 2``: ``1 - near^2/2`` between the
+    breakpoints (``far = 1``), ``far^2/2`` outside them (``near = 1``).
+    ``far`` is measured from the edge itself, so it is exactly 0 at and
+    beyond ``lmin`` and ``lmax``, where the curve is exactly 0; at ``L = 1``,
+    ``near`` is exactly 0 and the curve exactly 1.
+    """
+    return _HALF * (far_sq + (_ONE - near_sq))
+
+
+def _fl(length, lmin, lmax, half_lo, half_hi):
+    """Force-length kernel: :func:`fl_curve` with :func:`_fl_args`."""
+    near, far = (_unit_clamp(d) for d in _fl_reach(length, lmin, lmax, half_lo, half_hi))
+    return _fl_poly(near * near, far * far)
 
 
 def fl_curve(norm_len, lmin, lmax):
@@ -251,18 +278,30 @@ def _fv_args(vmax, fvmax):
     return vmax, rise, np.maximum(rise, _TINY)
 
 
-def _fv(vel, vmax, rise, rise_width):
-    """Force-velocity kernel: :func:`fv_curve` with :func:`_fv_args`.
+def _fv_reach(vel, vmax, rise_width, a=None, w=None):
+    """Force-velocity distances ``(a, w)``, before the clamp.
 
-    With ``v = vel / vmax``, the concentric factor ``a = v + 1`` and the
-    eccentric fraction ``w = v / rise``, both clamped to ``[0, 1]``, the
-    curve is ``a^2 + rise * w * (2 - w)``: exactly 0 for ``v <= -1``, exactly
-    1 at ``v = 0`` and ``1 + rise`` from the plateau start ``v = rise`` on.
+    With ``v = vel / vmax``, ``a = v + 1`` is the concentric factor and
+    ``w = v / rise_width`` the eccentric fraction.
     """
     v = vel / vmax
-    a = np.minimum(np.maximum(v + _ONE, _ZERO), _ONE)
-    w = np.minimum(np.maximum(v / rise_width, _ZERO), _ONE)
-    return a * a + rise * (w * (_TWO - w))
+    return np.add(v, _ONE, out=a), np.divide(v, rise_width, out=w)
+
+
+def _fv_poly(a_sq, w, rise):
+    """Force-velocity polynomial of the clamped ``w`` and the clamped ``a``'s square.
+
+    The curve is ``a^2 + rise * w * (2 - w)``: exactly 0 for ``v <= -1``,
+    exactly 1 at ``v = 0`` and ``1 + rise`` from the plateau start
+    ``v = rise`` on.
+    """
+    return a_sq + rise * (w * (_TWO - w))
+
+
+def _fv(vel, vmax, rise, rise_width):
+    """Force-velocity kernel: :func:`fv_curve` with :func:`_fv_args`."""
+    a, w = (_unit_clamp(d) for d in _fv_reach(vel, vmax, rise_width))
+    return _fv_poly(a * a, w, rise)
 
 
 def fv_curve(norm_vel, vmax, fvmax):
@@ -282,16 +321,28 @@ def _fp_args(lmax, fpmax):
     return np.maximum(b - 1.0, _TINY), 0.25 * fpmax
 
 
-def _fp(length, width, quarter_fpmax):
-    """Passive-force kernel: :func:`fp_curve` with :func:`_fp_args`.
+def _fp_reach(length, width, out=None):
+    """Passive-force distance ``t = max(L - 1, 0) / (b - 1)``, before the clamp.
 
-    With ``t = max(L - 1, 0) / (b - 1)`` and ``c = min(t, 1)`` the curve is
-    ``fpmax/4 * (c^3 + 3 (t - c))``: the cubic up to ``b``, then its tangent
-    line. It is exactly 0 for ``L <= 1``.
+    ``t`` is never negative, so the clamp's lower bound leaves it as it is.
     """
-    t = np.maximum(length - _ONE, _ZERO) / width
-    c = np.minimum(t, _ONE)
-    return quarter_fpmax * (c * c * c + _THREE * (t - c))
+    return np.divide(np.maximum(length - _ONE, _ZERO), width, out=out)
+
+
+def _fp_poly(t, c, c_sq, quarter_fpmax):
+    """Passive-force polynomial of ``t``, its clamp ``c = min(t, 1)`` and ``c``'s square.
+
+    The curve is ``fpmax/4 * (c^3 + 3 (t - c))``: the cubic up to ``b``, then
+    its tangent line. It is exactly 0 for ``L <= 1``.
+    """
+    return quarter_fpmax * (c_sq * c + _THREE * (t - c))
+
+
+def _fp(length, width, quarter_fpmax):
+    """Passive-force kernel: :func:`fp_curve` with :func:`_fp_args`."""
+    t = _fp_reach(length, width)
+    c = _unit_clamp(t)
+    return _fp_poly(t, c, c * c, quarter_fpmax)
 
 
 def fp_curve(norm_len, lmax, fpmax):
@@ -309,14 +360,14 @@ def fp_curve(norm_len, lmax, fpmax):
 _SIX, _FIFTEEN, _TEN = (_const(v) for v in (6.0, 15.0, 10.0))
 
 
-def _unit_clamp(x: np.ndarray) -> np.ndarray:
-    # np.clip costs several microseconds of Python-level dispatch per call.
-    return np.minimum(np.maximum(x, _ZERO), _ONE)
+def _smoothstep_poly(x, x_sq):
+    """``6x^5 - 15x^4 + 10x^3`` of a clamped ``x`` and its square."""
+    return x_sq * x * (x * (_SIX * x - _FIFTEEN) + _TEN)
 
 
 def _smoothstep(x: np.ndarray) -> np.ndarray:
     xc = _unit_clamp(x)
-    return xc * xc * xc * (xc * (_SIX * xc - _FIFTEEN) + _TEN)
+    return _smoothstep_poly(xc, xc * xc)
 
 
 def smoothstep(x):
@@ -327,11 +378,28 @@ def smoothstep(x):
     return _collapse(_smoothstep(np.asarray(x, dtype=float)))
 
 
-def _time_constant(err, tau_act, tau_deact, tau_smooth) -> np.ndarray:
-    """Blended time constant for the control error ``err = ctrl - act``."""
-    s = _smoothstep(err / tau_smooth + _HALF)
+def _tau_reach(err, tau_smooth, out=None):
+    """The activation law's distance, before the clamp: the smoothstep
+    argument ``err / tau_smooth + 1/2`` of the control error ``err = ctrl - act``."""
+    return np.add(err / tau_smooth, _HALF, out=out)
+
+
+def _tau_poly(x, x_sq, tau_act, tau_deact):
+    """Blended time constant of the clamped smoothstep argument ``x`` and its square."""
+    s = _smoothstep_poly(x, x_sq)
     # Convex-combination form: bit-exact (tau_act + tau_deact) / 2 at s = 1/2.
     return tau_deact * (_ONE - s) + tau_act * s
+
+
+def _time_constant(err, tau_act, tau_deact, tau_smooth) -> np.ndarray:
+    """Blended time constant for the control error ``err = ctrl - act``."""
+    x = _unit_clamp(_tau_reach(err, tau_smooth))
+    return _tau_poly(x, x * x, tau_act, tau_deact)
+
+
+def _euler(act, err, dt, tau, out=None):
+    """The filter's explicit Euler step ``act + dt * err / tau``, clamped to [0, 1]."""
+    return _unit_clamp(act + dt * err / tau, out=out)
 
 
 def _step_activation(act, ctrl, dt, tau_act, tau_deact, tau_smooth) -> np.ndarray:
@@ -342,8 +410,7 @@ def _step_activation(act, ctrl, dt, tau_act, tau_deact, tau_smooth) -> np.ndarra
     parameters are built.
     """
     err = ctrl - act
-    tau = _time_constant(err, tau_act, tau_deact, tau_smooth)
-    return _unit_clamp(act + dt * err / tau)
+    return _euler(act, err, dt, _time_constant(err, tau_act, tau_deact, tau_smooth))
 
 
 def step_activation(act, ctrl, dt, tau_act, tau_deact, tau_smooth):

@@ -10,7 +10,10 @@ contributes ``gravity * sin(q)`` to the joint load.
 A plant advances by semi-implicit Euler steps: the activation filter of
 :mod:`myoctl.muscle`, then the velocity, then the pose. :func:`differentiate`
 inverts the last two updates, giving the inversion its velocities and
-accelerations from a pose trajectory.
+accelerations from a pose trajectory. A rollout builds one step kernel bound
+to the plant (:func:`_stepper`): it clamps the distances of every muscle law
+at once, as rows of one array, takes its three 1-D products with
+``ndarray.dot`` and writes each state straight into the log rows.
 
 Plants are immutable after construction and safe to share across workers;
 stepping returns a fresh state. Definitions round-trip through a
@@ -28,10 +31,11 @@ from pathlib import Path
 
 import numpy as np
 
-# The step calls the unchecked kernels.
+# The step kernel and _gain_bias call the unchecked law pieces.
 from .muscle import (
-    MuscleGeometry, MuscleParams, _fl, _fl_args, _fp, _fp_args, _fv, _fv_args,
-    _require_positive, _step_activation, calibrate_geometry, smoothstep,
+    MuscleGeometry, MuscleParams, _euler, _fl, _fl_args, _fl_poly, _fl_reach, _fp,
+    _fp_args, _fp_poly, _fp_reach, _fv, _fv_args, _fv_poly, _fv_reach, _require_positive,
+    _tau_poly, _tau_reach, _unit_clamp, calibrate_geometry, smoothstep,
 )
 
 # bench/spans.py patches these names in this module, so they must stay
@@ -312,37 +316,76 @@ def _check_step_args(plant: Plant, state: PlantState, name: str, ctrl, dt: float
     return ctrl
 
 
-def _step(plant: Plant, q, qdot, act, ctrl, dt):
-    """One semi-implicit Euler step on float64 arrays; nothing is checked.
+def _stepper(plant: Plant, dt):
+    """The step of one rollout, bound to ``plant`` and a 0-d float64 ``dt``.
 
-    Returns ``(q, qdot, act)`` after the step. The activation advances
-    first, the muscle forces are evaluated at the pre-step pose with the new
-    activation (:func:`_gain_bias` on the plant's cached arguments), then
-    the velocity update precedes the position update. ``dt`` is a 0-d array
-    (see ``myoctl.muscle._const``). A slack tendon or a non-finite state
-    does not stop the step: :func:`_simulate` checks the whole log once.
+    ``step(q, qdot, act, ctrl, q_next, qdot_next, act_next)`` takes one
+    semi-implicit Euler step on float64 arrays and writes the state after
+    it into the last three, which must not overlap the first four; nothing
+    is checked. The activation advances first, the muscle forces are
+    evaluated at the pre-step pose with the new activation, then the
+    velocity update precedes the position update. A slack tendon or a
+    non-finite state does not stop the step: :func:`_simulate` checks the
+    whole log once.
+
+    Each law of :mod:`myoctl.muscle` runs as its two pieces. The reach
+    pieces write the laws' distances as the rows of one array (FL's near and
+    far, FV's a and w, FP's t and the activation's smoothstep argument), one
+    ``np.maximum``/``np.minimum`` pair clamps all six rows, one multiply
+    squares them, and each law's polynomial runs on its rows. FL's near and
+    FP's t are never negative, so the clamp's lower bound leaves them as
+    they are: the forces keep the bits of :func:`_gain_bias` and the
+    activation those of ``_step_activation``. The three 1-D products use
+    ``ndarray.dot``, which gives the bits of ``@`` at half its cost on these
+    sizes. A plant whose gravity is all zero skips ``gravity * sin(q)``:
+    subtracting that zero could at most turn a load of -0 into +0, and no
+    fixture's rollout changes a bit without it.
     """
     m = plant._muscle
-    lengths = plant.length_offsets - q @ plant.moment_arms
-    norm_len, norm_vel = _normalized(plant, lengths, -(qdot @ plant.moment_arms))
-    act_next = _step_activation(act, ctrl, dt, *m.taus)
-    gain, bias = _gain_bias(plant, norm_len, norm_vel)
-    torque = plant.moment_arms @ (gain * act_next + bias)
-    qddot = (torque - plant.damping * qdot - plant.gravity * np.sin(q)) / plant.inertia
-    qdot_next = qdot + dt * qddot
-    return q + dt * qdot_next, qdot_next, act_next
+    arms, offsets, damping, inertia = (
+        plant.moment_arms, plant.length_offsets, plant.damping, plant.inertia)
+    gravity = plant.gravity if plant.gravity.any() else None
+    neg_f0, fl_args = m.neg_f0, m.fl
+    vmax, rise, rise_width = m.fv
+    width, quarter_fpmax = m.fp
+    tau_act, tau_deact, tau_smooth = m.taus
+    rows = np.empty((6, plant.nactuators))
+    clamped, squares = np.empty_like(rows), np.empty_like(rows)
+    near, far, a, w, t, x = rows
+    _, _, _, w_c, c, x_c = clamped
+    near_sq, far_sq, a_sq, _, c_sq, x_sq = squares
+
+    def step(q, qdot, act, ctrl, q_next, qdot_next, act_next):
+        length, vel = _normalized(plant, offsets - q.dot(arms), -qdot.dot(arms))
+        err = ctrl - act
+        _fl_reach(length, *fl_args, near=near, far=far)
+        _fv_reach(vel, vmax, rise_width, a=a, w=w)
+        _fp_reach(length, width, out=t)
+        _tau_reach(err, tau_smooth, out=x)
+        _unit_clamp(rows, out=clamped)
+        np.multiply(clamped, clamped, out=squares)
+        _euler(act, err, dt, _tau_poly(x_c, x_sq, tau_act, tau_deact), out=act_next)
+        gain = neg_f0 * _fl_poly(near_sq, far_sq) * _fv_poly(a_sq, w_c, rise)
+        load = arms.dot(gain * act_next + neg_f0 * _fp_poly(t, c, c_sq, quarter_fpmax))
+        load = load - damping * qdot
+        if gravity is not None:
+            load = load - gravity * np.sin(q)
+        np.add(qdot, dt * (load / inertia), out=qdot_next)
+        np.add(q, dt * qdot_next, out=q_next)
+
+    return step
 
 
 def _simulate(plant: Plant, state: PlantState, ctrl_traj: np.ndarray, dt):
     """Step from ``state`` through each control row; ``(q, qdot, act)`` logs.
 
     Row ``t`` of each log is the state before step ``t`` and the last row
-    the state after the last step. The loop checks nothing; one pass over
-    the pose log afterwards raises what checking each step would have. A
-    non-finite velocity always makes the next pose non-finite (``dt > 0``),
-    so the poses cover both. The tendon lengths are checked on every pose
-    before the first non-finite one and on no later pose, as checking each
-    step would have stopped there.
+    the state after the last step; the step writes each row in place. The
+    loop checks nothing; one pass over the pose log afterwards raises what
+    checking each step would have. A non-finite velocity always makes the
+    next pose non-finite (``dt > 0``), so the poses cover both. The tendon
+    lengths are checked on every pose before the first non-finite one and on
+    no later pose, as checking each step would have stopped there.
 
     Raises:
         PlantError: naming the tendon and the frame (the log row) where a
@@ -353,13 +396,11 @@ def _simulate(plant: Plant, state: PlantState, ctrl_traj: np.ndarray, dt):
     q = np.empty((n + 1, plant.njoints))
     qdot = np.empty((n + 1, plant.njoints))
     act = np.empty((n + 1, plant.nactuators))
-    q_t, qdot_t, act_t = state.q, state.qdot, state.act
-    q[0], qdot[0], act[0] = q_t, qdot_t, act_t
-    dt = np.asarray(dt, dtype=float)
+    q[0], qdot[0], act[0] = state.q, state.qdot, state.act
+    step = _stepper(plant, np.asarray(dt, dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(n):
-            q_t, qdot_t, act_t = _step(plant, q_t, qdot_t, act_t, ctrl_traj[t], dt)
-            q[t + 1], qdot[t + 1], act[t + 1] = q_t, qdot_t, act_t
+        for rows in zip(q, qdot, act, ctrl_traj, q[1:], qdot[1:], act[1:]):
+            step(*rows)
         finite = np.isfinite(q).all(axis=1)
         diverged = not finite.all()
         valid = q[: int(np.argmin(finite))] if diverged else q
@@ -376,9 +417,9 @@ def differentiate(q_traj, dt: float):
     ``qdot_t = (q_t - q_{t-1}) / dt``, with ``qdot_0 = 0`` (a start from
     rest), and the acceleration the forward difference of the velocity,
     ``qddot_t = (qdot_{t+1} - qdot_t) / dt``, with the last frame copied.
-    They invert the two updates of :func:`_step`, ``qdot' = qdot + dt *
-    qddot`` and ``q' = q + dt * qdot'``: on a trajectory logged by
-    :func:`rollout` from rest they give, to round-off, the logged pre-step
+    They invert the two updates of the step (:func:`_stepper`), ``qdot' =
+    qdot + dt * qddot`` and ``q' = q + dt * qdot'``: on a trajectory logged
+    by :func:`rollout` from rest they give, to round-off, the logged pre-step
     velocities and the accelerations each step applied.
 
     Raises:

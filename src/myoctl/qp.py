@@ -274,7 +274,7 @@ class BvlsSolver:
         # violators to their bounds, until the free solution is feasible.
         while free.any():
             iteration += 1
-            idx = np.flatnonzero(free)
+            idx = free.nonzero()[0]
             z = self._subproblem(free, b - A @ (x * ~free))
             side = np.where(z < lb[idx], -1.0, np.where(z > ub[idx], 1.0, 0.0))
             x[idx] = _clamp(z, lb[idx], ub[idx])
@@ -294,13 +294,13 @@ class BvlsSolver:
             on_bound[np.argmax(g * on_bound)] = 0.0
             while True:
                 free = (on_bound == 0) & live
-                idx = np.flatnonzero(free)
+                idx = free.nonzero()[0]
                 x_free = x[idx]
                 lb_free = lb[idx]
                 ub_free = ub[idx]
                 z = self._subproblem(free, b - A @ (x * ~free))
-                lbv = np.flatnonzero(z < lb_free)
-                ubv = np.flatnonzero(z > ub_free)
+                lbv = (z < lb_free).nonzero()[0]
+                ubv = (z > ub_free).nonzero()[0]
                 if lbv.size == 0 and ubv.size == 0:
                     x[idx] = z
                     break

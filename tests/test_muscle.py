@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import step_oracle
 from myoctl.muscle import (
     CalibrationError,
     MuscleGeometry,
@@ -19,6 +20,7 @@ from myoctl.muscle import (
     fl_curve,
     fp_curve,
     fv_curve,
+    smoothstep,
     step_activation,
 )
 from myoctl.plant import PlantError, PlantState, _gain_bias, _normalized, make_fixture
@@ -256,6 +258,81 @@ class TestKernels:
         fl, fv, fp = flv(norm_len, norm_vel, p)
         assert np.array_equal(gain, -geom.f0 * fl * fv)
         assert np.array_equal(bias, -geom.f0 * fp)
+
+
+def with_neighbours(points, width):
+    """``points``, both signed zeros and each point's two floating-point
+    neighbours, plus ``width`` evenly spaced values across their range."""
+    points = np.asarray(points, dtype=float)
+    grid = np.unique(np.concatenate([
+        points, np.nextafter(points, -np.inf), np.nextafter(points, np.inf),
+        np.linspace(points.min(), points.max(), width)]))
+    # np.unique keeps one of two equal zeros.
+    return np.concatenate([grid[grid != 0.0], [0.0, -0.0]])
+
+
+SPLIT_PARAMS = [
+    MuscleParams(),
+    MuscleParams(lmin=0.3, lmax=2.2, vmax=4.0, fpmax=0.0, fvmax=1.0),
+    MuscleParams(lmin=0.05, lmax=1.05, vmax=0.1, fpmax=5.0, fvmax=2.5),
+]
+
+
+class TestSplitLaws:
+    """Each law split at its clamp keeps the bits of its unsplit kernel
+    (``tests/step_oracle.py``), breakpoints, edges and signed zeros included."""
+
+    @staticmethod
+    def grids(p):
+        lengths = with_neighbours(
+            [p.lmin - 0.5, p.lmin, 0.5 * (1.0 + p.lmin), 1.0, 0.5 * (1.0 + p.lmax), p.lmax,
+             p.lmax + 0.5], 20001)
+        plateau = p.vmax * (p.fvmax - 1.0)
+        vels = with_neighbours(
+            [-2.0 * p.vmax, -p.vmax, plateau, p.vmax, 2.0 * p.vmax], 20001)
+        return lengths, vels
+
+    @pytest.mark.parametrize("p", SPLIT_PARAMS)
+    def test_curves_keep_their_bits(self, p):
+        lengths, vels = self.grids(p)
+        pairs = (
+            (fl_curve(lengths, p.lmin, p.lmax),
+             step_oracle.fl(lengths, *step_oracle.fl_args(p.lmin, p.lmax))),
+            (fv_curve(vels, p.vmax, p.fvmax),
+             step_oracle.fv(vels, *step_oracle.fv_args(p.vmax, p.fvmax))),
+            (fp_curve(lengths, p.lmax, p.fpmax),
+             step_oracle.fp(lengths, *step_oracle.fp_args(p.lmax, p.fpmax))),
+        )
+        for curve, reference in pairs:
+            assert curve.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("p", SPLIT_PARAMS)
+    def test_gain_bias_keeps_its_bits(self, p):
+        plant = plant_with(MuscleGeometry(l0=0.2, lt=0.15, f0=3.0), p)
+        lengths, vels = self.grids(p)
+        rng = np.random.default_rng(4)
+        norm_len = rng.permutation(np.resize(lengths, 4 * 6000)).reshape(-1, 4)
+        norm_vel = rng.permutation(np.resize(vels, 4 * 6000)).reshape(-1, 4)
+        for ours, reference in zip(_gain_bias(plant, norm_len, norm_vel),
+                                   step_oracle.gain_bias(plant, norm_len, norm_vel)):
+            assert ours.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("taus", [(0.01, 0.04, 0.005), (0.02, 0.02, 0.005),
+                                      (0.05, 0.01, 0.02)])
+    @pytest.mark.parametrize("dt", [0.0005, 0.002, 10.0])
+    def test_activation_step_keeps_its_bits(self, taus, dt):
+        act = with_neighbours([0.0, 0.25, 0.5, 1.0], 301)
+        act = act[(act >= 0.0) & (act <= 1.0)][:, None]
+        # Control errors at and around the blend window's edges.
+        ctrl = np.clip(with_neighbours(
+            [0.0, 0.5 - 0.5 * taus[2], 0.5, 0.5 + 0.5 * taus[2], 1.0], 301), 0.0, 1.0)
+        ours = step_activation(act, ctrl, dt, *taus)
+        reference = step_oracle.step_activation(act, ctrl, np.asarray(dt), *map(np.asarray, taus))
+        assert ours.tobytes() == reference.tobytes()
+
+    def test_smoothstep_keeps_its_bits(self):
+        x = with_neighbours([-1.0, 0.0, 0.5, 1.0, 2.0], 20001)
+        assert smoothstep(x).tobytes() == step_oracle.smoothstep(x).tobytes()
 
 
 class TestGainBias:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import sys
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import step_oracle
 from myoctl import plant as plant_module
 from myoctl.muscle import (
     CalibrationError,
@@ -25,7 +27,7 @@ from myoctl.plant import (
     PlantFormatError,
     PlantState,
     _assemble,
-    _step,
+    _stepper,
     forward_step,
     inverse_dynamics,
     load_plant,
@@ -355,10 +357,68 @@ class TestRollout:
         with pytest.raises(PlantError, match=f"{slack} 1$"):
             forward_step(plant, at_22, ctrl[22], 0.002)
         # From frame 23's pose itself, which only the unchecked step reaches.
-        at_23 = PlantState(*_step(plant, at_22.q, at_22.qdot, at_22.act, ctrl[22],
-                                  np.asarray(0.002)))
+        q, qdot, act = np.empty(2), np.empty(2), np.empty(4)
+        _stepper(plant, np.asarray(0.002))(at_22.q, at_22.qdot, at_22.act, ctrl[22],
+                                           q, qdot, act)
+        at_23 = PlantState(q, qdot, act)
         with pytest.raises(PlantError, match=f"{slack} 0$"):
             forward_step(plant, at_23, ctrl[23], 0.002)
+
+
+def gravity_finger():
+    """The toy finger with gravity on both joints; no fixture has gravity."""
+    return dataclasses.replace(make_fixture("toy_finger"), gravity=np.array([0.3, -0.2]))
+
+
+ORACLE_PLANTS = {
+    "toy_finger": lambda: make_fixture("toy_finger"),
+    "hand_like": lambda: make_fixture("hand_like"),
+    "random_3x8": lambda: make_fixture("random", seed=3, njoints=3, nactuators=8),
+    "random_5x12": lambda: make_fixture("random", seed=7, njoints=5, nactuators=12),
+    "gravity_finger": gravity_finger,
+}
+
+
+class TestStepOracle:
+    """``rollout`` and ``forward_step`` against the step as it stood before each
+    law was split at its clamp (``tests/step_oracle.py``), byte for byte."""
+
+    @pytest.mark.parametrize("rate_hz", [500, 2000])
+    @pytest.mark.parametrize("name", sorted(ORACLE_PLANTS))
+    def test_rollout_matches_the_oracle_byte_for_byte(self, name, rate_hz):
+        plant = ORACLE_PLANTS[name]()
+        dt = 1.0 / rate_hz
+        # The settled ends start and finish at rest, where zeros carry signs.
+        ctrl = smooth_random_controls(plant.nactuators, rate_hz, dt, 5, settle=0.2)
+        assert (ctrl[0] == 0.0).all() and (ctrl[-1] == 0.0).all()
+        result = rollout(plant, rest_state(plant), ctrl, dt)
+        q, qdot, act = step_oracle.simulate(plant, rest_state(plant), ctrl, dt)
+        for logged, expected in ((result.q, q), (result.qdot, qdot), (result.act, act)):
+            assert logged.tobytes() == expected[:-1].tobytes()
+
+    @pytest.mark.parametrize("name", ["toy_finger", "hand_like", "gravity_finger"])
+    def test_forward_step_matches_the_oracle_byte_for_byte(self, name):
+        plant = ORACLE_PLANTS[name]()
+        ctrl = smooth_random_controls(plant.nactuators, 200, 0.002, 6, settle=0.1)
+        state = reference = rest_state(plant)
+        args = step_oracle.muscle_args(plant)
+        for row in ctrl:
+            state = forward_step(plant, state, row, 0.002)
+            reference = PlantState(*step_oracle.step(plant, args, reference.q, reference.qdot,
+                                                     reference.act, row, np.asarray(0.002)))
+            for attr in ("q", "qdot", "act"):
+                assert getattr(state, attr).tobytes() == getattr(reference, attr).tobytes()
+
+    @pytest.mark.parametrize("qdot, nframes", [([1e308, 0.0], 5), ([500.0, 0.0], 40)],
+                             ids=["diverging", "slack"])
+    def test_failing_rollouts_raise_what_the_oracle_raises(self, qdot, nframes):
+        plant = make_fixture("toy_finger")
+        state = PlantState(q=np.zeros(2), qdot=np.array(qdot), act=np.zeros(4))
+        ctrl = np.zeros((nframes, plant.nactuators))
+        with pytest.raises(PlantError) as expected:
+            step_oracle.simulate(plant, state, ctrl, 0.002)
+        with pytest.raises(PlantError, match=f"^{re.escape(str(expected.value))}$"):
+            rollout(plant, state, ctrl, 0.002)
 
 
 class TestStepInvariants:
