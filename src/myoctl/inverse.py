@@ -31,9 +31,13 @@ solves the lanes' problems in one
 to the moment arms (so a free set's cached pseudo-inverse serves every
 frame that meets it, and no per-frame problem object is built or checked),
 and clamps the next activations. A lane's outputs are bit for bit the same
-whichever lanes share its loop.
-The residual vectors ``A x - b`` of every frame are reduced once after the
-loop. A last vectorized pass per lane recovers every frame's control from
+whichever lanes share its loop. The loop logs each frame's activations and
+solutions and nothing else. After it, every frame's problem is rebuilt from
+the activation log by the helper the frame used (:func:`_frame_problem`),
+and :meth:`~myoctl.qp.BvlsSolver.check` judges every solve on ``(frames,
+lanes)`` stacks of a fixed number of frames, which bounds its temporaries;
+its residual vectors ``A x - b`` are reduced to each frame's residual. A
+last vectorized pass per lane recovers every frame's control from
 its pair of activations: it returns what 53 bisections of [0, 1] on ``f``
 would, starting from a short dyadic interval around a Newton estimate of
 the control (see :func:`_recover_ctrl`). Replaying the controls from rest
@@ -73,9 +77,9 @@ _ZERO_GAIN = 1e-12
 # a trajectory fails when more than _MAX_INFEASIBLE_FRACTION of its frames are.
 _FAIL_THRESHOLD = 1e-3
 _MAX_INFEASIBLE_FRACTION = 0.01
-# Controls 0 and 1, shaped so one activation step from a (lanes, nact) stack
-# gives the (2, lanes, nact) bounds of the next activations.
-_CTRL_EDGES = np.array([[[0.0]], [[1.0]]])
+# Controls 0 and 1; one activation step from them gives the bounds of the
+# next activations.
+_CTRL_EDGES = np.array([0.0, 1.0])
 # Halvings of [0, 1] in control recovery: the midpoints are multiples of
 # 2**-53, the spacing of doubles just below 1.
 _BISECTIONS = 53
@@ -85,6 +89,10 @@ _BISECTIONS = 53
 # than the result only costs that entry the full bisection.
 _SEED_LEVEL = 40
 _NEWTON_STEPS = 4
+# Frames whose problems one check call judges after the frame loop: the
+# check's temporaries are several (frames, lanes, nact) arrays, so blocks
+# keep them bounded however long the trajectories are.
+_CHECK_FRAMES = 128
 # Fewest frames a trajectory needs: the acceleration stencil spans three.
 MIN_FRAMES = 3
 # What each per-frame cause code in TrajectoryInversion.causes means.
@@ -132,33 +140,47 @@ def _gap_base(moment_arms, gain, bias, q_frc) -> tuple[np.ndarray, np.ndarray]:
     return gap_base, ~np.isfinite(bound).all(axis=-1)
 
 
+def _frame_problem(A, act, gain, gap_base, live_gain, filter_args):
+    """The bounded least-squares problems of frames whose activations are ``act``.
+
+    ``act``, ``gain`` and ``live_gain`` are ``(..., nact)`` stacks and
+    ``gap_base`` is ``(..., njoints)``, one problem per row. Returns ``(b,
+    lb, ub, bounds)``: ``b`` is minus the force gap ``A @ (gain * act) +
+    gap_base``, a stacked-column product, which gives each row the bits of
+    its own matrix-vector product; ``bounds`` (``(2, ..., nact)``) are the
+    activation step's results under controls 0 and 1 (``filter_args`` are
+    its ``(dt, tau_act, tau_deact, tau_smooth)``), which bound the next
+    activation; and the bounds map through the non-positive ``live_gain``
+    to the box ``[lb, ub]`` of ``x = gain * (act' - act)``, where a dead
+    actuator's edges are both 0, which pins its ``x``.
+    """
+    gap = (A @ (gain * act)[..., None])[..., 0] + gap_base
+    bounds = _step_activation(act, _CTRL_EDGES.reshape((2,) + (1,) * act.ndim), *filter_args)
+    # Control 0 gives the lower activation bound and the upper edge of x.
+    ub, lb = live_gain * (bounds - act)
+    return -gap, lb, ub, bounds
+
+
 def invert_frame(solver, act, gain, gap_base, live_gain, safe_gain, filter_args):
     """One frame's step for a ``(lanes, nact)`` stack of activations.
 
-    Returns ``(act_next, iterations, converged, residual)``, one row per
-    lane. The force gap ``moment_arms @ (gain * act) + gap_base`` is a
-    stacked-column product, which gives each lane the bits of its own
-    matrix-vector product. The activation step under controls 0 and 1
-    (``filter_args`` are its ``(dt, tau_act, tau_deact, tau_smooth)``)
-    bounds the next activation, and the bounds map through the non-positive
-    ``live_gain`` to the box of ``x = gain * (act' - act)``; a dead
-    actuator's edges are both 0, which pins its ``x``. One ``solver.solve``
-    call (``solver`` is bound to the moment arms) solves every lane, and the
-    next activation is ``act + x / gain`` clamped to the bounds, which a dead
-    actuator's ``safe_gain`` of 1 and pinned ``x`` keep at ``act``.
+    Returns ``(act_next, x, iterations)``, one row per lane. The frame's
+    problems are :func:`_frame_problem`'s, and one ``solver.solve`` call
+    (``solver`` is bound to the moment arms) solves every lane. The next
+    activation is ``act + x / gain`` clamped to the activation bounds, which
+    a dead actuator's ``safe_gain`` of 1 and pinned ``x`` keep at ``act``.
+    Whether each solve converged, and its residual, are judged after the
+    loop (see :func:`_invert_lanes`).
 
     It has a public name because :func:`_invert_lanes` looks it up by that
     module-global name on every frame, so a wrapper set on
     ``myoctl.inverse.invert_frame`` (the benchmark tracer's frame span) sees
     each frame that runs. It takes unchecked arrays, so it is not in ``__all__``.
     """
-    gap = (solver.A @ (gain * act)[..., None])[..., 0] + gap_base
-    bounds = _step_activation(act, _CTRL_EDGES, *filter_args)
-    # Control 0 gives the lower activation bound and the upper edge of x.
-    ub, lb = live_gain * (bounds - act)
-    x, iterations, converged, residual = solver.solve(-gap, lb, ub)
+    b, lb, ub, bounds = _frame_problem(solver.A, act, gain, gap_base, live_gain, filter_args)
+    x, iterations = solver.solve(b, lb, ub)
     act_next = np.minimum(np.maximum(act + x / safe_gain, bounds[0]), bounds[1])
-    return act_next, iterations, converged, residual
+    return act_next, x, iterations
 
 
 def _reject_frames(what: str, bad: np.ndarray) -> None:
@@ -227,7 +249,11 @@ def _recover_ctrl(act, act_next, dt, tau_act, tau_deact, tau_smooth):
     runs all 53. The arguments broadcast together, for example
     ``(nframes, nact)`` activations with per-muscle time constants.
     """
-    filter_args = (dt, tau_act, tau_deact, tau_smooth)
+    # The time constants at full shape, once: an elementwise call that
+    # broadcasts a (nact,) operand across the frames costs several times more.
+    taus = (tau_act, tau_deact, tau_smooth)
+    shape = np.broadcast_shapes(*map(np.shape, (act, act_next, dt, *taus)))
+    filter_args = (dt, *(np.broadcast_to(tau, shape).copy() for tau in taus))
     width = 2.0**-_SEED_LEVEL
     # The estimate has the arguments' broadcast shape, and so has lo.
     lo = np.minimum(np.floor(_estimate_ctrl(act, act_next, *filter_args) / width),
@@ -295,8 +321,11 @@ def _invert_lanes(plant: Plant, lanes: list[_Lane]) -> list[TrajectoryInversion]
 
     Frames ``[start, stop)`` advance the lanes that still have frames, the
     longest first, on ``(lanes, nact)`` stacks (see the module docstring).
-    One solver serves every lane. The lanes must share one rate; a
-    ``ValueError`` says so otherwise.
+    One solver serves every lane. After the loop, one check per block of
+    ``_CHECK_FRAMES`` frames judges the solves of every lane: past a lane's
+    end its gain, gap base and solution are 0, a problem the check passes
+    over harmlessly and whose verdict no lane reads. The lanes must share one
+    rate; a ``ValueError`` says so otherwise.
     """
     dt = lanes[0].dt
     if any(lane.dt != dt for lane in lanes):
@@ -319,28 +348,35 @@ def _invert_lanes(plant: Plant, lanes: list[_Lane]) -> list[TrajectoryInversion]
 
     # Row t is the activation before frame t's step; row t + 1, after it.
     act = np.zeros((nframes + 1, len(lanes), nact))
-    residual_vectors = np.empty((nframes, len(lanes), njoints))
+    x = np.zeros((nframes, len(lanes), nact))
     iterations = np.zeros((nframes, len(lanes)), dtype=int)
-    converged = np.empty((nframes, len(lanes)), dtype=bool)
     start = 0
     for k in range(len(lanes), 0, -1):
         # Frames [start, stop) run the k longest lanes.
         stop = lanes[order[k - 1]].nframes
         if stop <= start:
             continue
-        g, gb, lg, sg, a_, r_, it_, ok_ = (v[:, :k] for v in (
-            gain, gap_base, live_gain, safe_gain, act, residual_vectors, iterations, converged))
+        g, gb, lg, sg, a_, x_, it_ = (v[:, :k] for v in (
+            gain, gap_base, live_gain, safe_gain, act, x, iterations))
         for t in range(start, stop):
-            a_[t + 1], it_[t], ok_[t], r_[t] = invert_frame(
+            a_[t + 1], x_[t], it_[t] = invert_frame(
                 solver, a_[t], g[t], gb[t], lg[t], sg[t], filter_args)
         start = stop
+    converged = np.empty((nframes, len(lanes)), dtype=bool)
+    residual_max = np.empty((nframes, len(lanes)))
+    for first in range(0, nframes, _CHECK_FRAMES):
+        block = slice(first, min(first + _CHECK_FRAMES, nframes))
+        b, lb, ub, _ = _frame_problem(solver.A, act[block], gain[block], gap_base[block],
+                                      live_gain[block], filter_args)
+        converged[block], residual = solver.check(x[block], b, lb, ub)
+        residual_max[block] = np.abs(residual).max(axis=-1)
 
     results = [None] * len(lanes)
     for j, i in enumerate(order):
         lane = lanes[i]
         n = lane.nframes
         lane_act = act[:n + 1, j]
-        residuals = np.abs(residual_vectors[:n, j]).max(axis=1)
+        residuals = residual_max[:n, j]
         causes = np.where(converged[:n, j],
                           np.where(residuals <= lane.thresholds, 0, _UNREACHABLE),
                           _NOT_CONVERGED).astype(np.int8)

@@ -494,6 +494,13 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _require_seed(seed) -> None:
+    """Reject a seed that would not fix the generator's stream: ``None`` draws
+    OS entropy, and ``True`` would act as 1."""
+    if not _is_integer(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def _natural_cubic_spline(x: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Natural cubic spline through knots ``(x, y[i])``, evaluated at times ``t``.
 
@@ -552,8 +559,9 @@ def smooth_random_controls(
     Raises:
         ValueError: for an actuator count that is not an integer of at least
             1, a frame count that is not an integer of at least 2, a ``dt``
-            that is not positive and finite, or a ``settle`` that is not
-            non-negative and finite.
+            that is not positive and finite, a ``settle`` that is not
+            non-negative and finite, or a ``seed`` that is not a
+            non-negative integer (``None`` or a bool included).
     """
     if not _is_integer(nactuators) or nactuators < 1:
         raise ValueError(f"nactuators must be an integer of at least 1, got {nactuators!r}")
@@ -562,6 +570,7 @@ def smooth_random_controls(
     _require_positive("dt", dt)
     if not (math.isfinite(settle) and settle >= 0.0):
         raise ValueError(f"settle must be non-negative and finite, got {settle!r}")
+    _require_seed(seed)
     rng = np.random.default_rng(seed)
     duration = (nframes - 1) * dt
     nknots = max(4, int(round(duration * 2.0)) + 2)
@@ -758,6 +767,13 @@ def make_fixture(
     23 joints and 39 muscles; ``random`` generates a seeded plant with the
     requested dimensions (``nactuators >= 2 * njoints``). Deterministic for
     a fixed kind and seed.
+
+    Raises:
+        PlantError: for an unknown kind, or a ``random`` plant without both
+            dimensions, with ``njoints < 1`` or with fewer than ``2 *
+            njoints`` actuators.
+        ValueError: for a ``random`` plant whose ``seed`` is not a
+            non-negative integer (``None`` or a bool included).
     """
     if kind == "toy_finger":
         return _toy_finger()
@@ -766,6 +782,7 @@ def make_fixture(
     if kind == "random":
         if njoints is None or nactuators is None:
             raise PlantError("random fixture requires njoints and nactuators")
+        _require_seed(seed)
         return _random_plant(seed, njoints, nactuators)
     raise PlantError(f"unknown fixture kind {kind!r}")
 

@@ -10,24 +10,25 @@ computes the full-column pseudo-inverse that every unbounded first step
 uses. Each free-set subproblem is solved as ``pinv(A[:, free]) @ rhs``;
 every pseudo-inverse is computed the first time its free set appears and
 kept in a bounded least-recently-used cache, so frames that share ``A``
-reuse each other's free sets. :meth:`BvlsSolver.solve`, the one
-entry point, solves a stack of problems on plain arrays, one per row, and
-checks only ``max_iter``. It takes every row's unbounded first step at
-once. For the rows whose first step leaves a box that pins nothing, it
-then takes BVLS's first initialization step at once too, with only each
-row's free-set product run row by row. The per-row BVLS loop runs only on
-the rows that step leaves unfinished, resuming from where it left them,
-and on the rows whose box pins a variable, from their first step; a stack
-of one row, which has no other row to share the step with, runs it from
-its first step too. A
+reuse each other's free sets. :meth:`BvlsSolver.solve` solves a stack of
+problems on plain arrays, one per row, checks only ``max_iter`` and returns
+the solutions and iteration counts. It takes every row's unbounded first
+step at once. For the rows whose first step leaves a box that pins nothing,
+it then takes BVLS's first initialization step at once too, on the whole
+stack with a flag per row, with only each row's free-set product run row by
+row. The per-row BVLS loop runs only on the rows that step leaves
+unfinished, resuming from where it left them, and on the rows whose box
+pins a variable, from their first step; a stack of one row, which has no
+other row to share the step with, runs it from its first step too. A
 variable with ``lb == ub`` is pinned: it stays on its bound through the
-per-row loop and never enters a free set. Convergence is judged by a
-projected-gradient KKT residual at a fixed tolerance.
-:class:`BoxQp` is the checked problem and :func:`solve_box_qp` solves one
-as a stack of one with a fresh solver and reports its
-:class:`QpDiagnostics`; the inversion loop uses neither, and they remain
-for the tests and the benchmark tracer. Everything is deterministic for
-fixed inputs.
+per-row loop and never enters a free set. :meth:`BvlsSolver.check` judges
+convergence afterwards, on a stack of any shape, by a projected-gradient
+KKT residual at a fixed tolerance, so a caller that solves many stacks can
+check them all in one call. :class:`BoxQp` is the checked problem and
+:func:`solve_box_qp` solves one as a stack of one with a fresh solver and
+reports its :class:`QpDiagnostics`; the inversion loop uses neither, and
+they remain for the tests and the benchmark tracer. Everything is
+deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -143,16 +144,15 @@ class BvlsSolver:
         Row ``i`` of ``b`` (``(k, m)``) and of ``lb`` and ``ub`` (``(k, n)``)
         is one problem. Inputs are finite float arrays of these shapes with
         ``lb <= ub``; only ``max_iter`` is checked. The first steps
-        ``pinv(A) @ b``, residuals and KKT checks of all rows are computed
-        at once, as stacks of columns (``M @ v[..., None]``), which numpy
-        evaluates column by column as it does ``M @ v``; so a row's outputs
-        are bit for bit the same whatever rows share its stack. So is the
-        first initialization step of the rows whose first step leaves a box
-        that pins nothing (see :meth:`_bvls_stack`); only its free-set
-        products run row by row. The per-row loop :meth:`_bvls` takes the
-        rows that step leaves unfinished from where it left them, and the
-        rows whose box pins a variable, or a stack's lone row, from their
-        first step.
+        ``pinv(A) @ b`` of all rows are computed at once, as a stack of
+        columns (``M @ v[..., None]``), which numpy evaluates column by
+        column as it does ``M @ v``; so a row's outputs are bit for bit the
+        same whatever rows share its stack. So is the first initialization
+        step of the rows whose first step leaves a box that pins nothing
+        (see :meth:`_bvls_stack`); only its free-set products run row by
+        row. The per-row loop :meth:`_bvls` takes the rows that step leaves
+        unfinished from where it left them, and the rows whose box pins a
+        variable, or a stack's lone row, from their first step.
 
         Each row follows ``scipy.optimize._lsq.bvls`` step for step (up to
         the first step's cutoff, see the class docstring): the unbounded
@@ -164,23 +164,21 @@ class BvlsSolver:
         moving its column into ``b``.
 
         Returns:
-            ``(x, iterations, converged, residual)``, one row per problem:
-            ``x`` (``(k, n)``) lies in the box (a first step that lies in it
-            as is, any later iterate clamped to it); ``iterations``
-            (``(k,)``) counts BVLS steps as ``lsq_linear``'s ``nit`` does (0
-            when the unconstrained minimum is feasible); ``converged``
-            (``(k,)``) is a projected-gradient KKT residual ``||x - clip(x -
-            A'(Ax - b), lb, ub)||_inf`` of at most ``1e-10``; and
-            ``residual`` (``(k, m)``) is the vector ``Ax - b`` that check
-            computed.
+            ``(x, iterations)``, one row per problem: ``x`` (``(k, n)``)
+            lies in the box (a first step that lies in it as is, any later
+            iterate clamped to it), and ``iterations`` (``(k,)``) counts BVLS
+            steps as ``lsq_linear``'s ``nit`` does (0 when the unconstrained
+            minimum is feasible). Whether a row converged is
+            :meth:`check`'s to say.
         """
         if max_iter < 1:
             raise ValueError("max_iter must be a positive integer")
         x = (self._pinv_all @ b[..., None])[..., 0]
         live = lb < ub
+        inside = ((x >= lb) & (x <= ub) & live).all(axis=-1)
         # Per-row flags as lists: on the few rows of a frame, Python's any
         # and all are cheaper than numpy's reductions.
-        done = ((x >= lb) & (x <= ub) & live).all(axis=-1).tolist()
+        done = inside.tolist()
         iterations = np.zeros(len(done), dtype=int)
         if len(done) == 1:
             # A lone row shares the stacked step's fixed cost with no other
@@ -188,68 +186,91 @@ class BvlsSolver:
             if not done[0]:
                 x[0], iterations[0] = self._bvls(b[0], lb[0], ub[0], x[0], max_iter)
         elif not all(done):
-            pinned = (~live.all(axis=-1)).tolist()
-            for i, p in enumerate(pinned):
+            pinned = ~live.all(axis=-1)
+            for i, p in enumerate(pinned.tolist()):
                 if p:
                     x[i], iterations[i] = self._bvls(b[i], lb[i], ub[i], x[i], max_iter)
-            rows = np.array([i for i, (d, p) in enumerate(zip(done, pinned)) if not (d or p)],
-                            dtype=int)
-            if rows.size:
-                x[rows], iterations[rows] = self._bvls_stack(
-                    b[rows], lb[rows], ub[rows], x[rows], max_iter)
+            stepping = ~(pinned | inside)
+            if any(stepping.tolist()):
+                x = self._bvls_stack(b, lb, ub, x, stepping, iterations, max_iter)
+        return x, iterations
+
+    def check(self, x, b, lb, ub):
+        """Judge solutions ``x`` of :meth:`solve`'s problems; any stack shape.
+
+        ``x``, ``lb`` and ``ub`` are ``(..., n)`` and ``b`` is ``(..., m)``,
+        one problem per row. Returns ``(converged, residual)``: ``converged``
+        (``(...)``) is a projected-gradient KKT residual ``||x - clip(x -
+        A'(Ax - b), lb, ub)||_inf`` of at most ``1e-10``, and ``residual``
+        (``(..., m)``) the vector ``Ax - b`` it was computed from. The
+        products run as stacks of columns, so each row's outputs are bit for
+        bit those of the row checked alone, whatever the stack's shape.
+        """
         residual = (self.A @ x[..., None])[..., 0] - b
         gradient = (self.A.T @ residual[..., None])[..., 0]
         kkt = np.abs(x - _clamp(x - gradient, lb, ub)).max(axis=-1, initial=0.0)
-        return x, iterations, kkt <= _TOL, residual
+        return kkt <= _TOL, residual
 
-    def _bvls_stack(self, b, lb, ub, x, max_iter):
-        """Rows of :meth:`solve` whose first steps ``x`` leave boxes that pin
-        nothing; returns ``(x, iterations)``.
+    def _bvls_stack(self, b, lb, ub, x, stepping, iterations, max_iter):
+        """BVLS's first initialization step for the rows that ``stepping``
+        flags, whose first steps ``x`` leave boxes that pin nothing.
 
-        BVLS's first initialization step is taken for all rows at once. A
-        row whose free solution is then feasible and within the KKT
-        tolerance is finished, after 2 iterations. Every other row goes on
-        in :meth:`_bvls` from the state the step left it in: its iterate,
-        ``on_bound``, the free set the initialization loop still has to
-        solve (empty once that loop is over) and its iteration count. Only
-        the free-set products run row by row, each the 1-D ``pinv @ rhs`` of
-        :meth:`_subproblem`; a stacked product of padded pseudo-inverses
-        would change their bits.
+        The step runs on the whole stack, and the flag keeps every other
+        row out of it: such a row frees no variable, and its ``x`` is
+        returned as given. A flagged row whose free solution is then
+        feasible and within the KKT tolerance is finished, after 2
+        iterations. Every other flagged row goes on in :meth:`_bvls` from the
+        state the step left it in: its iterate, ``on_bound``, the free set
+        the initialization loop still has to solve (empty once that loop is
+        over) and its iteration count. Only the free-set products run row by
+        row, each the 1-D ``pinv @ rhs`` of :meth:`_subproblem`; a stacked
+        product of padded pseudo-inverses would change their bits. Sets the
+        flagged rows' ``iterations`` in place and returns ``x``.
         """
+        flagged = stepping[:, None]
         hi, lo = x >= ub, x <= lb
         on_bound = np.subtract(hi, lo, dtype=float)
-        free = ~(hi | lo)
-        x = _clamp(x, lb, ub)
+        free = ~(hi | lo) & flagged
+        z = _clamp(x, lb, ub)
         stepped = free.any(axis=-1)
         steps = stepped.tolist()
-        iterations = np.zeros(len(steps), dtype=int)
-        unfinished = range(len(steps))
+        unfinished = stepping
         if any(steps):
-            rhs = b - (self.A @ (x * ~free)[..., None])[..., 0]
-            z = x.copy()
-            for j in [j for j, step in enumerate(steps) if step]:
-                z[j, free[j]] = self._subproblem(free[j], rhs[j])
+            rhs = b - (self.A @ (z * ~free)[..., None])[..., 0]
+            for j, step in enumerate(steps):
+                if step:
+                    free_j = free[j]
+                    z[j][free_j] = self._subproblem(free_j, rhs[j])
             # Off the free set z is the clamped x, which sends nothing.
             hi, lo = z > ub, z < lb
-            x = _clamp(z, lb, ub)
-            on_bound += hi
-            on_bound -= lo
+            z = _clamp(z, lb, ub)
             sent = hi | lo
-            free &= ~sent
             feasible = stepped & ~sent.any(axis=-1)
             if any(feasible.tolist()):
-                # A feasible row's initialization loop is over.
-                free[feasible] = False
-                r = (self.A @ x[..., None])[..., 0] - b
+                # A feasible row sent nothing, so its on_bound is still the
+                # first step's.
+                r = (self.A @ z[..., None])[..., 0] - b
                 g = (self.A.T @ r[..., None])[..., 0]
                 finished = feasible & (np.where(
                     on_bound == 0, np.abs(g), g * on_bound).max(axis=-1) < _TOL)
-                iterations[finished] = 2
-                unfinished = [j for j, f in enumerate(finished.tolist()) if not f]
-        for j in unfinished:
-            x[j], iterations[j] = self._bvls(b[j], lb[j], ub[j], x[j], max_iter,
-                                             on_bound[j], free[j], int(steps[j]))
-        return x, iterations
+                np.copyto(iterations, 2, where=finished)
+                unfinished = stepping & ~finished
+        # The clamp may flip the sign of a zero on a box edge, so rows
+        # outside the step keep their own bits.
+        x = np.where(flagged, z, x)
+        rows = unfinished.tolist()
+        if any(rows):
+            if any(steps):
+                # What the step leaves: sent variables on their bounds, and a
+                # feasible row's initialization loop over.
+                on_bound += hi
+                on_bound -= lo
+                free &= ~(sent | feasible[:, None])
+            for j, left in enumerate(rows):
+                if left:
+                    x[j], iterations[j] = self._bvls(b[j], lb[j], ub[j], x[j], max_iter,
+                                                     on_bound[j], free[j], int(steps[j]))
+        return x
 
     def _bvls(self, b, lb, ub, x, max_iter, on_bound=None, free=None, iteration=0):
         """One row of :meth:`solve`, from the unbounded first step ``x`` that
@@ -332,8 +353,9 @@ def solve_box_qp(problem: BoxQp, max_iter: int = _MAX_ITER) -> tuple[np.ndarray,
     last iterate, with ``converged=False``, and the caller decides what
     that means.
     """
-    x, iterations, converged, residual = BvlsSolver(problem.A).solve(
-        problem.b[None], problem.lb[None], problem.ub[None], max_iter
-    )
+    solver = BvlsSolver(problem.A)
+    b, lb, ub = problem.b[None], problem.lb[None], problem.ub[None]
+    x, iterations = solver.solve(b, lb, ub, max_iter)
+    converged, residual = solver.check(x, b, lb, ub)
     r = residual[0]
     return x[0], QpDiagnostics(int(iterations[0]), bool(converged[0]), float(0.5 * r @ r))

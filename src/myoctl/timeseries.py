@@ -2,10 +2,16 @@
 
 Numpy only: the anti-alias filter is a Kaiser-windowed sinc designed here,
 and the polyphase resampler zero-stuffs, filters and decimates with the same
-pad and trim offsets as ``scipy.signal.resample_poly``.
+pad and trim offsets as ``scipy.signal.resample_poly``. The filter is a
+pure function of the rate ratio and the two rates, so each distinct one is
+designed once per process and its read-only taps are reused by every later
+call; a batch that converts many sessions between the same two rates
+designs one filter.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,6 +24,8 @@ __all__ = ["resample"]
 _TAPS_PER_BRANCH = 64
 _KAISER_BETA = 8.0
 _CUTOFF_FRACTION = 0.8
+# Distinct filters kept; a conversion between two rates uses one, both ways.
+_DESIGNS_KEPT = 16
 
 
 def _integer_ratio(from_hz: float, to_hz: float) -> int:
@@ -29,18 +37,22 @@ def _integer_ratio(from_hz: float, to_hz: float) -> int:
     return rounded
 
 
+@lru_cache(maxsize=_DESIGNS_KEPT)
 def _design_lowpass(ratio: int, high_rate: float, low_rate: float) -> np.ndarray:
     """Kaiser-windowed sinc low-pass taps, normalized to unit DC gain.
 
     The taps of ``scipy.signal.firwin(numtaps, cutoff, window=("kaiser",
     beta), fs=high_rate)``, in its operation order: the ideal low-pass
-    impulse response times the window, scaled by its sum.
+    impulse response times the window, scaled by its sum. Memoized per
+    argument triple; the returned taps are shared, so they are read-only.
     """
     numtaps = _TAPS_PER_BRANCH * ratio + 1
     cutoff = _CUTOFF_FRACTION * (low_rate / 2.0) / (0.5 * high_rate)
     m = np.arange(numtaps, dtype=float) - 0.5 * (numtaps - 1)
     taps = cutoff * np.sinc(cutoff * m) * np.kaiser(numtaps, _KAISER_BETA)
-    return taps / taps.sum()
+    taps /= taps.sum()
+    taps.flags.writeable = False
+    return taps
 
 
 def _normalize_branches(taps: np.ndarray, up: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import re
 import time
 from types import SimpleNamespace
@@ -36,6 +37,7 @@ from myoctl.plant import (
 )
 from myoctl.qp import BoxQp, BvlsSolver, solve_box_qp
 
+import kkt_oracle
 from ctrl_oracle import bisect_ctrl
 from qp_oracle import first_initialization_exit, kkt_residual
 
@@ -129,15 +131,19 @@ def solve_frame(inp):
     moment arms, the force gap's activation-free part and the live and safe
     gains; the gap must not overflow (:func:`_prepare` rejects such a frame).
     Returns the control, the solve's ``x``, the residual's largest
-    magnitude, the converged flag, the iteration count and the checked
-    problem the solver was handed.
+    magnitude, the converged flag (both from ``BvlsSolver.check`` on the
+    arrays the solver was handed, as the loop judges its frames after it
+    ends), the iteration count and the checked problem the solver was handed.
     """
     gap_base, overflows = _gap_base(inp.moment_arms, inp.gain, inp.bias, inp.q_frc)
     assert not overflows
-    ((A, b, lb, ub, x),), (act_next, iterations, converged, residual) = recorded_solves(
-        lambda: invert_frame(BvlsSolver(inp.moment_arms), inp.act[None], inp.gain, gap_base,
+    solver = BvlsSolver(inp.moment_arms)
+    ((A, b, lb, ub, x),), (act_next, frame_x, iterations) = recorded_solves(
+        lambda: invert_frame(solver, inp.act[None], inp.gain, gap_base,
                              *_live(inp.gain), taus_of(inp)))
     assert b.shape[0] == lb.shape[0] == ub.shape[0] == x.shape[0] == act_next.shape[0] == 1
+    assert frame_x.tobytes() == x.tobytes()
+    converged, residual = solver.check(x, b, lb, ub)
     return SimpleNamespace(
         ctrl=_recover_ctrl(inp.act, act_next[0], *taus_of(inp)), x=x[0],
         residual=float(np.abs(residual).max()), converged=bool(converged[0]),
@@ -540,6 +546,32 @@ class TestLanes:
             _invert_lanes(plant, lanes)
 
 
+class TestDeferredCheck:
+    """The checks after the loop, one per block of frames, against each
+    frame's check inside it (``tests/kkt_oracle.py``): every field, byte for
+    byte, across block boundaries (the longest lane here spans three)."""
+
+    @pytest.mark.parametrize("kind", ["toy_finger", "hand_like"])
+    @pytest.mark.parametrize("nlanes", [1, 8])
+    @pytest.mark.parametrize("max_iter", [20000, 1])
+    def test_matches_the_per_frame_check(self, monkeypatch, kind, nlanes, max_iter):
+        # Pose noise makes frames unreachable, and a cap of one BVLS
+        # iteration leaves frames not converged; the lanes have mixed lengths.
+        plant = make_fixture(kind)
+        lengths = (MIN_FRAMES, 150, 40, 300, 90, 260, 5, 330)[-nlanes:]
+        if kind == "hand_like":
+            lengths = tuple(min(n, 120) for n in lengths)
+        lanes = [_prepare(plant, q, 500.0) for q in noisy_trajectories(plant, lengths, 1e-5)]
+        monkeypatch.setattr(BvlsSolver, "solve",
+                            functools.partialmethod(BvlsSolver.solve, max_iter=max_iter))
+        deferred = _invert_lanes(plant, lanes)
+        per_frame = kkt_oracle.invert_lanes(plant, lanes)
+        assert [inversion_bytes(r) for r in deferred] == [inversion_bytes(r) for r in per_frame]
+        causes = set(np.concatenate([r.causes for r in deferred]).tolist())
+        assert CAUSES.index("not converged") in causes or max_iter > 1
+        assert CAUSES.index("unreachable force") in causes or kind == "hand_like"
+
+
 class TestFrameLookup:
     """The loop calls its frame function by its module-global name, once per
     frame, so a wrapper set on ``myoctl.inverse.invert_frame`` (the
@@ -784,18 +816,21 @@ class TestInvertTrajectory:
         plant = make_fixture("toy_finger")
         dt = 0.002
         q = rollout(plant, rest_state(plant), smooth_random_controls(4, 80, dt, 3), dt).q
-        real = myoctl.qp.BvlsSolver.solve
-        calls = []
+        real = myoctl.qp.BvlsSolver.check
+        shapes = []
 
-        def stalls_at_frame_7(solver, b, lb, ub):
-            x, iterations, converged, residual = real(solver, b, lb, ub)
-            calls.append(None)
-            # The 8th call solves frame 7; its one row is marked not converged.
-            converged[0] &= len(calls) != 8
-            return x, iterations, converged, residual
+        def stalls_at_frame_7(solver, x, b, lb, ub):
+            converged, residual = real(solver, x, b, lb, ub)
+            shapes.append(converged.shape)
+            # After the loop one check judges a block of frames on an
+            # (nframes, lanes) stack, here the whole trajectory; frame 7 of
+            # the one lane is marked not converged.
+            converged[7, 0] = False
+            return converged, residual
 
-        monkeypatch.setattr(myoctl.qp.BvlsSolver, "solve", stalls_at_frame_7)
+        monkeypatch.setattr(myoctl.qp.BvlsSolver, "check", stalls_at_frame_7)
         result = invert_trajectory(plant, q, 500.0)
+        assert shapes == [(80, 1)]
         assert np.flatnonzero(result.causes).tolist() == [7]
         assert CAUSES[result.causes[7]] == "not converged"
         assert result.infeasible_frames == 1

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import step_oracle
 from myoctl import plant as plant_module
+from myoctl.inverse import roundtrip
 from myoctl.muscle import (
     CalibrationError,
     MuscleGeometry,
@@ -505,6 +506,20 @@ class TestFixtures:
         assert np.array_equal(a.moment_arms, b.moment_arms)
         assert not np.array_equal(a.moment_arms, c.moment_arms)
 
+    @pytest.mark.parametrize("seed", [None, True, False, 7.0, -1, "7"])
+    def test_random_fixture_seed_must_be_a_non_negative_integer(self, seed):
+        # None would draw OS entropy: two calls gave different plants under
+        # one name, random_None_3x8. True would act as 1.
+        with pytest.raises(ValueError, match=re.escape(f"seed must be a non-negative "
+                                                       f"integer, got {seed!r}")):
+            make_fixture("random", seed=seed, njoints=3, nactuators=8)
+
+    def test_random_fixture_takes_numpy_integer_seeds(self):
+        a = make_fixture("random", seed=np.int64(7), njoints=3, nactuators=8)
+        b = make_fixture("random", seed=7, njoints=3, nactuators=8)
+        assert a.name == b.name == "random_7_3x8"
+        assert np.array_equal(a.moment_arms, b.moment_arms)
+
     def test_random_fixture_dimension_preconditions(self):
         with pytest.raises(PlantError):
             make_fixture("random", seed=0, njoints=3, nactuators=5)
@@ -699,6 +714,15 @@ class TestRandomControls:
     def test_settle_must_be_non_negative_and_finite(self, settle):
         with pytest.raises(ValueError, match="settle must be non-negative and finite"):
             smooth_random_controls(4, 100, 0.002, 3, settle=settle)
+
+    @pytest.mark.parametrize("seed", [None, True, False, 3.0, -1])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        message = re.escape(f"seed must be a non-negative integer, got {seed!r}")
+        with pytest.raises(ValueError, match=message):
+            smooth_random_controls(4, 100, 0.002, seed)
+        # roundtrip draws its reference controls here.
+        with pytest.raises(ValueError, match=message):
+            roundtrip(make_fixture("toy_finger"), seed=seed, duration=0.1)
 
     @pytest.fixture
     def no_scipy(self, monkeypatch):

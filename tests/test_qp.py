@@ -29,9 +29,17 @@ def kkt_residual(problem, x):
     return qp_oracle.kkt_residual(problem.A, problem.b, problem.lb, problem.ub, x)
 
 
+def solve_and_check(solver, b, lb, ub, max_iter=20000):
+    """``solver.solve`` and then ``solver.check`` on one stack:
+    ``(x, iterations, converged, residual)``."""
+    x, iterations = solver.solve(b, lb, ub, max_iter)
+    return (x, iterations, *solver.check(x, b, lb, ub))
+
+
 def solve_one(solver, b, lb, ub, **kwargs):
-    """``solver.solve`` on a stack of one problem: ``(x, iterations, converged, residual)``."""
-    x, iterations, converged, residual = solver.solve(b[None], lb[None], ub[None], **kwargs)
+    """:func:`solve_and_check` on a stack of one problem."""
+    x, iterations, converged, residual = solve_and_check(solver, b[None], lb[None], ub[None],
+                                                         **kwargs)
     return x[0], int(iterations[0]), bool(converged[0]), residual[0]
 
 
@@ -235,12 +243,12 @@ class TestAgainstLsqLinear:
         ub[5::10] = lb[5::10]
         for max_iter in (20000, 1):
             solver = BvlsSolver(A)
-            x, iterations, converged, residual = solver.solve(b, lb, ub, max_iter=max_iter)
+            x, iterations, converged, residual = solve_and_check(solver, b, lb, ub, max_iter)
             assert (x.shape, iterations.shape, converged.shape, residual.shape) == (
                 lb.shape, (60,), (60,), b.shape)
             for i in range(60):
-                row = BvlsSolver(A).solve(b[i:i + 1], lb[i:i + 1], ub[i:i + 1],
-                                          max_iter=max_iter)
+                row = solve_and_check(BvlsSolver(A), b[i:i + 1], lb[i:i + 1], ub[i:i + 1],
+                                      max_iter)
                 assert x[i].tobytes() == row[0].tobytes(), (max_iter, i)
                 assert iterations[i:i + 1].tobytes() == row[1].tobytes(), (max_iter, i)
                 assert converged[i:i + 1].tobytes() == row[2].tobytes(), (max_iter, i)
@@ -253,6 +261,42 @@ class TestAgainstLsqLinear:
             # max_iter=1 stops some rows short of convergence except on
             # toy_finger, whose problems here need one main-loop step at most.
             assert converged.all() == (max_iter == 20000 or shape == "toy_finger")
+
+
+class TestCheck:
+    @pytest.mark.parametrize("shape", ["toy_finger", "hand_like", "2x4 negated pairs",
+                                       "tall negated pairs"])
+    def test_a_3d_stack_matches_row_by_row_calls(self, shape):
+        # An (nframes, lanes) stack of problems, as the inversion checks its
+        # frames after the loop: every row's verdict and residual are the
+        # bytes of that row checked alone and of its frame checked as a
+        # 2-D stack. Half the rows are solved; the others hold a point in
+        # the box, which the check mostly rejects.
+        rng = np.random.default_rng(33)
+        if shape in ("toy_finger", "hand_like"):
+            A = make_fixture(shape).moment_arms
+        else:
+            A = random_matrix(rng, shape)
+        frames, lanes = 6, 5
+        problems = [random_bvls_problem(rng, A) for _ in range(frames * lanes)]
+        b, lb, ub = (np.stack([getattr(p, name) for p in problems]).reshape(frames, lanes, -1)
+                     for name in ("b", "lb", "ub"))
+        solver = BvlsSolver(A)
+        x = np.stack([solver.solve(b[f], lb[f], ub[f])[0] for f in range(frames)])
+        x[:, ::2] = rng.uniform(lb[:, ::2], ub[:, ::2])
+        converged, residual = solver.check(x, b, lb, ub)
+        assert (converged.shape, residual.shape) == ((frames, lanes), b.shape)
+        assert converged[:, 1::2].all() and not converged[:, ::2].all()
+        for f in range(frames):
+            frame = solver.check(x[f], b[f], lb[f], ub[f])
+            assert frame[0].tobytes() == converged[f].tobytes()
+            assert frame[1].tobytes() == residual[f].tobytes()
+            for i in range(lanes):
+                ok, r = solver.check(x[f, i][None], b[f, i][None], lb[f, i][None], ub[f, i][None])
+                assert ok.tobytes() == converged[f, i:i + 1].tobytes(), (f, i)
+                assert r[0].tobytes() == residual[f, i].tobytes(), (f, i)
+                assert ok[0] == (kkt_residual(BoxQp(A, b[f, i], lb[f, i], ub[f, i]), x[f, i])
+                                 <= 1e-10), (f, i)
 
 
 class TestStackedInitialization:
@@ -303,7 +347,8 @@ class TestStackedInitialization:
         b, lb, ub = (np.vstack((v, scale * v[k])) for v in (b, lb, ub))
         exits.append("kkt")
         for max_iter in (20000, 1):
-            x, iterations, converged, residual = BvlsSolver(A).solve(b, lb, ub, max_iter)
+            x, iterations, converged, residual = solve_and_check(BvlsSolver(A), b, lb, ub,
+                                                                 max_iter)
             reference = BvlsSolver(A)
             for i in range(len(b)):
                 x_i, it_i, ok_i, r_i = self.per_row(reference, b[i], lb[i], ub[i], max_iter)

@@ -145,6 +145,42 @@ class TestScipyOracle:
         assert np.all(np.abs(ours - reference) <= 1e-13 * np.abs(trace).max())
 
 
+class TestFilterMemo:
+    """Each distinct filter is designed once per process."""
+
+    def test_repeated_calls_are_byte_identical_and_the_taps_read_only(self):
+        x = np.random.default_rng(8).standard_normal((4001, 3))
+        for from_hz, to_hz in [(2000, 500), (500, 2000), (2000, 1000)]:
+            first = resample(x, from_hz, to_hz, axis=0)
+            assert resample(x, from_hz, to_hz, axis=0).tobytes() == first.tobytes()
+        taps = timeseries._design_lowpass(4, 2000, 500)
+        assert timeseries._design_lowpass(4, 2000, 500) is taps
+        assert taps.tobytes() == timeseries._design_lowpass.__wrapped__(4, 2000, 500).tobytes()
+        assert not taps.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            taps[0] = 0.0
+
+    def test_a_batch_designs_one_filter(self, tmp_path):
+        # Down-sampling 2 kHz sessions to the 500 Hz solve rate and
+        # up-sampling their controls back both use the (4, 2000, 500)
+        # design; the up-sampler normalizes a copy of its branches.
+        from myoctl.pipeline import Session, run_batch, write_session
+
+        plant = make_fixture("toy_finger")
+        dt = 1.0 / 2000.0
+        for i in range(8):
+            ctrl = smooth_random_controls(plant.nactuators, 400, dt, i, settle=0.05)
+            q = rollout(plant, rest_state(plant), ctrl, dt).q
+            write_session(Session(id=f"s{i}", rate_hz=2000, channel_names=plant.joint_names,
+                                  data=q.T, units=("rad",) * plant.njoints, metadata={}),
+                          tmp_path / "in" / f"s{i}")
+        timeseries._design_lowpass.cache_clear()
+        manifest = run_batch(tmp_path / "in", plant, tmp_path / "out", workers=1)
+        assert all(r.status == "ok" for r in manifest.records)
+        info = timeseries._design_lowpass.cache_info()
+        assert (info.misses, info.hits) == (1, 15)
+
+
 class TestDifferentiate:
     def test_linear_ramp(self):
         # The velocity starts from rest, so the first step carries the jump.
