@@ -56,6 +56,7 @@ _non_negative_float = _checked(
     float, "a number", lambda v: math.isfinite(v) and v >= 0.0, "non-negative and finite"
 )
 _positive_int = _checked(int, "an integer", lambda v: v >= 1, "at least 1")
+_non_negative_int = _checked(int, "an integer", lambda v: v >= 0, "non-negative")
 
 # The round trip's bound on the trajectory RMSE (rad), the same as
 # acceptance criterion 1's and the benchmark's gate.
@@ -76,7 +77,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     p_sim.add_argument("--duration", type=_positive_float, default=2.0,
                        help="seconds to simulate")
     p_sim.add_argument("--rate", type=_positive_int, default=500, help="simulation rate in Hz")
-    p_sim.add_argument("--seed", type=int, default=0, help="control-generator seed")
+    p_sim.add_argument("--seed", type=_non_negative_int, default=0, help="control-generator seed")
     p_sim.add_argument("--settle", type=_non_negative_float, default=0.25,
                        help="seconds of zero control at both ends (rest-to-rest sessions)")
     p_sim.add_argument("--save-ctrl", default=None, help="also write the applied controls here")
@@ -92,7 +93,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     group.add_argument("--plant", default=None)
     group.add_argument("--kind", default="toy_finger",
                        choices=["toy_finger", "hand_like"], help="built-in fixture")
-    p_rt.add_argument("--seed", type=int, default=1)
+    p_rt.add_argument("--seed", type=_non_negative_int, default=1)
     p_rt.add_argument("--duration", type=_positive_float, default=2.0)
     p_rt.add_argument("--rate", type=_positive_int, default=500)
 
@@ -107,7 +108,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     p_gen = sub.add_parser("gen-fixture", help="write a plant definition file")
     p_gen.add_argument("--kind", required=True, choices=["toy_finger", "hand_like", "random"])
     p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_non_negative_int, default=0)
     p_gen.add_argument("--njoints", type=_positive_int, default=None)
     p_gen.add_argument("--nactuators", type=_positive_int, default=None)
 

@@ -37,14 +37,15 @@ the activation log by the helper the frame used (:func:`_frame_problem`),
 and :meth:`~myoctl.qp.BvlsSolver.check` judges every solve on ``(frames,
 lanes)`` stacks of a fixed number of frames, which bounds its temporaries;
 its residual vectors ``A x - b`` are reduced to each frame's residual. A
-last vectorized pass per lane recovers every frame's control from
-its pair of activations: it returns what 53 bisections of [0, 1] on ``f``
-would, starting from a short dyadic interval around a Newton estimate of
-the control (see :func:`_recover_ctrl`). Replaying the controls from rest
-therefore reproduces the inversion's activations, and a trajectory the
-forward model produced at the same rate, to round-off. A returned
-inversion's status is failed only when more than 1 % of its frames are
-infeasible.
+last vectorized pass per lane recovers every frame's control from its pair
+of activations: it returns what 53 bisections of [0, 1] on ``f`` would, in
+6 passes over a bracket of 64 steps of ``2**-53`` around a Newton estimate
+of the control, checked at both ends; an entry whose bracket fails the
+check takes a wider one (see :func:`_recover_ctrl`). Replaying the
+controls from rest therefore reproduces the inversion's activations, and a
+trajectory the forward model produced at the same rate, to round-off. A
+returned inversion's status is failed only when more than 1 % of its frames
+are infeasible.
 """
 
 from __future__ import annotations
@@ -83,12 +84,16 @@ _CTRL_EDGES = np.array([0.0, 1.0])
 # Halvings of [0, 1] in control recovery: the midpoints are multiples of
 # 2**-53, the spacing of doubles just below 1.
 _BISECTIONS = 53
-# Control recovery starts bisecting from the dyadic interval of width
-# 2**-_SEED_LEVEL (about 9e-13) that holds a Newton estimate of the control,
-# taken in this many Newton steps. An estimate that lands in another interval
-# than the result only costs that entry the full bisection.
-_SEED_LEVEL = 40
-_NEWTON_STEPS = 4
+# Control recovery bisects a bracket of width 2**-level around a Newton
+# estimate of the control (_NEWTON_STEPS steps), for each level in turn; an
+# entry moves on only when its bracket fails its check, and level 0 is the
+# full bisection. The first bracket, 64 grid steps of 2**-53 (6 passes), holds
+# results within 16 grid steps of the estimate. At 500 Hz the estimate lies
+# within 6 grid steps for equal rise and fall constants, 12 at 10/40 ms and 25
+# at 5/80 ms (1-2 % of entries move on); 4 Newton steps leave 4,900 at
+# 10/40 ms and 2e9 at 5/80 ms.
+_LEVELS = (_BISECTIONS - 6, 40, 0)
+_NEWTON_STEPS = 6
 # Frames whose problems one check call judges after the frame loop: the
 # check's temporaries are several (frames, lanes, nact) arrays, so blocks
 # keep them bounded however long the trajectories are.
@@ -189,46 +194,73 @@ def _reject_frames(what: str, bad: np.ndarray) -> None:
         raise ValueError(f"{what} {int(np.argmax(bad))}")
 
 
-def _bisect(act, act_next, lo, level, filter_args):
-    """Bisect ``[lo, lo + 2**-level]`` on the step down to width ``2**-53``.
+def _bisect(act, act_next, est, filter_args, levels):
+    """Bisect a bracket of width ``2**-levels[0]`` around ``est`` down to ``2**-53``.
 
-    Each pass keeps the upper half when the step from the midpoint falls
-    short of ``act_next`` and the lower half otherwise; the upper end of the
-    last bracket is returned. ``lo`` is a multiple of ``2**-level``, so
-    every midpoint is exact, and from ``lo = 0`` at level 0 the passes are
-    those of a plain bisection of [0, 1].
+    The arguments are flat arrays of one length. The bracket is centred on
+    the multiple of half its width nearest to ``est`` (a NaN estimate counts
+    as 0) and clipped into [0, 1], so every midpoint is exact and is a point
+    that the full bisection of [0, 1] tests too. That matters: the step is
+    monotone only up to round-off, and brackets at other multiples of
+    ``2**-53`` gave another result for one of 50,000 random entries. Each
+    pass keeps the upper half when the step from the midpoint falls short
+    of ``act_next``, and the upper end of the last bracket is returned. When
+    the step from the lower end falls short and the step from the upper end
+    does not (an end at 0 or 1 passes, as the full bisection tests neither),
+    the full bisection reaches the same result. The entries that fail this
+    check are bisected again, as a subset, at the next of ``levels``; the
+    last, level 0, is the full bisection.
     """
+    level = levels[0]
+    half = 2.0 ** -(level + 1)
+    lo = np.fmin(np.fmax(np.round(est / half) - 1.0, 0.0), 2.0 ** (level + 1) - 2.0) * half
+    ends = np.stack((lo, lo + 2.0 * half))
+    short = _step_activation(act, ends, *filter_args) < act_next
+    held = (short[0] | (ends[0] == 0.0)) & ~(short[1] & (ends[1] < 1.0))
     for k in range(level + 1, _BISECTIONS + 1):
         mid = lo + 2.0**-k
         lo = np.where(_step_activation(act, mid, *filter_args) < act_next, mid, lo)
-    return lo + 2.0**-_BISECTIONS
+    ctrl = lo + 2.0**-_BISECTIONS
+    if not held.all():
+        miss = ~held
+        act, act_next, est, *filter_args = (v[miss] for v in (act, act_next, est, *filter_args))
+        ctrl[miss] = _bisect(act, act_next, est, filter_args, levels[1:])
+    return ctrl
 
 
 def _estimate_ctrl(act, act_next, dt, tau_act, tau_deact, tau_smooth):
     """Control whose unclamped step takes ``act`` to ``act_next``, to round-off.
 
-    The step is ``act' = act + dt * e / tau(e)`` with ``e = ctrl - act``.
-    Outside the blend window ``|e| >= tau_smooth / 2`` the time constant is
-    ``tau_act`` or ``tau_deact``, and ``e = r * tau`` with ``r = (act' -
-    act) / dt``; inside it, Newton steps on ``e - r * tau(e)`` from the
-    window's middle time constant find ``e`` (one step, when the constants
-    are equal). An ``act'`` of 0, which a step clamped at 0 reaches from a
-    range of controls, gives control 0. Where Newton fails the estimate may
-    be wrong or NaN; :func:`_recover_ctrl`'s check catches both.
+    The arguments are flat arrays of one length. The step is ``act' = act +
+    dt * e / tau(e)`` with ``e = ctrl - act``. Outside the blend window
+    ``|e| >= tau_smooth / 2`` the time constant is ``tau_act`` or
+    ``tau_deact``, and ``e = r * tau`` with ``r = (act' - act) / dt``;
+    inside it, Newton steps on ``e - r * tau(e)`` from the window's middle
+    time constant find ``e``. They run only on the entries inside the window
+    whose constants differ. An ``act'`` of 0, which a step clamped at 0
+    reaches from a range of controls, gives control 0. Where Newton fails
+    the estimate may be wrong or NaN; :func:`_bisect`'s check catches both.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         rate = (act_next - act) / dt
         half = 0.5 * tau_smooth
-        stretch = rate * (tau_act - tau_deact) * (30.0 / tau_smooth)
-        e = np.minimum(np.maximum(rate * (0.5 * (tau_act + tau_deact)), -half), half)
-        for _ in range(_NEWTON_STEPS):
-            u = e / tau_smooth + 0.5
-            # d/de of e - r * tau(e); the smoothstep's slope is 30 u^2 (1 - u)^2.
-            slope = 1.0 - stretch * (u * (1.0 - u)) ** 2
-            e = e - (e - rate * _time_constant(e, tau_act, tau_deact, tau_smooth)) / slope
-            e = np.minimum(np.maximum(e, -half), half)
         rise, fall = rate * tau_act, rate * tau_deact
-        e = np.where(rise >= half, rise, np.where(fall <= -half, fall, e))
+        up, down = rise >= half, fall <= -half
+        e = np.where(up, rise, fall)
+        # Equal constants make tau(e) constant, so e = r * tau in the window too.
+        window = ~(up | down | (tau_act == tau_deact))
+        if window.any():
+            # Newton on the window's entries alone; w is their e.
+            r, ta, td, ts, h = (v[window] for v in (rate, tau_act, tau_deact, tau_smooth, half))
+            stretch = r * (ta - td) * (30.0 / ts)
+            w = np.minimum(np.maximum(r * (0.5 * (ta + td)), -h), h)
+            for _ in range(_NEWTON_STEPS):
+                u = w / ts + 0.5
+                # d/de of e - r * tau(e); the smoothstep's slope is 30 u^2 (1 - u)^2.
+                slope = 1.0 - stretch * (u * (1.0 - u)) ** 2
+                w = w - (w - r * _time_constant(w, ta, td, ts)) / slope
+                w = np.minimum(np.maximum(w, -h), h)
+            e[window] = w
         ctrl = np.where(act_next > 0.0, act + e, 0.0)
     return np.minimum(np.maximum(ctrl, 0.0), 1.0)
 
@@ -237,35 +269,24 @@ def _recover_ctrl(act, act_next, dt, tau_act, tau_deact, tau_smooth):
     """Controls in [0, 1] whose activation step takes ``act`` to ``act_next``.
 
     The result is that of 53 bisections of [0, 1] on the step, which is
-    monotone in the control: the upper end of the last bracket, a multiple
-    of ``2**-53`` whose step reaches ``act_next``, the least such wherever
-    the step is strictly increasing. Each entry starts instead from the
-    dyadic interval of width ``2**-40`` that holds its Newton estimate
-    (:func:`_estimate_ctrl`). When the step from the interval's lower end
-    falls short of ``act_next`` and the step from its upper end does not
-    (an end at 0 or 1 passes, as the full bisection tests neither), a
-    monotone step leads the full bisection into the same interval, so 13
-    passes from there return its result; an entry that fails the check
-    runs all 53. The arguments broadcast together, for example
-    ``(nframes, nact)`` activations with per-muscle time constants.
+    monotone in the control up to round-off: the upper end of the last
+    bracket, a multiple of ``2**-53`` whose step reaches ``act_next``, the
+    least such wherever the step is strictly increasing. Each entry instead
+    bisects a bracket of 64 such grid steps (6 passes) around its Newton
+    estimate (:func:`_estimate_ctrl`), checked at both ends; the entries
+    whose bracket fails the check take, as a subset, a bracket of width
+    ``2**-40`` (13 passes) and then all 53 passes (see :func:`_bisect`).
+    The arguments broadcast together, for example ``(nframes, nact)``
+    activations with per-muscle time constants.
     """
-    # The time constants at full shape, once: an elementwise call that
-    # broadcasts a (nact,) operand across the frames costs several times more.
-    taus = (tau_act, tau_deact, tau_smooth)
-    shape = np.broadcast_shapes(*map(np.shape, (act, act_next, dt, *taus)))
-    filter_args = (dt, *(np.broadcast_to(tau, shape).copy() for tau in taus))
-    width = 2.0**-_SEED_LEVEL
-    # The estimate has the arguments' broadcast shape, and so has lo.
-    lo = np.minimum(np.floor(_estimate_ctrl(act, act_next, *filter_args) / width),
-                    2.0**_SEED_LEVEL - 1.0) * width
-    ends = np.stack((lo, lo + width))
-    short = _step_activation(act, ends, *filter_args) < act_next
-    seeded = (short[0] | (ends[0] == 0.0)) & ~(short[1] & (ends[1] < 1.0))
-    ctrl = np.asarray(_bisect(act, act_next, lo, _SEED_LEVEL, filter_args))
-    if not seeded.all():
-        rest = [np.broadcast_to(v, lo.shape)[~seeded] for v in (act, act_next) + filter_args]
-        ctrl[~seeded] = _bisect(rest[0], rest[1], 0.0, 0, rest[2:])
-    return ctrl
+    args = (act, act_next, dt, tau_act, tau_deact, tau_smooth)
+    shape = np.broadcast_shapes(*map(np.shape, args))
+    # Every argument flat and at full shape, once: an elementwise call that
+    # broadcasts a (nact,) operand across the frames costs several times
+    # more, and a flat array gives up a subset of entries to one mask.
+    act, act_next, *filter_args = (np.broadcast_to(v, shape).ravel() for v in args)
+    est = _estimate_ctrl(act, act_next, *filter_args)
+    return _bisect(act, act_next, est, filter_args, _LEVELS).reshape(shape)
 
 
 @dataclass(frozen=True, eq=False)

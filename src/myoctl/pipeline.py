@@ -32,7 +32,6 @@ import json
 import os
 import shutil
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -547,6 +546,10 @@ def run_batch(
     if workers == 1 or len(tasks) == 1:
         groups = [_convert_group(task) for task in tasks]
     else:
+        # The pool's modules load only here, so a process that never runs
+        # sessions in parallel does not pay for them.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             groups = list(pool.map(_convert_group, tasks))
 

@@ -83,6 +83,18 @@ class TestParseArgs:
         assert excinfo.value.code == 2
         assert f"{option}: must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--plant", "p", "--out", "o"],
+        ["roundtrip"],
+        ["gen-fixture", "--kind", "toy_finger", "--out", "o"],
+    ], ids=["simulate", "roundtrip", "gen-fixture"])
+    def test_seed_must_be_non_negative(self, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            parse_args(command + ["--seed=-1"])
+        assert excinfo.value.code == 2
+        assert "--seed: must be non-negative, got '-1'" in capsys.readouterr().err
+        assert parse_args(command + ["--seed", "0"]).seed == 0
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-1", "-0.25"])
     def test_settle_must_be_non_negative_and_finite(self, capsys, value):
         with pytest.raises(SystemExit) as excinfo:

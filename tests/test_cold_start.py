@@ -4,12 +4,17 @@ The random-control spline and the polyphase resampler are written in numpy,
 so a fresh process that imports the package, synthesizes controls, runs a
 round trip, resamples between two rates, converts a session recorded above
 the solve rate or runs the CLI ``simulate`` command never imports scipy.
+Only a batch that runs its groups in parallel loads the process pool's
+modules (``concurrent.futures`` and ``multiprocessing``); none of these
+paths, a one-worker batch among them, does.
 """
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -18,8 +23,9 @@ import sys, tempfile
 import numpy as np
 
 def loaded(step):
-    scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-    print("after", step, "|", ",".join(scipy) or "-")
+    def package(*names):
+        return ",".join(sorted(m for m in sys.modules if m.split(".")[0] in names)) or "-"
+    print("after", step, "|", package("scipy"), "|", package("concurrent", "multiprocessing"))
 
 import myoctl
 loaded("import myoctl")
@@ -57,6 +63,15 @@ loaded("resample 2000 -> 500 Hz")
 convert(q, 2000)
 loaded("process_session at 2 kHz")
 
+with tempfile.TemporaryDirectory() as root:
+    for name in ("a", "b"):
+        myoctl.write_session(myoctl.Session(id=name, rate_hz=2000, channel_names=plant.joint_names,
+                                            data=q.T, units=("rad",) * plant.njoints, metadata={}),
+                             f"{root}/in/{name}")
+    manifest = myoctl.run_batch(f"{root}/in", plant, f"{root}/out", workers=1)
+    assert manifest.totals["failed"] == 0
+loaded("run_batch, 1 worker")
+
 from myoctl.cli import parse_args, run
 root = tempfile.mkdtemp()
 assert run(parse_args(["gen-fixture", "--kind", "toy_finger", "--out", root + "/p.json"])) == 0
@@ -66,23 +81,28 @@ loaded("cli simulate")
 """
 
 
-def test_numpy_only_paths_load_no_scipy():
+@pytest.fixture(scope="module")
+def checkpoints():
+    """Per checkpoint of PROGRAM, the scipy modules and the pool modules loaded by then."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
         [sys.executable, "-c", PROGRAM],
         env=env, capture_output=True, text=True, check=True,
     )
     # The CLI prints to the same stream; keep only the checkpoints.
-    steps = dict(line[len("after "):].split(" | ") for line in done.stdout.splitlines()
-                 if line.startswith("after "))
-    assert steps == {
-        "import myoctl": "-",
-        "import myoctl.cli": "-",
-        "invert_trajectory": "-",
-        "process_session": "-",
-        "smooth_random_controls": "-",
-        "roundtrip": "-",
-        "resample 2000 -> 500 Hz": "-",
-        "process_session at 2 kHz": "-",
-        "cli simulate": "-",
-    }
+    return {step: tuple(rest) for step, *rest in (
+        line[len("after "):].split(" | ") for line in done.stdout.splitlines()
+        if line.startswith("after "))}
+
+
+STEPS = ("import myoctl", "import myoctl.cli", "invert_trajectory", "process_session",
+         "smooth_random_controls", "roundtrip", "resample 2000 -> 500 Hz",
+         "process_session at 2 kHz", "run_batch, 1 worker", "cli simulate")
+
+
+def test_numpy_only_paths_load_no_scipy(checkpoints):
+    assert {step: scipy for step, (scipy, _) in checkpoints.items()} == dict.fromkeys(STEPS, "-")
+
+
+def test_serial_paths_load_no_process_pool(checkpoints):
+    assert {step: pool for step, (_, pool) in checkpoints.items()} == dict.fromkeys(STEPS, "-")

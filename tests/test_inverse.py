@@ -164,10 +164,11 @@ def ctrl_for(x, inp):
     return _recover_ctrl(inp.act, inp.act + np.asarray(x) / inp.gain, *taus_of(inp))
 
 
-def with_time_constants(plant, tau_act, tau_deact):
-    params = tuple(
-        dataclasses.replace(p, tau_act=tau_act, tau_deact=tau_deact) for p in plant.params
-    )
+def with_time_constants(plant, tau_act, tau_deact, tau_smooth=None):
+    taus = dict(tau_act=tau_act, tau_deact=tau_deact)
+    if tau_smooth is not None:
+        taus["tau_smooth"] = tau_smooth
+    params = tuple(dataclasses.replace(p, **taus) for p in plant.params)
     return dataclasses.replace(plant, params=params)
 
 
@@ -274,27 +275,81 @@ class TestRecoverCtrl:
         assert recovered.shape == reference.shape
         assert recovered.tobytes() == reference.tobytes()
 
-    def test_matches_bisection_on_random_steps(self, monkeypatch):
-        # Criterion 4's draws: per-entry steps and unequal time constants,
-        # with steps up to twice the shorter constant, so some clamp. Both
-        # ways through the recovery run: the seeded bisection and, for
-        # entries whose interval fails its check, the full one.
-        levels = set()
+    @staticmethod
+    def record_levels(monkeypatch):
+        """Log each bisection's (level, entries), the recursive ones too."""
+        calls = []
         real = myoctl.inverse._bisect
 
-        def recording(act, act_next, lo, level, filter_args):
-            levels.add(level)
-            return real(act, act_next, lo, level, filter_args)
+        def recording(act, act_next, est, filter_args, levels):
+            calls.append((levels[0], act.size))
+            return real(act, act_next, est, filter_args, levels)
 
         monkeypatch.setattr(myoctl.inverse, "_bisect", recording)
-        rng = np.random.default_rng(4)
-        n = 50_000
+        return calls
+
+    @staticmethod
+    def random_steps(rng, n, controls=lambda rng, n: rng.uniform(0.0, 1.0, n)):
+        """Criterion 4's draws: per-entry steps and unequal time constants,
+        with steps up to twice the shorter constant, so some clamp."""
         act = rng.uniform(0.0, 1.0, n)
         args = (rng.uniform(1e-4, 1e-2, n), rng.uniform(0.005, 0.05, n),
                 rng.uniform(0.005, 0.05, n), rng.uniform(0.001, 0.05, n))
-        act_next = step_activation(act, rng.uniform(0.0, 1.0, n), *args)
+        return act, step_activation(act, controls(rng, n), *args), args
+
+    def test_matches_bisection_on_random_steps(self, monkeypatch):
+        # Both ways through the recovery that these draws take run: the
+        # bracket around the estimate and, for the entries whose bracket
+        # fails its check, the 2**-40 one; none needs the full bisection.
+        calls = self.record_levels(monkeypatch)
+        act, act_next, args = self.random_steps(np.random.default_rng(4), 50_000)
         self.assert_matches_bisection(act, act_next, *args)
-        assert levels == {0, 40}
+        first, fallback, _ = myoctl.inverse._LEVELS
+        assert calls[0] == (first, 50_000)
+        assert {level for level, _ in calls} == {first, fallback}
+
+    def test_every_fallback_matches_bisection(self, monkeypatch):
+        # Estimates 10**6 grid steps off, up and down: every entry fails the
+        # first bracket and the 2**-40 one, and the full bisection decides.
+        calls = self.record_levels(monkeypatch)
+        real = myoctl.inverse._estimate_ctrl
+
+        def far_off(*args):
+            est = real(*args)
+            return est + np.where(np.arange(est.size) % 2, 1e6, -1e6) * 2.0**-53
+
+        monkeypatch.setattr(myoctl.inverse, "_estimate_ctrl", far_off)
+        act, act_next, args = self.random_steps(np.random.default_rng(12), 2000,
+                                                lambda rng, n: rng.uniform(0.01, 0.99, n))
+        # Unclamped steps only: a step clamped at 0 or 1 can put the result
+        # in a bracket clipped at that end, however far off the estimate.
+        inside = (act_next > 0.0) & (act_next < 1.0)
+        act, act_next, args = act[inside], act_next[inside], [v[inside] for v in args]
+        self.assert_matches_bisection(act, act_next, *args)
+        assert calls == [(level, act.size) for level in myoctl.inverse._LEVELS]
+        assert act.size > 1000
+
+    @pytest.mark.parametrize("end", [0.0, 1.0])
+    def test_matches_bisection_from_an_estimate_at_an_end(self, monkeypatch, end):
+        # Controls within 40 grid steps of an end and every estimate at that
+        # end: the bracket around the estimate is clipped into [0, 1]. Near 0
+        # it holds every result. Near 1, a step too flat to tell 64 grid
+        # steps apart, or one clamped at 1 from far below, sends entries on to
+        # both fallbacks.
+        calls = self.record_levels(monkeypatch)
+        monkeypatch.setattr(myoctl.inverse, "_estimate_ctrl",
+                            lambda act, *rest: np.full(act.shape, end))
+        n = 2000
+
+        def near_the_end(rng, n):
+            steps = rng.integers(0, 40, n) * 2.0**-53
+            return steps if end == 0.0 else 1.0 - steps
+
+        act, act_next, args = self.random_steps(np.random.default_rng(13), n, near_the_end)
+        self.assert_matches_bisection(act, act_next, *args)
+        levels = myoctl.inverse._LEVELS
+        assert calls[0] == (levels[0], n)
+        assert [level for level, _ in calls] == (list(levels) if end else [levels[0]])
 
     def test_matches_bisection_at_the_saturation_edges(self):
         # Next activations that controls 0 and 1 reach, from anywhere in
@@ -310,8 +365,13 @@ class TestRecoverCtrl:
         for act_next in (0.0, 1.0):
             self.assert_matches_bisection(act, np.full(n, act_next), *args)
 
+    # The last four: the ends of the fuzz range of rise and fall constants,
+    # with a narrow and a wide blend window, where some entries leave the
+    # first bracket.
     @pytest.mark.parametrize("kind, time_constants", [
         ("toy_finger", None), ("hand_like", None), ("toy_finger", (0.01, 0.04)),
+        ("toy_finger", (0.005, 0.08, 0.001)), ("toy_finger", (0.005, 0.08, 0.03)),
+        ("toy_finger", (0.08, 0.005, 0.001)), ("toy_finger", (0.08, 0.005, 0.03)),
     ])
     def test_matches_bisection_on_an_inversion(self, kind, time_constants):
         plant = make_fixture(kind)
