@@ -3,14 +3,17 @@
 One forward step (:func:`myoctl.plant._stepper`) advances the activation by
 ``act' = f(act, ctrl)``, the simulator's own
 :func:`~myoctl.muscle._step_activation`, and then applies the joint
-torque ``moment_arms @ (gain * act' + bias)``. ``f`` is monotone in the
-control, so controls in [0, 1] reach exactly the activations in
-``[f(act, 0), f(act, 1)]``. In the force-space variable ``x = gain * (act' -
-act)`` the force balance is linear, and each frame is a bounded linear
-least-squares problem on the moment-arm matrix, ``min ||moment_arms @ x +
-k||`` over the box those bounds give, solved by bounded-variable least
-squares. The next activation is ``act + x / gain``, clamped to its bounds; a
-dead (zero-gain) actuator keeps its activation.
+torque ``moment_arms @ (gain * act' + bias)``. The step's error ``ctrl -
+act`` is at most 0 at control 0 and at least 0 at control 1, so ``f(act, 0)
+<= act <= f(act, 1)``, and controls in [0, 1] reach the activations
+between those bounds (the step rises with the control, though on the
+``2**-53`` grid only up to round-off). In the force-space variable ``x =
+gain * (act' - act)`` the force balance is linear, and each frame is a
+bounded linear least-squares problem on the moment-arm matrix, ``min
+||moment_arms @ x + k||`` over the box those bounds give, solved by
+bounded-variable least squares. The next activation is ``act + x /
+gain``, clamped to its bounds; a dead (zero-gain) actuator keeps its
+activation.
 
 A trajectory is inverted in three passes. Everything that depends only on
 the joint motion (the integrator's difference stencils of
@@ -437,7 +440,10 @@ def invert_trajectory(plant: Plant, q_traj, rate_hz: float) -> TrajectoryInversi
     finite because the gain is and activations stay in [0, 1] (the step
     clamps to [0, 1] and the next activation is clamped to the step's
     bounds); and the lower edge never exceeds the upper one because the
-    step is monotone in the control and ``gain <= 0``.
+    edges are ordered by sign: control 1 makes the step's error ``1 - act``
+    at least 0 and control 0 makes ``-act`` at most 0, so ``f(act, 0) <= act
+    <= f(act, 1)``, and with ``gain <= 0`` the lower edge is at most 0 and
+    the upper one at least 0 (a dead actuator's box is ``[+0.0, -0.0]``).
 
     Raises:
         ValueError: for a ``q_traj`` that is not ``(nframes, njoints)``,

@@ -39,7 +39,7 @@ from typing import Mapping
 import numpy as np
 
 from .inverse import MIN_FRAMES, _invert_lanes, _prepare
-from .plant import Plant, _repeated, _whole_number, _write_atomic, _write_json
+from .plant import Plant, _is_integer, _repeated, _whole_number, _write_atomic, _write_json
 from .timeseries import resample
 
 # bench/spans.py patches invert_trajectory in this module, so the name must
@@ -509,7 +509,7 @@ def run_batch(
 
     Raises:
         ValueError: if the input directory holds no sessions, for a worker
-            count below 1, for an ``out_dir`` that resolves to
+            count that is not an integer or is below 1, for an ``out_dir`` that resolves to
             ``input_dir``, where each output would replace its input
             session (the message names both paths), or for a session whose
             ``out_dir/<name>`` resolves to ``input_dir`` or a directory
@@ -519,6 +519,8 @@ def run_batch(
             a channel that would feed two joints.
     """
     _check_joint_map(joint_map, plant)
+    if not _is_integer(workers):
+        raise ValueError(f"workers must be an integer, got {workers!r}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     input_dir = Path(input_dir)

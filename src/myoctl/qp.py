@@ -12,16 +12,14 @@ every pseudo-inverse is computed the first time its free set appears and
 kept in a bounded least-recently-used cache, so frames that share ``A``
 reuse each other's free sets. :meth:`BvlsSolver.solve` solves a stack of
 problems on plain arrays, one per row, checks only ``max_iter`` and returns
-the solutions and iteration counts. It takes every row's unbounded first
-step at once. For the rows whose first step leaves a box that pins nothing,
-it then takes BVLS's first initialization step at once too, on the whole
-stack with a flag per row, with only each row's free-set product run row by
-row. The per-row BVLS loop runs only on the rows that step leaves
-unfinished, resuming from where it left them, and on the rows whose box
-pins a variable, from their first step; a stack of one row, which has no
-other row to share the step with, runs it from its first step too. A
-variable with ``lb == ub`` is pinned: it stays on its bound through the
-per-row loop and never enters a free set. :meth:`BvlsSolver.check` judges
+the solutions and iteration counts. Every row takes one path: the
+unbounded first step, taken for all rows at once; then, for every row whose
+first step leaves its box, BVLS's initialization loop on the whole stack
+with a flag per row, only each row's free-set product run row by row; then
+one KKT check on the stack, and BVLS's main loop row by row on only the
+rows that check leaves unfinished. A variable with ``lb == ub`` is pinned:
+the first step of its row is taken on the live columns, and it stays on its
+bound and never enters a free set. :meth:`BvlsSolver.check` judges
 convergence afterwards, on a stack of any shape, by a projected-gradient
 KKT residual at a fixed tolerance, so a caller that solves many stacks can
 check them all in one call. :class:`BoxQp` is the checked problem and
@@ -96,9 +94,10 @@ def _pinv(sub: np.ndarray) -> np.ndarray:
     return np.linalg.pinv(sub, rcond=max(sub.shape) * np.finfo(float).eps)
 
 
-def _kkt_violation(g, on_bound) -> float:
-    """Largest KKT violation: ``|g|`` on free variables, ``g * side`` on bound ones."""
-    return float(np.where(on_bound == 0, np.abs(g), g * on_bound).max())
+def _kkt_violation(g, on_bound):
+    """Largest KKT violation over the last axis: ``|g|`` on free variables,
+    ``g * side`` on bound ones."""
+    return np.where(on_bound == 0, np.abs(g), g * on_bound).max(axis=-1)
 
 
 class BvlsSolver:
@@ -143,57 +142,75 @@ class BvlsSolver:
 
         Row ``i`` of ``b`` (``(k, m)``) and of ``lb`` and ``ub`` (``(k, n)``)
         is one problem. Inputs are finite float arrays of these shapes with
-        ``lb <= ub``; only ``max_iter`` is checked. The first steps
-        ``pinv(A) @ b`` of all rows are computed at once, as a stack of
-        columns (``M @ v[..., None]``), which numpy evaluates column by
-        column as it does ``M @ v``; so a row's outputs are bit for bit the
-        same whatever rows share its stack. So is the first initialization
-        step of the rows whose first step leaves a box that pins nothing
-        (see :meth:`_bvls_stack`); only its free-set products run row by
-        row. The per-row loop :meth:`_bvls` takes the rows that step leaves
-        unfinished from where it left them, and the rows whose box pins a
-        variable, or a stack's lone row, from their first step.
+        ``lb <= ub``; only ``max_iter`` is checked. Every row takes one path,
+        and each row follows ``scipy.optimize._lsq.bvls`` step for step (up
+        to the first step's cutoff, see the class docstring):
 
-        Each row follows ``scipy.optimize._lsq.bvls`` step for step (up to
-        the first step's cutoff, see the class docstring): the unbounded
-        solution, the initialization loop that drops violators to their
-        bounds, then the main loop that frees the variable with the largest
-        KKT violation and steps back to the first bound crossed. A pinned
-        variable (``lb == ub``) starts on its bound, its gradient entry is
-        masked to 0 and it never joins a free set, which is the same as
-        moving its column into ``b``.
+        1. The unbounded first step ``pinv(A) @ b``, for all rows at once; a
+           row whose box pins a variable (``lb == ub``) takes it instead on
+           its live columns, with the pinned ones moved into ``b``.
+        2. A row whose first step lies in its box is done.
+        3. Every other row runs BVLS's initialization loop, which drops
+           violators to their bounds until the free solution is feasible, on
+           the whole stack with a flag per row (:meth:`_bvls_stack`).
+        4. One KKT check on the stack finishes the rows that loop left
+           optimal.
+        5. Only the rest run BVLS's main loop (:meth:`_bvls`), row by row:
+           it frees the variable with the largest KKT violation and steps
+           back to the first bound crossed.
+
+        Every stacked product runs as a stack of columns (``M @
+        v[..., None]``), which numpy evaluates column by column as it does
+        ``M @ v``, and every free-set product is the 1-D ``pinv @ rhs`` of
+        one row; so a row's outputs are bit for bit the same whatever rows
+        share its stack. A pinned variable starts on its bound, its gradient
+        entry is masked to 0 and it never joins a free set, which is the
+        same as moving its column into ``b``.
 
         Returns:
             ``(x, iterations)``, one row per problem: ``x`` (``(k, n)``)
             lies in the box (a first step that lies in it as is, any later
             iterate clamped to it), and ``iterations`` (``(k,)``) counts BVLS
-            steps as ``lsq_linear``'s ``nit`` does (0 when the unconstrained
-            minimum is feasible). Whether a row converged is
-            :meth:`check`'s to say.
+            steps as ``lsq_linear``'s ``nit`` does (0 when the first step is
+            feasible). Whether a row converged is :meth:`check`'s to say.
         """
         if max_iter < 1:
             raise ValueError("max_iter must be a positive integer")
+        A = self.A
         x = (self._pinv_all @ b[..., None])[..., 0]
         live = lb < ub
-        inside = ((x >= lb) & (x <= ub) & live).all(axis=-1)
+        # A row whose box pins a variable is flagged until its first step,
+        # on the live columns, is taken below.
+        stepping = ~((x >= lb) & (x <= ub) & live).all(axis=-1)
         # Per-row flags as lists: on the few rows of a frame, Python's any
         # and all are cheaper than numpy's reductions.
-        done = inside.tolist()
-        iterations = np.zeros(len(done), dtype=int)
-        if len(done) == 1:
-            # A lone row shares the stacked step's fixed cost with no other
-            # row; the per-row loop gives it the same bits for less.
-            if not done[0]:
-                x[0], iterations[0] = self._bvls(b[0], lb[0], ub[0], x[0], max_iter)
-        elif not all(done):
-            pinned = ~live.all(axis=-1)
-            for i, p in enumerate(pinned.tolist()):
-                if p:
-                    x[i], iterations[i] = self._bvls(b[i], lb[i], ub[i], x[i], max_iter)
-            stepping = ~(pinned | inside)
-            if any(stepping.tolist()):
-                x = self._bvls_stack(b, lb, ub, x, stepping, iterations, max_iter)
-        return x, iterations
+        rows = stepping.tolist()
+        if not any(rows):
+            return x, np.zeros(len(rows), dtype=int)
+        pinning = not live.all()
+        if pinning:
+            for i, pins in enumerate((~live.all(axis=-1)).tolist()):
+                if pins:
+                    live_i = live[i]
+                    x_i = lb[i] * ~live_i
+                    if live_i.any():
+                        x_i[live_i] = self._subproblem(live_i, b[i] - A @ x_i)
+                    x[i] = x_i
+                    stepping[i] = rows[i] = not ((x_i >= lb[i]) & (x_i <= ub[i])).all()
+        x, on_bound, iterations = self._bvls_stack(b, lb, ub, x, stepping)
+        r = (A @ x[..., None])[..., 0] - b
+        g = (A.T @ r[..., None])[..., 0]
+        if pinning:
+            g *= live
+        optimal = (_kkt_violation(g, on_bound) < _TOL).tolist()
+        for j, row in enumerate(rows):
+            if row and not optimal[j]:
+                x[j], iterations[j] = self._bvls(b[j], lb[j], ub[j], x[j], on_bound[j],
+                                                 iterations[j], max_iter)
+            elif row:
+                # The main loop's first stop test, passed: the row's last step.
+                iterations[j] += 1
+        return x, np.array(iterations)
 
     def check(self, x, b, lb, ub):
         """Judge solutions ``x`` of :meth:`solve`'s problems; any stack shape.
@@ -211,99 +228,60 @@ class BvlsSolver:
         kkt = np.abs(x - _clamp(x - gradient, lb, ub)).max(axis=-1, initial=0.0)
         return kkt <= _TOL, residual
 
-    def _bvls_stack(self, b, lb, ub, x, stepping, iterations, max_iter):
-        """BVLS's first initialization step for the rows that ``stepping``
-        flags, whose first steps ``x`` leave boxes that pin nothing.
+    def _bvls_stack(self, b, lb, ub, x, stepping):
+        """BVLS's initialization loop for the rows that ``stepping`` flags,
+        whose first steps ``x`` leave their boxes, run on the whole stack.
 
-        The step runs on the whole stack, and the flag keeps every other
-        row out of it: such a row frees no variable, and its ``x`` is
-        returned as given. A flagged row whose free solution is then
-        feasible and within the KKT tolerance is finished, after 2
-        iterations. Every other flagged row goes on in :meth:`_bvls` from the
-        state the step left it in: its iterate, ``on_bound``, the free set
-        the initialization loop still has to solve (empty once that loop is
-        over) and its iteration count. Only the free-set products run row by
-        row, each the 1-D ``pinv @ rhs`` of :meth:`_subproblem`; a stacked
-        product of padded pseudo-inverses would change their bits. Sets the
-        flagged rows' ``iterations`` in place and returns ``x``.
+        Each step solves every looping row's free set, sends the variables
+        whose solution leaves the box to their bounds and takes them out of
+        the free set; a row leaves the loop once its free solution sends
+        nothing or no variable is left free, and the loop stops once no row
+        sends a variable. Rows that are not flagged free nothing, and their
+        ``x`` is returned as given: a clamp may flip the sign of a zero on a
+        box edge. Only the free-set products run row by row, each the 1-D
+        ``pinv @ rhs`` of :meth:`_subproblem`; a stacked product of padded
+        pseudo-inverses would change their bits.
+
+        A pinned variable lies on both of its bounds and gets ``on_bound`` 0
+        here, where BVLS's per-row set-up, testing ``x >= ub`` first, gives
+        it +1. Either is harmless: its gradient entry is masked to +-0, so
+        neither the KKT violation's verdict nor the main loop's choice of
+        variable to free can tell them apart, and a pinned variable, on both
+        bounds at once, never enters a free set. Returns ``(x, on_bound,
+        iterations)``, ``iterations`` a list of each row's initialization
+        steps.
         """
-        flagged = stepping[:, None]
         hi, lo = x >= ub, x <= lb
         on_bound = np.subtract(hi, lo, dtype=float)
-        free = ~(hi | lo) & flagged
+        free = ~(hi | lo) & stepping[:, None]
         z = _clamp(x, lb, ub)
-        stepped = free.any(axis=-1)
-        steps = stepped.tolist()
-        unfinished = stepping
-        if any(steps):
+        iterations = [0] * len(x)
+        rows = free.any(axis=-1).tolist()
+        while any(rows):
             rhs = b - (self.A @ (z * ~free)[..., None])[..., 0]
-            for j, step in enumerate(steps):
-                if step:
+            for j, row in enumerate(rows):
+                if row:
+                    iterations[j] += 1
                     free_j = free[j]
                     z[j][free_j] = self._subproblem(free_j, rhs[j])
-            # Off the free set z is the clamped x, which sends nothing.
+            # Off the free set z is clamped already, which sends nothing.
             hi, lo = z > ub, z < lb
             z = _clamp(z, lb, ub)
             sent = hi | lo
-            feasible = stepped & ~sent.any(axis=-1)
-            if any(feasible.tolist()):
-                # A feasible row sent nothing, so its on_bound is still the
-                # first step's.
-                r = (self.A @ z[..., None])[..., 0] - b
-                g = (self.A.T @ r[..., None])[..., 0]
-                finished = feasible & (np.where(
-                    on_bound == 0, np.abs(g), g * on_bound).max(axis=-1) < _TOL)
-                np.copyto(iterations, 2, where=finished)
-                unfinished = stepping & ~finished
-        # The clamp may flip the sign of a zero on a box edge, so rows
-        # outside the step keep their own bits.
-        x = np.where(flagged, z, x)
-        rows = unfinished.tolist()
-        if any(rows):
-            if any(steps):
-                # What the step leaves: sent variables on their bounds, and a
-                # feasible row's initialization loop over.
-                on_bound += hi
-                on_bound -= lo
-                free &= ~(sent | feasible[:, None])
-            for j, left in enumerate(rows):
-                if left:
-                    x[j], iterations[j] = self._bvls(b[j], lb[j], ub[j], x[j], max_iter,
-                                                     on_bound[j], free[j], int(steps[j]))
-        return x
+            if not sent.any():
+                break
+            on_bound += hi
+            on_bound -= lo
+            free &= ~sent & sent.any(axis=-1, keepdims=True)
+            rows = free.any(axis=-1).tolist()
+        return np.where(stepping[:, None], z, x), on_bound, iterations
 
-    def _bvls(self, b, lb, ub, x, max_iter, on_bound=None, free=None, iteration=0):
-        """One row of :meth:`solve`, from the unbounded first step ``x`` that
-        leaves its box or whose box pins a variable, or, given ``on_bound``,
-        ``free`` and ``iteration``, from the iterate ``x`` that
-        :meth:`_bvls_stack` left; returns ``(x, iterations)``."""
+    def _bvls(self, b, lb, ub, x, on_bound, iteration, max_iter):
+        """BVLS's main loop for one row of :meth:`solve`, from the iterate
+        ``x``, ``on_bound`` and ``iteration`` count that :meth:`_bvls_stack`
+        left and that miss the KKT tolerance; returns ``(x, iterations)``."""
         A = self.A
         live = lb < ub
-        if on_bound is None:
-            if not live.all():
-                # The first step on the live columns, with pinned ones moved into b.
-                x = lb * ~live
-                if live.any():
-                    x[live] = self._subproblem(live, b - A @ x)
-                if ((x >= lb) & (x <= ub)).all():
-                    return x, 0
-            on_bound = np.where(x >= ub, 1.0, np.where(x <= lb, -1.0, 0.0))
-            x = _clamp(x, lb, ub)
-            free = (on_bound == 0) & live
-
-        # Initialization: least squares on the free variables, sending
-        # violators to their bounds, until the free solution is feasible.
-        while free.any():
-            iteration += 1
-            idx = free.nonzero()[0]
-            z = self._subproblem(free, b - A @ (x * ~free))
-            side = np.where(z < lb[idx], -1.0, np.where(z > ub[idx], 1.0, 0.0))
-            x[idx] = _clamp(z, lb[idx], ub[idx])
-            on_bound[idx] = side
-            if not side.any():
-                break
-            free[idx[side != 0]] = False
-
         r = A @ x - b
         cost = 0.5 * (r @ r)
         g = (A.T @ r) * live

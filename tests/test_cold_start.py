@@ -29,55 +29,56 @@ def loaded(step):
 
 import myoctl
 loaded("import myoctl")
-import myoctl.cli
-loaded("import myoctl.cli")
 
-from myoctl.plant import make_fixture, rest_state, rollout, smooth_random_controls
-from myoctl.inverse import invert_trajectory, roundtrip
-from myoctl.timeseries import resample
-plant = make_fixture("toy_finger")
-t = np.arange(500) / 500.0
-ctrl = 0.5 + 0.4 * np.sin(2 * np.pi * np.outer(t, [1.0, 1.5, 2.0, 2.5]))
-q = rollout(plant, rest_state(plant), ctrl, 1.0 / 500.0).q
-assert invert_trajectory(plant, q, 500.0).status == "ok"
-loaded("invert_trajectory")
-
-def convert(q, rate_hz):
-    session = myoctl.Session(id="s", rate_hz=rate_hz, channel_names=plant.joint_names,
-                             data=q.T, units=("rad",) * plant.njoints, metadata={})
-    path = tempfile.mkdtemp() + "/s"
-    myoctl.write_session(session, path)
-    out, record = myoctl.process_session(myoctl.read_session(path), plant)
-    assert record.status == "ok", record.failure_reason
-
-convert(q, 500)
-loaded("process_session")
-
-ctrl = smooth_random_controls(plant.nactuators, 2000, 1.0 / 2000.0, 3, settle=0.1)
-loaded("smooth_random_controls")
-assert roundtrip(plant, seed=1, duration=0.5, rate_hz=500.0).status == "ok"
-loaded("roundtrip")
-q = rollout(plant, rest_state(plant), ctrl, 1.0 / 2000.0).q
-assert resample(q, 2000.0, 500.0, axis=0).shape == (500, plant.njoints)
-loaded("resample 2000 -> 500 Hz")
-convert(q, 2000)
-loaded("process_session at 2 kHz")
-
+# Every file the program writes goes under root.
 with tempfile.TemporaryDirectory() as root:
+    import myoctl.cli
+    loaded("import myoctl.cli")
+
+    from myoctl.plant import make_fixture, rest_state, rollout, smooth_random_controls
+    from myoctl.inverse import invert_trajectory, roundtrip
+    from myoctl.timeseries import resample
+    plant = make_fixture("toy_finger")
+    t = np.arange(500) / 500.0
+    ctrl = 0.5 + 0.4 * np.sin(2 * np.pi * np.outer(t, [1.0, 1.5, 2.0, 2.5]))
+    q = rollout(plant, rest_state(plant), ctrl, 1.0 / 500.0).q
+    assert invert_trajectory(plant, q, 500.0).status == "ok"
+    loaded("invert_trajectory")
+
+    def convert(q, rate_hz):
+        session = myoctl.Session(id="s", rate_hz=rate_hz, channel_names=plant.joint_names,
+                                 data=q.T, units=("rad",) * plant.njoints, metadata={})
+        path = f"{root}/{rate_hz}/s"
+        myoctl.write_session(session, path)
+        out, record = myoctl.process_session(myoctl.read_session(path), plant)
+        assert record.status == "ok", record.failure_reason
+
+    convert(q, 500)
+    loaded("process_session")
+
+    ctrl = smooth_random_controls(plant.nactuators, 2000, 1.0 / 2000.0, 3, settle=0.1)
+    loaded("smooth_random_controls")
+    assert roundtrip(plant, seed=1, duration=0.5, rate_hz=500.0).status == "ok"
+    loaded("roundtrip")
+    q = rollout(plant, rest_state(plant), ctrl, 1.0 / 2000.0).q
+    assert resample(q, 2000.0, 500.0, axis=0).shape == (500, plant.njoints)
+    loaded("resample 2000 -> 500 Hz")
+    convert(q, 2000)
+    loaded("process_session at 2 kHz")
+
     for name in ("a", "b"):
         myoctl.write_session(myoctl.Session(id=name, rate_hz=2000, channel_names=plant.joint_names,
                                             data=q.T, units=("rad",) * plant.njoints, metadata={}),
                              f"{root}/in/{name}")
     manifest = myoctl.run_batch(f"{root}/in", plant, f"{root}/out", workers=1)
     assert manifest.totals["failed"] == 0
-loaded("run_batch, 1 worker")
+    loaded("run_batch, 1 worker")
 
-from myoctl.cli import parse_args, run
-root = tempfile.mkdtemp()
-assert run(parse_args(["gen-fixture", "--kind", "toy_finger", "--out", root + "/p.json"])) == 0
-assert run(parse_args(["simulate", "--plant", root + "/p.json", "--out", root + "/poses",
-                       "--duration", "0.5", "--rate", "2000", "--seed", "3"])) == 0
-loaded("cli simulate")
+    from myoctl.cli import parse_args, run
+    assert run(parse_args(["gen-fixture", "--kind", "toy_finger", "--out", root + "/p.json"])) == 0
+    assert run(parse_args(["simulate", "--plant", root + "/p.json", "--out", root + "/poses",
+                           "--duration", "0.5", "--rate", "2000", "--seed", "3"])) == 0
+    loaded("cli simulate")
 """
 
 

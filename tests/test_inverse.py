@@ -39,7 +39,7 @@ from myoctl.qp import BoxQp, BvlsSolver, solve_box_qp
 
 import kkt_oracle
 from ctrl_oracle import bisect_ctrl
-from qp_oracle import first_initialization_exit, kkt_residual
+from qp_oracle import bvls_per_row, kkt_residual
 
 
 def invert_frame_by_frame(plant, q, rate_hz, fail_threshold=1e-3):
@@ -540,13 +540,13 @@ class TestLanes:
     def test_one_solve_per_frame_and_bvls_only_where_the_first_step_is_not_the_answer(
             self, monkeypatch):
         # Each frame hands all its lanes to one solve call, which takes their
-        # unbounded first steps together, and then the first initialization
-        # step of those that leave a box pinning nothing. Only a lane-frame
-        # whose box pins a variable, or that is alone in its frame (the
-        # longest lane's last 70 frames), reaches the per-row BVLS loop from
-        # its first step; one that the stacked step leaves unfinished
-        # reaches it with the state the step left. Actuator 1's gain is dead
-        # in frames 20-39, which pins its variable there.
+        # first steps together and runs BVLS's initialization loop on the
+        # stack for every lane-frame whose first step leaves its box: with a
+        # pinned variable or without, alone in its frame (the longest lane's
+        # last 70 frames) or not. Only a lane-frame that the loop leaves
+        # short of the KKT tolerance reaches the per-row main loop, with the
+        # state the loop left. Actuator 1's gain is dead in frames 20-39,
+        # which pins its variable there.
         plant = make_fixture("toy_finger")
         real_gain_bias = myoctl.inverse._gain_bias
 
@@ -559,44 +559,50 @@ class TestLanes:
         lengths = (MIN_FRAMES, 150, 40, 400, 90, 260, 5, 330)
         lanes = [_prepare(plant, q, 500.0)
                  for q in noisy_trajectories(plant, lengths, 1e-6)]
-        frames, bvls_rows = [], []
-        real_solve, real_bvls = BvlsSolver.solve, BvlsSolver._bvls
+        frames, stacked, main_rows = [], [], []
+        real_solve, real_stack, real_bvls = (
+            BvlsSolver.solve, BvlsSolver._bvls_stack, BvlsSolver._bvls)
 
         def solve(solver, b, lb, ub, *args, **kwargs):
             result = real_solve(solver, b, lb, ub, *args, **kwargs)
             frames.append((b, lb, ub, result[1]))
             return result
 
-        def bvls(solver, b, lb, ub, x, max_iter, *state):
-            bvls_rows.append((len(frames), b.tobytes(), bool(state)))
-            return real_bvls(solver, b, lb, ub, x, max_iter, *state)
+        def stack(solver, b, lb, ub, x, stepping):
+            stacked.append((len(frames), stepping.tolist()))
+            return real_stack(solver, b, lb, ub, x, stepping)
+
+        def bvls(solver, b, *state):
+            main_rows.append((len(frames), b.tobytes()))
+            return real_bvls(solver, b, *state)
 
         monkeypatch.setattr(BvlsSolver, "solve", solve)
+        monkeypatch.setattr(BvlsSolver, "_bvls_stack", stack)
         monkeypatch.setattr(BvlsSolver, "_bvls", bvls)
         results = _invert_lanes(plant, lanes)
         assert [len(b) for b, _, _, _ in frames] == [
             sum(n > t for n in lengths) for t in range(max(lengths))]
         oracle = BvlsSolver(plant.moment_arms)
-        expected, exits = [], []
+        expected_stacked, expected, stepped = [], [], []
         for t, (b, lb, ub, iterations) in enumerate(frames):
-            pinned = (lb == ub).any(axis=1)
-            if len(b) == 1:
-                if pinned[0] or iterations[0] > 0:
-                    expected.append((t, b[0].tobytes(), False))
-                continue
-            expected += [(t, b[i].tobytes(), False) for i in np.flatnonzero(pinned)]
-            for i in np.flatnonzero(~pinned & (iterations > 0)):
-                exits.append(first_initialization_exit(oracle, b[i], lb[i], ub[i]))
-                if exits[-1] != "finished":
-                    expected.append((t, b[i].tobytes(), True))
-        assert bvls_rows == expected
-        pinned_rows = sum(int(((lb == ub).any(axis=1) & (it == 0)).sum())
-                          for _, lb, ub, it in frames)
+            stepping = iterations > 0
+            if stepping.any():
+                expected_stacked.append((t, stepping.tolist()))
+            for i in np.flatnonzero(stepping):
+                pinned = bool((lb[i] == ub[i]).any())
+                _, _, looped = bvls_per_row(oracle, b[i], lb[i], ub[i], 20000)
+                stepped.append((len(b) == 1, pinned, looped))
+                if looped:
+                    expected.append((t, b[i].tobytes()))
+        assert stacked == expected_stacked
+        assert main_rows == expected
         iterating_rows = sum(int(np.count_nonzero(r.iterations)) for r in results)
-        assert pinned_rows > 0
-        assert 0 < iterating_rows and len(expected) < sum(lengths)
-        assert exits.count("finished") > 0 and len(exits) > exits.count("finished")
-        assert any(len(frames[t][0]) == 1 for t, _, _ in expected)
+        assert iterating_rows == len(stepped) and len(expected) < iterating_rows
+        # The stacked loop took lone, pinned and plain lane-frames, and
+        # finished some of each kind and left others to the main loop.
+        for lone, pinned in ((True, False), (False, True), (False, False)):
+            kinds = {looped for alone, pins, looped in stepped if (alone, pins) == (lone, pinned)}
+            assert kinds == {True, False}, (lone, pinned)
 
     def test_lanes_must_share_one_rate(self):
         plant = make_fixture("toy_finger")

@@ -519,6 +519,18 @@ class TestRunBatch:
         assert read == []
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("workers", [2.0, "2"])
+    def test_worker_count_that_is_not_an_integer_is_rejected_before_out_dir_is_made(
+        self, tmp_path, toy_plant, monkeypatch, workers
+    ):
+        src = self._make_batch(tmp_path, toy_plant, count=3)
+        read = []
+        monkeypatch.setattr("myoctl.pipeline.read_session", read.append)
+        with pytest.raises(ValueError, match=f"workers must be an integer, got {workers!r}"):
+            run_batch(src, toy_plant, tmp_path / "out", workers=workers)
+        assert read == []
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("spelling", ["same", "dotdot", "symlink"])
     def test_output_directory_that_is_the_input_is_refused(
         self, tmp_path, toy_plant, monkeypatch, spelling

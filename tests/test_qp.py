@@ -9,7 +9,8 @@ from myoctl.plant import make_fixture, rest_state, rollout, smooth_random_contro
 from myoctl.qp import BoxQp, BvlsSolver, solve_box_qp
 
 import qp_oracle
-from qp_oracle import enumerate_box_qp_optimum, first_initialization_exit, random_box_qp
+from qp_oracle import (bvls_per_row, enumerate_box_qp_optimum, first_initialization_exit,
+                       random_box_qp)
 
 
 def _solve(A, b, lb, ub, **kwargs):
@@ -300,19 +301,16 @@ class TestCheck:
 
 
 class TestStackedInitialization:
-    """The first initialization step that :meth:`BvlsSolver.solve` takes for
-    a whole stack against the per-row loop it replaces."""
+    """The initialization loop that :meth:`BvlsSolver.solve` runs on a whole
+    stack, and the KKT check after it, against the frozen per-row solver."""
 
     EXITS = ("first step", "finished", "sent", "kkt", "no free", "pinned")
 
     @staticmethod
     def per_row(solver, b, lb, ub, max_iter):
-        """One row through the per-row loop from its unbounded first step:
+        """One row solved wholly row by row by the frozen oracle:
         ``(x, iterations, converged, residual)`` as ``solve`` reports them."""
-        x = solver._pinv_all @ b
-        iterations = 0
-        if (lb == ub).any() or not ((x >= lb) & (x <= ub)).all():
-            x, iterations = solver._bvls(b, lb, ub, x, max_iter)
+        x, iterations, _ = bvls_per_row(solver, b, lb, ub, max_iter)
         residual = solver.A @ x - b
         kkt = np.abs(x - np.minimum(np.maximum(x - solver.A.T @ residual, lb), ub)).max(
             initial=0.0)
@@ -362,9 +360,52 @@ class TestStackedInitialization:
             # max_iter=1 stops some rows that the stacked step leaves unfinished.
             assert converged.all() == (max_iter == 20000), max_iter
 
+    @pytest.mark.parametrize("max_iter", [1, 20000])
+    @pytest.mark.parametrize("rows", [1, 2, 8, 9])
+    def test_stacks_match_the_frozen_per_row_solver_bit_for_bit(self, rows, max_iter):
+        # Stacks that mix rows pinning one variable, rows pinning every
+        # variable and dead actuators' boxes [+0.0, -0.0] (and [-0.0, +0.0])
+        # with plain rows, against the oracle that solves each row alone.
+        rng = np.random.default_rng(rows)
+        looped, dead = set(), set()
+        for shape in ("toy_finger", "2x4 negated pairs", "23x39", "tall negated pairs"):
+            if shape == "toy_finger":
+                A = make_fixture(shape).moment_arms
+            else:
+                A = random_matrix(rng, shape)
+            n = A.shape[1]
+            problems = [random_bvls_problem(rng, A) for _ in range(12 * rows)]
+            b = np.stack([p.b for p in problems])
+            lb = np.stack([p.lb for p in problems])
+            ub = np.stack([p.ub for p in problems])
+            for i in range(len(b)):
+                j = rng.integers(n)
+                if i % 5 == 1:
+                    lb[i, j] = ub[i, j] = rng.uniform(-1.0, 1.0)
+                elif i % 7 == 3:
+                    ub[i] = lb[i]
+                elif i % 3 == 2:
+                    lb[i, j], ub[i, j] = (0.0, -0.0) if i % 2 else (-0.0, 0.0)
+            solver, reference = BvlsSolver(A), BvlsSolver(A)
+            for start in range(0, len(b), rows):
+                stack = slice(start, start + rows)
+                x, iterations = solver.solve(b[stack], lb[stack], ub[stack], max_iter)
+                for k, i in enumerate(range(start, start + rows)):
+                    x_i, it_i, loops = bvls_per_row(reference, b[i], lb[i], ub[i], max_iter)
+                    assert x[k].tobytes() == x_i.tobytes(), (shape, i)
+                    assert iterations[k] == it_i, (shape, i)
+                    looped.add((it_i > 0, loops))
+                    zeros = (lb[i] == 0.0) & (ub[i] == 0.0)
+                    dead.update(np.signbit(x_i[zeros]).tolist())
+        # First steps that are the answer, rows the initialization loop
+        # finishes and rows that reach the main loop; both signs of zero.
+        assert looped == {(False, False), (True, False), (True, True)}
+        assert dead == {False, True}
+
     def test_clean_toy_finger_lanes_never_reach_the_per_row_loop(self, monkeypatch):
-        # Eight clean lanes inverted together: every lane-frame whose first
-        # step leaves its box is finished by the stacked step.
+        # Eight clean lanes inverted together, and the first alone: every
+        # lane-frame whose first step leaves its box is finished by the
+        # stacked initialization loop and the KKT check after it.
         plant = make_fixture("toy_finger")
         lanes = [_prepare(plant, rollout(plant, rest_state(plant), smooth_random_controls(
             plant.nactuators, 1000, 0.002, seed), 0.002).q, 500.0) for seed in range(1, 9)]
@@ -376,10 +417,10 @@ class TestStackedInitialization:
             return real(solver, *args)
 
         monkeypatch.setattr(BvlsSolver, "_bvls", counting)
-        results = _invert_lanes(plant, lanes)
+        results = _invert_lanes(plant, lanes) + _invert_lanes(plant, lanes[:1])
         assert calls == []
         iterating = sum(int(np.count_nonzero(r.iterations)) for r in results)
-        assert iterating > 2000
+        assert iterating > 2000 and np.count_nonzero(results[-1].iterations) > 100
         assert all((r.iterations[r.iterations > 0] == 2).all() for r in results)
 
 
