@@ -4,29 +4,21 @@ Solves ``min 1/2 ||Ax - b||^2  subject to  lb <= x <= ub`` with Stark and
 Parker's bounded-variable least-squares method (the algorithm behind
 ``scipy.optimize.lsq_linear(method="bvls")``), working on ``A`` itself
 rather than on ``A'A`` so rank-deficient and wide matrices keep their
-conditioning. A :class:`BvlsSolver` is bound to one matrix and does its
-fixed work once, when it is built: it checks that ``A`` is finite and
-computes the full-column pseudo-inverse that every unbounded first step
-uses. Each free-set subproblem is solved as ``pinv(A[:, free]) @ rhs``;
-every pseudo-inverse is computed the first time its free set appears and
-kept in a bounded least-recently-used cache, so frames that share ``A``
-reuse each other's free sets. :meth:`BvlsSolver.solve` solves a stack of
-problems on plain arrays, one per row, checks only ``max_iter`` and returns
-the solutions and iteration counts. Every row takes one path: the
-unbounded first step, taken for all rows at once; then, for every row whose
-first step leaves its box, BVLS's initialization loop on the whole stack
-with a flag per row, only each row's free-set product run row by row; then
-one KKT check on the stack, and BVLS's main loop row by row on only the
-rows that check leaves unfinished. A variable with ``lb == ub`` is pinned:
-the first step of its row is taken on the live columns, and it stays on its
-bound and never enters a free set. :meth:`BvlsSolver.check` judges
-convergence afterwards, on a stack of any shape, by a projected-gradient
-KKT residual at a fixed tolerance, so a caller that solves many stacks can
-check them all in one call. :class:`BoxQp` is the checked problem and
-:func:`solve_box_qp` solves one as a stack of one with a fresh solver and
-reports its :class:`QpDiagnostics`; the inversion loop uses neither, and
-they remain for the tests and the benchmark tracer. Everything is
-deterministic for fixed inputs.
+conditioning. A :class:`BvlsSolver` is bound to one matrix: it checks that
+``A`` is finite and computes the full-column pseudo-inverse once, and it
+solves each free-set subproblem as ``pinv(A[:, free]) @ rhs``, keeping the
+pseudo-inverses in a bounded least-recently-used cache.
+:meth:`BvlsSolver.solve` solves a stack of problems, one per row: the
+unbounded first step and BVLS's initialization loop run on the whole stack,
+one KKT check follows, and each row that the check leaves unfinished runs
+BVLS's main loop alone, resuming from the check's residual and gradient. A
+row's outputs are bit for bit the same whatever rows share its stack. A
+variable with ``lb == ub`` is pinned: it stays on its bound and never
+enters a free set. :meth:`BvlsSolver.check` judges convergence afterwards,
+on a stack of any shape, by a projected-gradient KKT residual at a fixed
+tolerance. :class:`BoxQp` is a checked problem, and :func:`solve_box_qp`
+solves one with a fresh solver and reports its :class:`QpDiagnostics`.
+Everything is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -34,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .plant import _is_integer
 
 __all__ = ["BoxQp", "BvlsSolver", "solve_box_qp"]
 
@@ -155,9 +149,10 @@ class BvlsSolver:
            the whole stack with a flag per row (:meth:`_bvls_stack`).
         4. One KKT check on the stack finishes the rows that loop left
            optimal.
-        5. Only the rest run BVLS's main loop (:meth:`_bvls`), row by row:
-           it frees the variable with the largest KKT violation and steps
-           back to the first bound crossed.
+        5. Only the rest run BVLS's main loop (:meth:`_bvls`), row by row,
+           resuming from the check's residual and gradient: each pass frees
+           the variable with the largest KKT violation and steps back to the
+           first bound crossed.
 
         Every stacked product runs as a stack of columns (``M @
         v[..., None]``), which numpy evaluates column by column as it does
@@ -174,8 +169,8 @@ class BvlsSolver:
             steps as ``lsq_linear``'s ``nit`` does (0 when the first step is
             feasible). Whether a row converged is :meth:`check`'s to say.
         """
-        if max_iter < 1:
-            raise ValueError("max_iter must be a positive integer")
+        if not _is_integer(max_iter) or max_iter < 1:
+            raise ValueError(f"max_iter must be a positive integer, got {max_iter!r}")
         A = self.A
         x = (self._pinv_all @ b[..., None])[..., 0]
         live = lb < ub
@@ -204,11 +199,12 @@ class BvlsSolver:
             g *= live
         optimal = (_kkt_violation(g, on_bound) < _TOL).tolist()
         for j, row in enumerate(rows):
-            if row and not optimal[j]:
-                x[j], iterations[j] = self._bvls(b[j], lb[j], ub[j], x[j], on_bound[j],
-                                                 iterations[j], max_iter)
-            elif row:
-                # The main loop's first stop test, passed: the row's last step.
+            if row:
+                if not optimal[j]:
+                    x[j], iterations[j] = self._bvls(b[j], lb[j], ub[j], live[j], x[j],
+                                                     on_bound[j], r[j], g[j], iterations[j],
+                                                     max_iter)
+                # The stacked check is the row's first stop test.
                 iterations[j] += 1
         return x, np.array(iterations)
 
@@ -276,20 +272,20 @@ class BvlsSolver:
             rows = free.any(axis=-1).tolist()
         return np.where(stepping[:, None], z, x), on_bound, iterations
 
-    def _bvls(self, b, lb, ub, x, on_bound, iteration, max_iter):
-        """BVLS's main loop for one row of :meth:`solve`, from the iterate
-        ``x``, ``on_bound`` and ``iteration`` count that :meth:`_bvls_stack`
-        left and that miss the KKT tolerance; returns ``(x, iterations)``."""
+    def _bvls(self, b, lb, ub, live, x, on_bound, r, g, iteration, max_iter):
+        """BVLS's main loop for one row of :meth:`solve` that the stacked KKT
+        check left unfinished, resumed from that check's state: ``x`` and
+        ``on_bound`` as :meth:`_bvls_stack` left them, the residual ``r = Ax
+        - b`` and the gradient ``g = A'r`` masked to the ``live`` variables.
+        Each pass frees the variable with the largest KKT violation, steps
+        back to the first bound crossed, and ends with BVLS's stop test (the
+        cost stalls or the KKT violation falls below ``_TOL``), except the
+        pass that reaches ``max_iter``. Returns ``x`` clamped to the box and
+        ``iteration`` plus one per stop test run."""
         A = self.A
-        live = lb < ub
-        r = A @ x - b
         cost = 0.5 * (r @ r)
-        g = (A.T @ r) * live
-        optimality = _kkt_violation(g, on_bound)
-        stopped = False
-        for iteration in range(iteration, max_iter + iteration):
-            if stopped or optimality < _TOL:
-                break
+        last = iteration + max_iter - 1
+        while True:
             on_bound[np.argmax(g * on_bound)] = 0.0
             while True:
                 free = (on_bound == 0) & live
@@ -314,13 +310,16 @@ class BvlsSolver:
                 x_free += alpha * z
                 x[idx] = x_free
                 on_bound[idx[v[i]]] = -1.0 if i < lbv.size else 1.0
+            if iteration == last:
+                break
+            iteration += 1
             r = A @ x - b
             cost_new = 0.5 * (r @ r)
-            stopped = cost - cost_new < _TOL * cost
-            cost = cost_new
             g = (A.T @ r) * live
-            optimality = _kkt_violation(g, on_bound)
-        return _clamp(x, lb, ub), iteration + 1
+            if cost - cost_new < _TOL * cost or _kkt_violation(g, on_bound) < _TOL:
+                break
+            cost = cost_new
+        return _clamp(x, lb, ub), iteration
 
 
 def solve_box_qp(problem: BoxQp, max_iter: int = _MAX_ITER) -> tuple[np.ndarray, QpDiagnostics]:

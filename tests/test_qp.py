@@ -242,7 +242,7 @@ class TestAgainstLsqLinear:
         wide = np.arange(60)[:, None] % 3 == 0
         lb, ub = np.where(wide & live, lb - 1e3, lb), np.where(wide & live, ub + 1e3, ub)
         ub[5::10] = lb[5::10]
-        for max_iter in (20000, 1):
+        for max_iter in (20000, 1, 2, 3):
             solver = BvlsSolver(A)
             x, iterations, converged, residual = solve_and_check(solver, b, lb, ub, max_iter)
             assert (x.shape, iterations.shape, converged.shape, residual.shape) == (
@@ -260,8 +260,10 @@ class TestAgainstLsqLinear:
             assert np.count_nonzero(pinned & ~(lb == ub).all(axis=1)) >= 3
             assert np.count_nonzero((lb == ub).all(axis=1)) == 6
             # max_iter=1 stops some rows short of convergence except on
-            # toy_finger, whose problems here need one main-loop step at most.
-            assert converged.all() == (max_iter == 20000 or shape == "toy_finger")
+            # toy_finger, whose problems here need one main-loop step at most;
+            # at 2 and 3 that depends on the shape.
+            if max_iter in (1, 20000):
+                assert converged.all() == (max_iter == 20000 or shape == "toy_finger")
 
 
 class TestCheck:
@@ -344,7 +346,7 @@ class TestStackedInitialization:
         assert scale < 1.0
         b, lb, ub = (np.vstack((v, scale * v[k])) for v in (b, lb, ub))
         exits.append("kkt")
-        for max_iter in (20000, 1):
+        for max_iter in (20000, 1, 2, 3):
             x, iterations, converged, residual = solve_and_check(BvlsSolver(A), b, lb, ub,
                                                                  max_iter)
             reference = BvlsSolver(A)
@@ -357,10 +359,12 @@ class TestStackedInitialization:
                 assert residual[i].tobytes() == r_i.tobytes(), where
                 if exits[i] == "finished":
                     assert iterations[i] == 2, where
-            # max_iter=1 stops some rows that the stacked step leaves unfinished.
-            assert converged.all() == (max_iter == 20000), max_iter
+            # max_iter=1 stops some rows that the stacked step leaves unfinished;
+            # at 2 and 3 that depends on the shape.
+            if max_iter in (1, 20000):
+                assert converged.all() == (max_iter == 20000), max_iter
 
-    @pytest.mark.parametrize("max_iter", [1, 20000])
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, 20000])
     @pytest.mark.parametrize("rows", [1, 2, 8, 9])
     def test_stacks_match_the_frozen_per_row_solver_bit_for_bit(self, rows, max_iter):
         # Stacks that mix rows pinning one variable, rows pinning every
@@ -582,6 +586,23 @@ class TestValidation:
         for value in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="A contains non-finite entries"):
                 BvlsSolver(np.array([[1.0, value], [0.0, 1.0]]))
+
+    def test_max_iter_must_be_a_positive_integer(self):
+        # Rejected before any work, whether the row reaches the main loop
+        # (the first) or its first step is the answer (the second).
+        A = np.array([[1.1, 1.8, -2.6], [-0.1, 1.0, 1.4], [0.7, 1.5, 0.3]])
+        b = np.array([[0.6, 0.2, -1.1], [0.1, 0.0, 0.0]])
+        lb, ub = -0.5 * np.ones((2, 3)), 0.5 * np.ones((2, 3))
+        solver = BvlsSolver(A)
+        assert bvls_per_row(solver, b[0], lb[0], ub[0], 20000)[2]
+        assert solver.solve(b[1:], lb[1:], ub[1:])[1].tolist() == [0]
+        for max_iter in (2.5, 1.0, True, 0):
+            for row in (0, 1):
+                with pytest.raises(ValueError, match="max_iter must be a positive integer"):
+                    solver.solve(b[row:row + 1], lb[row:row + 1], ub[row:row + 1], max_iter)
+            with pytest.raises(ValueError, match="max_iter"):
+                solve_box_qp(BoxQp(A, b[0], lb[0], ub[0]), max_iter)
+        assert solver.solve(b, lb, ub, np.int64(3))[1].tolist() == [3, 0]
 
     def test_row_mismatch_rejected(self):
         with pytest.raises(ValueError):
