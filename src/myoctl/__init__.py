@@ -29,7 +29,6 @@ from .plant import (
     PlantError,
     PlantFormatError,
     PlantState,
-    RolloutResult,
     load_plant,
     make_fixture,
     rest_state,
@@ -47,7 +46,7 @@ __all__ = [
     "SessionFormatError", "SessionRecord", "SessionTruncatedError",
     "SessionVersionError", "process_session", "read_session", "run_batch",
     "write_session",
-    "Plant", "PlantError", "PlantFormatError", "PlantState", "RolloutResult",
+    "Plant", "PlantError", "PlantFormatError", "PlantState",
     "load_plant", "make_fixture", "rest_state", "rollout", "save_plant",
     "smooth_random_controls",
     "__version__",

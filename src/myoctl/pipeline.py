@@ -64,10 +64,11 @@ SESSION_FORMAT = "myoctl-session/1"
 
 POSE_RATE_HZ = 2000
 SOLVE_RATE_HZ = 500
-# Most sessions one batch worker inverts together. In a lane sweep of
-# 1000-frame trajectories (2 cores), a toy_finger trajectory inverted 2.5x
-# cheaper in a group of 8 than alone and no cheaper in groups of 12 to 32,
-# where the solves of lanes whose first step leaves the box dominate.
+# Most sessions one batch worker inverts together. On 1000-frame trajectories
+# (2 cores) a toy_finger trajectory inverted 2.5x cheaper in a group of 8 than
+# alone, and one group of 16 took 0.69x the time of two groups of 8 on
+# toy_finger but 0.997x on hand_like: the best cap may depend on the plant's
+# size, and 8 stays until a batch measures it.
 _GROUP_CAP = 8
 # The batch manifest's file name in the output directory.
 _MANIFEST = "manifest.json"

@@ -52,7 +52,6 @@ __all__ = [
     "forward_step",
     "make_fixture",
     "rollout",
-    "RolloutResult",
     "rest_state",
     "smooth_random_controls",
     "save_plant",
@@ -197,6 +196,10 @@ class Plant:
 @dataclass(frozen=True, eq=False)
 class PlantState:
     """Joint positions, joint velocities and per-muscle activations.
+
+    One state holds ``(njoints,)``, ``(njoints,)`` and ``(nactuators,)``
+    arrays; a log of states (as :func:`rollout` returns) holds the same with
+    leading axes, time on axis 0.
 
     Raises:
         PlantError: for ``q`` and ``qdot`` of different shapes or with a
@@ -459,21 +462,14 @@ def forward_step(plant: Plant, state: PlantState, ctrl, dt: float) -> PlantState
     return PlantState(q=q[1], qdot=qdot[1], act=act[1])
 
 
-@dataclass(frozen=True)
-class RolloutResult:
-    """Trajectory logs aligned with the applied control rows."""
-
-    q: np.ndarray
-    qdot: np.ndarray
-    act: np.ndarray
-
-
-def rollout(plant: Plant, state: PlantState, ctrl_traj, dt: float) -> RolloutResult:
+def rollout(plant: Plant, state: PlantState, ctrl_traj, dt: float) -> PlantState:
     """Apply a control trajectory row by row, logging the pre-step states.
 
-    ``dt`` and the whole control trajectory are checked once, then each row
-    is applied by the same step as :func:`forward_step`, on plain arrays,
-    so the states match a loop over :func:`forward_step` bit for bit.
+    Returns a :class:`PlantState` log: row ``t`` of its ``q``, ``qdot`` and
+    ``act`` is the state before control row ``t``. ``dt`` and the whole
+    control trajectory are checked once, then each row is applied by the
+    same step as :func:`forward_step`, on plain arrays, so the rows match a
+    loop over :func:`forward_step` bit for bit.
 
     Raises:
         ValueError: before the first step, for any control outside [0, 1]
@@ -486,7 +482,7 @@ def rollout(plant: Plant, state: PlantState, ctrl_traj, dt: float) -> RolloutRes
     """
     ctrl_traj = _check_step_args(plant, state, "ctrl_traj", ctrl_traj, dt)
     q, qdot, act = _simulate(plant, state, ctrl_traj, dt)
-    return RolloutResult(q=q[:-1], qdot=qdot[:-1], act=act[:-1])
+    return PlantState(q=q[:-1], qdot=qdot[:-1], act=act[:-1])
 
 
 def _is_integer(value) -> bool:

@@ -7,7 +7,9 @@ import pytest
 import myoctl.cli
 from myoctl.cli import parse_args, run
 from myoctl.pipeline import Session, read_session, write_session
-from myoctl.plant import load_plant, smooth_random_controls
+from myoctl.plant import load_plant, make_fixture, smooth_random_controls
+
+from inputs import noisy_pose_session
 
 
 class TestParseArgs:
@@ -200,6 +202,20 @@ class TestCommands:
         session = read_session(out)
         assert session.n_frames == 250
         assert len(session.channel_names) == 4
+
+    def test_invert_failure_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        plant_path = tmp_path / "plant.json"
+        run(parse_args(["gen-fixture", "--kind", "toy_finger", "--out", str(plant_path)]))
+        poses = tmp_path / "poses"
+        write_session(noisy_pose_session(make_fixture("toy_finger"), 500), poses)
+        capsys.readouterr()
+        code = run(parse_args(["invert", "--plant", str(plant_path), "--in", str(poses),
+                               "--out", str(tmp_path / "ctrl")]))
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "inversion failed: 497 of 500 frames infeasible\n"
+        assert captured.out == ""
+        assert not (tmp_path / "ctrl").exists()
 
     def test_invert_passes_the_joint_map(self, tmp_path, capsys):
         plant_path = tmp_path / "plant.json"

@@ -39,6 +39,7 @@ from myoctl.qp import BoxQp, BvlsSolver, solve_box_qp
 
 import kkt_oracle
 from ctrl_oracle import bisect_ctrl
+from inputs import coupled_hand
 from qp_oracle import bvls_per_row, kkt_residual
 
 
@@ -685,6 +686,26 @@ class TestRoundTripExactness:
         assert report.status == "ok"
         assert report.infeasible_frames == 0
         assert report.rmse <= 1e-9, f"RMSE {report.rmse:.2e} rad"
+
+
+class TestCoupledHand:
+    @pytest.fixture(scope="class")
+    def plant(self):
+        return coupled_hand()
+
+    @pytest.mark.parametrize("rate_hz", [500, 2000])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_roundtrip_meets_criterion_1(self, plant, seed, rate_hz):
+        # Criterion 1's steps and tolerances on the paper-size coupled plant.
+        dt = 1.0 / rate_hz
+        ctrl_ref = smooth_random_controls(plant.nactuators, 2 * rate_hz, dt, seed)
+        reference = rollout(plant, rest_state(plant), ctrl_ref, dt)
+        inversion = invert_trajectory(plant, reference.q, rate_hz)
+        replayed = rollout(plant, rest_state(plant), inversion.ctrl, dt)
+        rmse = float(np.sqrt(np.mean((replayed.q - reference.q) ** 2)))
+        assert inversion.status == "ok"
+        assert rmse < 1e-2, f"trajectory RMSE {rmse}"
+        assert np.mean(inversion.residuals < 1e-6) >= 0.99
 
 
 class TestInvertTrajectory:

@@ -26,6 +26,8 @@ from myoctl.pipeline import (
 )
 from myoctl.plant import make_fixture, rest_state, rollout, smooth_random_controls
 
+from inputs import noisy_pose_session
+
 
 @pytest.fixture(scope="module")
 def toy_plant():
@@ -144,6 +146,11 @@ class TestSessionContainer:
         message = str(excinfo.value).replace(str(path), "")
         assert re.search(rf"\b{field}\b", message), message
 
+    def test_unit_count_must_match_channels(self):
+        with pytest.raises(ValueError, match="^unit count does not match channel count$"):
+            Session(id="x", rate_hz=500, channel_names=("a", "b"), data=np.zeros((2, 10)),
+                    units=("rad",))
+
     def test_channel_count_must_match_rows(self):
         with pytest.raises(ValueError):
             Session(id="x", rate_hz=500, channel_names=("a", "b"), data=np.zeros((1, 10)))
@@ -179,6 +186,15 @@ class TestProcessSession:
         assert out is None
         assert record.status == "failed"
         assert "non-finite" in record.failure_reason
+
+    @pytest.mark.parametrize("rate_hz, infeasible", [(500, 497), (2000, 494)])
+    def test_failed_inversion_gives_no_output_and_its_reason(self, toy_plant, rate_hz,
+                                                             infeasible):
+        out, record = process_session(noisy_pose_session(toy_plant, rate_hz), toy_plant)
+        assert out is None
+        assert record.status == "failed"
+        assert record.failure_reason == f"{infeasible} of 500 frames infeasible"
+        assert (record.frames, record.infeasible_frames) == (rate_hz, infeasible)
 
     def test_repeated_channel_names_are_rejected(self, toy_plant):
         # Mapping by name would take the first 'mcp' and leave 'pip' at zero.
@@ -389,6 +405,18 @@ class TestRunBatch:
             else:
                 assert read_session(out / record.id) == alone
         assert manifest.records[1].failure_reason == "non-finite input at frame 300"
+
+    def test_failed_inversion_is_recorded_and_its_neighbour_converted(self, tmp_path, toy_plant):
+        src, out = tmp_path / "sessions", tmp_path / "out"
+        clean = pose_session(toy_plant, seed=1, nframes=1000, session_id="clean")
+        write_session(clean, src / "clean")
+        write_session(noisy_pose_session(toy_plant, 2000), src / "noisy")
+        manifest = run_batch(src, toy_plant, out, workers=1)
+        assert manifest.totals == {"sessions": 2, "ok": 1, "failed": 1}
+        by_id = {r.id: r for r in manifest.records}
+        assert by_id["noisy"].failure_reason == "494 of 500 frames infeasible"
+        assert not (out / "noisy").exists()
+        assert read_session(out / "clean") == process_session(clean, toy_plant)[0]
 
     def test_session_directory_named_like_the_manifest_fails_alone(self, tmp_path, toy_plant):
         src = tmp_path / "sessions"

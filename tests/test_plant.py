@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import step_oracle
+from inputs import coupled_hand
 from myoctl import plant as plant_module
 from myoctl.inverse import roundtrip
 from myoctl.muscle import (
@@ -51,6 +52,22 @@ def numeric_paths(node, path=()):
             yield from numeric_paths(value, path + (index,))
     elif isinstance(node, (int, float)) and not isinstance(node, bool):
         yield path
+
+
+def block_count(arms):
+    """How many independent blocks a moment-arm matrix splits into: two
+    joints share a block when a chain of muscles, each crossing joints of
+    the chain, links them."""
+    crosses = arms != 0.0
+    unseen, count = set(range(arms.shape[0])), 0
+    while unseen:
+        count += 1
+        joints = {unseen.pop()}
+        while joints:
+            muscles = crosses[sorted(joints)].any(axis=0)
+            joints = set(np.flatnonzero(crosses[:, muscles].any(axis=1)).tolist()) & unseen
+            unseen -= joints
+    return count
 
 
 def toy_finger_document(tmp_path):
@@ -241,6 +258,21 @@ class TestRollout:
             assert np.array_equal(result.q[t], state.q)
             assert np.array_equal(result.qdot[t], state.qdot)
             assert np.array_equal(result.act[t], state.act)
+            state = forward_step(plant, state, ctrl[t], 0.002)
+
+    @pytest.mark.parametrize("name", ["toy_finger", "gravity_finger", "coupled_hand"])
+    def test_returns_a_plant_state_log_whose_rows_chain_forward_steps(self, name):
+        plant = {"toy_finger": lambda: make_fixture("toy_finger"),
+                 "gravity_finger": gravity_finger, "coupled_hand": coupled_hand}[name]()
+        ctrl = smooth_random_controls(plant.nactuators, 200, 0.002, 4, settle=0.1)
+        log = rollout(plant, rest_state(plant), ctrl, 0.002)
+        assert type(log) is PlantState
+        assert log.q.shape == log.qdot.shape == (200, plant.njoints)
+        assert log.act.shape == (200, plant.nactuators)
+        state = rest_state(plant)
+        for t in range(200):
+            for attr in ("q", "qdot", "act"):
+                assert getattr(log, attr)[t].tobytes() == getattr(state, attr).tobytes()
             state = forward_step(plant, state, ctrl[t], 0.002)
 
     @pytest.mark.parametrize("kind", ["toy_finger", "hand_like"])
@@ -494,6 +526,16 @@ class TestFixtures:
         assert plant.njoints == 23
         assert plant.nactuators == 39
 
+    def test_coupled_hand_is_one_block_of_full_row_rank(self):
+        # hand_like splits into 11 blocks (5 digits, 5 abduction pairs, the
+        # wrist); the wrist arms of the coupled variant join them all.
+        assert block_count(make_fixture("hand_like").moment_arms) == 11
+        plant = coupled_hand()
+        assert (plant.njoints, plant.nactuators) == (23, 39)
+        assert block_count(plant.moment_arms) == 1
+        assert np.count_nonzero(plant.moment_arms) == 85
+        assert np.linalg.matrix_rank(plant.moment_arms) == 23
+
     def test_random_fixture_has_antagonist_coverage(self):
         plant = make_fixture("random", seed=7, njoints=3, nactuators=8)
         for row in plant.moment_arms:
@@ -552,6 +594,46 @@ class TestFixtures:
     def test_state_validation(self):
         with pytest.raises(PlantError):
             PlantState(q=np.zeros(2), qdot=np.zeros(2), act=np.array([0.5, 1.4]))
+        with pytest.raises(PlantError, match="^q and qdot shapes differ$"):
+            PlantState(q=np.zeros(2), qdot=np.zeros(3), act=np.zeros(4))
+
+
+FINGER = make_fixture("toy_finger")
+
+
+class TestPlantValidation:
+    """Each invalid plant is rejected on construction, naming its cause."""
+
+    @pytest.mark.parametrize("changes, message", [
+        (dict(moment_arms=np.zeros((2, 3))),
+         "moment_arms shape does not match joint/actuator counts"),
+        (dict(moment_arms=np.zeros((4, 2))),
+         "moment_arms shape does not match joint/actuator counts"),
+        (dict(length_offsets=[0.2, 0.2, 0.2]), "length_offsets has wrong length"),
+        (dict(inertia=[1e-3]), "inertia has wrong length"),
+        (dict(damping=[[0.02, 0.01]]), "damping has wrong length"),
+        (dict(gravity=[0.0, 0.0, 0.0]), "gravity has wrong length"),
+        (dict(joint_range=1.2), "joint_range has wrong length"),
+        (dict(params=FINGER.params[:3]), "per-actuator parameter lists have wrong length"),
+        (dict(geometry=FINGER.geometry * 2), "per-actuator parameter lists have wrong length"),
+        (dict(inertia=[1e-3, 0.0]), "inertia diagonal must be positive"),
+        (dict(inertia=[-1e-3, 5e-4]), "inertia diagonal must be positive"),
+        (dict(damping=[0.02, -1e-9]), "damping diagonal must be non-negative"),
+        (dict(joint_range=[1.2, 0.0]), "joint_range must be positive"),
+        # The offsets leave 12x the calibrated range (1.2 rad); mcp_flex's
+        # tendon reaches zero at 14.4 rad.
+        (dict(joint_range=[14.5, 1.2]),
+         "tendon lengths reach zero inside the declared joint range"),
+    ], ids=["arms_3_columns", "arms_4_rows", "offsets_3", "inertia_1", "damping_2d",
+            "gravity_3", "range_scalar", "params_3", "geometry_8", "inertia_zero",
+            "inertia_negative", "damping_negative", "range_zero", "range_slack"])
+    def test_invalid_plant_is_named(self, changes, message):
+        with pytest.raises(PlantError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(FINGER, **changes)
+
+    def test_zero_damping_is_valid(self):
+        plant = dataclasses.replace(FINGER, damping=[0.0, 0.0])
+        assert plant.damping.tolist() == [0.0, 0.0]
 
 
 class TestPlantFiles:

@@ -587,6 +587,12 @@ class TestValidation:
             with pytest.raises(ValueError, match="A contains non-finite entries"):
                 BvlsSolver(np.array([[1.0, value], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("A", [np.ones(3), np.ones((2, 2, 2)), 1.0],
+                             ids=["vector", "3d", "scalar"])
+    def test_matrix_required(self, A):
+        with pytest.raises(ValueError, match="^A must be a matrix$"):
+            BvlsSolver(A)
+
     def test_max_iter_must_be_a_positive_integer(self):
         # Rejected before any work, whether the row reaches the main loop
         # (the first) or its first step is the answer (the second).
