@@ -17,8 +17,6 @@ from .pipeline import (
     Session,
     SessionFormatError,
     SessionRecord,
-    SessionTruncatedError,
-    SessionVersionError,
     process_session,
     read_session,
     run_batch,
@@ -43,9 +41,8 @@ __all__ = [
     "RoundTripReport", "TrajectoryInversion", "invert_trajectory", "roundtrip",
     "CalibrationError", "MuscleGeometry", "MuscleParams",
     "ConfigurationError", "Manifest", "Session",
-    "SessionFormatError", "SessionRecord", "SessionTruncatedError",
-    "SessionVersionError", "process_session", "read_session", "run_batch",
-    "write_session",
+    "SessionFormatError", "SessionRecord", "process_session", "read_session",
+    "run_batch", "write_session",
     "Plant", "PlantError", "PlantFormatError", "PlantState",
     "load_plant", "make_fixture", "rest_state", "rollout", "save_plant",
     "smooth_random_controls",

@@ -20,10 +20,11 @@ header). Inverting together changes no session's bits, so outputs and the
 manifest content are independent of the worker count and of a session's
 neighbours, apart from wall-time fields. A record's ``wall_time_s`` is the
 session's own stages plus an equal share of its group's loop, so the records
-of one worker sum to no more than its wall time. Outputs and the manifest are
-written atomically (temp file + rename). The worker count is ``run_batch``'s
-``workers`` argument, 1 by default; no environment variable sets it. Alone or
-in a batch, a session is labelled by the inversion's one fixed status rule.
+of one worker sum to no more than its wall time. Each output directory is
+installed whole by :func:`write_session`, and the manifest replaced
+atomically. The worker count is ``run_batch``'s ``workers`` argument, 1 by
+default; no environment variable sets it. Alone or in a batch, a session is
+labelled by the inversion's one fixed status rule.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Mapping
 import numpy as np
 
 from .inverse import MIN_FRAMES, _invert_lanes, _prepare
-from .plant import Plant, _is_integer, _repeated, _whole_number, _write_atomic, _write_json
+from .plant import Plant, _is_integer, _repeated, _whole_number, _write_json
 from .timeseries import resample
 
 # bench/spans.py patches invert_trajectory in this module, so the name must
@@ -48,8 +49,6 @@ from .inverse import invert_trajectory  # noqa: F401
 
 __all__ = [
     "SessionFormatError",
-    "SessionVersionError",
-    "SessionTruncatedError",
     "ConfigurationError",
     "Session",
     "read_session",
@@ -72,18 +71,13 @@ SOLVE_RATE_HZ = 500
 _GROUP_CAP = 8
 # The batch manifest's file name in the output directory.
 _MANIFEST = "manifest.json"
+# What a session directory holds; write_session replaces nothing else.
+_SESSION_FILES = {"session.json", "data.bin"}
 
 
 class SessionFormatError(ValueError):
-    """Raised for malformed session files."""
-
-
-class SessionVersionError(SessionFormatError):
-    """Raised when a session file carries an unknown format tag."""
-
-
-class SessionTruncatedError(SessionFormatError):
-    """Raised when the payload is shorter than the header promises."""
+    """Raised for a session directory that cannot be read as a session; the
+    message names the directory and the cause."""
 
 
 class ConfigurationError(ValueError):
@@ -95,8 +89,9 @@ class Session:
     """Named traces at a fixed sample rate.
 
     ``data`` is channel-major, ``(nchannels, nframes)``, stored as float32
-    (the wire format) so write/read round trips are exact. Channel names
-    must be distinct: a ``ValueError`` names any that repeat, and another
+    (the wire format) so write/read round trips are exact. Channel names and
+    units must be strings and channel names distinct: a ``ValueError`` names
+    any entry that is not a string and any name that repeats, and another
     names the shape of ``data`` that is not ``(nchannels, nframes)``.
     """
 
@@ -109,6 +104,11 @@ class Session:
 
     def __post_init__(self) -> None:
         self.channel_names = tuple(self.channel_names)
+        self.units = ("1",) * len(self.channel_names) if self.units is None else tuple(self.units)
+        for attr in ("channel_names", "units"):
+            others = [value for value in getattr(self, attr) if not isinstance(value, str)]
+            if others:
+                raise ValueError(f"{attr} must hold strings, not {others}")
         repeated = _repeated(self.channel_names)
         if repeated:
             raise ValueError(f"channel_names repeats the names {repeated}")
@@ -116,9 +116,6 @@ class Session:
         if self.data.ndim != 2:
             raise ValueError(f"data has shape {self.data.shape}; a session needs "
                              "(nchannels, nframes)")
-        if self.units is None:
-            self.units = ("1",) * len(self.channel_names)
-        self.units = tuple(self.units)
         if len(self.channel_names) != self.data.shape[0]:
             raise ValueError("channel name count does not match data rows")
         if len(self.units) != len(self.channel_names):
@@ -146,33 +143,67 @@ class Session:
 
 
 def write_session(session: Session, path) -> None:
-    """Write a session directory (``session.json`` plus ``data.bin``),
-    creating it if needed; each file is replaced atomically."""
-    directory = Path(path)
-    directory.mkdir(parents=True, exist_ok=True)
-    _write_json(directory / "session.json", {
-        "format": SESSION_FORMAT,
-        "id": session.id,
-        "rate_hz": session.rate_hz,
-        "frames": session.n_frames,
-        "channels": [
-            {"name": name, "units": unit}
-            for name, unit in zip(session.channel_names, session.units)
-        ],
-        "metadata": session.metadata,
-    })
-    _write_atomic(directory / "data.bin", session.data.astype("<f4").tobytes())
+    """Install a session directory (``session.json`` plus ``data.bin``) at
+    ``path``, whole: both files go into a fresh sibling directory, which is
+    then renamed onto ``path``, creating its parents if needed. An earlier
+    session at ``path`` is renamed aside first and removed only once the new
+    one is in place, so readers see the old session or the new one, never a
+    mix. A failed write or rename removes the temporary directory, puts the
+    earlier session back and raises. Temporary siblings left by a crashed
+    writer of the same process id are removed first. ``path`` is resolved
+    first, so a symbolic link to a session directory names the new one.
+
+    Raises:
+        ValueError: naming ``path``, if it exists and is not a directory
+            holding nothing but ``session.json`` and ``data.bin`` (such as
+            ``.`` or a directory holding other files); ``path`` is left as
+            it is.
+    """
+    target = Path(path).resolve()
+    if target.exists() and (not target.is_dir() or set(os.listdir(target)) - _SESSION_FILES):
+        raise ValueError(f"refusing to replace {path}: it is not a directory holding only "
+                         "session.json and data.bin")
+    tmp, aside = (target.with_name(f".{tag}-{target.name}-{os.getpid()}")
+                  for tag in ("tmp", "old"))
+    for stale in (tmp, aside):
+        if stale.exists():
+            shutil.rmtree(stale)
+    try:
+        tmp.mkdir(parents=True)
+        (tmp / "session.json").write_text(json.dumps({
+            "format": SESSION_FORMAT,
+            "id": session.id,
+            "rate_hz": session.rate_hz,
+            "frames": session.n_frames,
+            "channels": [
+                {"name": name, "units": unit}
+                for name, unit in zip(session.channel_names, session.units)
+            ],
+            "metadata": session.metadata,
+        }, indent=2) + "\n")
+        (tmp / "data.bin").write_bytes(session.data.astype("<f4").tobytes())
+        if target.exists():
+            os.replace(target, aside)
+        os.replace(tmp, target)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        if aside.exists():
+            os.replace(aside, target)
+        raise
+    shutil.rmtree(aside, ignore_errors=True)
 
 
 def read_session(path) -> Session:
     """Read a session directory written by :func:`write_session`.
 
     Raises:
-        SessionVersionError: unknown or missing format tag.
-        SessionTruncatedError: payload shorter than the header promises.
-        SessionFormatError: any other inconsistency, such as a frame count
-            or rate that is not a whole number (at least 0 frames, at least
-            1 Hz) or repeated channel names; the message names the field.
+        SessionFormatError: naming ``path`` and the cause: a missing or
+            unparsable ``session.json``, an unknown or missing format tag, a
+            missing ``data.bin`` or one whose length differs from what the
+            header promises, or a malformed header field, such as a frame
+            count or rate that is not a whole number (at least 0 frames, at
+            least 1 Hz), a channel name or unit that is not a string or a
+            repeated channel name; the message names the field.
     """
     directory = Path(path)
     try:
@@ -180,43 +211,30 @@ def read_session(path) -> Session:
     except (OSError, json.JSONDecodeError) as exc:
         raise SessionFormatError(f"cannot parse session header in {path}: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != SESSION_FORMAT:
-        raise SessionVersionError(
+        raise SessionFormatError(
             f"session in {path} is not in the expected {SESSION_FORMAT} format"
         )
     try:
-        frames = _whole_number(header, "frames", minimum=0)
-        channels = header["channels"]
-        names = tuple(entry["name"] for entry in channels)
-        repeated = _repeated(names)
-        if repeated:
-            raise ValueError(f"'channels' repeats the names {repeated}")
-        units = tuple(entry.get("units", "1") for entry in channels)
-        rate = _whole_number(header, "rate_hz", minimum=1)
-        session_id = str(header["id"])
-        metadata = dict(header.get("metadata", {}))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SessionFormatError(f"session header in {path} is malformed: {exc}") from exc
-    try:
         payload = (directory / "data.bin").read_bytes()
     except OSError as exc:
-        raise SessionTruncatedError(f"session payload missing in {path}: {exc}") from exc
-    expected = 4 * frames * len(names)
-    if len(payload) < expected:
-        raise SessionTruncatedError(
-            f"session payload in {path} holds {len(payload)} bytes, header promises {expected}"
-        )
-    if len(payload) > expected:
-        raise SessionFormatError(
-            f"session payload in {path} holds {len(payload)} bytes, header promises {expected}"
-        )
-    data = np.frombuffer(payload, dtype="<f4").reshape(len(names), frames)
-    return Session(
-        id=session_id,
-        rate_hz=rate,
-        channel_names=names,
-        data=data,
-        units=units,
-        metadata=metadata,
+        raise SessionFormatError(f"session payload missing in {path}: {exc}") from exc
+    try:
+        frames = _whole_number(header, "frames", minimum=0)
+        channels = header["channels"]
+        expected = 4 * frames * len(channels)
+        if len(payload) == expected:
+            return Session(
+                id=str(header["id"]),
+                rate_hz=_whole_number(header, "rate_hz", minimum=1),
+                channel_names=tuple(entry["name"] for entry in channels),
+                data=np.frombuffer(payload, dtype="<f4").reshape(len(channels), frames),
+                units=tuple(entry.get("units", "1") for entry in channels),
+                metadata=dict(header.get("metadata", {})),
+            )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SessionFormatError(f"session header in {path} is malformed: {exc}") from exc
+    raise SessionFormatError(
+        f"session payload in {path} holds {len(payload)} bytes, header promises {expected}"
     )
 
 
@@ -422,29 +440,6 @@ def process_session(
     return out, _record(session.id, time.perf_counter() - start, **fields)
 
 
-def _write_session_atomic(session: Session, final_dir: Path) -> None:
-    """Write ``session`` to a temporary sibling directory, then rename it onto
-    ``final_dir``. An earlier ``final_dir`` is renamed aside first and removed
-    only once the new one is in place. A failed write or rename removes the
-    temporary directory, puts the earlier directory back and raises."""
-    tmp, aside = (final_dir.with_name(f".{tag}-{final_dir.name}-{os.getpid()}")
-                  for tag in ("tmp", "old"))
-    for stale in (tmp, aside):
-        if stale.exists():
-            shutil.rmtree(stale)
-    try:
-        write_session(session, tmp)
-        if final_dir.exists():
-            os.replace(final_dir, aside)
-        os.replace(tmp, final_dir)
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        if aside.exists():
-            os.replace(aside, final_dir)
-        raise
-    shutil.rmtree(aside, ignore_errors=True)
-
-
 def _convert_group(args) -> list[SessionRecord]:
     """Convert the sessions in ``session_dirs`` as one group (see the module
     docstring), each to ``out_dir/<its directory name>``; each record
@@ -479,7 +474,7 @@ def _convert_group(args) -> list[SessionRecord]:
         try:
             out, fields = _finish(session, plant, result)
             if out is not None:
-                _write_session_atomic(out, Path(out_dir) / names[i])
+                write_session(out, Path(out_dir) / names[i])
         except Exception as exc:  # an unwritable output: record, don't abort
             fields = {"reason": f"{type(exc).__name__}: {exc}"}
         records[i] = _record(names[i], spent + share + time.perf_counter() - start, **fields)

@@ -116,8 +116,9 @@ class Plant:
         params, geometry: per-actuator muscle parameters and calibrated
             geometry, aligned with ``actuator_names``.
 
-    Joint names must be distinct, and so must actuator names: a
-    ``PlantError`` names any that repeat.
+    Joint and actuator names must be strings, the joint names distinct and
+    the actuator names distinct: a ``PlantError`` names any name that is not
+    a string and any that repeats.
     """
 
     name: str
@@ -139,6 +140,9 @@ class Plant:
                 raise PlantError(f"{attr} has non-finite entries")
             object.__setattr__(self, attr, value)
         for attr in ("joint_names", "actuator_names"):
+            others = [name for name in getattr(self, attr) if not isinstance(name, str)]
+            if others:
+                raise PlantError(f"{attr} must hold strings, not {others}")
             repeated = _repeated(getattr(self, attr))
             if repeated:
                 raise PlantError(f"{attr} repeats the names {repeated}")
@@ -787,23 +791,19 @@ def make_fixture(
 # Plant definition files
 
 
-def _write_atomic(path, payload: bytes) -> None:
-    """Write ``payload`` to a temporary sibling, then rename it onto ``path``,
-    so readers see the old file or the new one, never a partial write. A
-    failed rename removes the temporary file and raises."""
+def _write_json(path, doc) -> None:
+    """Write ``doc`` as indented JSON with a trailing newline to a temporary
+    sibling, then rename it onto ``path``, so readers see the old file or
+    the new one, never a partial write. A failed write or rename removes the
+    temporary file and raises."""
     path = Path(path)
     tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
-    tmp.write_bytes(payload)
     try:
+        tmp.write_bytes((json.dumps(doc, indent=2) + "\n").encode())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def _write_json(path, doc) -> None:
-    """Write ``doc`` atomically as indented JSON with a trailing newline."""
-    _write_atomic(path, (json.dumps(doc, indent=2) + "\n").encode())
 
 
 def _whole_number(doc: dict, key: str, minimum: int) -> int:

@@ -37,8 +37,11 @@ _TOL = 1e-10
 _MAX_ITER = 20000
 # The most free-set pseudo-inverses a solver keeps, dropping the least recently
 # used past it; a rebuilt entry has the same bits. A clean 1000-frame hand_like
-# round trip uses at most 81 sets; a noisy one finds 90.9 % of its lookups
-# cached at this bound against 91.1 % unbounded.
+# round trip uses at most 81 sets. With Gaussian pose noise (noise seed 7) on
+# 1000-frame hand_like references at 500 Hz, lookups hit the cache 27.4 % of
+# the time at this bound against 29.6 % unbounded (one lane, sigma 1e-5 rad),
+# 9.7 % against 10.5 % (one lane, sigma 1e-6) and 26.7 % against 33.7 % (eight
+# lanes, sigma 1e-5).
 _PINV_CACHE_SIZE = 1024
 
 

@@ -232,6 +232,35 @@ class TestCommands:
         assert capsys.readouterr().err == "error: joint map references unknown joints: ['elbow']\n"
         assert not (tmp_path / "ctrl").exists()
 
+    def test_joint_map_that_is_not_an_object_exits_1(self, tmp_path, capsys):
+        plant_path = tmp_path / "plant.json"
+        run(parse_args(["gen-fixture", "--kind", "toy_finger", "--out", str(plant_path)]))
+        poses = tmp_path / "poses"
+        run(parse_args(["simulate", "--plant", str(plant_path), "--out", str(poses),
+                        "--duration", "0.1", "--rate", "500", "--seed", "3"]))
+        joint_map = tmp_path / "map.json"
+        joint_map.write_text(json.dumps([["mcp", "pip"]]))
+        capsys.readouterr()
+        code = run(parse_args(["invert", "--plant", str(plant_path), "--in", str(poses),
+                               "--out", str(tmp_path / "ctrl"), "--joint-map", str(joint_map)]))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: joint map {joint_map} must be a JSON object\n"
+        assert not (tmp_path / "ctrl").exists()
+
+    def test_simulate_into_a_directory_holding_other_files_exits_1(self, tmp_path, capsys):
+        plant_path = tmp_path / "plant.json"
+        run(parse_args(["gen-fixture", "--kind", "toy_finger", "--out", str(plant_path)]))
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("keep")
+        capsys.readouterr()
+        code = run(parse_args(["simulate", "--plant", str(plant_path), "--out", str(out),
+                               "--duration", "0.1", "--rate", "500"]))
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: refusing to replace {out}: it is not a "
+                                           "directory holding only session.json and data.bin\n")
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+
     def test_roundtrip_toy_finger(self, capsys):
         code = run(parse_args(["roundtrip", "--kind", "toy_finger", "--seed", "1",
                                "--duration", "0.5"]))

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import time
 from dataclasses import asdict
@@ -17,8 +18,6 @@ from myoctl.pipeline import (
     Session,
     SessionFormatError,
     SessionRecord,
-    SessionTruncatedError,
-    SessionVersionError,
     process_session,
     read_session,
     run_batch,
@@ -71,6 +70,24 @@ def edited_session(tmp_path, field, edit):
     return path
 
 
+def fail_payload_writes(monkeypatch):
+    """Make every write of ``data.bin``, or of a temporary file named after
+    it, fail as on a full disk."""
+    real = Path.write_bytes
+
+    def disk_full(self, data):
+        if self.name.startswith("data.bin"):
+            raise OSError(28, "No space left on device")
+        return real(self, data)
+
+    monkeypatch.setattr(Path, "write_bytes", disk_full)
+
+
+def tree(path):
+    """Every file under ``path`` with its bytes."""
+    return {p.relative_to(path): p.read_bytes() for p in path.rglob("*") if p.is_file()}
+
+
 def bad_count_token(minimum):
     """Raw JSON text that is no whole number of at least ``minimum``."""
     return st.one_of(
@@ -99,14 +116,15 @@ class TestSessionContainer:
         header = json.loads((tmp_path / "s" / "session.json").read_text())
         header["format"] = "myoctl-session/99"
         (tmp_path / "s" / "session.json").write_text(json.dumps(header))
-        with pytest.raises(SessionVersionError, match="myoctl-session/1"):
+        with pytest.raises(SessionFormatError, match="not in the expected myoctl-session/1"):
             read_session(tmp_path / "s")
 
     def test_truncated_payload(self, tmp_path, toy_plant):
         write_session(pose_session(toy_plant, nframes=100), tmp_path / "s")
         blob = (tmp_path / "s" / "data.bin").read_bytes()
         (tmp_path / "s" / "data.bin").write_bytes(blob[:-9])
-        with pytest.raises(SessionTruncatedError):
+        with pytest.raises(SessionFormatError, match=f"holds {len(blob) - 9} bytes, "
+                                                     f"header promises {len(blob)}"):
             read_session(tmp_path / "s")
 
     def test_oversized_payload_is_a_length_mismatch(self, tmp_path, toy_plant):
@@ -121,6 +139,29 @@ class TestSessionContainer:
         with pytest.raises(SessionFormatError):
             read_session(tmp_path / "s")
 
+    def test_missing_payload(self, tmp_path, toy_plant):
+        write_session(pose_session(toy_plant, nframes=100), tmp_path / "s")
+        (tmp_path / "s" / "data.bin").unlink()
+        with pytest.raises(SessionFormatError,
+                           match=re.escape(f"session payload missing in {tmp_path / 's'}")):
+            read_session(tmp_path / "s")
+
+    @pytest.mark.parametrize("key", ["name", "units"])
+    def test_channel_name_or_unit_that_is_not_a_string_is_named(self, tmp_path, key):
+        # A channel named 5 would otherwise fail only at conversion, as a
+        # session channel that no joint reads.
+        path = tmp_path / "s"
+        write_session(Session(id="s", rate_hz=500, channel_names=("mcp", "pip"),
+                              data=np.zeros((2, 20))), path)
+        header = json.loads((path / "session.json").read_text())
+        header["channels"][0][key] = 5
+        (path / "session.json").write_text(json.dumps(header))
+        field = {"name": "channel_names", "units": "units"}[key]
+        with pytest.raises(SessionFormatError,
+                           match=re.escape(f"session header in {path} is malformed: "
+                                           f"{field} must hold strings, not [5]")):
+            read_session(path)
+
     @pytest.mark.parametrize("field, token", [
         ("frames", "1e400"), ("frames", "-1"), ("rate_hz", "2000.7"), ("rate_hz", "0"),
     ])
@@ -129,7 +170,7 @@ class TestSessionContainer:
             read_session(edited_session(tmp_path, field, token))
 
     def test_repeated_channel_names_are_named(self, tmp_path):
-        with pytest.raises(SessionFormatError, match=r"'channels' repeats the names \['a'\]"):
+        with pytest.raises(SessionFormatError, match=r"channel_names repeats the names \['a'\]"):
             read_session(edited_session(tmp_path, "channels", (0, 2)))
 
     @given(data=st.data(), field=st.sampled_from(["frames", "rate_hz", "channels"]))
@@ -144,7 +185,9 @@ class TestSessionContainer:
         with pytest.raises(SessionFormatError) as excinfo:
             read_session(path)
         message = str(excinfo.value).replace(str(path), "")
-        assert re.search(rf"\b{field}\b", message), message
+        # Repeated channel names are named by the Session field that holds them.
+        name = "channel_names" if field == "channels" else field
+        assert re.search(rf"\b{name}\b", message), message
 
     def test_unit_count_must_match_channels(self):
         with pytest.raises(ValueError, match="^unit count does not match channel count$"):
@@ -161,6 +204,66 @@ class TestSessionContainer:
                                              r"needs \(nchannels, nframes\)"):
             Session(id="x", rate_hz=500, channel_names=("mcp", "pip"),
                     data=np.zeros((2, 10, 3)))
+
+
+class TestWriteSession:
+    def test_failed_payload_write_keeps_the_old_session(self, tmp_path, toy_plant, monkeypatch):
+        # Replacing one file at a time would leave the new header over the old data.
+        old = pose_session(toy_plant, seed=1, nframes=100, session_id="old")
+        write_session(old, tmp_path / "s")
+        before = tree(tmp_path)
+        fail_payload_writes(monkeypatch)
+        with pytest.raises(OSError, match="No space left on device"):
+            write_session(pose_session(toy_plant, seed=2, nframes=100, session_id="new"),
+                          tmp_path / "s")
+        monkeypatch.undo()
+        assert tree(tmp_path) == before
+        assert [p.name for p in tmp_path.iterdir()] == ["s"]
+        assert read_session(tmp_path / "s") == old
+
+    def test_rewrite_installs_the_new_session_whole(self, tmp_path, toy_plant):
+        write_session(pose_session(toy_plant, seed=1, nframes=100, session_id="old"),
+                      tmp_path / "s")
+        old_inode = (tmp_path / "s").stat().st_ino
+        new = pose_session(toy_plant, seed=2, nframes=300, session_id="new")
+        write_session(new, tmp_path / "s")
+        assert read_session(tmp_path / "s") == new
+        assert (tmp_path / "s").stat().st_ino != old_inode
+        assert [p.name for p in tmp_path.iterdir()] == ["s"]
+
+    @pytest.mark.parametrize("target", ["foreign_file", "plain_file", "dot"])
+    def test_target_that_is_not_a_session_directory_is_refused_and_untouched(
+        self, tmp_path, toy_plant, monkeypatch, target
+    ):
+        # Installing the session whole would delete everything else the target holds.
+        session = pose_session(toy_plant, nframes=100)
+        path = {"foreign_file": tmp_path / "s", "plain_file": tmp_path / "s", "dot": "."}[target]
+        if target == "foreign_file":
+            write_session(session, tmp_path / "s")
+            (tmp_path / "s" / "notes.txt").write_text("keep")
+        elif target == "plain_file":
+            (tmp_path / "s").write_text("keep")
+        else:
+            (tmp_path / "notes.txt").write_text("keep")
+            monkeypatch.chdir(tmp_path)
+        before = tree(tmp_path)
+        with pytest.raises(ValueError, match=re.escape(
+                f"refusing to replace {path}: it is not a directory holding only "
+                "session.json and data.bin")):
+            write_session(session, path)
+        assert tree(tmp_path) == before
+
+    def test_stale_temporary_directories_of_this_process_id_are_removed(self, tmp_path,
+                                                                        toy_plant):
+        # What a crashed writer with the same process id left beside the target.
+        for tag in ("tmp", "old"):
+            stale = tmp_path / f".{tag}-s-{os.getpid()}"
+            stale.mkdir()
+            (stale / "data.bin").write_bytes(b"partial")
+        session = pose_session(toy_plant, nframes=100)
+        write_session(session, tmp_path / "s")
+        assert [p.name for p in tmp_path.iterdir()] == ["s"]
+        assert read_session(tmp_path / "s") == session
 
 
 class TestProcessSession:
@@ -349,7 +452,7 @@ class TestRunBatch:
         assert manifest.totals == {"sessions": 4, "ok": 3, "failed": 1}
         by_id = {r.id: r for r in manifest.records}
         assert by_id["s02"].status == "failed"
-        assert "SessionTruncatedError" in by_id["s02"].failure_reason
+        assert by_id["s02"].failure_reason.startswith("SessionFormatError: session payload in ")
         assert (tmp_path / "out" / "manifest.json").exists()
         assert (tmp_path / "out" / "s00" / "data.bin").exists()
         assert not (tmp_path / "out" / "s02").exists()
@@ -487,14 +590,7 @@ class TestRunBatch:
     def test_failed_write_leaves_no_temporary_directory(self, tmp_path, toy_plant, monkeypatch):
         src = tmp_path / "sessions"
         write_session(pose_session(toy_plant, nframes=1000), src / "a")
-        real = myoctl.pipeline._write_atomic
-
-        def disk_full(path, payload):
-            if Path(path).name == "data.bin":
-                raise OSError(28, "No space left on device")
-            real(path, payload)
-
-        monkeypatch.setattr(myoctl.pipeline, "_write_atomic", disk_full)
+        fail_payload_writes(monkeypatch)
         out = tmp_path / "out"
         manifest = run_batch(src, toy_plant, out, workers=1)
         assert [(r.id, r.status) for r in manifest.records] == [("a", "failed")]

@@ -3,6 +3,7 @@ import json
 import re
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -722,6 +723,33 @@ class TestPlantFiles:
         path.write_text(json.dumps(doc))
         with pytest.raises(PlantError, match=rf"{field} repeats the names \['{name}'\]"):
             load_plant(path)
+
+    @pytest.mark.parametrize("field", ["joint_names", "actuator_names"])
+    def test_name_that_is_not_a_string_is_named(self, tmp_path, field):
+        # A joint named 7 would otherwise load and fail only at conversion.
+        path, doc = toy_finger_document(tmp_path)
+        doc[field][1] = 7
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PlantError, match=re.escape(f"{field} must hold strings, not [7]")):
+            load_plant(path)
+
+    def test_failed_write_leaves_the_old_file_and_no_temporary_file(self, tmp_path,
+                                                                     monkeypatch):
+        path = tmp_path / "p.json"
+        save_plant(make_fixture("toy_finger"), path)
+        before = path.read_bytes()
+        real = Path.write_bytes
+
+        def disk_full_after_10_bytes(self, data):
+            real(self, data[:10])
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_bytes", disk_full_after_10_bytes)
+        with pytest.raises(OSError, match="No space left on device"):
+            save_plant(make_fixture("hand_like"), path)
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ["p.json"]
+        assert path.read_bytes() == before
 
     def test_missing_file_is_an_os_error(self, tmp_path):
         with pytest.raises(FileNotFoundError):
