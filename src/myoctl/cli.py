@@ -126,7 +126,7 @@ def _load_joint_map(path):
     table = json.loads(Path(path).read_text())
     if not isinstance(table, dict):
         raise ValueError(f"joint map {path} must be a JSON object")
-    return {str(k): str(v) for k, v in table.items()}
+    return table
 
 
 def _cmd_simulate(args) -> int:

@@ -71,18 +71,47 @@ class CalibrationError(ValueError):
     """Raised when an actuator's operating range cannot be calibrated."""
 
 
+# BvlsSolver.solve runs the integer rule on every frame; a module-level tuple
+# makes it cheaper than one built on each call.
+_INTEGERS = (int, np.integer)
+
+
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer, False for a bool or a float such as ``100.0``."""
+    return isinstance(value, _INTEGERS) and not isinstance(value, bool)
+
+
+def _require_int(name: str, value, minimum: int) -> None:
+    """Reject anything but an integer (:func:`_is_integer`) of at least ``minimum``, naming it."""
+    if not (_is_integer(value) and value >= minimum):
+        raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
+
+
+def _is_number(value) -> bool:
+    """True for a real number, a numeric array or a (nested) list of numbers;
+    False if the value or any entry is a bool, a string or any other object.
+    numpy's bool is not a numpy integer, so only Python's needs excluding."""
+    if isinstance(value, (list, tuple)):
+        return all(map(_is_number, value))
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "iuf"
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def _require_finite(record) -> None:
-    """Reject a NaN or infinite field of a parameter record, naming it."""
+    """Reject a field of a parameter record that is not one finite number
+    (:func:`_is_number`), naming it."""
     for f in fields(record):
-        if not math.isfinite(getattr(record, f.name)):
-            raise ValueError(f"{f.name} must be finite")
+        value = getattr(record, f.name)
+        if not (np.ndim(value) == 0 and _is_number(value) and math.isfinite(value)):
+            raise ValueError(f"{f.name} must be a finite number, got {value!r}")
 
 
 def _require_positive(name: str, value) -> None:
-    """Reject a scalar or array with an entry that is not positive and finite
-    (NaN included), naming it."""
-    v = np.asarray(value, dtype=float)
-    if not ((v > 0.0) & (v < np.inf)).all():
+    """Reject a scalar or array that is not a number (:func:`_is_number`) or
+    has an entry that is not positive and finite (NaN included), naming it."""
+    v = np.asarray(value, dtype=float) if _is_number(value) else None
+    if v is None or not ((v > 0.0) & (v < np.inf)).all():
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
@@ -420,7 +449,8 @@ def step_activation(act, ctrl, dt, tau_act, tau_deact, tau_smooth):
 
     Raises:
         ValueError: if ``dt``, ``tau_act``, ``tau_deact`` or ``tau_smooth``
-            has an entry that is not positive and finite.
+            has an entry that is not a positive and finite number (a bool or
+            a string is not a number).
     """
     for name, value in (("dt", dt), ("tau_act", tau_act), ("tau_deact", tau_deact),
                         ("tau_smooth", tau_smooth)):

@@ -40,7 +40,8 @@ from typing import Mapping
 import numpy as np
 
 from .inverse import MIN_FRAMES, _invert_lanes, _prepare
-from .plant import Plant, _is_integer, _repeated, _whole_number, _write_json
+from .muscle import _require_int
+from .plant import Plant, _require_names, _whole_number, _write_json
 from .timeseries import resample
 
 # bench/spans.py patches invert_trajectory in this module, so the name must
@@ -105,13 +106,8 @@ class Session:
     def __post_init__(self) -> None:
         self.channel_names = tuple(self.channel_names)
         self.units = ("1",) * len(self.channel_names) if self.units is None else tuple(self.units)
-        for attr in ("channel_names", "units"):
-            others = [value for value in getattr(self, attr) if not isinstance(value, str)]
-            if others:
-                raise ValueError(f"{attr} must hold strings, not {others}")
-        repeated = _repeated(self.channel_names)
-        if repeated:
-            raise ValueError(f"channel_names repeats the names {repeated}")
+        _require_names(ValueError, "channel_names", self.channel_names)
+        _require_names(ValueError, "units", self.units, distinct=False)
         self.data = np.ascontiguousarray(np.atleast_2d(self.data), dtype=np.float32)
         if self.data.ndim != 2:
             raise ValueError(f"data has shape {self.data.shape}; a session needs "
@@ -240,7 +236,13 @@ def read_session(path) -> Session:
 
 @dataclass(frozen=True)
 class SessionRecord:
-    """Per-session batch outcome; in a batch, ``id`` is the input directory's name."""
+    """Per-session batch outcome; in a batch, ``id`` is the input directory's name.
+
+    The two counts are at different rates: ``frames`` counts the session's
+    frames at its own rate, while ``infeasible_frames`` counts frames at the
+    500 Hz solve rate (``SOLVE_RATE_HZ``): a 2 kHz session of 2000 frames is
+    solved as 500 frames, and up to 500 of them can be infeasible.
+    """
 
     id: str
     status: str
@@ -291,10 +293,15 @@ def _check_joint_map(joint_map: Mapping[str, str] | None, plant: Plant) -> None:
     not: the unmapped ``pip`` would read ``pip`` too.
 
     Raises:
-        ConfigurationError: for joint-map keys that name no plant joint, or
-            a channel that would feed two or more joints (named with them).
+        ConfigurationError: for joint-map keys or values that are not
+            strings (the entries are named), keys that name no plant joint,
+            or a channel that would feed two or more joints (named with
+            them).
     """
     joint_map = joint_map or {}
+    others = {k: v for k, v in joint_map.items() if not (isinstance(k, str) and isinstance(v, str))}
+    if others:
+        raise ConfigurationError(f"joint map keys and values must be strings, not {others}")
     unknown = set(joint_map) - set(plant.joint_names)
     if unknown:
         raise ConfigurationError(f"joint map references unknown joints: {sorted(unknown)}")
@@ -429,7 +436,8 @@ def process_session(
             :func:`~myoctl.inverse.invert_trajectory` raises for the
             resampled poses.
         ConfigurationError: for rate or joint-map mismatches, such as a
-            channel that would feed two joints.
+            joint-map key or value that is not a string or a channel that
+            would feed two joints.
     """
     _check_joint_map(joint_map, plant)
     start = time.perf_counter()
@@ -504,21 +512,20 @@ def run_batch(
     before any session is read or ``out_dir`` is created.
 
     Raises:
-        ValueError: if the input directory holds no sessions, for a worker
-            count that is not an integer or is below 1, for an ``out_dir`` that resolves to
-            ``input_dir``, where each output would replace its input
-            session (the message names both paths), or for a session whose
-            ``out_dir/<name>`` resolves to ``input_dir`` or a directory
-            holding it, where that output would replace every input session
-            (the message names the session and both paths).
-        ConfigurationError: for joint-map keys that name no plant joint, or
-            a channel that would feed two joints.
+        ValueError: ``"workers must be an integer of at least 1, got
+            <workers!r>"`` for a worker count that is not one (a bool or a
+            float such as ``2.0`` included); if the input directory holds no
+            sessions; for an ``out_dir`` that resolves to ``input_dir``,
+            where each output would replace its input session (the message
+            names both paths); or for a session whose ``out_dir/<name>``
+            resolves to ``input_dir`` or a directory holding it, where that
+            output would replace every input session (the message names the
+            session and both paths).
+        ConfigurationError: for a joint map that :func:`process_session`
+            refuses.
     """
     _check_joint_map(joint_map, plant)
-    if not _is_integer(workers):
-        raise ValueError(f"workers must be an integer, got {workers!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    _require_int("workers", workers, 1)
     input_dir = Path(input_dir)
     out_dir = Path(out_dir)
     if out_dir.resolve() == input_dir.resolve():

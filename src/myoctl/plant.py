@@ -34,8 +34,9 @@ import numpy as np
 # The step kernel and _gain_bias call the unchecked law pieces.
 from .muscle import (
     MuscleGeometry, MuscleParams, _euler, _fl, _fl_args, _fl_poly, _fl_reach, _fp,
-    _fp_args, _fp_poly, _fp_reach, _fv, _fv_args, _fv_poly, _fv_reach, _require_positive,
-    _tau_poly, _tau_reach, _unit_clamp, calibrate_geometry, smoothstep,
+    _fp_args, _fp_poly, _fp_reach, _fv, _fv_args, _fv_poly, _fv_reach, _is_integer, _is_number,
+    _require_int, _require_positive, _tau_poly, _tau_reach, _unit_clamp, calibrate_geometry,
+    smoothstep,
 )
 
 # bench/spans.py patches these names in this module, so they must stay
@@ -92,9 +93,17 @@ class _MuscleArrays:
     fp: tuple[np.ndarray, ...]
 
 
-def _repeated(names: tuple[str, ...]) -> list[str]:
-    """The names that occur more than once, sorted."""
-    return sorted({name for name in names if names.count(name) > 1})
+def _require_names(error: type, attr: str, names, distinct: bool = True) -> None:
+    """The string rule for name lists: raise ``error`` naming ``attr`` and the
+    entries of ``names`` that are not strings, or, when ``distinct``, the
+    names that occur more than once (sorted)."""
+    others = [name for name in names if not isinstance(name, str)]
+    if others:
+        raise error(f"{attr} must hold strings, not {others}")
+    if distinct:
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise error(f"{attr} repeats the names {repeated}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,12 +149,7 @@ class Plant:
                 raise PlantError(f"{attr} has non-finite entries")
             object.__setattr__(self, attr, value)
         for attr in ("joint_names", "actuator_names"):
-            others = [name for name in getattr(self, attr) if not isinstance(name, str)]
-            if others:
-                raise PlantError(f"{attr} must hold strings, not {others}")
-            repeated = _repeated(getattr(self, attr))
-            if repeated:
-                raise PlantError(f"{attr} repeats the names {repeated}")
+            _require_names(PlantError, attr, getattr(self, attr))
         nj, na = len(self.joint_names), len(self.actuator_names)
         if self.moment_arms.shape != (nj, na):
             raise PlantError("moment_arms shape does not match joint/actuator counts")
@@ -489,18 +493,6 @@ def rollout(plant: Plant, state: PlantState, ctrl_traj, dt: float) -> PlantState
     return PlantState(q=q[:-1], qdot=qdot[:-1], act=act[:-1])
 
 
-def _is_integer(value) -> bool:
-    """True for a Python or numpy integer, False for a bool or a float such as ``100.0``."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _require_seed(seed) -> None:
-    """Reject a seed that would not fix the generator's stream: ``None`` draws
-    OS entropy, and ``True`` would act as 1."""
-    if not _is_integer(seed) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-
-
 def _natural_cubic_spline(x: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Natural cubic spline through knots ``(x, y[i])``, evaluated at times ``t``.
 
@@ -557,20 +549,20 @@ def smooth_random_controls(
     ``settle = 0`` applies no envelope. Deterministic for a fixed seed.
 
     Raises:
-        ValueError: for an actuator count that is not an integer of at least
-            1, a frame count that is not an integer of at least 2, a ``dt``
-            that is not positive and finite, a ``settle`` that is not
-            non-negative and finite, or a ``seed`` that is not a
-            non-negative integer (``None`` or a bool included).
+        ValueError: ``"<name> must be an integer of at least <minimum>, got
+            <value!r>"`` for an ``nactuators``, ``nframes`` or ``seed`` that
+            is not an integer of at least 1, 2 or 0 respectively (a bool, a
+            float such as ``100.0`` and ``None`` are not: ``None`` would draw
+            OS entropy and ``True`` act as 1); or for a ``dt`` that is not a
+            positive and finite number, or a ``settle`` that is not a
+            non-negative and finite number.
     """
-    if not _is_integer(nactuators) or nactuators < 1:
-        raise ValueError(f"nactuators must be an integer of at least 1, got {nactuators!r}")
-    if not _is_integer(nframes) or nframes < 2:
-        raise ValueError(f"nframes must be an integer of at least 2 frames, got {nframes!r}")
+    _require_int("nactuators", nactuators, 1)
+    _require_int("nframes", nframes, 2)
     _require_positive("dt", dt)
-    if not (math.isfinite(settle) and settle >= 0.0):
+    if not (_is_number(settle) and math.isfinite(settle) and settle >= 0.0):
         raise ValueError(f"settle must be non-negative and finite, got {settle!r}")
-    _require_seed(seed)
+    _require_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     duration = (nframes - 1) * dt
     nknots = max(4, int(round(duration * 2.0)) + 2)
@@ -724,10 +716,9 @@ def _hand_like() -> Plant:
 
 
 def _random_plant(seed: int, njoints: int, nactuators: int) -> Plant:
-    if njoints < 1 or nactuators < 2 * njoints:
-        raise PlantError(
-            "random fixture needs njoints >= 1 and nactuators >= 2 * njoints"
-        )
+    if not (_is_integer(njoints) and _is_integer(nactuators) and 1 <= njoints <= nactuators // 2):
+        raise PlantError("random fixture needs integers njoints >= 1 and nactuators >= "
+                         f"2 * njoints, got njoints={njoints!r}, nactuators={nactuators!r}")
     rng = np.random.default_rng(seed)
     moment_arms = np.zeros((njoints, nactuators))
     for j in range(njoints):
@@ -770,19 +761,19 @@ def make_fixture(
 
     Raises:
         PlantError: for an unknown kind, or a ``random`` plant without both
-            dimensions, with ``njoints < 1`` or with fewer than ``2 *
-            njoints`` actuators.
-        ValueError: for a ``random`` plant whose ``seed`` is not a
-            non-negative integer (``None`` or a bool included).
+            dimensions, or with either one not an integer (a bool or a float
+            such as ``2.0`` included), ``njoints < 1`` or fewer than ``2 *
+            njoints`` actuators; the message gives both dimensions.
+        ValueError: ``"seed must be an integer of at least 0, got
+            <seed!r>"`` for a ``random`` plant whose ``seed`` is not one
+            (``None`` or a bool included).
     """
     if kind == "toy_finger":
         return _toy_finger()
     if kind == "hand_like":
         return _hand_like()
     if kind == "random":
-        if njoints is None or nactuators is None:
-            raise PlantError("random fixture requires njoints and nactuators")
-        _require_seed(seed)
+        _require_int("seed", seed, 0)
         return _random_plant(seed, njoints, nactuators)
     raise PlantError(f"unknown fixture kind {kind!r}")
 
@@ -815,13 +806,8 @@ def _whole_number(doc: dict, key: str, minimum: int) -> int:
             number (``2000`` or ``2000.0``) of at least ``minimum``.
     """
     value = doc[key]
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not math.isfinite(value)
-        or value != int(value)
-        or value < minimum
-    ):
+    if not (np.ndim(value) == 0 and _is_number(value) and math.isfinite(value)
+            and value == int(value) and value >= minimum):
         raise ValueError(f"{key!r} must be a whole number >= {minimum}, got {value!r}")
     return int(value)
 
@@ -853,9 +839,11 @@ def load_plant(path) -> Plant:
     Raises:
         OSError: if the file cannot be read, such as a missing file.
         PlantFormatError: for text that is not JSON, a wrong format header
-            or a malformed document, such as a missing field or a joint or
+            or a malformed document, such as a missing field, a joint or
             actuator count that is not a whole number of at least 1 or
-            differs from the number of names.
+            differs from the number of names, or an array entry or muscle
+            field that is not a number (``true`` and ``"0.02"`` are not);
+            the message names the field.
         PlantError: for a well-formed document describing an invalid plant.
         Either error names the field that holds a NaN or infinite number.
     """
@@ -875,6 +863,9 @@ def load_plant(path) -> Plant:
             if count != len(doc[names]):
                 raise ValueError(f"{key!r} is {count} but {names!r} has {len(doc[names])} names")
         arrays = {attr: doc[attr] for attr in _ARRAYS}
+        for attr, value in arrays.items():
+            if not _is_number(value):
+                raise ValueError(f"{attr!r} must hold only numbers (not bools or strings)")
         arrays["moment_arms"] = np.asarray(arrays["moment_arms"], dtype=float).reshape(nj, na)
         muscles = doc["muscles"]
         return Plant(

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .plant import _is_integer
+from .muscle import _require_int
 
 __all__ = ["BoxQp", "BvlsSolver", "solve_box_qp"]
 
@@ -171,9 +171,13 @@ class BvlsSolver:
             iterate clamped to it), and ``iterations`` (``(k,)``) counts BVLS
             steps as ``lsq_linear``'s ``nit`` does (0 when the first step is
             feasible). Whether a row converged is :meth:`check`'s to say.
+
+        Raises:
+            ValueError: ``"max_iter must be an integer of at least 1, got
+                <max_iter!r>"`` for a ``max_iter`` that is not one (a bool or
+                a float such as ``1.0`` included), before any work.
         """
-        if not _is_integer(max_iter) or max_iter < 1:
-            raise ValueError(f"max_iter must be a positive integer, got {max_iter!r}")
+        _require_int("max_iter", max_iter, 1)
         A = self.A
         x = (self._pinv_all @ b[..., None])[..., 0]
         live = lb < ub

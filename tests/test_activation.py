@@ -86,6 +86,16 @@ class TestStepActivation:
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             step_activation(0.0, 1.0, np.inf, 0.01, 0.04, 0.005)
 
+    @pytest.mark.parametrize("index, name", [(2, "dt"), (3, "tau_act"), (5, "tau_smooth")])
+    @pytest.mark.parametrize("value", [True, "0.002", np.array([True, False]), [0.01, True],
+                                       np.array(["0.01"])])
+    def test_argument_that_is_not_a_number_is_named(self, index, name, value):
+        # True used to act as 1 and "0.002" as 0.002.
+        args = [0.0, 1.0, 0.002, 0.01, 0.04, 0.005]
+        args[index] = value
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got "):
+            step_activation(*args)
+
     @given(
         cases=st.lists(
             st.tuples(

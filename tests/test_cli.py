@@ -247,6 +247,23 @@ class TestCommands:
         assert capsys.readouterr().err == f"error: joint map {joint_map} must be a JSON object\n"
         assert not (tmp_path / "ctrl").exists()
 
+    def test_joint_map_value_that_is_not_a_string_exits_1(self, tmp_path, capsys):
+        # {"mcp": 5} used to be read as the channel "5", and null as "None".
+        plant_path = tmp_path / "plant.json"
+        run(parse_args(["gen-fixture", "--kind", "toy_finger", "--out", str(plant_path)]))
+        poses = tmp_path / "poses"
+        run(parse_args(["simulate", "--plant", str(plant_path), "--out", str(poses),
+                        "--duration", "0.1", "--rate", "500", "--seed", "3"]))
+        joint_map = tmp_path / "map.json"
+        joint_map.write_text(json.dumps({"mcp": 5, "pip": None}))
+        capsys.readouterr()
+        code = run(parse_args(["invert", "--plant", str(plant_path), "--in", str(poses),
+                               "--out", str(tmp_path / "out"), "--joint-map", str(joint_map)]))
+        assert code == 1
+        assert capsys.readouterr().err == ("error: joint map keys and values must be strings, "
+                                           "not {'mcp': 5, 'pip': None}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_simulate_into_a_directory_holding_other_files_exits_1(self, tmp_path, capsys):
         plant_path = tmp_path / "plant.json"
         run(parse_args(["gen-fixture", "--kind", "toy_finger", "--out", str(plant_path)]))

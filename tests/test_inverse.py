@@ -852,7 +852,8 @@ class TestInvertTrajectory:
         assert np.isfinite(gap_base).all()
         assert overflows
 
-    @pytest.mark.parametrize("rate_hz", [0.0, -500.0, np.inf, np.nan])
+    # True used to invert at 1 Hz and report status ok.
+    @pytest.mark.parametrize("rate_hz", [0.0, -500.0, np.inf, np.nan, True, "500", np.bool_(True)])
     def test_rate_must_be_positive_and_finite(self, rate_hz):
         plant = make_fixture("toy_finger")
         with pytest.raises(ValueError, match="rate_hz must be positive"):
@@ -970,6 +971,8 @@ class TestInvertTrajectory:
         (float("inf"), 500.0, "duration must be positive and finite"),
         (2.0, 0.0, "rate_hz must be positive and finite"),
         (2.0, float("nan"), "rate_hz must be positive and finite"),
+        (2.0, True, "^rate_hz must be positive and finite, got True$"),
+        ("2.0", 500.0, "^duration must be positive and finite, got '2.0'$"),
     ])
     def test_bad_roundtrip_length_is_rejected_by_name(self, duration, rate_hz, message):
         with pytest.raises(ValueError, match=message):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -105,6 +106,13 @@ class TestCalibration:
     def test_degenerate_range_rejected(self):
         with pytest.raises(CalibrationError):
             calibrate_geometry(0.36, 0.30, MuscleParams(force_override=1.0), 1.0)
+
+    def test_optimal_length_that_underflows_to_zero_is_named(self):
+        # An increasing range whose width divided by the window's underflows.
+        with pytest.raises(CalibrationError,
+                           match=r"^fdp: calibrated optimal length 0\.0 is not positive$"):
+            calibrate_geometry(0.0, 5e-324, MuscleParams(range_lo=0.5, range_hi=3.0), 1.0,
+                               name="fdp")
 
     @given(
         op_min=st.floats(0.05, 2.0),
@@ -429,6 +437,23 @@ class TestParamValidation:
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(ValueError):
             MuscleParams(**kwargs)
+
+    @pytest.mark.parametrize("cls, field", [(MuscleParams, "tau_act"), (MuscleParams, "scale"),
+                                            (MuscleParams, "force_override"),
+                                            (MuscleGeometry, "l0"), (MuscleGeometry, "lt")])
+    @pytest.mark.parametrize("value", [True, False, "0.02", None, np.bool_(True)])
+    def test_field_that_is_not_a_number_is_named(self, cls, field, value):
+        # True used to be taken as 1, and "0.02" failed in math.isfinite
+        # without the field's name.
+        kwargs = {"l0": 0.1, "lt": 0.2, "f0": 1.0} if cls is MuscleGeometry else {}
+        kwargs[field] = value
+        message = f"{field} must be a finite number, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cls(**kwargs)
+
+    def test_integer_and_numpy_fields_are_numbers(self):
+        assert MuscleParams(scale=20, tau_act=np.float32(0.25)) == MuscleParams(scale=20.0,
+                                                                                tau_act=0.25)
 
     def test_geometry_validation(self):
         with pytest.raises(ValueError):

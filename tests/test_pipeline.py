@@ -105,6 +105,12 @@ class TestSessionContainer:
         write_session(session, tmp_path / "s")
         assert read_session(tmp_path / "s") == session
 
+    def test_comparison_with_another_type_is_left_to_it(self, toy_plant):
+        session = pose_session(toy_plant, nframes=100)
+        assert session.__eq__("s") is NotImplemented
+        assert session != "s"
+        assert session != None  # noqa: E711
+
     def test_nan_values_survive_the_container(self, tmp_path):
         data = np.array([[1.0, np.nan, 3.0]], dtype=np.float32)
         session = Session(id="n", rate_hz=500, channel_names=("a",), data=data)
@@ -575,7 +581,11 @@ class TestRunBatch:
         ({"elbow": "mcp"}, "unknown joints: ['elbow']"),
         ({"mcp": "a", "pip": "a"}, "several joints: {'a': ['mcp', 'pip']}"),
         ({"mcp": "pip"}, "several joints: {'pip': ['mcp', 'pip']}"),
-    ], ids=["unknown_joint", "one_channel_two_joints", "unmapped_joint_shares_a_channel"])
+        ({"mcp": 5, "pip": "pip"}, "joint map keys and values must be strings, not {'mcp': 5}"),
+        ({"mcp": None, 7: "pip"}, "joint map keys and values must be strings, "
+                                  "not {'mcp': None, 7: 'pip'}"),
+    ], ids=["unknown_joint", "one_channel_two_joints", "unmapped_joint_shares_a_channel",
+            "channel_that_is_a_number", "entries_that_are_not_strings"])
     def test_bad_options_are_rejected_before_any_session_is_read(
         self, tmp_path, toy_plant, monkeypatch, joint_map, message
     ):
@@ -638,19 +648,21 @@ class TestRunBatch:
         src = self._make_batch(tmp_path, toy_plant, count=3)
         read = []
         monkeypatch.setattr("myoctl.pipeline.read_session", read.append)
-        with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+        message = f"workers must be an integer of at least 1, got {workers!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_batch(src, toy_plant, tmp_path / "out", workers=workers)
         assert read == []
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("workers", [2.0, "2"])
+    @pytest.mark.parametrize("workers", [2.0, "2", True])
     def test_worker_count_that_is_not_an_integer_is_rejected_before_out_dir_is_made(
         self, tmp_path, toy_plant, monkeypatch, workers
     ):
         src = self._make_batch(tmp_path, toy_plant, count=3)
         read = []
         monkeypatch.setattr("myoctl.pipeline.read_session", read.append)
-        with pytest.raises(ValueError, match=f"workers must be an integer, got {workers!r}"):
+        message = f"workers must be an integer of at least 1, got {workers!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_batch(src, toy_plant, tmp_path / "out", workers=workers)
         assert read == []
         assert not (tmp_path / "out").exists()

@@ -553,12 +553,13 @@ class TestFixtures:
     def test_random_fixture_seed_must_be_a_non_negative_integer(self, seed):
         # None would draw OS entropy: two calls gave different plants under
         # one name, random_None_3x8. True would act as 1.
-        with pytest.raises(ValueError, match=re.escape(f"seed must be a non-negative "
-                                                       f"integer, got {seed!r}")):
+        message = f"seed must be an integer of at least 0, got {seed!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make_fixture("random", seed=seed, njoints=3, nactuators=8)
 
     def test_random_fixture_takes_numpy_integer_seeds(self):
-        a = make_fixture("random", seed=np.int64(7), njoints=3, nactuators=8)
+        # And numpy integer dimensions.
+        a = make_fixture("random", seed=np.int64(7), njoints=np.int32(3), nactuators=np.int64(8))
         b = make_fixture("random", seed=7, njoints=3, nactuators=8)
         assert a.name == b.name == "random_7_3x8"
         assert np.array_equal(a.moment_arms, b.moment_arms)
@@ -568,6 +569,17 @@ class TestFixtures:
             make_fixture("random", seed=0, njoints=3, nactuators=5)
         with pytest.raises(PlantError):
             make_fixture("random", seed=0, njoints=0, nactuators=4)
+
+    @pytest.mark.parametrize("njoints, nactuators", [(True, 8), (2.5, 8), (3, 8.0), (3.0, 8),
+                                                     (None, 8)])
+    def test_random_fixture_dimension_that_is_not_an_integer_is_named(self, njoints,
+                                                                      nactuators):
+        # 2.5 used to fail inside numpy with an unnamed TypeError, and True
+        # used to build a one-joint plant.
+        message = ("random fixture needs integers njoints >= 1 and nactuators >= 2 * njoints, "
+                   f"got njoints={njoints!r}, nactuators={nactuators!r}")
+        with pytest.raises(PlantError, match=f"^{re.escape(message)}$"):
+            make_fixture("random", seed=0, njoints=njoints, nactuators=nactuators)
 
     def test_unknown_kind(self):
         with pytest.raises(PlantError):
@@ -763,7 +775,27 @@ class TestPlantFiles:
         with pytest.raises(PlantFormatError, match="tau_smooth"):
             load_plant(path)
 
-    @given(data=st.data(), bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+    @pytest.mark.parametrize("field, value, message", [
+        ("damping", [True, False], "'damping' must hold only numbers"),
+        ("damping", ["0.02", "0.01"], "'damping' must hold only numbers"),
+        ("damping", [0.02, True], "'damping' must hold only numbers"),
+        ("moment_arms", [0.01, -0.01, 0.01, -0.01, 0.01, -0.01, 0.01, None],
+         "'moment_arms' must hold only numbers"),
+        ("tau_act", True, "tau_act must be a finite number, got True"),
+        ("tau_act", "0.01", "tau_act must be a finite number, got '0.01'"),
+    ])
+    def test_value_that_is_not_a_number_is_named(self, tmp_path, field, value, message):
+        # Each used to load: tau_act true as a 1 s time constant (and save
+        # back as true), [true, false] as [1, 0], ["0.02", "0.01"] as numbers.
+        path, doc = toy_finger_document(tmp_path)
+        for entry in doc["muscles"] if field == "tau_act" else [doc]:
+            entry[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PlantFormatError, match=re.escape(f"is malformed: {message}")):
+            load_plant(path)
+
+    @given(data=st.data(),
+           bad=st.sampled_from([np.nan, np.inf, -np.inf, True, False, "0.5", None]))
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_non_finite_number_is_named(self, tmp_path, data, bad):
@@ -820,14 +852,14 @@ class TestRandomControls:
         plant = make_fixture("toy_finger")
         assert np.isfinite(rollout(plant, rest_state(plant), ctrl, dt).q).all()
 
-    @pytest.mark.parametrize("settle", [float("nan"), -1.0, -0.25, float("inf")])
+    @pytest.mark.parametrize("settle", [float("nan"), -1.0, -0.25, float("inf"), True, "0.25"])
     def test_settle_must_be_non_negative_and_finite(self, settle):
         with pytest.raises(ValueError, match="settle must be non-negative and finite"):
             smooth_random_controls(4, 100, 0.002, 3, settle=settle)
 
     @pytest.mark.parametrize("seed", [None, True, False, 3.0, -1])
     def test_seed_must_be_a_non_negative_integer(self, seed):
-        message = re.escape(f"seed must be a non-negative integer, got {seed!r}")
+        message = f"^{re.escape(f'seed must be an integer of at least 0, got {seed!r}')}$"
         with pytest.raises(ValueError, match=message):
             smooth_random_controls(4, 100, 0.002, seed)
         # roundtrip draws its reference controls here.
@@ -842,8 +874,8 @@ class TestRandomControls:
         monkeypatch.setitem(sys.modules, "scipy", None)
 
     @pytest.mark.parametrize("nframes, dt, message", [
-        (1, 0.002, "at least 2 frames"),
-        (0, 0.002, "at least 2 frames"),
+        (1, 0.002, "^nframes must be an integer of at least 2, got 1$"),
+        (0, 0.002, "^nframes must be an integer of at least 2, got 0$"),
         (100, 0.0, "dt must be positive and finite"),
         (100, -0.002, "dt must be positive and finite"),
         (100, float("nan"), "dt must be positive and finite"),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import cholesky, solve_triangular
@@ -604,7 +606,8 @@ class TestValidation:
         assert solver.solve(b[1:], lb[1:], ub[1:])[1].tolist() == [0]
         for max_iter in (2.5, 1.0, True, 0):
             for row in (0, 1):
-                with pytest.raises(ValueError, match="max_iter must be a positive integer"):
+                message = f"max_iter must be an integer of at least 1, got {max_iter!r}"
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                     solver.solve(b[row:row + 1], lb[row:row + 1], ub[row:row + 1], max_iter)
             with pytest.raises(ValueError, match="max_iter"):
                 solve_box_qp(BoxQp(A, b[0], lb[0], ub[0]), max_iter)
