@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .muscle import _require_positive, _step_activation, _time_constant
+from .muscle import _edge_taus, _require_positive, _step_activation, _step_edges, _time_constant
 from .plant import Plant, differentiate, inverse_dynamics, tendon_kinematics, _gain_bias, _normalized
 from .qp import BvlsSolver
 
@@ -81,9 +81,6 @@ _ZERO_GAIN = 1e-12
 # a trajectory fails when more than _MAX_INFEASIBLE_FRACTION of its frames are.
 _FAIL_THRESHOLD = 1e-3
 _MAX_INFEASIBLE_FRACTION = 0.01
-# Controls 0 and 1; one activation step from them gives the bounds of the
-# next activations.
-_CTRL_EDGES = np.array([0.0, 1.0])
 # Halvings of [0, 1] in control recovery: the midpoints are multiples of
 # 2**-53, the spacing of doubles just below 1.
 _BISECTIONS = 53
@@ -148,7 +145,7 @@ def _gap_base(moment_arms, gain, bias, q_frc) -> tuple[np.ndarray, np.ndarray]:
     return gap_base, ~np.isfinite(bound).all(axis=-1)
 
 
-def _frame_problem(A, act, gain, gap_base, live_gain, filter_args):
+def _frame_problem(A, act, gain, gap_base, live_gain, filter_args, edge_taus=None):
     """The bounded least-squares problems of frames whose activations are ``act``.
 
     ``act``, ``gain`` and ``live_gain`` are ``(..., nact)`` stacks and
@@ -156,20 +153,22 @@ def _frame_problem(A, act, gain, gap_base, live_gain, filter_args):
     lb, ub, bounds)``: ``b`` is minus the force gap ``A @ (gain * act) +
     gap_base``, a stacked-column product, which gives each row the bits of
     its own matrix-vector product; ``bounds`` (``(2, ..., nact)``) are the
-    activation step's results under controls 0 and 1 (``filter_args`` are
-    its ``(dt, tau_act, tau_deact, tau_smooth)``), which bound the next
-    activation; and the bounds map through the non-positive ``live_gain``
-    to the box ``[lb, ub]`` of ``x = gain * (act' - act)``, where a dead
-    actuator's edges are both 0, which pins its ``x``.
+    activation step's results under controls 0 and 1
+    (:func:`~myoctl.muscle._step_edges`; ``filter_args`` are the step's
+    ``(dt, tau_act, tau_deact, tau_smooth)`` and ``edge_taus`` its time
+    constants at the two controls outside the blend window), which bound
+    the next activation; and the bounds map through the non-positive
+    ``live_gain`` to the box ``[lb, ub]`` of ``x = gain * (act' - act)``,
+    where a dead actuator's edges are both 0, which pins its ``x``.
     """
     gap = (A @ (gain * act)[..., None])[..., 0] + gap_base
-    bounds = _step_activation(act, _CTRL_EDGES.reshape((2,) + (1,) * act.ndim), *filter_args)
+    bounds = _step_edges(act, *filter_args, edge_taus)
     # Control 0 gives the lower activation bound and the upper edge of x.
     ub, lb = live_gain * (bounds - act)
     return -gap, lb, ub, bounds
 
 
-def invert_frame(solver, act, gain, gap_base, live_gain, safe_gain, filter_args):
+def invert_frame(solver, act, gain, gap_base, live_gain, safe_gain, filter_args, edge_taus=None):
     """One frame's step for a ``(lanes, nact)`` stack of activations.
 
     Returns ``(act_next, x, iterations)``, one row per lane. The frame's
@@ -185,7 +184,8 @@ def invert_frame(solver, act, gain, gap_base, live_gain, safe_gain, filter_args)
     ``myoctl.inverse.invert_frame`` (the benchmark tracer's frame span) sees
     each frame that runs. It takes unchecked arrays, so it is not in ``__all__``.
     """
-    b, lb, ub, bounds = _frame_problem(solver.A, act, gain, gap_base, live_gain, filter_args)
+    b, lb, ub, bounds = _frame_problem(solver.A, act, gain, gap_base, live_gain, filter_args,
+                                       edge_taus)
     x, iterations = solver.solve(b, lb, ub)
     act_next = np.minimum(np.maximum(act + x / safe_gain, bounds[0]), bounds[1])
     return act_next, x, iterations
@@ -355,6 +355,7 @@ def _invert_lanes(plant: Plant, lanes: list[_Lane]) -> list[TrajectoryInversion]
     if any(lane.dt != dt for lane in lanes):
         raise ValueError("lanes inverted together must share one rate")
     filter_args = (np.asarray(dt), *plant._muscle.taus)
+    edge_taus = _edge_taus(*filter_args[1:3])
     order = sorted(range(len(lanes)), key=lambda i: -lanes[i].nframes)
     nframes = lanes[order[0]].nframes
 
@@ -384,14 +385,14 @@ def _invert_lanes(plant: Plant, lanes: list[_Lane]) -> list[TrajectoryInversion]
             gain, gap_base, live_gain, safe_gain, act, x, iterations))
         for t in range(start, stop):
             a_[t + 1], x_[t], it_[t] = invert_frame(
-                solver, a_[t], g[t], gb[t], lg[t], sg[t], filter_args)
+                solver, a_[t], g[t], gb[t], lg[t], sg[t], filter_args, edge_taus)
         start = stop
     converged = np.empty((nframes, len(lanes)), dtype=bool)
     residual_max = np.empty((nframes, len(lanes)))
     for first in range(0, nframes, _CHECK_FRAMES):
         block = slice(first, min(first + _CHECK_FRAMES, nframes))
         b, lb, ub, _ = _frame_problem(solver.A, act[block], gain[block], gap_base[block],
-                                      live_gain[block], filter_args)
+                                      live_gain[block], filter_args, edge_taus)
         converged[block], residual = solver.check(x[block], b, lb, ub)
         residual_max[block] = np.abs(residual).max(axis=-1)
 

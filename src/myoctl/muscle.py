@@ -23,10 +23,14 @@ the kernel of :func:`step_activation`, one explicit Euler step.
 
 Each law (FL, FV, FP and the time constant's smoothstep) is split at its
 clamp into two private pieces: its scaled distances, and a polynomial of
-those distances clamped to [0, 1]. The public curves, the activation step and
-the plant's gain and bias compose the pieces one law at a time; the forward
-step (``myoctl.plant._stepper``) clamps the distances of every law with one
-``np.maximum``/``np.minimum`` pair. Either way each law has one
+those distances clamped to [0, 1]; FL's four distances come from one
+subtract and one divide, and its first numerator, ``L - 1``, is FP's. The
+public curves, the activation step and the plant's gain and bias compose the
+pieces one law at a time. The forward step (``myoctl.plant._stepper``)
+writes every law's distances into the rows of one array, clamps them with
+one ``np.maximum``/``np.minimum`` pair and squares them with one multiply;
+the inversion's activation bounds (:func:`_step_edges`) skip the smoothstep
+when no control error lies inside its window. Either way each law has one
 implementation and the same bits.
 """
 
@@ -52,8 +56,8 @@ __all__ = [
 _TINY = 1e-12
 
 
-def _const(value: float) -> np.ndarray:
-    """A read-only 0-d float64 array: a kernel operand numpy need not convert."""
+def _const(value) -> np.ndarray:
+    """A read-only float64 array: a kernel operand numpy need not convert."""
     c = np.array(value, dtype=float)
     c.flags.writeable = False
     return c
@@ -246,7 +250,8 @@ def _floats(*values):
 # breakpoint sees the neighbouring piece's end value through the clamp. They
 # divide by widths rather than multiply by reciprocals: it costs the same and
 # keeps ratios such as ``vmax / vmax`` exactly 1. A reach piece writes into
-# the arrays its keyword arguments name, or into new ones.
+# the arrays its keyword arguments name, or into new ones; FL's also returns
+# its numerators, and FP's takes the first of them, ``L - 1``.
 
 
 def _unit_clamp(x, out=None):
@@ -256,20 +261,35 @@ def _unit_clamp(x, out=None):
 
 
 def _fl_args(lmin, lmax):
-    """``lmin``, ``lmax`` and the bump's half-widths below and above ``L = 1``."""
-    return lmin, lmax, 0.5 * (1.0 - lmin), 0.5 * (lmax - 1.0)
+    """The force-length offsets ``[1, 1, lmin, lmax]`` and signed widths
+    ``[-half_lo, half_hi, half_lo, -half_hi]``, each stacked on a new last
+    axis, where ``half_lo`` and ``half_hi`` are the bump's half-widths below
+    and above ``L = 1``."""
+    half_lo, half_hi = 0.5 * (1.0 - lmin), 0.5 * (lmax - 1.0)
+    return (np.stack(np.broadcast_arrays(1.0, 1.0, lmin, lmax), axis=-1),
+            np.stack(np.broadcast_arrays(-half_lo, half_hi, half_lo, -half_hi), axis=-1))
 
 
-def _fl_reach(length, lmin, lmax, half_lo, half_hi, near=None, far=None):
-    """Force-length distances ``(near, far)``, before the clamp.
+def _fl_reach(length, offsets, widths, near=None, far=None):
+    """Force-length distances ``(near, far)``, before the clamp, and the
+    numerators ``L - offsets`` they come from, whose column 0 is ``L - 1``.
 
-    ``near`` is the distance from the peak at 1 and ``far`` the distance from
-    the nearer support edge, both in half-widths. ``near`` is never negative,
-    so the clamp's lower bound leaves it as it is.
+    One subtract and one divide give the four scaled distances ``(L -
+    offsets) / widths``: ``(1 - L) / half_lo`` and ``(L - 1) / half_hi``
+    from the peak, ``(L - lmin) / half_lo`` and ``(lmax - L) / half_hi``
+    from the support edges, the first and last with numerator and width
+    both negated. That is exact, because negation is exact and
+    round-to-nearest is symmetric, up to the sign of a zero distance, and
+    only the squares of the clamped distances reach the polynomial. ``near``
+    is the larger distance from the peak and ``far`` the smaller from an
+    edge, both in half-widths. ``near`` is never negative, so the clamp's
+    lower bound leaves it as it is.
     """
-    near = np.maximum((_ONE - length) / half_lo, (length - _ONE) / half_hi, out=near)
-    far = np.minimum((length - lmin) / half_lo, (lmax - length) / half_hi, out=far)
-    return near, far
+    num = np.subtract(length[..., None], offsets)
+    d = np.divide(num, widths)
+    near = np.maximum(d[..., 0], d[..., 1], out=near)
+    far = np.minimum(d[..., 2], d[..., 3], out=far)
+    return near, far, num
 
 
 def _fl_poly(near_sq, far_sq):
@@ -284,9 +304,10 @@ def _fl_poly(near_sq, far_sq):
     return _HALF * (far_sq + (_ONE - near_sq))
 
 
-def _fl(length, lmin, lmax, half_lo, half_hi):
+def _fl(length, offsets, widths):
     """Force-length kernel: :func:`fl_curve` with :func:`_fl_args`."""
-    near, far = (_unit_clamp(d) for d in _fl_reach(length, lmin, lmax, half_lo, half_hi))
+    near, far, _ = _fl_reach(length, offsets, widths)
+    near, far = _unit_clamp(near), _unit_clamp(far)
     return _fl_poly(near * near, far * far)
 
 
@@ -350,12 +371,13 @@ def _fp_args(lmax, fpmax):
     return np.maximum(b - 1.0, _TINY), 0.25 * fpmax
 
 
-def _fp_reach(length, width, out=None):
-    """Passive-force distance ``t = max(L - 1, 0) / (b - 1)``, before the clamp.
+def _fp_reach(excess, width, out=None):
+    """Passive-force distance ``t = max(L - 1, 0) / (b - 1)``, before the
+    clamp, of the length's excess ``L - 1`` over the optimum.
 
     ``t`` is never negative, so the clamp's lower bound leaves it as it is.
     """
-    return np.divide(np.maximum(length - _ONE, _ZERO), width, out=out)
+    return np.divide(np.maximum(excess, _ZERO), width, out=out)
 
 
 def _fp_poly(t, c, c_sq, quarter_fpmax):
@@ -369,7 +391,7 @@ def _fp_poly(t, c, c_sq, quarter_fpmax):
 
 def _fp(length, width, quarter_fpmax):
     """Passive-force kernel: :func:`fp_curve` with :func:`_fp_args`."""
-    t = _fp_reach(length, width)
+    t = _fp_reach(length - _ONE, width)
     c = _unit_clamp(t)
     return _fp_poly(t, c, c * c, quarter_fpmax)
 
@@ -420,10 +442,15 @@ def _tau_poly(x, x_sq, tau_act, tau_deact):
     return tau_deact * (_ONE - s) + tau_act * s
 
 
+def _blend(reach, tau_act, tau_deact):
+    """Blended time constant of the smoothstep argument ``reach``, clamped here."""
+    x = _unit_clamp(reach)
+    return _tau_poly(x, x * x, tau_act, tau_deact)
+
+
 def _time_constant(err, tau_act, tau_deact, tau_smooth) -> np.ndarray:
     """Blended time constant for the control error ``err = ctrl - act``."""
-    x = _unit_clamp(_tau_reach(err, tau_smooth))
-    return _tau_poly(x, x * x, tau_act, tau_deact)
+    return _blend(_tau_reach(err, tau_smooth), tau_act, tau_deact)
 
 
 def _euler(act, err, dt, tau, out=None):
@@ -440,6 +467,43 @@ def _step_activation(act, ctrl, dt, tau_act, tau_deact, tau_smooth) -> np.ndarra
     """
     err = ctrl - act
     return _euler(act, err, dt, _time_constant(err, tau_act, tau_deact, tau_smooth))
+
+
+# Controls 0 and 1, the ends of the control range.
+_EDGES = _const([0.0, 1.0])
+
+
+def _edge_taus(tau_act, tau_deact) -> np.ndarray:
+    """``(tau_deact, tau_act)`` stacked on a leading axis: the time constants
+    under controls 0 and 1 outside the blend window, which :func:`_tau_poly`'s
+    convex form gives exactly at ``s = 0`` and ``s = 1``."""
+    return np.stack(np.broadcast_arrays(tau_deact, tau_act))
+
+
+def _step_edges(act, dt, tau_act, tau_deact, tau_smooth, edge_taus=None) -> np.ndarray:
+    """:func:`_step_activation` of activations ``act`` in [0, 1] under
+    controls 0 and 1, stacked on a new leading axis: the bounds of the next
+    activation.
+
+    Control 0's error ``-act`` puts its smoothstep argument at or below 1/2,
+    and control 1's error ``1 - act`` puts it at or above 1/2. So when no
+    argument lies strictly inside (0, 1), the clamp sends every control-0
+    argument to 0 and every control-1 argument to 1, and the time constants
+    are exactly ``edge_taus`` (:func:`_edge_taus`, built here when not
+    given); the step then skips the smoothstep. It decides on the same
+    arguments the law clamps, and keeps the law's ``act + dt * err / tau``
+    and clamp (:func:`_euler`), so the bounds have the bits of the full step.
+    """
+    lead = (2,) + (1,) * act.ndim
+    err = _EDGES.reshape(lead) - act
+    reach = _tau_reach(err, tau_smooth)
+    if np.count_nonzero((reach > _ZERO) & (reach < _ONE)):
+        tau = _blend(reach, tau_act, tau_deact)
+    else:
+        if edge_taus is None:
+            edge_taus = _edge_taus(tau_act, tau_deact)
+        tau = edge_taus.reshape(lead[:act.ndim + 2 - edge_taus.ndim] + edge_taus.shape[1:])
+    return _euler(act, err, dt, tau)
 
 
 def step_activation(act, ctrl, dt, tau_act, tau_deact, tau_smooth):

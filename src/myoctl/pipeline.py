@@ -94,6 +94,9 @@ class Session:
     units must be strings and channel names distinct: a ``ValueError`` names
     any entry that is not a string and any name that repeats, and another
     names the shape of ``data`` that is not ``(nchannels, nframes)``.
+    ``rate_hz`` must be a finite whole number of at least 1 (``2000.0`` is
+    one, ``2.5``, ``True`` and ``"2000"`` are not), as :func:`read_session`
+    requires; a ``ValueError`` names it, and it is stored as an ``int``.
     """
 
     id: str
@@ -104,6 +107,7 @@ class Session:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        self.rate_hz = _whole_number("rate_hz", self.rate_hz, minimum=1)
         self.channel_names = tuple(self.channel_names)
         self.units = ("1",) * len(self.channel_names) if self.units is None else tuple(self.units)
         _require_names(ValueError, "channel_names", self.channel_names)
@@ -215,13 +219,13 @@ def read_session(path) -> Session:
     except OSError as exc:
         raise SessionFormatError(f"session payload missing in {path}: {exc}") from exc
     try:
-        frames = _whole_number(header, "frames", minimum=0)
+        frames = _whole_number("frames", header["frames"], minimum=0)
         channels = header["channels"]
         expected = 4 * frames * len(channels)
         if len(payload) == expected:
             return Session(
                 id=str(header["id"]),
-                rate_hz=_whole_number(header, "rate_hz", minimum=1),
+                rate_hz=header["rate_hz"],
                 channel_names=tuple(entry["name"] for entry in channels),
                 data=np.frombuffer(payload, dtype="<f4").reshape(len(channels), frames),
                 units=tuple(entry.get("units", "1") for entry in channels),

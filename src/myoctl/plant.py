@@ -81,8 +81,9 @@ class _MuscleArrays:
     the peak forces negated, as the force terms use them, and ``taus`` is
     ``(tau_act, tau_deact, tau_smooth)``, the activation step's arguments
     after ``dt``. ``fl``, ``fv`` and ``fp`` are the curve kernels' arguments
-    after the state, from ``myoctl.muscle``'s ``_fl_args``, ``_fv_args`` and
-    ``_fp_args`` as the public curves derive them."""
+    after the state, from ``myoctl.muscle``'s ``_fl_args`` (FL's offsets and
+    signed widths, ``(nactuators, 4)`` each), ``_fv_args`` and ``_fp_args``
+    as the public curves derive them."""
 
     l0: np.ndarray
     lt: np.ndarray
@@ -127,7 +128,9 @@ class Plant:
 
     Joint and actuator names must be strings, the joint names distinct and
     the actuator names distinct: a ``PlantError`` names any name that is not
-    a string and any that repeats.
+    a string and any that repeats. Each array field must hold only numbers
+    (:func:`~myoctl.muscle._is_number`: a bool or a string is not one),
+    checked before it is converted; a ``PlantError`` names the field.
     """
 
     name: str
@@ -144,7 +147,10 @@ class Plant:
 
     def __post_init__(self) -> None:
         for attr in _ARRAYS:
-            value = np.asarray(getattr(self, attr), dtype=float)
+            value = getattr(self, attr)
+            if not _is_number(value):
+                raise PlantError(f"{attr} must hold only numbers (not bools or strings)")
+            value = np.asarray(value, dtype=float)
             if not np.isfinite(value).all():
                 raise PlantError(f"{attr} has non-finite entries")
             object.__setattr__(self, attr, value)
@@ -339,9 +345,15 @@ def _stepper(plant: Plant, dt):
     non-finite state does not stop the step: :func:`_simulate` checks the
     whole log once.
 
-    Each law of :mod:`myoctl.muscle` runs as its two pieces. The reach
-    pieces write the laws' distances as the rows of one array (FL's near and
-    far, FV's a and w, FP's t and the activation's smoothstep argument), one
+    Each law of :mod:`myoctl.muscle` runs as its two pieces, on 60 numpy
+    calls a step. The pose's tendon lengths less ``lt`` and the velocity's
+    ``qdot @ arms`` are the rows of one ``(2, nactuators)`` array, normalized
+    by one divide by ``(l0, -l0)``; ``-l0`` gives the bits of
+    :func:`_normalized`'s ``-(qdot @ arms) / l0``, as negation is exact. The
+    reach pieces write the laws' distances as the rows of another array
+    (FL's near and far, FV's a and w, FP's t and the activation's smoothstep
+    argument): FL's four scaled distances come from one subtract and one
+    divide, and FP's t from the first of FL's numerators, ``L - 1``. One
     ``np.maximum``/``np.minimum`` pair clamps all six rows, one multiply
     squares them, and each law's polynomial runs on its rows. FL's near and
     FP's t are never negative, so the clamp's lower bound leaves them as
@@ -356,10 +368,12 @@ def _stepper(plant: Plant, dt):
     arms, offsets, damping, inertia = (
         plant.moment_arms, plant.length_offsets, plant.damping, plant.inertia)
     gravity = plant.gravity if plant.gravity.any() else None
-    neg_f0, fl_args = m.neg_f0, m.fl
+    lt, neg_f0, (fl_offsets, fl_widths) = m.lt, m.neg_f0, m.fl
     vmax, rise, rise_width = m.fv
     width, quarter_fpmax = m.fp
     tau_act, tau_deact, tau_smooth = m.taus
+    muscle, scale = np.empty((2, plant.nactuators)), np.stack((m.l0, -m.l0))
+    length, vel = muscle
     rows = np.empty((6, plant.nactuators))
     clamped, squares = np.empty_like(rows), np.empty_like(rows)
     near, far, a, w, t, x = rows
@@ -367,11 +381,13 @@ def _stepper(plant: Plant, dt):
     near_sq, far_sq, a_sq, _, c_sq, x_sq = squares
 
     def step(q, qdot, act, ctrl, q_next, qdot_next, act_next):
-        length, vel = _normalized(plant, offsets - q.dot(arms), -qdot.dot(arms))
+        np.subtract(np.subtract(offsets, q.dot(arms), out=length), lt, out=length)
+        qdot.dot(arms, out=vel)
+        np.divide(muscle, scale, out=muscle)
         err = ctrl - act
-        _fl_reach(length, *fl_args, near=near, far=far)
+        excess = _fl_reach(length, fl_offsets, fl_widths, near=near, far=far)[2][:, 0]
         _fv_reach(vel, vmax, rise_width, a=a, w=w)
-        _fp_reach(length, width, out=t)
+        _fp_reach(excess, width, out=t)
         _tau_reach(err, tau_smooth, out=x)
         _unit_clamp(rows, out=clamped)
         np.multiply(clamped, clamped, out=squares)
@@ -797,18 +813,17 @@ def _write_json(path, doc) -> None:
         raise
 
 
-def _whole_number(doc: dict, key: str, minimum: int) -> int:
-    """A whole-number field of at least ``minimum``.
+def _whole_number(name: str, value, minimum: int) -> int:
+    """``value`` as an ``int``, if it is a whole number of at least ``minimum``.
 
     Raises:
-        KeyError: if the field is missing.
-        ValueError: naming the field, for anything but a finite whole
-            number (``2000`` or ``2000.0``) of at least ``minimum``.
+        ValueError: naming ``name``, for anything but a finite whole number
+            (``2000`` or ``2000.0``, not ``True`` or ``"2000"``) of at least
+            ``minimum``.
     """
-    value = doc[key]
     if not (np.ndim(value) == 0 and _is_number(value) and math.isfinite(value)
             and value == int(value) and value >= minimum):
-        raise ValueError(f"{key!r} must be a whole number >= {minimum}, got {value!r}")
+        raise ValueError(f"{name!r} must be a whole number >= {minimum}, got {value!r}")
     return int(value)
 
 
@@ -857,7 +872,7 @@ def load_plant(path) -> Plant:
             f"plant file {path} is not in the expected {PLANT_FORMAT} format"
         )
     try:
-        nj, na = _whole_number(doc, "njoints", 1), _whole_number(doc, "nactuators", 1)
+        nj, na = (_whole_number(key, doc[key], 1) for key in ("njoints", "nactuators"))
         for key, count, names in (("njoints", nj, "joint_names"),
                                   ("nactuators", na, "actuator_names")):
             if count != len(doc[names]):

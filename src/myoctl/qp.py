@@ -91,10 +91,10 @@ def _pinv(sub: np.ndarray) -> np.ndarray:
     return np.linalg.pinv(sub, rcond=max(sub.shape) * np.finfo(float).eps)
 
 
-def _kkt_violation(g, on_bound):
-    """Largest KKT violation over the last axis: ``|g|`` on free variables,
-    ``g * side`` on bound ones."""
-    return np.where(on_bound == 0, np.abs(g), g * on_bound).max(axis=-1)
+def _kkt_terms(g, on_bound):
+    """The KKT violation's terms: ``|g|`` on free variables, ``g * side`` on
+    bound ones."""
+    return np.where(on_bound == 0, np.abs(g), g * on_bound)
 
 
 class BvlsSolver:
@@ -181,33 +181,37 @@ class BvlsSolver:
         A = self.A
         x = (self._pinv_all @ b[..., None])[..., 0]
         live = lb < ub
-        # A row whose box pins a variable is flagged until its first step,
-        # on the live columns, is taken below.
-        stepping = ~((x >= lb) & (x <= ub) & live).all(axis=-1)
-        # Per-row flags as lists: on the few rows of a frame, Python's any
-        # and all are cheaper than numpy's reductions.
-        rows = stepping.tolist()
-        if not any(rows):
-            return x, np.zeros(len(rows), dtype=int)
-        pinning = not live.all()
+        # An entry is done when its first step lies in its box on a live
+        # column, so a row whose box pins a variable is not done until its
+        # first step, on the live columns, is taken below.
+        done = (x >= lb) & (x <= ub) & live
+        # Per-row flags as lists: on the few rows of a frame, one
+        # np.count_nonzero of the whole stack, and Python's any and all on
+        # its tolist() rows, cost less than numpy's reductions along an axis.
+        if np.count_nonzero(done) == done.size:
+            return x, np.zeros(len(x), dtype=int)
+        rows = [not all(row) for row in done.tolist()]
+        pinning = np.count_nonzero(live) < live.size
         if pinning:
-            for i, pins in enumerate((~live.all(axis=-1)).tolist()):
-                if pins:
+            for i, live_row in enumerate(live.tolist()):
+                if not all(live_row):
                     live_i = live[i]
                     x_i = lb[i] * ~live_i
-                    if live_i.any():
+                    if any(live_row):
                         x_i[live_i] = self._subproblem(live_i, b[i] - A @ x_i)
                     x[i] = x_i
-                    stepping[i] = rows[i] = not ((x_i >= lb[i]) & (x_i <= ub[i])).all()
-        x, on_bound, iterations = self._bvls_stack(b, lb, ub, x, stepping)
+                    rows[i] = not ((x_i >= lb[i]) & (x_i <= ub[i])).all()
+        x, on_bound, iterations = self._bvls_stack(b, lb, ub, x, rows)
         r = (A @ x[..., None])[..., 0] - b
         g = (A.T @ r[..., None])[..., 0]
         if pinning:
             g *= live
-        optimal = (_kkt_violation(g, on_bound) < _TOL).tolist()
+        # A row is optimal when every term of its KKT violation is below
+        # _TOL, as when their maximum is (a NaN term fails both tests).
+        optimal = (_kkt_terms(g, on_bound) < _TOL).tolist()
         for j, row in enumerate(rows):
             if row:
-                if not optimal[j]:
+                if not all(optimal[j]):
                     x[j], iterations[j] = self._bvls(b[j], lb[j], ub[j], live[j], x[j],
                                                      on_bound[j], r[j], g[j], iterations[j],
                                                      max_iter)
@@ -232,14 +236,18 @@ class BvlsSolver:
         return kkt <= _TOL, residual
 
     def _bvls_stack(self, b, lb, ub, x, stepping):
-        """BVLS's initialization loop for the rows that ``stepping`` flags,
-        whose first steps ``x`` leave their boxes, run on the whole stack.
+        """BVLS's initialization loop for the rows that the list ``stepping``
+        flags, whose first steps ``x`` leave their boxes, run on the whole
+        stack.
 
         Each step solves every looping row's free set, sends the variables
         whose solution leaves the box to their bounds and takes them out of
         the free set; a row leaves the loop once its free solution sends
         nothing or no variable is left free, and the loop stops once no row
-        sends a variable. Rows that are not flagged free nothing, and their
+        sends a variable. Each row's flag is a Python bool: a row that leaves
+        keeps the free set it had, and no later step uses its rows of the
+        stacked products, as its flag stays down. Rows that are not flagged
+        free nothing, and their
         ``x`` is returned as given: a clamp may flip the sign of a zero on a
         box edge. Only the free-set products run row by row, each the 1-D
         ``pinv @ rhs`` of :meth:`_subproblem`; a stacked product of padded
@@ -256,10 +264,10 @@ class BvlsSolver:
         """
         hi, lo = x >= ub, x <= lb
         on_bound = np.subtract(hi, lo, dtype=float)
-        free = ~(hi | lo) & stepping[:, None]
+        free = ~(hi | lo)
         z = _clamp(x, lb, ub)
         iterations = [0] * len(x)
-        rows = free.any(axis=-1).tolist()
+        rows = [step and any(f) for step, f in zip(stepping, free.tolist())]
         while any(rows):
             rhs = b - (self.A @ (z * ~free)[..., None])[..., 0]
             for j, row in enumerate(rows):
@@ -271,13 +279,16 @@ class BvlsSolver:
             hi, lo = z > ub, z < lb
             z = _clamp(z, lb, ub)
             sent = hi | lo
-            if not sent.any():
+            if not np.count_nonzero(sent):
                 break
             on_bound += hi
             on_bound -= lo
-            free &= ~sent & sent.any(axis=-1, keepdims=True)
-            rows = free.any(axis=-1).tolist()
-        return np.where(stepping[:, None], z, x), on_bound, iterations
+            free &= ~sent
+            rows = [row and any(s) and any(f)
+                    for row, s, f in zip(rows, sent.tolist(), free.tolist())]
+        if all(stepping):
+            return z, on_bound, iterations
+        return np.where(np.array(stepping)[:, None], z, x), on_bound, iterations
 
     def _bvls(self, b, lb, ub, live, x, on_bound, r, g, iteration, max_iter):
         """BVLS's main loop for one row of :meth:`solve` that the stacked KKT
@@ -323,7 +334,7 @@ class BvlsSolver:
             r = A @ x - b
             cost_new = 0.5 * (r @ r)
             g = (A.T @ r) * live
-            if cost - cost_new < _TOL * cost or _kkt_violation(g, on_bound) < _TOL:
+            if cost - cost_new < _TOL * cost or _kkt_terms(g, on_bound).max() < _TOL:
                 break
             cost = cost_new
         return _clamp(x, lb, ub), iteration

@@ -3,7 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from myoctl.muscle import _time_constant, smoothstep, step_activation
+import myoctl.muscle
+import step_oracle
+from myoctl.inverse import _frame_problem
+from myoctl.muscle import _edge_taus, _time_constant, smoothstep, step_activation
+from myoctl.plant import make_fixture
 
 
 class TestSmoothstep:
@@ -127,3 +131,59 @@ class TestStepActivation:
             assert np.all(rising | ~up) and np.all(falling | ~down)
             act = nxt
         assert act == pytest.approx(ctrl, abs=1e-6)
+
+
+class TestActivationBounds:
+    """The inversion's activation bounds, the step under controls 0 and 1,
+    which skips the smoothstep when no control error lies inside the blend
+    window, against the unsplit step of ``tests/step_oracle.py``, byte for
+    byte, as the frame loop builds them on ``(lanes, nact)`` stacks and the
+    check after it on ``(frames, lanes, nact)`` stacks."""
+
+    @staticmethod
+    def stack(case, tau_smooth):
+        """Activations of 3 lanes whose smoothstep arguments all lie outside
+        (0, 1) under both controls, except one entry per ``case``."""
+        act = np.random.default_rng(3).uniform(tau_smooth, 1.0 - tau_smooth, (3, 4))
+        if case == "one inside":
+            # Control 0's argument is 1/4.
+            act[1, 2] = 0.25 * tau_smooth
+        elif case == "reach 0":
+            act[1, 2] = 0.5 * tau_smooth
+            assert (0.0 - act[1, 2]) / tau_smooth + 0.5 == 0.0
+        elif case == "reach 1":
+            act[2, 0] = 1.0 - 0.5 * tau_smooth
+            assert (1.0 - act[2, 0]) / tau_smooth + 0.5 == 1.0
+        return act
+
+    @pytest.mark.parametrize("taus", [(0.02, 0.02), (0.01, 0.04), (0.005, 0.08)],
+                             ids=["20/20", "10/40", "5/80"])
+    # At the fixtures' 5 ms blend width no activation puts control 1's argument
+    # at exactly 1; at 2**-8 s, 1 - 2**-9 does.
+    @pytest.mark.parametrize("case, tau_smooth, blended", [
+        ("all outside", 0.005, False), ("all outside", 2.0**-8, False),
+        ("one inside", 0.005, True), ("reach 0", 2.0**-8, False), ("reach 1", 2.0**-8, False),
+    ])
+    @pytest.mark.parametrize("frames", [False, True], ids=["loop", "check"])
+    def test_bounds_match_the_oracle_byte_for_byte(self, monkeypatch, taus, case, tau_smooth,
+                                                   blended, frames):
+        act = self.stack(case, tau_smooth)
+        if frames:
+            act = np.stack((act, act[::-1]))
+        dt = np.asarray(0.002)
+        tau_act, tau_deact, tau_smooth = (np.full(4, v) for v in (*taus, tau_smooth))
+        filter_args = (dt, tau_act, tau_deact, tau_smooth)
+        expected = np.stack([step_oracle.step_activation(act, np.asarray(ctrl), *filter_args)
+                             for ctrl in (0.0, 1.0)])
+        arms = make_fixture("toy_finger").moment_arms
+        gain = -np.ones_like(act)
+        gap_base = np.zeros(act.shape[:-1] + (2,))
+        real, calls = myoctl.muscle._blend, []
+        monkeypatch.setattr(myoctl.muscle, "_blend",
+                            lambda *args: calls.append(None) or real(*args))
+        # As the frame loop calls it, with the edge time constants built once,
+        # and as the per-frame oracle of tests/kkt_oracle.py does, without.
+        for extra in ((_edge_taus(tau_act, tau_deact),), ()):
+            bounds = _frame_problem(arms, act, gain, gap_base, gain, filter_args, *extra)[3]
+            assert bounds.tobytes() == expected.tobytes()
+        assert len(calls) == (2 if blended else 0)

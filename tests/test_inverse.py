@@ -570,7 +570,7 @@ class TestLanes:
             return result
 
         def stack(solver, b, lb, ub, x, stepping):
-            stacked.append((len(frames), stepping.tolist()))
+            stacked.append((len(frames), list(stepping)))
             return real_stack(solver, b, lb, ub, x, stepping)
 
         def bvls(solver, b, *state):

@@ -211,6 +211,22 @@ class TestSessionContainer:
             Session(id="x", rate_hz=500, channel_names=("mcp", "pip"),
                     data=np.zeros((2, 10, 3)))
 
+    @pytest.mark.parametrize("rate_hz", [2.5, True, 0, "2000"])
+    def test_rate_that_the_reader_refuses_is_named(self, rate_hz):
+        # Each used to construct, and 2.5 and True to write a session whose
+        # header read_session refuses (True written as true).
+        with pytest.raises(ValueError, match=re.escape(
+                f"'rate_hz' must be a whole number >= 1, got {rate_hz!r}")):
+            Session(id="x", rate_hz=rate_hz, channel_names=("a",), data=np.zeros((1, 5)))
+
+    def test_whole_float_rate_is_stored_as_an_int_and_reads_back_equal(self, tmp_path):
+        session = Session(id="x", rate_hz=2000.0, channel_names=("a",),
+                          data=np.arange(5.0)[None, :])
+        assert type(session.rate_hz) is int and session.rate_hz == 2000
+        write_session(session, tmp_path / "x")
+        assert '"rate_hz": 2000,' in (tmp_path / "x" / "session.json").read_text()
+        assert read_session(tmp_path / "x") == session
+
 
 class TestWriteSession:
     def test_failed_payload_write_keeps_the_old_session(self, tmp_path, toy_plant, monkeypatch):

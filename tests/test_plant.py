@@ -443,6 +443,34 @@ class TestStepOracle:
             for attr in ("q", "qdot", "act"):
                 assert getattr(state, attr).tobytes() == getattr(reference, attr).tobytes()
 
+    @pytest.mark.parametrize("lengths", [("one", "lmin", "lmax", "one"),
+                                         ("lmax", "one", "lmin", "lmin")])
+    @pytest.mark.parametrize("q, qdot", [([0.0, 0.0], [0.0, 0.0]), ([-0.0, 0.0], [-0.0, -0.0]),
+                                         ([0.0, -0.0], [-0.0, 0.0])])
+    def test_forward_step_matches_the_oracle_at_the_force_length_edges(self, lengths, q, qdot):
+        # With l0 = 1, lt = 0 and a zero pose, each normalized length is its
+        # tendon offset exactly: 1, lmin or lmax, where the force-length
+        # distances are zeros of either sign. A zero joint velocity gives the
+        # muscle velocity -0 (qdot @ moment_arms is +0 for either zero).
+        base = make_fixture("toy_finger")
+        p = base.params[0]
+        at = {"one": 1.0, "lmin": p.lmin, "lmax": p.lmax}
+        plant = dataclasses.replace(
+            base, length_offsets=[at[name] for name in lengths],
+            geometry=tuple(MuscleGeometry(l0=1.0, lt=0.0, f0=g.f0) for g in base.geometry))
+        state = PlantState(q=np.array(q), qdot=np.array(qdot), act=np.array([0.3, 0.0, 1.0, 0.6]))
+        norm_len, norm_vel = plant_module._normalized(
+            plant, *tendon_kinematics(plant, state.q, state.qdot))
+        assert norm_len.tolist() == [at[name] for name in lengths]
+        assert (norm_vel == 0.0).all()
+        args = step_oracle.muscle_args(plant)
+        for ctrl in ([1.0, 0.0, 0.5, 0.6], [0.0, 1.0, 0.0, 0.3]):
+            stepped = forward_step(plant, state, ctrl, 0.002)
+            expected = step_oracle.step(plant, args, state.q, state.qdot, state.act,
+                                        np.array(ctrl), np.asarray(0.002))
+            for got, want in zip((stepped.q, stepped.qdot, stepped.act), expected):
+                assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("qdot, nframes", [([1e308, 0.0], 5), ([500.0, 0.0], 40)],
                              ids=["diverging", "slack"])
     def test_failing_rollouts_raise_what_the_oracle_raises(self, qdot, nframes):
@@ -643,6 +671,23 @@ class TestPlantValidation:
     def test_invalid_plant_is_named(self, changes, message):
         with pytest.raises(PlantError, match=f"^{re.escape(message)}$"):
             dataclasses.replace(FINGER, **changes)
+
+    @pytest.mark.parametrize("field, value", [
+        ("damping", [True, False]),
+        ("damping", np.array([True, False])),
+        ("damping", ["0.02", "0.01"]),
+        ("moment_arms", [[0.01, -0.01, 0.005, -0.005], [False, 0.0, 0.008, -0.008]]),
+        ("moment_arms", [[0.01, -0.01, 0.005, -0.005], [0.0, 0.0, 0.008, "-0.008"]]),
+        ("gravity", [False, False]),
+        ("gravity", ["0.3", 0.0]),
+    ], ids=["damping_bools", "damping_bool_array", "damping_strings", "arms_bool",
+            "arms_string", "gravity_bools", "gravity_string"])
+    def test_value_that_is_not_a_number_is_named(self, field, value):
+        # Each used to build a plant, the bools as 1 and 0 and the strings as
+        # the numbers they spell, as load_plant refuses to.
+        with pytest.raises(PlantError, match=f"^{field} must hold only numbers "
+                                             r"\(not bools or strings\)$"):
+            dataclasses.replace(FINGER, **{field: value})
 
     def test_zero_damping_is_valid(self):
         plant = dataclasses.replace(FINGER, damping=[0.0, 0.0])
